@@ -46,7 +46,6 @@ class MultiPatchBuilder:
         self.prev_meas: dict[tuple[int, int], int] = {}
         self.rounds_done: dict[int, int] = {p: 0 for p in layouts}
         self.pending: list[tuple[int, int]] = []  # transversal CNOTs since last round
-        self.injections: list[tuple[int, int]] = []  # (instruction index, resource id)
 
     # -- primitive stages -------------------------------------------------
     def init_patch(self, patch: int, basis: str, noisy: bool = True) -> None:
@@ -63,7 +62,7 @@ class MultiPatchBuilder:
         lay = self.layouts[patch]
         addrs = tuple((patch, q) for q in lay.logical_z_support)
         self.circuit.emit("INJECT_Z", addrs, self.noise.p_in)
-        self.injections.append((len(self.circuit.instructions) - 1, resource_id))
+        self.circuit.injections.append((len(self.circuit.instructions) - 1, resource_id))
 
     def transversal_cnot(self, cp: int, tp: int) -> None:
         lc, lt = self.layouts[cp], self.layouts[tp]
@@ -176,9 +175,7 @@ class MultiPatchBuilder:
         return meas
 
     def finish(self) -> Circuit:
-        circ = self.circuit
-        circ.injections = list(self.injections)  # type: ignore[attr-defined]
-        return circ
+        return self.circuit
 
 
 # -- experiment circuits ---------------------------------------------------
@@ -187,13 +184,6 @@ def build_se_round(layout: PatchLayout, noise: NoiseModel) -> Circuit:
     """A single detached syndrome-extraction round on one patch."""
     b = MultiPatchBuilder({0: layout}, noise)
     b.se_round([0])
-    return b.finish()
-
-
-def build_transversal_cnot(control: PatchLayout, target: PatchLayout) -> Circuit:
-    """A standalone noiseless transversal CNOT block (patch 0 -> patch 1)."""
-    b = MultiPatchBuilder({0: control, 1: target}, NoiseModel(0.0))
-    b.transversal_cnot(0, 1)
     return b.finish()
 
 

@@ -127,6 +127,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
     opts["protocol"] = _protocol(str(opts["protocol"]))
     if opts["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown format {opts['format']!r}")
+    for p in opts["p_in"]:
+        _config_for(opts, p)  # range checks for every command, not only the Monte Carlo ones
     return opts
 
 
@@ -189,16 +191,9 @@ def cmd_logical(opts: dict) -> int:
 
 def cmd_distill(opts: dict) -> int:
     rows = []
-    pipeline = None
     for p in opts["p_in"]:
         cfg = _config_for(opts, p)
-        if pipeline is None:
-            from .builders import build_distillation_circuit
-            circ = build_distillation_circuit(
-                build_protocol(cfg.protocol), cfg.d, cfg.noise())
-            pipeline = harness.DecodingPipeline.build(circ)
-        stats = harness.run_distillation(cfg, pipeline)
-        rows.append(harness.result_row("distill", cfg, stats))
+        rows.append(harness.result_row("distill", cfg, harness.run_distillation(cfg)))
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 

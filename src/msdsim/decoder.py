@@ -198,12 +198,8 @@ class MatchingGraph:
         return pairs
 
 
-def mwpm_decode(graph: MatchingGraph, syndrome: int) -> Correction:
-    return graph.decode(syndrome)
-
-
 def brute_force_decode(graph: MatchingGraph, syndrome: int) -> float:
-    """Exhaustive minimum pairing weight; test oracle for mwpm_decode."""
+    """Exhaustive minimum pairing weight; test oracle for MatchingGraph.decode."""
     defects = [i for i in range(graph.n) if (syndrome >> i) & 1]
     d = graph._dist
     n = graph.n

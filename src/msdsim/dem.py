@@ -1,29 +1,25 @@
-"""Error-mechanism enumeration by batched Pauli-frame propagation.
+"""Error-mechanism enumeration by one backward sensitivity pass.
 
-Every elementary fault (depolarizing term, measurement flip, injected logical
-Z) is propagated through the circuit as a row of X/Z frame planes; recorded
-measurement flips give the fault's detector/check/observable signature.  X and
-Z frame planes never mix (the circuits use only resets and CNOTs), so each
-signature splits cleanly into an X-basis and a Z-basis component, each itself
-realisable by the fault's Z- or X-part alone.  Components are merged by
-identical signature with XOR-combined probabilities; the per-basis component
-restricted to the fault's own patch is what becomes a matching-graph edge.
+Sweeping the instructions in reverse, each qubit carries two bitsets over the
+signature columns (detectors, then observables, then checks): the columns an
+X error on it at that point would flip, and those a Z error would flip.  A
+measurement XORs its own column row into the X set (MZ) or Z set (MX) of its
+qubit, a reset clears both sets, and a CNOT pulls X sensitivity back onto
+the control and Z sensitivity onto the target.  Each elementary fault
+(depolarizing term, measurement flip, injected logical Z) then reads its
+signature off the sets at its site.  X and Z frames never mix (the circuits
+use only resets and CNOTs), so each signature splits cleanly into an X-basis
+and a Z-basis component by column basis.  Components are merged by identical
+signature with XOR-combined probabilities, in forward fault order; the
+per-basis component restricted to the fault's own patch is what becomes a
+matching-graph edge.  This is the detector-error-model construction of
+Gidney, arXiv:2103.02202.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuit import Circuit, OPS_MEASURE, OPS_RESET
-
-# (x_a, z_a, x_b, z_b) for the 15 non-identity two-qubit Pauli terms.
-_TWO_QUBIT_TERMS = tuple(
-    (xa, za, xb, zb)
-    for xa in (0, 1) for za in (0, 1) for xb in (0, 1) for zb in (0, 1)
-    if (xa, za, xb, zb) != (0, 0, 0, 0)
-)
-_ONE_QUBIT_TERMS = ((1, 0), (1, 1), (0, 1))  # X, Y, Z
+from .circuit import Circuit, OPS_RESET
 
 
 @dataclass(frozen=True)
@@ -42,107 +38,98 @@ def _xor_prob(a: float, b: float) -> float:
     return a * (1 - b) + b * (1 - a)
 
 
+def _bits(x: int) -> list[int]:
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
     index = circuit.qubit_index()
-    nq = len(index)
-    nm = circuit.num_measurements
+    nd, no = len(circuit.detectors), len(circuit.observables)
+    columns = [*circuit.detectors, *circuit.observables, *circuit.checks]
+    col_row = [0] * circuit.num_measurements   # columns each measurement enters
+    x_cols = 0                                 # columns of X-basis measurements
+    for col, s in enumerate(columns):
+        for m in s.meas:
+            col_row[m] ^= 1 << col
+        basis = s.basis if col < nd else circuit.meas_addr[s.meas[0]][2]
+        if basis == "X":
+            x_cols |= 1 << col
 
-    # Pass 1: collect fault descriptors (instr position, insertion payload).
-    faults: list[tuple[int, float, int, list[tuple[int, int, int]], int | None]] = []
-    # each: (instr idx, prob, origin patch, [(qubit, dx, dz)...], meas flip idx)
-    mi = 0
-    for ii, ins in enumerate(circuit.instructions):
-        if ins.op == "DEPOL1" and ins.p > 0:
-            for patch, q in ins.targets:
-                gq = index[(patch, q)]
-                for dx, dz in _ONE_QUBIT_TERMS:
-                    faults.append((ii, ins.p / 3, patch, [(gq, dx, dz)], None))
-        elif ins.op == "DEPOL2" and ins.p > 0:
-            (pa, qa), (pb, qb) = ins.targets
-            ga, gb = index[(pa, qa)], index[(pb, qb)]
-            for xa, za, xb, zb in _TWO_QUBIT_TERMS:
-                faults.append((ii, ins.p / 15, pa, [(ga, xa, za), (gb, xb, zb)], None))
-        elif ins.op == "INJECT_Z" and ins.p > 0:
-            patch = ins.targets[0][0]
-            rows = [(index[a], 0, 1) for a in ins.targets]
-            faults.append((ii, ins.p, patch, rows, None))
-        elif ins.op in OPS_MEASURE:
+    # Per (origin, basis, signature part), the probabilities of the faults
+    # with that component, in reverse forward order: the sweep visits sites
+    # backwards and each site's (prob, origin, signature) terms back to front.
+    parts: dict[tuple[int, str, int], list[float]] = {}
+
+    def add_site(site: list[tuple[float, int, int]]) -> None:
+        for p, origin, sig in reversed(site):
+            for basis, part in (("X", sig & x_cols), ("Z", sig & ~x_cols)):
+                if part:
+                    parts.setdefault((origin, basis, part), []).append(p)
+
+    sx = [0] * len(index)
+    sz = [0] * len(index)
+    mi = circuit.num_measurements
+    for ins in reversed(circuit.instructions):
+        op = ins.op
+        if op == "CNOT":
+            pairs = [(index[ins.targets[k]], index[ins.targets[k + 1]])
+                     for k in range(0, len(ins.targets), 2)]
+            for c, t in reversed(pairs):
+                sx[c] ^= sx[t]
+                sz[t] ^= sz[c]
+        elif op in OPS_RESET:
+            for a in ins.targets:
+                sx[index[a]] = sz[index[a]] = 0
+        elif op == "MZ" or op == "MX":
+            mi -= 1
+            q = index[ins.targets[0]]
+            if op == "MZ":
+                sx[q] ^= col_row[mi]
+            else:
+                sz[q] ^= col_row[mi]
             if ins.p > 0:
-                faults.append((ii, ins.p, ins.targets[0][0], [], mi))
-            mi += 1
+                add_site([(ins.p, ins.targets[0][0], col_row[mi])])
+        elif ins.p > 0 and op == "DEPOL1":
+            p = ins.p / 3
+            site = []
+            for a in ins.targets:
+                x, z = sx[index[a]], sz[index[a]]
+                site += [(p, a[0], x), (p, a[0], x ^ z), (p, a[0], z)]   # X, Y, Z
+            add_site(site)
+        elif ins.p > 0 and op == "DEPOL2":
+            a, b = ins.targets
+            xa, za = sx[index[a]], sz[index[a]]
+            xb, zb = sx[index[b]], sz[index[b]]
+            pa = (0, za, xa, xa ^ za)    # I, Z, X, Y on a
+            pb = (0, zb, xb, xb ^ zb)
+            p = ins.p / 15
+            add_site([(p, a[0], pa[i] ^ pb[j])
+                      for i in range(4) for j in range(4) if i or j])
+        elif ins.p > 0 and op == "INJECT_Z":
+            sig = 0
+            for a in ins.targets:
+                sig ^= sz[index[a]]
+            add_site([(ins.p, ins.targets[0][0], sig)])
+    assert mi == 0
 
-    nf = len(faults)
-    x = np.zeros((nf, nq), dtype=bool)
-    z = np.zeros((nf, nq), dtype=bool)
-    meas_flips = np.zeros((nf, nm), dtype=bool)
-    # Group fault insertions by instruction for the single propagation pass.
-    by_instr: dict[int, list[int]] = {}
-    for fi, f in enumerate(faults):
-        by_instr.setdefault(f[0], []).append(fi)
-
-    mi = 0
-    for ii, ins in enumerate(circuit.instructions):
-        for fi in by_instr.get(ii, ()):
-            _, _, _, payload, flip_meas = faults[fi]
-            for gq, dx, dz in payload:
-                if dx:
-                    x[fi, gq] ^= True
-                if dz:
-                    z[fi, gq] ^= True
-            if flip_meas is not None:
-                meas_flips[fi, flip_meas] = True
-        if ins.op in OPS_RESET:
-            cols = [index[a] for a in ins.targets]
-            x[:, cols] = False
-            z[:, cols] = False
-        elif ins.op == "CNOT":
-            for k in range(0, len(ins.targets), 2):
-                c, t = index[ins.targets[k]], index[ins.targets[k + 1]]
-                x[:, t] ^= x[:, c]
-                z[:, c] ^= z[:, t]
-        elif ins.op in OPS_MEASURE:
-            gq = index[ins.targets[0]]
-            plane = z if ins.op == "MX" else x
-            meas_flips[:, mi] ^= plane[:, gq]
-            mi += 1
-
-    def set_flips(sets):
-        out = np.zeros((nf, len(sets)), dtype=bool)
-        for si, s in enumerate(sets):
-            for m in s.meas:
-                out[:, si] ^= meas_flips[:, m]
-        return out
-
-    det_flips = set_flips(circuit.detectors)
-    obs_flips = set_flips(circuit.observables)
-    check_flips = set_flips(circuit.checks)
-    det_basis = np.array([d.basis == "X" for d in circuit.detectors])
-    det_home = np.array([d.home_patch for d in circuit.detectors])
-    obs_basis = np.array([circuit.meas_addr[o.meas[0]][2] == "X"
-                          for o in circuit.observables])
-    check_basis = np.array([circuit.meas_addr[c.meas[0]][2] == "X"
-                            for c in circuit.checks])
-
-    merged: dict[tuple, float] = {}
-    for fi, (_, p, origin, _, _) in enumerate(faults):
-        dets = np.flatnonzero(det_flips[fi])
-        obs = np.flatnonzero(obs_flips[fi])
-        chk = np.flatnonzero(check_flips[fi])
-        for is_x, basis in ((True, "X"), (False, "Z")):
-            bd = dets[det_basis[dets] == is_x]
-            bo = obs[obs_basis[obs] == is_x]
-            bc = chk[check_basis[chk] == is_x]
-            if not (bd.size or bo.size or bc.size):
-                continue
-            home = tuple(int(d) for d in bd if det_home[d] == origin)
-            foreign = tuple(int(d) for d in bd if det_home[d] != origin)
-            obs_mask = sum(1 << int(o) for o in bo)
-            check_mask = sum(1 << int(c) for c in bc)
-            key = (origin, basis, home, foreign, obs_mask, check_mask)
-            merged[key] = _xor_prob(merged.get(key, 0.0), p)
-
-    return [
-        ErrorMechanism(prob=p, origin_patch=k[0], basis=k[1], home_dets=k[2],
-                       foreign_dets=k[3], obs_mask=k[4], check_mask=k[5])
-        for k, p in sorted(merged.items())
-    ]
+    det_home = [d.home_patch for d in circuit.detectors]
+    out = []
+    for (origin, basis, part), probs in parts.items():
+        p = 0.0
+        for q in reversed(probs):     # merge in forward fault order
+            p = _xor_prob(p, q)
+        dets = _bits(part & ((1 << nd) - 1))
+        out.append(ErrorMechanism(
+            prob=p, origin_patch=origin, basis=basis,
+            home_dets=tuple(d for d in dets if det_home[d] == origin),
+            foreign_dets=tuple(d for d in dets if det_home[d] != origin),
+            obs_mask=(part >> nd) & ((1 << no) - 1),
+            check_mask=part >> (nd + no)))
+    out.sort(key=lambda m: (m.origin_patch, m.basis, m.home_dets,
+                            m.foreign_dets, m.obs_mask, m.check_mask))
+    return out

@@ -56,6 +56,11 @@ class ExperimentConfig:
             raise ValueError("d must be odd and >= 3")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        for name in ("p_circuit", "p_in"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.max_iters < 1 or self.rounds < 1:
+            raise ValueError("max_iters and rounds must be >= 1")
 
     def noise(self) -> NoiseModel:
         return NoiseModel(self.p_circuit, self.p_in)
@@ -99,8 +104,11 @@ class ExperimentStats:
 
 @dataclass
 class DecodingPipeline:
-    """Circuit + mechanisms + decoder, reusable across noise sweeps of the
-    same structure."""
+    """Circuit + mechanisms + decoder for one circuit.
+
+    Noise strengths are baked into the circuit's instructions and the
+    mechanism probabilities, so a pipeline is valid only for the noise it was
+    built with; a sweep builds one per point."""
     circuit: Circuit
     decoder: IterativeDecoder
 

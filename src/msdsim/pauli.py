@@ -328,16 +328,6 @@ class StabilizerTableau:
         return (1 if acc_r == 2 else 0), True
 
 
-def tableau_apply(t: StabilizerTableau, gate: CliffordGate) -> StabilizerTableau:
-    t.apply(gate)
-    return t
-
-
-def tableau_measure(t: StabilizerTableau, qubit: int, basis: str,
-                    random_bit_source: Callable[[], int]) -> tuple[int, bool]:
-    return t.measure(qubit, basis, random_bit_source)
-
-
 def group_contains(t: StabilizerTableau, p: PauliString) -> tuple[bool, int]:
     """Is +-p in the stabilizer group?  Returns (contained, sign in {+1,-1}).
 

@@ -60,6 +60,17 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "analytic", "--config", str(f))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [("logical", "--p-in", "1.5"),
+                                      ("logical", "--p-in", "-0.1"),
+                                      ("distill", "--p-circuit", "2"),
+                                      ("logical", "--max-iters", "0"),
+                                      ("memory", "--rounds", "0"),
+                                      ("analytic", "--p-in", "1.5"),
+                                      ("cost", "--d", "4")])
+    def test_out_of_range_values(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--shots", "10")
+        assert code == EXIT_CONFIG and out == "" and "error:" in err
+
     def test_oracle_consistency_passes(self, capsys, tmp_path):
         out_file = tmp_path / "table.csv"
         code, _, _ = run_cli(capsys, "oracle", "--p-in", "0.1",
@@ -100,3 +111,21 @@ class TestOutputs:
                                "--out", str(path))
         assert code == EXIT_OK and out == ""
         assert path.read_text().startswith("experiment,")
+
+
+class TestSweeps:
+    def test_distill_sweep_equals_single_points(self, capsys):
+        """Each point of a multi-p_in sweep is built for its own p_in: the
+        sweep's rows equal the single-point runs row for row."""
+        def rows(*p_ins):
+            argv = ["distill", "--shots", "1000", "--seed", "1", "--format", "json"]
+            for p in p_ins:
+                argv += ["--p-in", p]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            return [{k: v for k, v in r.items() if k != "seconds"}
+                    for r in json.loads(out)]
+
+        sweep = rows("0.3", "0.01")
+        assert sweep == rows("0.3") + rows("0.01")
+        assert sweep[0]["accepted"] != sweep[1]["accepted"]

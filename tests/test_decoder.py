@@ -6,7 +6,7 @@ import pytest
 
 from msdsim.builders import NoiseModel, build_distillation_circuit, build_memory_circuit
 from msdsim.decoder import (BOUNDARY, Edge, IterativeConfig, IterativeDecoder,
-                            MatchingGraph, brute_force_decode, mwpm_decode,
+                            MatchingGraph, brute_force_decode,
                             predict_outcome)
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.protocols import SEVEN_TO_ONE, build_protocol
@@ -35,7 +35,7 @@ class TestMatchingOptimality:
             syndrome = int(rng.integers(0, 1 << n))
             if bin(syndrome).count("1") > 8:
                 continue
-            corr = mwpm_decode(g, syndrome)
+            corr = g.decode(syndrome)
             want = brute_force_decode(g, syndrome)
             assert corr.weight == pytest.approx(want, abs=1e-9), trial
 

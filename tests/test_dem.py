@@ -1,11 +1,17 @@
-"""Error-mechanism enumeration tests: signatures, merging, and statistics."""
+"""Error-mechanism enumeration tests: signatures, merging, statistics, and
+equality with the forward-propagation oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dem_oracle import enumerate_error_mechanisms as oracle_mechanisms
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
+from msdsim.circuit import Circuit, Detector, ParitySet
 from msdsim.dem import enumerate_error_mechanisms
-from msdsim.protocols import SEVEN_TO_ONE, build_protocol
+from msdsim.layout import build_patch
+from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
 from msdsim.sampler import sample
 
 
@@ -97,3 +103,93 @@ class TestMerging:
         keys = [(m.origin_patch, m.basis, m.home_dets, m.foreign_dets,
                  m.obs_mask, m.check_mask) for m in mechs]
         assert len(keys) == len(set(keys))
+
+
+_ORACLE_CIRCUITS = {
+    "memory-d3": lambda: build_memory_circuit(3, 5, NoiseModel(1e-3)),
+    "memory-d5": lambda: build_memory_circuit(5, 5, NoiseModel(1e-3)),
+    "7to1-d3": lambda: build_distillation_circuit(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3, 0.01)),
+    "15to1-d3": lambda: build_distillation_circuit(
+        build_protocol(FIFTEEN_TO_ONE), 3, NoiseModel(3e-3, 0.1)),
+    "noise-free": lambda: build_distillation_circuit(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0)),
+    "injection-only": lambda: build_distillation_circuit(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0, 0.3)),
+}
+
+
+class TestOracle:
+    """The backward sensitivity pass must reproduce the forward-propagation
+    oracle exactly: same mechanisms, same order, probabilities bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
+    def test_builder_circuits_equal_oracle(self, name):
+        c = _ORACLE_CIRCUITS[name]()
+        assert enumerate_error_mechanisms(c) == oracle_mechanisms(c)
+
+    def test_cnot_pairs_sharing_a_qubit_apply_in_order(self):
+        """CNOT 0->1 then 1->2 in one instruction carries an X on qubit 0 to
+        qubit 2, where MZ detects it."""
+        c = Circuit(layouts={0: build_patch(3)})
+        c.emit("RZ", ((0, 0), (0, 1), (0, 2)))
+        c.emit("DEPOL1", ((0, 0),), 0.1)
+        c.emit("CNOT", ((0, 0), (0, 1), (0, 1), (0, 2)))
+        mi = c.measure(0, 2, "Z", 0.0)
+        c.detectors.append(Detector(meas=(mi,), home_patch=0, basis="Z", round=0, plaq=0))
+        mechs = enumerate_error_mechanisms(c)
+        assert mechs == oracle_mechanisms(c)
+        q = 0.1 / 3  # the X and Y terms both flip it
+        assert [(m.home_dets, m.prob) for m in mechs] == [((0,), pytest.approx(2 * q * (1 - q)))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_circuits_equal_oracle(self, data):
+        c = data.draw(_random_circuits())
+        assert enumerate_error_mechanisms(c) == oracle_mechanisms(c)
+
+
+_PROBS = st.sampled_from([0.0, 0.01, 0.1, 0.3])
+
+
+@st.composite
+def _random_circuits(draw):
+    """Small multi-patch circuits: resets mid-circuit, noisy MX/MZ,
+    multi-qubit INJECT_Z, CNOT instructions whose pairs share qubits, and
+    parity sets mixing both bases and several home patches."""
+    n_patches = draw(st.integers(1, 3))
+    c = Circuit(layouts={p: build_patch(3) for p in range(n_patches)})
+    addr = st.tuples(st.integers(0, n_patches - 1), st.integers(0, 2))
+    for _ in range(draw(st.integers(1, 30))):
+        op = draw(st.sampled_from(["RX", "RZ", "RMINUS", "CNOT", "DEPOL1",
+                                   "DEPOL2", "INJECT_Z", "MX", "MZ"]))
+        if op in ("RX", "RZ", "RMINUS"):
+            c.emit(op, tuple(draw(st.sets(addr, min_size=1, max_size=3))))
+        elif op == "CNOT":
+            pairs = draw(st.lists(st.lists(addr, min_size=2, max_size=2, unique=True),
+                                  min_size=1, max_size=4))
+            c.emit(op, tuple(a for pair in pairs for a in pair))
+        elif op == "DEPOL1":
+            c.emit(op, tuple(draw(st.sets(addr, min_size=1, max_size=3))), draw(_PROBS))
+        elif op == "DEPOL2":
+            pair = draw(st.lists(addr, min_size=2, max_size=2, unique=True))
+            c.emit(op, tuple(pair), draw(_PROBS))
+        elif op == "INJECT_Z":
+            patch = draw(st.integers(0, n_patches - 1))
+            qs = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
+            c.emit(op, tuple((patch, q) for q in sorted(qs)), draw(_PROBS))
+        else:
+            patch, q = draw(addr)
+            c.measure(patch, q, op[1], draw(_PROBS))
+    nm = c.num_measurements
+    if nm:
+        meas = st.lists(st.integers(0, nm - 1), min_size=1, max_size=4)
+        for _ in range(draw(st.integers(0, 6))):
+            c.detectors.append(Detector(
+                meas=tuple(draw(meas)), home_patch=draw(st.integers(0, n_patches - 1)),
+                basis=draw(st.sampled_from("XZ")), round=0, plaq=0))
+        for i in range(draw(st.integers(0, 3))):
+            c.checks.append(ParitySet(meas=tuple(draw(meas)), id=i))
+        for i in range(draw(st.integers(0, 2))):
+            c.observables.append(ParitySet(meas=tuple(draw(meas)), id=i))
+    return c
