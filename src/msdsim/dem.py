@@ -1,25 +1,22 @@
 """Error-mechanism enumeration by one backward sensitivity pass.
 
-Sweeping the instructions in reverse, each qubit carries two bitsets over the
-signature columns (detectors, then observables, then checks): the columns an
-X error on it at that point would flip, and those a Z error would flip.  A
-measurement XORs its own column row into the X set (MZ) or Z set (MX) of its
-qubit, a reset clears both sets, and a CNOT pulls X sensitivity back onto
-the control and Z sensitivity onto the target.  Each elementary fault
-(depolarizing term, measurement flip, injected logical Z) then reads its
-signature off the sets at its site.  X and Z frames never mix (the circuits
-use only resets and CNOTs), so each signature splits cleanly into an X-basis
-and a Z-basis component by column basis.  Components are merged by identical
-signature with XOR-combined probabilities, in forward fault order; the
-per-basis component restricted to the fault's own patch is what becomes a
-matching-graph edge.  This is the detector-error-model construction of
-Gidney, arXiv:2103.02202.
+Sweeping the instructions in reverse (`circuit.sweep_backward`), each qubit
+carries two bitsets over the signature columns (detectors, then observables,
+then checks): the columns an X error on it at that point would flip, and
+those a Z error would flip.  Each elementary fault (depolarizing term,
+measurement flip, injected logical Z) reads its signature off the sets at its
+site.  X and Z frames never mix (the circuits use only resets and CNOTs), so
+each signature splits cleanly into an X-basis and a Z-basis component by
+column basis.  Components are merged by identical signature with
+XOR-combined probabilities, in forward fault order; the per-basis component
+restricted to the fault's own patch is what becomes a matching-graph edge.
+This is the detector-error-model construction of Gidney, arXiv:2103.02202.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, OPS_RESET
+from .circuit import OPS_MEASURE, Circuit, column_rows, sweep_backward
 
 
 @dataclass(frozen=True)
@@ -48,14 +45,11 @@ def _bits(x: int) -> list[int]:
 
 
 def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
-    index = circuit.qubit_index()
     nd, no = len(circuit.detectors), len(circuit.observables)
     columns = [*circuit.detectors, *circuit.observables, *circuit.checks]
-    col_row = [0] * circuit.num_measurements   # columns each measurement enters
+    col_row = column_rows(circuit, columns)    # columns each measurement enters
     x_cols = 0                                 # columns of X-basis measurements
     for col, s in enumerate(columns):
-        for m in s.meas:
-            col_row[m] ^= 1 << col
         basis = s.basis if col < nd else circuit.meas_addr[s.meas[0]][2]
         if basis == "X":
             x_cols |= 1 << col
@@ -71,51 +65,33 @@ def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
                 if part:
                     parts.setdefault((origin, basis, part), []).append(p)
 
-    sx = [0] * len(index)
-    sz = [0] * len(index)
-    mi = circuit.num_measurements
-    for ins in reversed(circuit.instructions):
+    nq = len(circuit.qubit_index())
+    sx, sz = [0] * nq, [0] * nq
+    for ins, qs, mi in sweep_backward(circuit, col_row, sx, sz):
         op = ins.op
-        if op == "CNOT":
-            pairs = [(index[ins.targets[k]], index[ins.targets[k + 1]])
-                     for k in range(0, len(ins.targets), 2)]
-            for c, t in reversed(pairs):
-                sx[c] ^= sx[t]
-                sz[t] ^= sz[c]
-        elif op in OPS_RESET:
-            for a in ins.targets:
-                sx[index[a]] = sz[index[a]] = 0
-        elif op == "MZ" or op == "MX":
-            mi -= 1
-            q = index[ins.targets[0]]
-            if op == "MZ":
-                sx[q] ^= col_row[mi]
-            else:
-                sz[q] ^= col_row[mi]
-            if ins.p > 0:
-                add_site([(ins.p, ins.targets[0][0], col_row[mi])])
-        elif ins.p > 0 and op == "DEPOL1":
+        if ins.p == 0:
+            continue
+        if op in OPS_MEASURE:
+            add_site([(ins.p, ins.targets[0][0], col_row[mi])])
+        elif op == "DEPOL1":
             p = ins.p / 3
             site = []
-            for a in ins.targets:
-                x, z = sx[index[a]], sz[index[a]]
+            for a, q in zip(ins.targets, qs):
+                x, z = sx[q], sz[q]
                 site += [(p, a[0], x), (p, a[0], x ^ z), (p, a[0], z)]   # X, Y, Z
             add_site(site)
-        elif ins.p > 0 and op == "DEPOL2":
-            a, b = ins.targets
-            xa, za = sx[index[a]], sz[index[a]]
-            xb, zb = sx[index[b]], sz[index[b]]
-            pa = (0, za, xa, xa ^ za)    # I, Z, X, Y on a
-            pb = (0, zb, xb, xb ^ zb)
+        elif op == "DEPOL2":
+            a, b = qs
+            pa = (0, sz[a], sx[a], sx[a] ^ sz[a])    # I, Z, X, Y on a
+            pb = (0, sz[b], sx[b], sx[b] ^ sz[b])
             p = ins.p / 15
-            add_site([(p, a[0], pa[i] ^ pb[j])
+            add_site([(p, ins.targets[0][0], pa[i] ^ pb[j])
                       for i in range(4) for j in range(4) if i or j])
-        elif ins.p > 0 and op == "INJECT_Z":
+        elif op == "INJECT_Z":
             sig = 0
-            for a in ins.targets:
-                sig ^= sz[index[a]]
+            for q in qs:
+                sig ^= sz[q]
             add_site([(ins.p, ins.targets[0][0], sig)])
-    assert mi == 0
 
     det_home = [d.home_patch for d in circuit.detectors]
     out = []

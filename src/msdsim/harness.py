@@ -1,10 +1,10 @@
 """Monte Carlo experiment drivers: distillation, memory, and CNOT-block runs.
 
-Each driver builds the circuit, derives the error mechanisms and matching
-graphs once, then streams sampled shot batches through the iterative decoder,
-accumulating acceptance/error counts with Wilson-score confidence intervals.
-Results serialize to CSV or JSON rows with the full parameter set and seed, so
-any row can be reproduced exactly.
+Each driver builds its circuit's decoding pipeline once, then scores the
+shots of one shared loop (`_decoded_shots`): sample a chunk, unpack it,
+decode each shot, so memory does not grow with the shot count.  Counts carry
+Wilson-score confidence intervals.  Results serialize to CSV or JSON rows
+with the full parameter set and seed, so any row can be reproduced exactly.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .decoder import IterativeConfig, IterativeDecoder, predict_outcome
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
-from .sampler import sample
+from .sampler import CHUNK, sample
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -98,13 +98,11 @@ class ExperimentStats:
     def p_out_interval(self) -> tuple[float, float]:
         return wilson_interval(self.errors, self.accepted)
 
-    def accept_interval(self) -> tuple[float, float]:
-        return wilson_interval(self.accepted, self.shots)
-
 
 @dataclass
 class DecodingPipeline:
-    """Circuit + mechanisms + decoder for one circuit.
+    """Circuit + decoder for one circuit: `build` checks the annotations
+    exactly, derives the error mechanisms and builds the matching graphs.
 
     Noise strengths are baked into the circuit's instructions and the
     mechanism probabilities, so a pipeline is valid only for the noise it was
@@ -119,33 +117,44 @@ class DecodingPipeline:
         return cls(circuit=circuit, decoder=IterativeDecoder(circuit, mechanisms))
 
 
-def _bits_to_int(column: np.ndarray) -> int:
-    out = 0
-    for i, b in enumerate(column):
-        if b:
-            out |= 1 << i
-    return out
+def _shot_ints(plane: np.ndarray) -> list[int]:
+    """Per-shot ints of a (rows <= 64, shots) bit plane; bit i is row i."""
+    weights = np.left_shift(np.uint64(1), np.arange(plane.shape[0], dtype=np.uint64))
+    return (weights @ plane.astype(np.uint64)).tolist()
+
+
+def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
+    """Sample `config.shots` shots one chunk at a time and decode each.
+
+    Yields `(DecodeResult, check bits, observable bits)` per shot, bit i of
+    the ints being check / observable i.  Chunk k is `sample`'s chunk k, so
+    the shots are those of one whole `sample` call; memory holds one chunk.
+    """
+    circ, dec = pipeline.circuit, pipeline.decoder
+    itc = IterativeConfig(max_global_iters=config.max_iters)
+    for k, done in enumerate(range(0, config.shots, CHUNK)):
+        batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k)
+        # Shot-major copy, so `syndrome_masks` reads each shot's bits from
+        # one contiguous row rather than a strided column.
+        det = np.ascontiguousarray(batch.unpack(batch.det_bits).T)
+        chk = _shot_ints(batch.unpack(batch.check_bits))
+        obs = _shot_ints(batch.unpack(batch.obs_bits))
+        for s in range(batch.num_shots):
+            res = dec.decode_shot(dec.syndrome_masks(det[s]), itc)
+            yield res, chk[s], obs[s]
 
 
 def run_distillation(config: ExperimentConfig,
                      pipeline: DecodingPipeline | None = None) -> ExperimentStats:
     """Full surface-code distillation Monte Carlo at one parameter point."""
     t0 = time.time()
-    spec = build_protocol(config.protocol)
     if pipeline is None:
-        circ = build_distillation_circuit(spec, config.d, config.noise())
-        pipeline = DecodingPipeline.build(circ)
-    circ, dec = pipeline.circuit, pipeline.decoder
-    itc = IterativeConfig(max_global_iters=config.max_iters)
+        spec = build_protocol(config.protocol)
+        pipeline = DecodingPipeline.build(
+            build_distillation_circuit(spec, config.d, config.noise()))
     stats = ExperimentStats()
-    batch = sample(circ, config.shots, config.seed)
-    det = batch.unpack(batch.det_bits)
-    chk = batch.unpack(batch.check_bits)
-    obs = batch.unpack(batch.obs_bits)
-    for s in range(config.shots):
-        res = dec.decode_shot(dec.syndrome_masks(det[:, s]), itc)
-        accepted, _, error = predict_outcome(
-            res, _bits_to_int(chk[:, s]), _bits_to_int(obs[:, s]))
+    for res, chk, obs in _decoded_shots(pipeline, config):
+        accepted, _, error = predict_outcome(res, chk, obs)
         stats.record(accepted, error, res.iterations_used)
     stats.seconds = time.time() - t0
     return stats
@@ -154,17 +163,11 @@ def run_distillation(config: ExperimentConfig,
 def run_memory_baseline(config: ExperimentConfig) -> ExperimentStats:
     """Single-patch |0> memory logical error rate (every shot "accepted")."""
     t0 = time.time()
-    circ = build_memory_circuit(config.d, config.rounds, config.noise())
-    pipeline = DecodingPipeline.build(circ)
-    itc = IterativeConfig(max_global_iters=config.max_iters)
+    pipeline = DecodingPipeline.build(
+        build_memory_circuit(config.d, config.rounds, config.noise()))
     stats = ExperimentStats()
-    batch = sample(circ, config.shots, config.seed)
-    det = batch.unpack(batch.det_bits)
-    obs = batch.unpack(batch.obs_bits)
-    for s in range(config.shots):
-        res = pipeline.decoder.decode_shot(pipeline.decoder.syndrome_masks(det[:, s]), itc)
-        wrong = bool((res.obs_mask & 1) != obs[0, s])
-        stats.record(True, wrong, res.iterations_used)
+    for res, _, obs in _decoded_shots(pipeline, config):
+        stats.record(True, bool((res.obs_mask ^ obs) & 1), res.iterations_used)
     stats.seconds = time.time() - t0
     return stats
 
@@ -175,26 +178,19 @@ def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
     Runs both benchmark bases; each patch's observable lives in exactly one of
     the two runs, so the result maps every patch to one ExperimentStats."""
     spec = build_protocol(config.protocol)
-    itc = IterativeConfig(max_global_iters=config.max_iters)
     out: dict[int, ExperimentStats] = {}
     for basis in ("Z", "X"):
         t0 = time.time()
         circ = build_cnot_subcircuit_experiment(spec, config.d, config.noise(), basis)
-        pipeline = DecodingPipeline.build(circ)
         per_obs = [ExperimentStats() for _ in circ.observables]
-        batch = sample(circ, config.shots, config.seed)
-        det = batch.unpack(batch.det_bits)
-        obs = batch.unpack(batch.obs_bits)
-        for s in range(config.shots):
-            res = pipeline.decoder.decode_shot(
-                pipeline.decoder.syndrome_masks(det[:, s]), itc)
+        for res, _, obs in _decoded_shots(DecodingPipeline.build(circ), config):
+            wrong = res.obs_mask ^ obs
             for o, st in enumerate(per_obs):
-                wrong = bool(((res.obs_mask >> o) & 1) != obs[o, s])
-                st.record(True, wrong, res.iterations_used)
+                st.record(True, bool(wrong >> o & 1), res.iterations_used)
         dt = time.time() - t0
-        for o, st in enumerate(per_obs):
+        for ob, st in zip(circ.observables, per_obs):
             st.seconds = dt
-            out[circ.observables[o].id] = st
+            out[ob.id] = st
     return out
 
 
@@ -213,8 +209,8 @@ def run_logical(config: ExperimentConfig) -> ExperimentStats:
 def qubit_cycles(kind: str, d: int) -> int:
     """Spacetime cost of one distillation run in data-qubit-rounds."""
     spec = build_protocol(kind)
-    rounds = len(spec.cnot_layers) + 2  # init round + one per barrier + consumption
-    return spec.num_data * d * d * rounds + spec.num_resources * d * d
+    # Every data patch lives through every barrier round; each resource, one.
+    return (spec.num_data * spec.num_barriers + spec.num_resources) * d * d
 
 
 RESULT_FIELDS = ("experiment", "protocol", "d", "p_circuit", "p_in", "shots",

@@ -229,14 +229,6 @@ class StabilizerTableau:
         t.r = self.r.copy()
         return t
 
-    def stabilizer_row(self, i: int) -> PauliString:
-        # Tableau rows are letterwise (Y implicit); convert to the explicit
-        # i^p X^x Z^z convention by adding one i per Y.
-        xs = self.x[self.n + i]
-        zs = self.z[self.n + i]
-        ph = (int(self.r[self.n + i]) + int(np.count_nonzero(xs & zs))) % 4
-        return PauliString(self.n, xs, zs, ph)
-
     def apply(self, gate: CliffordGate) -> None:
         if gate.kind == "CNOT":
             c, t = gate.targets

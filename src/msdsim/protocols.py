@@ -59,15 +59,6 @@ class ShotRecord:
     output_error: bool
 
 
-@dataclass(frozen=True)
-class ErrorModelLogical:
-    p_in: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_in <= 1.0:
-            raise ValueError("p_in must be a probability")
-
-
 def build_protocol(kind: str) -> ProtocolSpec:
     """Return the protocol circuit structure (barrier grouping preserved)."""
     if kind == SEVEN_TO_ONE:

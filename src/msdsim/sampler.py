@@ -4,8 +4,8 @@ All randomness is relative to the noiseless reference execution: shots carry
 X/Z flip planes per qubit, so every emitted measurement/detector/check/
 observable bit is a *flip* bit (identically zero on a noiseless circuit).
 Shots are sampled in fixed-size chunks with per-chunk child seeds, so results
-are bit-exact reproducible for a given seed independent of how many chunks
-run.
+are bit-exact reproducible for a given seed whether a run is drawn in one call
+or chunk by chunk.
 """
 from __future__ import annotations
 
@@ -103,21 +103,20 @@ def _parities(meas: np.ndarray, sets) -> np.ndarray:
 
 
 def sample(circuit: Circuit, shots: int, seed: int,
-           forced_injections: np.ndarray | None = None) -> ShotBatch:
+           forced_injections: np.ndarray | None = None,
+           first_chunk: int = 0) -> ShotBatch:
     """Sample `shots` reference-relative shots.
 
     `forced_injections` (num_resources, shots) bool overrides the random
     injection draws, enabling exhaustive pattern sweeps at the circuit level.
+    Chunk k draws from the child seed `[seed, k]`, counting from
+    `first_chunk`: with `shots <= CHUNK`, `sample(c, shots, seed, None, k)` is
+    chunk k of a longer run.
     """
     index = circuit.qubit_index()
-    meas_planes = []
-    det_planes = []
-    check_planes = []
-    obs_planes = []
-    inj_planes = []
-    done = 0
-    chunk_id = 0
-    while done < shots:
+    chunks = []
+    # At least one chunk, so zero shots still give planes of the right height.
+    for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
         n = min(CHUNK, shots - done)
         rng = np.random.default_rng([seed, chunk_id])
         forced = None
@@ -125,33 +124,8 @@ def sample(circuit: Circuit, shots: int, seed: int,
             forced = {r: forced_injections[r, done:done + n]
                       for r in range(forced_injections.shape[0])}
         meas, injected = _sample_chunk(circuit, n, rng, index, forced)
-        meas_planes.append(np.packbits(meas, axis=1))
-        det_planes.append(np.packbits(_parities(meas, circuit.detectors), axis=1))
-        check_planes.append(np.packbits(_parities(meas, circuit.checks), axis=1))
-        obs_planes.append(np.packbits(_parities(meas, circuit.observables), axis=1))
-        inj_planes.append(injected)
-        done += n
-        chunk_id += 1
-
-    def cat(planes):
-        return np.concatenate(planes, axis=1) if planes else np.zeros((0, 0), np.uint8)
-
-    # Note: per-chunk packing means the packed planes are chunk-aligned; the
-    # batch re-packs through one unpack pass to keep lane w == shot w globally.
-    def repack(planes, rows):
-        full = np.zeros((rows, shots), dtype=bool)
-        pos = 0
-        for p in planes:
-            w = min(CHUNK, shots - pos)
-            full[:, pos:pos + w] = np.unpackbits(p, axis=1, count=w).astype(bool)
-            pos += w
-        return np.packbits(full, axis=1)
-
-    return ShotBatch(
-        num_shots=shots,
-        meas_bits=repack(meas_planes, circuit.num_measurements),
-        det_bits=repack(det_planes, len(circuit.detectors)),
-        check_bits=repack(check_planes, len(circuit.checks)),
-        obs_bits=repack(obs_planes, len(circuit.observables)),
-        injected=np.concatenate(inj_planes, axis=1) if inj_planes else np.zeros((0, shots), bool),
-    )
+        bits = [meas] + [_parities(meas, sets) for sets in (
+            circuit.detectors, circuit.checks, circuit.observables)]
+        chunks.append([np.packbits(b, axis=1) for b in bits] + [injected])
+    # CHUNK is a multiple of 8, so the chunks' packed planes join byte-aligned.
+    return ShotBatch(shots, *(np.concatenate(planes, axis=1) for planes in zip(*chunks)))

@@ -1,9 +1,27 @@
 """Circuit IR, reference execution, and annotation validation tests."""
-import pytest
+import dataclasses
 
-from msdsim.builders import NoiseModel, build_memory_circuit, build_se_round
-from msdsim.circuit import Circuit, reference_run, validate_annotations
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from msdsim.builders import (NoiseModel, build_distillation_circuit,
+                             build_memory_circuit, build_se_round)
+from msdsim.circuit import (Circuit, Detector, random_parities, reference_run,
+                            validate_annotations)
 from msdsim.layout import build_patch
+from msdsim.protocols import SEVEN_TO_ONE, build_protocol
+from test_dem import _random_circuits
+
+
+def _varying_parities(circuit, seeds=32):
+    """Columns (detectors, checks, observables) whose `reference_run` parity
+    differs across seeds: the ground truth for `random_parities`."""
+    runs = [reference_run(circuit, seed=s) for s in range(seeds)]
+    cols = np.array([np.concatenate([r.detector_parity, r.check_parity,
+                                     r.observable_parity]) for r in runs])
+    return np.flatnonzero((cols != cols[0]).any(axis=0)).tolist()
 
 
 class TestCircuitIR:
@@ -42,7 +60,8 @@ class TestCircuitIR:
 class TestReferenceRun:
     def test_memory_annotations_deterministic(self):
         c = build_memory_circuit(3, 3, NoiseModel(1e-3))
-        ref = validate_annotations(c)
+        validate_annotations(c)
+        ref = reference_run(c)
         assert not ref.detector_parity.any()
         assert not ref.observable_parity.any()
 
@@ -67,10 +86,37 @@ class TestReferenceRun:
         assert (a.detector_parity == b.detector_parity).all()
 
     def test_validate_catches_bad_detector(self):
-        from msdsim.circuit import Detector
-        c = build_memory_circuit(3, 2, NoiseModel(0.0))
-        # a single ancilla measurement is not deterministic on its own
-        c.detectors.append(Detector(meas=(0,), home_patch=0, basis="X",
-                                    round=0, plaq=0))
-        with pytest.raises(AssertionError):
+        """A single-measurement detector is rejected exactly where the
+        measurement is random: the X-type ancillas of both rounds and the
+        nine data readouts, 17 bits that two tableau runs agree on half the
+        time."""
+        base = build_memory_circuit(3, 2, NoiseModel(0.0))
+        rejected, varying = [], []
+        for m in range(base.num_measurements):
+            c = dataclasses.replace(base, detectors=[
+                Detector(meas=(m,), home_patch=0, basis="Z", round=0, plaq=0)])
+            try:
+                validate_annotations(c)
+            except AssertionError:
+                rejected.append(m)
+            if _varying_parities(c):
+                varying.append(m)
+        assert len(varying) == 17
+        assert rejected == varying
+
+    def test_frame_observable_is_random(self):
+        """The distillation frame observable is annotated non-deterministic;
+        claiming otherwise must be caught."""
+        c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0))
+        validate_annotations(c)
+        assert not all(o.deterministic for o in c.observables)
+        c.observables = [dataclasses.replace(o, deterministic=True) for o in c.observables]
+        with pytest.raises(AssertionError, match="non-deterministic observable"):
             validate_annotations(c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_parities_match_reference_runs(self, data):
+        c = data.draw(_random_circuits())
+        sets = [*c.detectors, *c.checks, *c.observables]
+        assert random_parities(c, sets) == _varying_parities(c)

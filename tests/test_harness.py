@@ -4,12 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from msdsim.harness import (ExperimentConfig, ExperimentStats, emit_results,
-                            qubit_cycles, result_row, run_distillation,
-                            run_logical, run_memory_baseline, run_subcircuit,
+from msdsim.builders import build_memory_circuit
+from msdsim.decoder import IterativeConfig
+from msdsim.harness import (DecodingPipeline, ExperimentConfig,
+                            ExperimentStats, emit_results, qubit_cycles,
+                            result_row, run_distillation, run_logical,
+                            run_memory_baseline, run_subcircuit,
                             wilson_interval)
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               build_protocol, discard_ratio)
+from msdsim.sampler import CHUNK, sample
 
 
 class TestWilson:
@@ -79,6 +83,25 @@ class TestSurfaceDrivers:
         cfg = ExperimentConfig(p_circuit=0.0, shots=50, rounds=2)
         st = run_memory_baseline(cfg)
         assert st.accepted == 50 and st.errors == 0
+
+    def test_chunked_memory_equals_whole_batch(self):
+        """The chunked loop decodes the shots of one whole `sample` call:
+        the oracle is the loop over a fully unpacked batch."""
+        cfg = ExperimentConfig(p_circuit=5e-3, shots=CHUNK + 37, rounds=2, seed=9)
+        pipeline = DecodingPipeline.build(
+            build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
+        dec, itc = pipeline.decoder, IterativeConfig(cfg.max_iters)
+        want = ExperimentStats()
+        batch = sample(pipeline.circuit, cfg.shots, cfg.seed)
+        det = batch.unpack(batch.det_bits)
+        obs = batch.unpack(batch.obs_bits)
+        for s in range(cfg.shots):
+            res = dec.decode_shot(dec.syndrome_masks(det[:, s]), itc)
+            want.record(True, bool((res.obs_mask & 1) != obs[0, s]), res.iterations_used)
+        got = run_memory_baseline(cfg)
+        assert want.errors > 0
+        assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
+            (want.shots, want.accepted, want.errors, want.iteration_hist)
 
     def test_subcircuit_keys_are_patches(self):
         cfg = ExperimentConfig(p_circuit=0.0, shots=20)

@@ -4,6 +4,7 @@ import pytest
 
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
+from msdsim.circuit import ParitySet
 from msdsim.protocols import SEVEN_TO_ONE, build_protocol, exhaustive_oracle
 from msdsim.sampler import CHUNK, sample
 
@@ -40,6 +41,22 @@ class TestChunking:
         assert det.shape == (len(c.detectors), shots)
         # noise must be present on both sides of the chunk boundary
         assert det[:, :CHUNK].any() and det[:, CHUNK:].any()
+
+    def test_chunk_by_chunk_equals_one_call(self):
+        """Chunk k drawn alone (`first_chunk=k`) is the k-th slice of one
+        whole call: the packed planes join byte-aligned, lane for lane."""
+        c = build_memory_circuit(3, 1, NoiseModel(0.01))
+        c.checks.append(ParitySet(meas=c.observables[0].meas, id=0))
+        c.injections.append((len(c.instructions), 0))
+        c.emit("INJECT_Z", ((0, 0), (0, 1)), 0.3)
+        shots = 2 * CHUNK + 5
+        whole = sample(c, shots, 7)
+        parts = [sample(c, min(CHUNK, shots - done), 7, None, k)
+                 for k, done in enumerate(range(0, shots, CHUNK))]
+        for name in ("meas_bits", "det_bits", "check_bits", "obs_bits", "injected"):
+            joined = np.concatenate([getattr(b, name) for b in parts], axis=1)
+            assert np.array_equal(getattr(whole, name), joined), name
+        assert whole.unpack(whole.check_bits).shape == (len(c.checks), shots)
 
     def test_unpack_respects_shot_count(self):
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
