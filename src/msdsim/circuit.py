@@ -4,7 +4,8 @@ Instructions address qubits as (patch, qubit) pairs.  Measurements are
 single-qubit and numbered globally in program order; detectors, checks and
 observables are sets of measurement indices.  `sweep_backward` is the one
 backward pass over the instruction stream, shared by the exact annotation
-check (`validate_annotations`) and the error-mechanism table (`dem`);
+check (`validate_annotations`), the error-mechanism table (`dem`) and the
+sampler's fault table (`sampler`);
 `reference_run` executes the circuit forward on a stabilizer tableau and is
 the tests' ground truth for the annotation check.
 """

@@ -253,13 +253,10 @@ class IterativeDecoder:
 
     def syndrome_masks(self, det_bits: np.ndarray) -> dict[tuple[int, str], int]:
         """Split a full detector bit vector into per-graph bitmasks."""
-        out = {}
-        for key, g in self.graphs.items():
-            mask = 0
-            for li, d in enumerate(g.det_ids):
-                if det_bits[d]:
-                    mask |= 1 << li
-            out[key] = mask
+        out = dict.fromkeys(self.graphs, 0)
+        for d in np.flatnonzero(det_bits).tolist():
+            key, li = self.det_local[d]
+            out[key] |= 1 << li
         return out
 
     def _foreign_toggles(self, corrections) -> dict[tuple[int, str], int]:

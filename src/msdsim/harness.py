@@ -134,13 +134,11 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     itc = IterativeConfig(max_global_iters=config.max_iters)
     for k, done in enumerate(range(0, config.shots, CHUNK)):
         batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k)
-        # Shot-major copy, so `syndrome_masks` reads each shot's bits from
-        # one contiguous row rather than a strided column.
-        det = np.ascontiguousarray(batch.unpack(batch.det_bits).T)
+        det = batch.unpack(batch.det_bits)
         chk = _shot_ints(batch.unpack(batch.check_bits))
         obs = _shot_ints(batch.unpack(batch.obs_bits))
         for s in range(batch.num_shots):
-            res = dec.decode_shot(dec.syndrome_masks(det[s]), itc)
+            res = dec.decode_shot(dec.syndrome_masks(det[:, s]), itc)
             yield res, chk[s], obs[s]
 
 

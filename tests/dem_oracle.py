@@ -3,10 +3,11 @@ for `msdsim.dem.enumerate_error_mechanisms`.
 
 Every elementary fault (depolarizing term, measurement flip, injected logical
 Z) is propagated forward through the circuit as a row of dense X/Z frame
-planes; recorded measurement flips give the fault's detector/check/observable
-signature.  Slow and memory-hungry (O(faults x qubits) bytes), but each fault
-is simulated directly, so it is the reference the backward sensitivity pass
-must reproduce exactly.
+planes; recorded measurement flips (`forward_faults`) give the fault's
+detector/check/observable signature.  Slow and memory-hungry (O(faults x
+qubits) bytes), but each fault is simulated directly, so it is the reference
+the backward sensitivity pass must reproduce exactly, here and in the
+sampler's fault table.
 """
 from __future__ import annotations
 
@@ -24,7 +25,16 @@ _TWO_QUBIT_TERMS = tuple(
 _ONE_QUBIT_TERMS = ((1, 0), (1, 1), (0, 1))  # X, Y, Z
 
 
-def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
+def forward_faults(circuit: Circuit) -> tuple[list[tuple], np.ndarray]:
+    """Every elementary fault with p > 0, in forward order, and its
+    measurement flips.
+
+    Returns `(faults, meas_flips)`: each fault is `(instr index, prob, origin
+    patch, [(qubit, dx, dz), ...], flipped measurement or None)`, listed per
+    instruction by target, then by term (X, Y, Z for DEPOL1; the 15
+    `(x_a, z_a, x_b, z_b)` terms for DEPOL2); `meas_flips[f]` is the bool row
+    of measurements fault f flips.
+    """
     index = circuit.qubit_index()
     nq = len(index)
     nm = circuit.num_measurements
@@ -87,6 +97,12 @@ def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
             plane = z if ins.op == "MX" else x
             meas_flips[:, mi] ^= plane[:, gq]
             mi += 1
+    return faults, meas_flips
+
+
+def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
+    faults, meas_flips = forward_faults(circuit)
+    nf = len(faults)
 
     def set_flips(sets):
         out = np.zeros((nf, len(sets)), dtype=bool)

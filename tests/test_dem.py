@@ -155,8 +155,9 @@ _PROBS = st.sampled_from([0.0, 0.01, 0.1, 0.3])
 @st.composite
 def _random_circuits(draw):
     """Small multi-patch circuits: resets mid-circuit, noisy MX/MZ,
-    multi-qubit INJECT_Z, CNOT instructions whose pairs share qubits, and
-    parity sets mixing both bases and several home patches."""
+    multi-qubit INJECT_Z (each registered as a resource), CNOT instructions
+    whose pairs share qubits, and parity sets mixing both bases and several
+    home patches."""
     n_patches = draw(st.integers(1, 3))
     c = Circuit(layouts={p: build_patch(3) for p in range(n_patches)})
     addr = st.tuples(st.integers(0, n_patches - 1), st.integers(0, 2))
@@ -177,6 +178,7 @@ def _random_circuits(draw):
         elif op == "INJECT_Z":
             patch = draw(st.integers(0, n_patches - 1))
             qs = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
+            c.injections.append((len(c.instructions), len(c.injections)))
             c.emit(op, tuple((patch, q) for q in sorted(qs)), draw(_PROBS))
         else:
             patch, q = draw(addr)

@@ -1,12 +1,25 @@
-"""Vectorised shot sampler tests: reproducibility, chunking, forced patterns."""
+"""Shot sampler tests: reproducibility, chunking, forced patterns, the fault
+table against the forward-propagation oracle, and the output distribution
+against the Pauli-frame oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom, chi2_contingency, chisquare
 
+from dem_oracle import forward_faults
+from sampler_oracle import sample as frame_sample
+from test_dem import _ORACLE_CIRCUITS, _random_circuits
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
-from msdsim.circuit import ParitySet
-from msdsim.protocols import SEVEN_TO_ONE, build_protocol, exhaustive_oracle
-from msdsim.sampler import CHUNK, sample
+from msdsim.circuit import Circuit, ParitySet
+from msdsim.dem import enumerate_error_mechanisms
+from msdsim.layout import build_patch
+from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
+                              exhaustive_oracle)
+from msdsim.sampler import _TERMS, CHUNK, fault_table, sample
 
 
 class TestReproducibility:
@@ -104,3 +117,148 @@ class TestForcedInjections:
         batch = sample(c, 50_000, seed=8)
         rate = batch.injected.mean()
         assert rate == pytest.approx(0.2, abs=0.01)
+
+    def test_unregistered_injection_names_instruction(self):
+        """An INJECT_Z with no `injections` entry has no resource row to
+        record; `dem` needs none and accepts the circuit."""
+        c = build_memory_circuit(3, 1, NoiseModel(0.01))
+        ii = len(c.instructions)
+        c.emit("INJECT_Z", ((0, 0),), 0.3)
+        enumerate_error_mechanisms(c)
+        with pytest.raises(ValueError, match=f"instruction {ii} "):
+            sample(c, 10, seed=0)
+
+
+def _table_rows(circuit: Circuit) -> dict[int, list[np.ndarray]]:
+    """Per instruction, the measurement rows of its p > 0 faults in
+    `forward_faults` order: the XOR of each term's component rows."""
+    table = fault_table(circuit)
+    out: dict[int, list[np.ndarray]] = {}
+    for g in table.groups:
+        if g.p == 0:
+            continue
+        for site, ii in enumerate(g.instr):
+            for term in _TERMS[g.kind]:
+                row = np.zeros(circuit.num_measurements, dtype=bool)
+                for r in g.comps[site][term]:
+                    row[table.row(r)] ^= True
+                out.setdefault(ii, []).append(row)
+    return out
+
+
+def _assert_table_equals_oracle(circuit: Circuit) -> None:
+    faults, flips = forward_faults(circuit)
+    want: dict[int, list[np.ndarray]] = {}
+    for fault, row in zip(faults, flips):
+        want.setdefault(fault[0], []).append(row)
+    got = _table_rows(circuit)
+    assert got.keys() == want.keys()
+    for ii, rows in want.items():
+        assert np.array_equal(np.array(got[ii]), np.array(rows)), ii
+
+
+class TestFaultTable:
+    """Every elementary fault's measurement flips, read off the backward
+    sweep's component rows, equal forward propagation of that fault."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
+    def test_builder_circuits_equal_oracle(self, name):
+        _assert_table_equals_oracle(_ORACLE_CIRCUITS[name]())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_circuits_equal_oracle(self, data):
+        _assert_table_equals_oracle(data.draw(_random_circuits()))
+
+
+def _flip_circuit(p: float, n: int = 40) -> Circuit:
+    """`n` measurements of one qubit, each with classical flip probability p."""
+    c = Circuit(layouts={0: build_patch(3)})
+    for _ in range(n):
+        c.measure(0, 0, "Z", p)
+    return c
+
+
+class TestBernoulli:
+    def test_flip_count_is_binomial(self):
+        """Slots fire i.i.d.: per shot, the flipped-measurement count is
+        Binomial(M, p).  A slot drawn twice would XOR back to zero and thin
+        the upper tail."""
+        n, p, shots = 40, 0.3, 20_000
+        batch = sample(_flip_circuit(p, n), shots, seed=4)
+        counts = batch.unpack(batch.meas_bits).sum(axis=0)
+        sigma = np.sqrt(n * p * (1 - p) / shots)
+        assert abs(counts.mean() - n * p) < 5 * sigma
+        hist = np.bincount(counts, minlength=n + 1)
+        expected = shots * binom.pmf(np.arange(n + 1), n, p)
+        small = expected < 5
+        obs = np.append(hist[~small], hist[small].sum())
+        exp = np.append(expected[~small], expected[small].sum())
+        assert chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-6
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_probabilities(self, p):
+        shots = CHUNK + 37
+        batch = sample(_flip_circuit(p, 5), shots, seed=4)
+        want = np.packbits(np.full((5, shots), p == 1.0), axis=1)
+        assert np.array_equal(batch.meas_bits, want)
+
+    def test_memory_bounded_at_any_noise(self):
+        """Fired slots are processed in bounded blocks: at p = 0.5 and 1 the
+        sampler's peak allocation stays within 2x of the p = 1e-3 peak."""
+        # Warm up first, so one-time allocations fall in no measured peak.
+        sample(build_memory_circuit(3, 3, NoiseModel(1e-3)), 8, seed=0)
+        peaks = {}
+        for p in (1e-3, 0.5, 1.0):
+            c = build_memory_circuit(3, 3, NoiseModel(p))
+            tracemalloc.start()
+            try:
+                sample(c, CHUNK + 37, seed=1)
+                peaks[p] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[0.5], peaks[1.0]) <= 2 * peaks[1e-3], peaks
+
+
+_STAT_CIRCUITS = {
+    "7to1-d3": (SEVEN_TO_ONE, 1e-3, 0.01, 20_000),
+    "15to1-d3": (FIFTEEN_TO_ONE, 3e-3, 0.1, 10_000),
+}
+
+
+class TestAgainstFrameOracle:
+    """The fault sampler's output distribution equals the Pauli-frame
+    simulator's (different random streams, so compared statistically)."""
+
+    @pytest.fixture(scope="class", params=sorted(_STAT_CIRCUITS))
+    def batches(self, request):
+        protocol, p_circuit, p_in, shots = _STAT_CIRCUITS[request.param]
+        c = build_distillation_circuit(build_protocol(protocol), 3,
+                                       NoiseModel(p_circuit, p_in))
+        return sample(c, shots, seed=31), frame_sample(c, shots, seed=32)
+
+    def test_row_rates(self, batches):
+        a, b = batches
+        n = a.num_shots
+        for name in ("meas_bits", "det_bits", "check_bits", "obs_bits"):
+            ka = a.unpack(getattr(a, name)).sum(axis=1)
+            kb = b.unpack(getattr(b, name)).sum(axis=1)
+            pooled = (ka + kb) / (2 * n)
+            se = np.sqrt(pooled * (1 - pooled) * 2 / n)
+            z = np.divide((ka - kb) / n, se, out=np.zeros(len(se)), where=se > 0)
+            assert np.abs(z).max() < 5, (name, int(np.abs(z).argmax()))
+        assert abs(a.injected.mean() - b.injected.mean()) < 5 * np.sqrt(
+            2 * b.injected.mean() / b.injected.size)
+
+    def test_check_observable_patterns(self, batches):
+        hists = []
+        for batch in batches:
+            bits = np.vstack([batch.unpack(batch.check_bits), batch.unpack(batch.obs_bits)])
+            keys = (bits.astype(np.int64) << np.arange(len(bits))[:, None]).sum(axis=0)
+            hists.append(dict(zip(*np.unique(keys, return_counts=True))))
+        patterns = sorted(set(hists[0]) | set(hists[1]))
+        table = np.array([[h.get(k, 0) for k in patterns] for h in hists])
+        rare = table.sum(axis=0) < 10
+        if rare.any():
+            table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        assert chi2_contingency(table).pvalue > 1e-6
