@@ -5,14 +5,30 @@ the mechanisms originating on that patch; detector flips a mechanism causes on
 *other* patches ride along as foreign signatures.  A global decode sweeps all
 graphs, XORs the foreign signatures of the chosen corrections into the other
 patches' effective syndromes, and repeats to a fixpoint (or the iteration
-cap).  Matching itself is exact: pairwise distances from Dijkstra, optimal
-pairing by subset dynamic programming (blossom fallback for large defect
-sets), ties broken by edge id so decoding is deterministic.
+cap).
+
+Matching is exact, and its cost follows the defects rather than the graph.
+Pairwise distances come from one Dijkstra per graph at set-up.  A defect pair
+(a, b) is *useful* when `dist(a, b) < dist(a, B) + dist(b, B)`, B the
+boundary; otherwise sending both to the boundary costs no more, so some
+optimal pairing uses only useful pairs.  `decode` therefore splits a syndrome
+into the connected components of the useful relation and matches each one on
+its own: subset dynamic programming, or the blossom fallback for a component
+with more than `_DP_LIMIT` defects.  Each component's correction (weight,
+path-edge bitmask and the masks those edges flip) is cached in a bounded
+per-graph cache, and a syndrome's correction is the XOR of its components'.
+Ties between equal-weight pairings go to the lexicographically smallest pair
+list (defects in ascending order, the boundary before any partner), so
+decoding is deterministic; the lowest edge id wins between parallel edges.
+
+The cross-patch loop is incremental: after the first sweep it re-decodes only
+the graphs whose effective syndrome changed, and a graph whose syndrome is
+zero gets the shared empty correction without a call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -22,7 +38,18 @@ from .circuit import Circuit
 from .dem import ErrorMechanism
 
 BOUNDARY = -1
-_DP_LIMIT = 14  # defects above this use the blossom fallback
+_DP_LIMIT = 14  # components with more defects use the blossom fallback
+CACHE_CAP = 2048  # component corrections kept per graph
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -37,17 +64,51 @@ class Edge:
     foreign_dets: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Correction:
-    edges: tuple[int, ...]
+    edge_mask: int              # bit i set: edge i is in the correction
     weight: float
     obs_mask: int
     check_mask: int
-    foreign_dets: tuple[int, ...]   # global detector ids, XOR-reduced
+    foreign_mask: int           # bit d set: global detector d toggles
+    # Per-graph `(key, local mask)` form of `foreign_mask`, resolved once by
+    # the IterativeDecoder that owns the graph.
+    toggles: tuple[tuple[tuple[int, str], int], ...] | None = None
+
+    @property
+    def edges(self) -> tuple[int, ...]:
+        return _bits(self.edge_mask)
+
+    @property
+    def foreign_dets(self) -> tuple[int, ...]:
+        return _bits(self.foreign_mask)
+
+
+EMPTY = Correction(0, 0.0, 0, 0, 0, ())
+
+
+def _xor(parts: list[Correction]) -> Correction:
+    """The correction that applies all of `parts`: weights add, masks XOR."""
+    weight = 0.0
+    edges = obs = chk = foreign = 0
+    for p in parts:
+        weight += p.weight
+        edges ^= p.edge_mask
+        obs ^= p.obs_mask
+        chk ^= p.check_mask
+        foreign ^= p.foreign_mask
+    return Correction(edges, weight, obs, chk, foreign, None if foreign else ())
 
 
 class MatchingGraph:
-    """Matching graph over one home patch's detectors of one basis."""
+    """Matching graph over one home patch's detectors of one basis.
+
+    One cache, keyed by defect bitmask, holds the corrections of components;
+    a syndrome that is one component is its own key, and one with several is
+    rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
+    `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
+    `decode`, `component_hits`/`component_misses` those of components after a
+    syndrome miss."""
 
     def __init__(self, num_nodes: int, edges: list[Edge],
                  det_ids: tuple[int, ...] = (), key: tuple[int, str] | None = None):
@@ -55,7 +116,11 @@ class MatchingGraph:
         self.edges = list(edges)
         self.det_ids = det_ids or tuple(range(num_nodes))
         self.key = key
+        self.cache_cap = CACHE_CAP
         self._cache: dict[int, Correction] = {}
+        self._paths: dict[tuple[int, int], Correction] = {}
+        self.syndrome_hits = self.syndrome_misses = 0
+        self.component_hits = self.component_misses = 0
         self._prepare()
 
     @classmethod
@@ -99,6 +164,12 @@ class MatchingGraph:
             self._dist = np.full((n + 1, n + 1), np.inf)
             np.fill_diagonal(self._dist, 0.0)
             self._pred = np.full((n + 1, n + 1), -9999, dtype=np.int32)
+        # _useful[a]: bitmask of the nodes b that a useful pair (a, b) joins.
+        to_b = self._dist[:n, n]
+        useful = self._dist[:n, :n] < to_b[:, None] + to_b[None, :] - 1e-12
+        np.fill_diagonal(useful, False)
+        packed = np.packbits(useful, axis=1, bitorder="little")
+        self._useful = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def _path_edges(self, a: int, b: int) -> tuple[int, ...]:
         out = []
@@ -112,68 +183,121 @@ class MatchingGraph:
             cur = prev
         return tuple(out)
 
+    def _path(self, a: int, b: int) -> Correction:
+        """The shortest path from a to b (b = n: the boundary) as a
+        correction."""
+        part = self._paths.get((a, b))
+        if part is None:
+            edges = obs = chk = foreign = 0
+            for i in self._path_edges(a, b):
+                e = self.edges[i]
+                edges ^= 1 << i
+                obs ^= e.obs_mask
+                chk ^= e.check_mask
+                for d in e.foreign_dets:
+                    foreign ^= 1 << d
+            part = Correction(edges, float(self._dist[a, b]), obs, chk, foreign)
+            self._paths[(a, b)] = part
+        return part
+
     def decode(self, syndrome: int) -> Correction:
         """Minimum-weight correction for a home-detector syndrome bitmask."""
-        hit = self._cache.get(syndrome)
+        if not syndrome:
+            return EMPTY
+        cache = self._cache
+        hit = cache.get(syndrome)
         if hit is not None:
+            self.syndrome_hits += 1
             return hit
-        defects = [i for i in range(self.n) if (syndrome >> i) & 1]
-        pairs = self._match(defects)
-        edge_set = 0
-        total = 0.0
-        for a, b in pairs:
-            bb = self.n if b == BOUNDARY else b
-            total += float(self._dist[a, bb])
-            for eid in self._path_edges(a, bb):
-                edge_set ^= 1 << eid
-        eids = tuple(i for i in range(len(self.edges)) if (edge_set >> i) & 1)
-        obs = chk = 0
-        foreign: set[int] = set()
-        for i in eids:
-            e = self.edges[i]
-            obs ^= e.obs_mask
-            chk ^= e.check_mask
-            foreign ^= set(e.foreign_dets)
-        corr = Correction(edges=eids, weight=total, obs_mask=obs,
-                          check_mask=chk, foreign_dets=tuple(sorted(foreign)))
-        self._cache[syndrome] = corr
-        return corr
+        self.syndrome_misses += 1
+        useful = self._useful
+        parts = []
+        rest = syndrome
+        while rest:
+            # Grow the component of the lowest remaining defect.
+            comp = grow = rest & -rest
+            rest ^= comp
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                new = useful[low.bit_length() - 1] & rest
+                if new:
+                    rest ^= new
+                    comp |= new
+                    grow |= new
+            part = cache.get(comp)
+            if part is None:
+                self.component_misses += 1
+                part = self._solve_component(comp)
+                if len(cache) < self.cache_cap:
+                    cache[comp] = part
+            else:
+                self.component_hits += 1
+            parts.append(part)
+        return parts[0] if len(parts) == 1 else _xor(parts)
+
+    def _solve_component(self, comp: int) -> Correction:
+        """One component's optimal correction: the XOR of its paths."""
+        n = self.n
+        return _xor([self._path(a, n if b == BOUNDARY else b)
+                     for a, b in self._match(list(_bits(comp)))])
 
     def _match(self, defects: list[int]) -> list[tuple[int, int]]:
+        """Optimal pairing of `defects` (ascending local ids) with each other
+        and the boundary, as pairs sorted by their first elements.
+
+        Subset DP: the lowest defect of a set goes to the boundary or to the
+        first partner that beats every earlier choice by more than 1e-12, so
+        ties go to the lexicographically smallest pair list."""
         k = len(defects)
-        if k == 0:
-            return []
         if k > _DP_LIMIT:
             return self._match_blossom(defects)
-        d = self._dist
+        dist = self._dist
         n = self.n
-        memo: dict[int, tuple[float, tuple]] = {0: (0.0, ())}
+        to_b = [dist.item(a, n) for a in defects]
+        d = [[dist.item(a, b) for b in defects] for a in defects]
+        best = {0: 0.0}
+        choice: dict[int, int] = {}
 
-        def solve(mask: int) -> tuple[float, tuple]:
-            hit = memo.get(mask)
-            if hit is not None:
-                return hit
-            i = (mask & -mask).bit_length() - 1
-            rest = mask & ~(1 << i)
-            bw, bp = solve(rest)
-            best = (bw + float(d[defects[i], n]), ((defects[i], BOUNDARY),) + bp)
+        def solve(mask: int) -> float:
+            w = best.get(mask)
+            if w is not None:
+                return w
+            low = mask & -mask
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            w = solve(rest) + to_b[i]
+            c = BOUNDARY
+            row = d[i]
             m = rest
             while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                w, p = solve(rest & ~(1 << j))
-                cand = (w + float(d[defects[i], defects[j]]),
-                        ((defects[i], defects[j]),) + p)
-                if cand[0] < best[0] - 1e-12 or (
-                        abs(cand[0] - best[0]) <= 1e-12 and cand[1] < best[1]):
-                    best = cand
-            memo[mask] = best
-            return best
+                bit = m & -m
+                m ^= bit
+                j = bit.bit_length() - 1
+                cand = solve(rest ^ bit) + row[j]
+                if cand < w - 1e-12:
+                    w = cand
+                    c = j
+            best[mask] = w
+            choice[mask] = c
+            return w
 
-        w, pairs = solve((1 << k) - 1)
-        if not math.isfinite(w):
+        full = (1 << k) - 1
+        if not math.isfinite(solve(full)):
             raise RuntimeError("decode failure: defect cannot reach the boundary")
-        return list(pairs)
+        pairs = []
+        mask = full
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            c = choice[mask]
+            if c == BOUNDARY:
+                pairs.append((defects[i], BOUNDARY))
+                mask ^= low
+            else:
+                pairs.append((defects[i], defects[c]))
+                mask ^= low | 1 << c
+        return pairs
 
     def _match_blossom(self, defects: list[int]) -> list[tuple[int, int]]:
         import networkx as nx
@@ -196,24 +320,6 @@ class MatchingGraph:
             else:
                 pairs.append((defects[u[1]], defects[v[1]]))
         return pairs
-
-
-def brute_force_decode(graph: MatchingGraph, syndrome: int) -> float:
-    """Exhaustive minimum pairing weight; test oracle for MatchingGraph.decode."""
-    defects = [i for i in range(graph.n) if (syndrome >> i) & 1]
-    d = graph._dist
-    n = graph.n
-
-    def rec(rem: tuple[int, ...]) -> float:
-        if not rem:
-            return 0.0
-        i, rest = rem[0], rem[1:]
-        best = float(d[i, n]) + rec(rest)
-        for jx, j in enumerate(rest):
-            best = min(best, float(d[i, j]) + rec(rest[:jx] + rest[jx + 1:]))
-        return best
-
-    return rec(tuple(defects))
 
 
 @dataclass(frozen=True)
@@ -242,49 +348,67 @@ class IterativeDecoder:
         by_key: dict[tuple[int, str], list[int]] = {}
         for di, det in enumerate(circuit.detectors):
             by_key.setdefault((det.home_patch, det.basis), []).append(di)
-        self.det_local: dict[int, tuple[tuple[int, str], int]] = {}
+        # Per global detector: its graph and its bit in that graph's syndrome.
+        self.det_slot = [None] * len(circuit.detectors)
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
         for key, dets in sorted(by_key.items()):
             det_ids = tuple(dets)
             for li, d in enumerate(det_ids):
-                self.det_local[d] = (key, li)
+                self.det_slot[d] = (key, 1 << li)
             self.graphs[key] = MatchingGraph.from_mechanisms(
                 key[0], key[1], det_ids, mechanisms)
 
     def syndrome_masks(self, det_bits: np.ndarray) -> dict[tuple[int, str], int]:
-        """Split a full detector bit vector into per-graph bitmasks."""
-        out = dict.fromkeys(self.graphs, 0)
+        """Split a full detector bit vector into per-graph bitmasks; graphs
+        without a defect are left out."""
+        out: dict[tuple[int, str], int] = {}
+        slots = self.det_slot
         for d in np.flatnonzero(det_bits).tolist():
-            key, li = self.det_local[d]
-            out[key] |= 1 << li
+            key, bit = slots[d]
+            out[key] = out.get(key, 0) | bit
         return out
 
-    def _foreign_toggles(self, corrections) -> dict[tuple[int, str], int]:
-        toggles = {key: 0 for key in self.graphs}
-        for corr in corrections.values():
-            for d in corr.foreign_dets:
-                key, li = self.det_local[d]
-                toggles[key] ^= 1 << li
-        return toggles
+    def _foreign_toggles(self, corr: Correction):
+        """`corr.toggles`, resolved from its foreign detectors on first use."""
+        toggles: dict[tuple[int, str], int] = {}
+        for d in _bits(corr.foreign_mask):
+            key, bit = self.det_slot[d]
+            toggles[key] = toggles.get(key, 0) ^ bit
+        corr.toggles = tuple(toggles.items())
+        return corr.toggles
 
     def decode_shot(self, raw: dict[tuple[int, str], int],
                     config: IterativeConfig = IterativeConfig()) -> DecodeResult:
-        toggles = {key: 0 for key in self.graphs}
-        corrections: dict[tuple[int, str], Correction] = {}
+        """Decode one shot's per-graph syndromes, iterating the foreign
+        toggles to a fixpoint or to `config.max_global_iters` sweeps."""
+        graphs = self.graphs
+        corrections = dict.fromkeys(graphs, EMPTY)
+        # `applied`: the toggles this iteration's syndromes carry; `toggles`:
+        # the foreign toggles of the current corrections.
+        applied = dict.fromkeys(graphs, 0)
+        toggles = applied.copy()
+        todo = [key for key, s in raw.items() if s]
+        obs = chk = 0
         converged = False
         iters = 0
         for iters in range(1, config.max_global_iters + 1):
-            for key, g in self.graphs.items():
-                corrections[key] = g.decode(raw.get(key, 0) ^ toggles[key])
-            new_toggles = self._foreign_toggles(corrections)
-            if new_toggles == toggles:
+            for key in todo:
+                s = raw.get(key, 0) ^ applied[key]
+                new = graphs[key].decode(s) if s else EMPTY
+                old = corrections[key]
+                corrections[key] = new
+                obs ^= old.obs_mask ^ new.obs_mask
+                chk ^= old.check_mask ^ new.check_mask
+                for k, m in old.toggles:
+                    toggles[k] ^= m
+                t = new.toggles
+                for k, m in (self._foreign_toggles(new) if t is None else t):
+                    toggles[k] ^= m
+            if toggles == applied:
                 converged = True
                 break
-            toggles = new_toggles
-        obs = chk = 0
-        for corr in corrections.values():
-            obs ^= corr.obs_mask
-            chk ^= corr.check_mask
+            todo = [key for key, m in toggles.items() if m != applied[key]]
+            applied = toggles.copy()
         return DecodeResult(corrections=corrections, obs_mask=obs,
                             check_mask=chk, iterations_used=iters,
                             converged=converged)

@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from matching_oracle import brute_force_decode
 from msdsim.builders import NoiseModel, build_distillation_circuit
-from msdsim.decoder import BOUNDARY, Edge, MatchingGraph, brute_force_decode
+from msdsim.decoder import BOUNDARY, Edge, MatchingGraph
 from msdsim.harness import (ExperimentConfig, qubit_cycles, run_distillation,
                             run_logical, run_memory_baseline, run_subcircuit,
                             DecodingPipeline)

@@ -1,15 +1,17 @@
-"""Matching-graph decoding tests: optimality, determinism, iteration loop."""
-import math
-
+"""Matching-graph decoding tests: optimality, determinism, iteration loop,
+and differential checks of the cluster-split matcher and the incremental loop
+against the whole-syndrome oracles in `matching_oracle`."""
 import numpy as np
 import pytest
 
+from matching_oracle import (brute_force_decode, reference_decode_shot,
+                             whole_syndrome_decode)
 from msdsim.builders import NoiseModel, build_distillation_circuit, build_memory_circuit
-from msdsim.decoder import (BOUNDARY, Edge, IterativeConfig, IterativeDecoder,
-                            MatchingGraph, brute_force_decode,
-                            predict_outcome)
+from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Edge, IterativeConfig,
+                            IterativeDecoder, MatchingGraph, predict_outcome)
 from msdsim.dem import enumerate_error_mechanisms
-from msdsim.protocols import SEVEN_TO_ONE, build_protocol
+from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
+from msdsim.sampler import sample
 
 
 def _random_graph(rng: np.random.Generator, n: int) -> MatchingGraph:
@@ -72,13 +74,21 @@ class TestMatchingOptimality:
         pairs = g._match_blossom(defects)
         covered = sorted(q for pair in pairs for q in pair if q != BOUNDARY)
         assert covered == defects
-        w_blossom = sum(
-            float(g._dist[a, g.n if b == BOUNDARY else b]) for a, b in pairs)
         w_exact = brute_force_decode(g, sum(1 << i for i in defects[:10]))
-        pairs10 = g._match(defects[:10])
-        w_dp = sum(float(g._dist[a, g.n if b == BOUNDARY else b])
-                   for a, b in pairs10)
-        assert w_dp == pytest.approx(w_exact, abs=1e-9)
+        assert _pairs_weight(g, g._match(defects[:10])) == pytest.approx(
+            w_exact, abs=1e-9)
+        for trial in range(40):
+            g = _random_graph(rng, 20)
+            k = int(rng.integers(2, 13))
+            some = sorted(rng.choice(20, size=k, replace=False).tolist())
+            assert k <= _DP_LIMIT
+            w_dp = _pairs_weight(g, g._match(some))
+            w_blossom = _pairs_weight(g, g._match_blossom(some))
+            assert w_blossom == pytest.approx(w_dp, abs=1e-9), trial
+
+
+def _pairs_weight(g: MatchingGraph, pairs) -> float:
+    return sum(float(g._dist[a, g.n if b == BOUNDARY else b]) for a, b in pairs)
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +158,169 @@ class TestPredictOutcome:
         assert err                 # corrected output bit = 1^0
         accepted2, _, err2 = predict_outcome(res, check_bits=0b100, obs_bits=0b10)
         assert not accepted2 and not err2
+
+
+_WORKLOADS = {
+    "distill15-d3-noisy": (FIFTEEN_TO_ONE, NoiseModel(3e-3, 0.1)),
+    "distill7-d3": (SEVEN_TO_ONE, NoiseModel(1e-3, 0.01)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_WORKLOADS))
+def sampled(request):
+    """(decoder, per-shot syndromes) for 2000 sampled shots of a workload."""
+    protocol, noise = _WORKLOADS[request.param]
+    c = build_distillation_circuit(build_protocol(protocol), 3, noise)
+    dec = IterativeDecoder(c, enumerate_error_mechanisms(c))
+    batch = sample(c, 2000, seed=41)
+    det = batch.unpack(batch.det_bits)
+    return dec, [dec.syndrome_masks(det[:, s]) for s in range(batch.num_shots)]
+
+
+def _recorded_decodes(dec: IterativeDecoder, shots) -> set[tuple]:
+    """Every (graph key, syndrome) that decoding `shots` asks a graph for."""
+    seen: set[tuple] = set()
+    for key, g in dec.graphs.items():
+        def recorder(s, key=key, orig=g.decode):
+            seen.add((key, s))
+            return orig(s)
+        g.decode = recorder
+    try:
+        for raw in shots:
+            dec.decode_shot(raw)
+    finally:
+        for g in dec.graphs.values():
+            del g.decode
+    return seen
+
+
+def _check_correction(g: MatchingGraph, syndrome: int, corr) -> None:
+    """The correction's edges have `syndrome` as their boundary and weigh
+    `corr.weight`, so it is an optimal correction when the weight is."""
+    boundary = 0
+    total = 0.0
+    for i in corr.edges:
+        e = g.edges[i]
+        boundary ^= 1 << e.u
+        if e.v != BOUNDARY:
+            boundary ^= 1 << e.v
+        total += e.weight
+    assert boundary == syndrome
+    assert total == pytest.approx(corr.weight, abs=1e-9)
+
+
+class TestClusterSplit:
+    def test_sampled_decodes_match_whole_syndrome_oracle(self, sampled):
+        """Every per-graph decode of 2000 sampled shots has the oracle's
+        weight; a different correction is allowed only on an equal-weight
+        tie, and the ties are counted."""
+        dec, shots = sampled
+        decodes = _recorded_decodes(dec, shots)
+        ties = flips = 0
+        for key, s in sorted(decodes):
+            g = dec.graphs[key]
+            got, want = g.decode(s), whole_syndrome_decode(g, s)
+            assert got.weight == pytest.approx(want.weight, abs=1e-9), (key, s)
+            if got.edge_mask != want.edge_mask:
+                ties += 1
+                _check_correction(g, s, got)
+                _check_correction(g, s, want)
+                flips += (got.obs_mask, got.check_mask) != (want.obs_mask,
+                                                            want.check_mask)
+        print(f"{len(decodes)} distinct decodes; {ties} equal-weight ties "
+              f"chose other edges, {flips} of them other obs/check masks")
+        assert len(decodes) > 500
+        assert ties <= len(decodes) // 100
+
+    def test_far_apart_clusters_never_reach_blossom(self, monkeypatch):
+        """20-30 defects in clusters far from each other: the split keeps
+        every component within the DP, and the weight is the oracle's (which
+        runs blossom on the whole syndrome)."""
+        rng = np.random.default_rng(5)
+        blossoms = []
+        orig = MatchingGraph._match_blossom
+
+        def counting(self, defects):
+            blossoms.append(len(defects))
+            return orig(self, defects)
+
+        for trial in range(10):
+            clusters, size = 10, 4
+            edges = []
+            for c in range(clusters):
+                base = c * size
+                for i in range(size):
+                    edges.append(Edge(eid=len(edges), u=base + i, v=BOUNDARY,
+                                      weight=float(rng.uniform(2.0, 3.0))))
+                    for j in range(i + 1, size):
+                        edges.append(Edge(eid=len(edges), u=base + i, v=base + j,
+                                          weight=float(rng.uniform(0.3, 1.0))))
+                if c:  # a long bridge to the previous cluster
+                    edges.append(Edge(eid=len(edges), u=base, v=base - size,
+                                      weight=20.0))
+            g = MatchingGraph(clusters * size, edges)
+            k = int(rng.integers(20, 31))
+            syndrome = sum(1 << int(i) for i in
+                           rng.choice(clusters * size, size=k, replace=False))
+            monkeypatch.setattr(MatchingGraph, "_match_blossom", counting)
+            got = g.decode(syndrome)
+            monkeypatch.setattr(MatchingGraph, "_match_blossom", orig)
+            assert blossoms == [], trial
+            want = whole_syndrome_decode(g, syndrome)
+            assert got.weight == pytest.approx(want.weight, abs=1e-9), trial
+            _check_correction(g, syndrome, got)
+
+
+class TestIncrementalLoop:
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_matches_reference_loop(self, sampled, max_iters):
+        """Re-decoding only the graphs whose syndrome changed gives the same
+        result as re-decoding every graph on every iteration."""
+        dec, shots = sampled
+        cfg = IterativeConfig(max_global_iters=max_iters)
+        for i, raw in enumerate(shots[:1000]):
+            got = dec.decode_shot(raw, cfg)
+            want = reference_decode_shot(dec, raw, cfg)
+            assert (got.obs_mask, got.check_mask, got.iterations_used,
+                    got.converged) == (want.obs_mask, want.check_mask,
+                                       want.iterations_used, want.converged), i
+            assert {k: c.edge_mask for k, c in got.corrections.items()} == \
+                {k: c.edge_mask for k, c in want.corrections.items()}, i
+
+
+class TestCaches:
+    def test_caps_hold_and_tiny_caps_change_nothing(self, sampled):
+        dec, shots = sampled
+        decodes = sorted(_recorded_decodes(dec, shots[:500]))
+        for key, g in dec.graphs.items():
+            tiny = MatchingGraph(g.n, g.edges, g.det_ids, key)
+            tiny.cache_cap = 3
+            big = MatchingGraph(g.n, g.edges, g.det_ids, key)
+            big.cache_cap = 10**9
+            calls = 0
+            misses = []
+            for _ in range(2):
+                for k, s in decodes:
+                    if k != key:
+                        continue
+                    calls += 1
+                    a, b = tiny.decode(s), big.decode(s)
+                    assert (a.edge_mask, a.weight, a.obs_mask, a.check_mask,
+                            a.foreign_mask) == (b.edge_mask, b.weight, b.obs_mask,
+                                                b.check_mask, b.foreign_mask)
+                misses.append(big.component_misses)
+            assert len(tiny._cache) <= 3 and len(g._cache) <= g.cache_cap
+            for h in (tiny, big):
+                assert h.syndrome_hits + h.syndrome_misses == calls
+            # Uncapped, the second pass finds every component in the cache.
+            assert misses[0] == misses[1] == len(big._cache)
+
+    def test_zero_syndrome_reads_shared_empty_correction(self, pipeline):
+        """A zero syndrome costs no decode call and no cache entry."""
+        c, dec = pipeline
+        zero = dec.syndrome_masks(np.zeros(len(c.detectors), bool))
+        assert _recorded_decodes(dec, [zero]) == set()
+        g = next(iter(dec.graphs.values()))
+        before = (g.syndrome_hits, g.syndrome_misses, len(g._cache))
+        assert g.decode(0) is g.decode(0)
+        assert (g.syndrome_hits, g.syndrome_misses, len(g._cache)) == before
