@@ -4,20 +4,14 @@ Instructions address qubits as (patch, qubit) pairs.  Measurements are
 single-qubit and numbered globally in program order; detectors, checks and
 observables are sets of measurement indices.  `sweep_backward` is the one
 backward pass over the instruction stream, shared by the exact annotation
-check (`validate_annotations`), the error-mechanism table (`dem`) and the
-sampler's fault table (`sampler`);
-`reference_run` executes the circuit forward on a stabilizer tableau and is
-the tests' ground truth for the annotation check.
+check (`validate_annotations`) and the fault table (`sampler.fault_table`),
+which the sampler and the error mechanisms (`dem`) both read.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .layout import PatchLayout
-from .pauli import CliffordGate, StabilizerTableau
 
 # Opcodes.  RX/RZ/RMINUS reset to |+>, |0>, |->.  MX/MZ measure one qubit with
 # classical flip probability p.  DEPOL1/DEPOL2 are depolarizing channels.
@@ -87,92 +81,6 @@ class Circuit:
         self.emit("MX" if basis == "X" else "MZ", ((patch, qubit),), p_flip)
         self.meas_addr.append((patch, qubit, basis))
         return len(self.meas_addr) - 1
-
-    # -- serialization ----------------------------------------------------
-    def serialize(self) -> str:
-        out = io.StringIO()
-        for ins in self.instructions:
-            tgt = " ".join(f"{p}:{q}" for p, q in ins.targets)
-            if ins.p:
-                out.write(f"{ins.op}({ins.p:.12g}) {tgt}\n".rstrip() + "\n")
-            else:
-                out.write(f"{ins.op} {tgt}".rstrip() + "\n")
-        for i, det in enumerate(self.detectors):
-            ms = " ".join(map(str, det.meas))
-            out.write(f"DETECTOR {i} patch={det.home_patch} basis={det.basis} "
-                      f"round={det.round} plaq={det.plaq} {ms}\n")
-        for ck in self.checks:
-            out.write(f"CHECK {ck.id} " + " ".join(map(str, ck.meas)) + "\n")
-        for ob in self.observables:
-            det = "" if ob.deterministic else " frame-relative"
-            out.write(f"OBSERVABLE {ob.id}{det} " + " ".join(map(str, ob.meas)) + "\n")
-        return out.getvalue()
-
-
-@dataclass
-class ReferenceResult:
-    meas_bits: np.ndarray
-    detector_parity: np.ndarray
-    check_parity: np.ndarray
-    observable_parity: np.ndarray
-
-
-def reference_run(circuit: Circuit, seed: int = 0,
-                  inject: dict[int, bool] | None = None) -> ReferenceResult:
-    """Noiseless tableau execution (noise channels skipped).
-
-    `inject` optionally forces INJECT_Z instructions on or off by instruction
-    index; by default none fire.
-    """
-    index = circuit.qubit_index()
-    n = len(index)
-    tab = StabilizerTableau(n, ["0"] * n)
-    rng = np.random.default_rng(seed)
-    rbs = lambda: int(rng.integers(0, 2))
-    bits = np.zeros(circuit.num_measurements, dtype=np.uint8)
-    mi = 0
-    for ii, ins in enumerate(circuit.instructions):
-        if ins.op in ("DEPOL1", "DEPOL2", "TICK"):
-            continue
-        if ins.op == "INJECT_Z":
-            if inject and inject.get(ii, False):
-                for addr in ins.targets:
-                    tab.apply(CliffordGate("Z", (index[addr],)))
-            continue
-        if ins.op in OPS_RESET:
-            basis = "Z" if ins.op == "RZ" else "X"
-            want = 1 if ins.op == "RMINUS" else 0
-            for addr in ins.targets:
-                q = index[addr]
-                out, _ = tab.measure(q, basis, rbs)
-                if out != want:
-                    fix = "X" if basis == "Z" else "Z"
-                    tab.apply(CliffordGate(fix, (q,)))
-            continue
-        if ins.op == "CNOT":
-            for k in range(0, len(ins.targets), 2):
-                c, t = index[ins.targets[k]], index[ins.targets[k + 1]]
-                tab.apply(CliffordGate("CNOT", (c, t)))
-            continue
-        if ins.op in OPS_MEASURE:
-            basis = "X" if ins.op == "MX" else "Z"
-            (addr,) = ins.targets
-            bits[mi], _ = tab.measure(index[addr], basis, rbs)
-            mi += 1
-            continue
-        raise AssertionError(ins.op)
-    assert mi == circuit.num_measurements
-
-    def parity(sets):
-        return np.array([int(bits[list(s.meas)].sum() % 2) for s in sets], dtype=np.uint8)
-
-    return ReferenceResult(
-        meas_bits=bits,
-        detector_parity=parity(circuit.detectors),
-        check_parity=parity(circuit.checks),
-        observable_parity=np.array(
-            [int(bits[list(o.meas)].sum() % 2) for o in circuit.observables], dtype=np.uint8),
-    )
 
 
 def column_rows(circuit: Circuit, columns) -> list[int]:

@@ -35,21 +35,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .circuit import Circuit
-from .dem import ErrorMechanism
+from .dem import ErrorMechanism, _bits
 
 BOUNDARY = -1
 _DP_LIMIT = 14  # components with more defects use the blossom fallback
 CACHE_CAP = 2048  # component corrections kept per graph
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,22 @@
-"""Error-mechanism enumeration by one backward sensitivity pass.
+"""Error mechanisms: a merge over the circuit's fault table.
 
-Sweeping the instructions in reverse (`circuit.sweep_backward`), each qubit
-carries two bitsets over the signature columns (detectors, then observables,
-then checks): the columns an X error on it at that point would flip, and
-those a Z error would flip.  Each elementary fault (depolarizing term,
-measurement flip, injected logical Z) reads its signature off the sets at its
-site.  X and Z frames never mix (the circuits use only resets and CNOTs), so
-each signature splits cleanly into an X-basis and a Z-basis component by
-column basis.  Components are merged by identical signature with
-XOR-combined probabilities, in forward fault order; the per-basis component
-restricted to the fault's own patch is what becomes a matching-graph edge.
-This is the detector-error-model construction of Gidney, arXiv:2103.02202.
+`enumerate_error_mechanisms` reads the fault table (`sampler.fault_table`,
+the one reader of noise channels) and XORs, per site with p > 0 in forward
+order, the signature halves of each Pauli term's components (`TERMS`).  X and
+Z frames never mix (the circuits use only resets and CNOTs), so each term's
+signature splits cleanly into an X-basis and a Z-basis component by column
+basis.  Components are merged by identical signature with XOR-combined
+probabilities; the per-basis component restricted to the fault's own patch is
+what becomes a matching-graph edge.  This is the detector-error-model
+construction of Gidney, arXiv:2103.02202.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import OPS_MEASURE, Circuit, column_rows, sweep_backward
+import numpy as np
 
+from .sampler import KINDS, TERMS, FaultTable, signature_columns
 
 @dataclass(frozen=True)
 class ErrorMechanism:
@@ -35,69 +34,54 @@ def _xor_prob(a: float, b: float) -> float:
     return a * (1 - b) + b * (1 - a)
 
 
-def _bits(x: int) -> list[int]:
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending."""
     out = []
-    while x:
-        low = x & -x
+    while mask:
+        low = mask & -mask
         out.append(low.bit_length() - 1)
-        x ^= low
-    return out
+        mask ^= low
+    return tuple(out)
 
 
-def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
+def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:
+    """Merge the table's faults into per-basis error mechanisms."""
+    circuit = table.circuit
     nd, no = len(circuit.detectors), len(circuit.observables)
-    columns = [*circuit.detectors, *circuit.observables, *circuit.checks]
-    col_row = column_rows(circuit, columns)    # columns each measurement enters
     x_cols = 0                                 # columns of X-basis measurements
-    for col, s in enumerate(columns):
+    for col, s in enumerate(signature_columns(circuit)):
         basis = s.basis if col < nd else circuit.meas_addr[s.meas[0]][2]
         if basis == "X":
             x_cols |= 1 << col
 
-    # Per (origin, basis, signature part), the probabilities of the faults
-    # with that component, in reverse forward order: the sweep visits sites
-    # backwards and each site's (prob, origin, signature) terms back to front.
-    parts: dict[tuple[int, str, int], list[float]] = {}
-
-    def add_site(site: list[tuple[float, int, int]]) -> None:
-        for p, origin, sig in reversed(site):
-            for basis, part in (("X", sig & x_cols), ("Z", sig & ~x_cols)):
-                if part:
-                    parts.setdefault((origin, basis, part), []).append(p)
-
-    nq = len(circuit.qubit_index())
-    sx, sz = [0] * nq, [0] * nq
-    for ins, qs, mi in sweep_backward(circuit, col_row, sx, sz):
-        op = ins.op
-        if ins.p == 0:
+    # Per (origin, basis, signature part), the probabilities of its faults in
+    # forward order.  A term is a set of its site's components, as a bitmask.
+    probs: dict[tuple[int, str, int], list[float]] = {}
+    terms = [[sum(1 << c for c in np.flatnonzero(t).tolist()) for t in TERMS[k]]
+             for k in KINDS]
+    ncomp = [TERMS[k].shape[1] for k in KINDS]
+    z_cols = ~x_cols
+    sigs = [table.sigs[r] for r in table.comp_row.tolist()]     # per component
+    for kind, p, origin, first in zip(table.kind.tolist(), table.p.tolist(),
+                                      table.origin.tolist(), table.first.tolist()):
+        if p == 0:
             continue
-        if op in OPS_MEASURE:
-            add_site([(ins.p, ins.targets[0][0], col_row[mi])])
-        elif op == "DEPOL1":
-            p = ins.p / 3
-            site = []
-            for a, q in zip(ins.targets, qs):
-                x, z = sx[q], sz[q]
-                site += [(p, a[0], x), (p, a[0], x ^ z), (p, a[0], z)]   # X, Y, Z
-            add_site(site)
-        elif op == "DEPOL2":
-            a, b = qs
-            pa = (0, sz[a], sx[a], sx[a] ^ sz[a])    # I, Z, X, Y on a
-            pb = (0, sz[b], sx[b], sx[b] ^ sz[b])
-            p = ins.p / 15
-            add_site([(p, ins.targets[0][0], pa[i] ^ pb[j])
-                      for i in range(4) for j in range(4) if i or j])
-        elif op == "INJECT_Z":
-            sig = 0
-            for q in qs:
-                sig ^= sz[q]
-            add_site([(ins.p, ins.targets[0][0], sig)])
+        p /= len(terms[kind])
+        subset = [0]        # subset[mask]: XOR of the components in mask
+        for sig in sigs[first:first + ncomp[kind]]:
+            subset += [s ^ sig for s in subset]
+        for mask in terms[kind]:
+            sig = subset[mask]
+            if part := sig & x_cols:
+                probs.setdefault((origin, "X", part), []).append(p)
+            if part := sig & z_cols:
+                probs.setdefault((origin, "Z", part), []).append(p)
 
     det_home = [d.home_patch for d in circuit.detectors]
     out = []
-    for (origin, basis, part), probs in parts.items():
+    for (origin, basis, part), ps in probs.items():
         p = 0.0
-        for q in reversed(probs):     # merge in forward fault order
+        for q in ps:
             p = _xor_prob(p, q)
         dets = _bits(part & ((1 << nd) - 1))
         out.append(ErrorMechanism(

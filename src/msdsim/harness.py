@@ -24,7 +24,7 @@ from .decoder import IterativeConfig, IterativeDecoder, predict_outcome
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
-from .sampler import CHUNK, sample
+from .sampler import CHUNK, FaultTable, fault_table, sample
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -101,20 +101,25 @@ class ExperimentStats:
 
 @dataclass
 class DecodingPipeline:
-    """Circuit + decoder for one circuit: `build` checks the annotations
-    exactly, derives the error mechanisms and builds the matching graphs.
+    """Circuit, fault table and decoder for one circuit: `build` checks the
+    annotations exactly, builds the circuit's fault table, merges the error
+    mechanisms from it and builds the matching graphs.  Every shot the
+    pipeline decodes is sampled from its table, so no chunk rebuilds it.
 
-    Noise strengths are baked into the circuit's instructions and the
-    mechanism probabilities, so a pipeline is valid only for the noise it was
-    built with; a sweep builds one per point."""
+    Noise strengths are baked into the circuit's instructions, the table and
+    the mechanism probabilities, so a pipeline is valid only for the noise it
+    was built with; a sweep builds one per point."""
     circuit: Circuit
+    table: FaultTable
     decoder: IterativeDecoder
 
     @classmethod
     def build(cls, circuit: Circuit) -> "DecodingPipeline":
         validate_annotations(circuit)
-        mechanisms = enumerate_error_mechanisms(circuit)
-        return cls(circuit=circuit, decoder=IterativeDecoder(circuit, mechanisms))
+        table = fault_table(circuit)
+        mechanisms = enumerate_error_mechanisms(table)
+        table.sigs = None       # only the merge reads the signatures
+        return cls(circuit, table, IterativeDecoder(circuit, mechanisms))
 
 
 def _shot_ints(plane: np.ndarray) -> list[int]:
@@ -130,10 +135,10 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     the ints being check / observable i.  Chunk k is `sample`'s chunk k, so
     the shots are those of one whole `sample` call; memory holds one chunk.
     """
-    circ, dec = pipeline.circuit, pipeline.decoder
+    circ, table, dec = pipeline.circuit, pipeline.table, pipeline.decoder
     itc = IterativeConfig(max_global_iters=config.max_iters)
     for k, done in enumerate(range(0, config.shots, CHUNK)):
-        batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k)
+        batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k, table)
         det = batch.unpack(batch.det_bits)
         chk = _shot_ints(batch.unpack(batch.check_bits))
         obs = _shot_ints(batch.unpack(batch.obs_bits))

@@ -1,12 +1,17 @@
-"""Monte Carlo shots by sparse fault sampling from a fault table.
+"""The fault table, and Monte Carlo shots by sparse fault sampling from it.
 
 Every emitted measurement/detector/check/observable bit is a *flip* relative
 to the noiseless reference execution (identically zero on a noiseless
-circuit).  `fault_table` finds, by one backward sweep over the measurement
-columns (`circuit.sweep_backward`, with `col_row[m] = 1 << m`), the
-measurements each component of each noise site flips: the X and Z parts of
-every depolarized qubit, a measurement's own classical flip, and an
-injection's joint Z.  Sites sharing a kind and a probability form a group.
+circuit).  `fault_table` is the one reader of noise channels.  One backward
+sensitivity sweep (`circuit.sweep_backward`) carries, per qubit, the columns
+an X or a Z error at that point would flip: each measurement's own column in
+the low `num_measurements` bits, the signature columns (detectors,
+observables, checks) holding it above them.  Each noise site reads its
+components off the sets at its site: the X and Z parts of every depolarized
+qubit, a measurement's own classical flip, an injection's joint Z.  The
+sampler reads the measurement half of each component; the error-mechanism
+merge (`dem`) reads the signature half.  Sites sharing a kind and a
+probability form a group.
 
 Per chunk, each group's (site, shot) slots fire independently with
 probability p, drawn as geometric skips in bounded blocks (exact i.i.d.
@@ -26,17 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import OPS_MEASURE, Circuit, sweep_backward
+from .circuit import OPS_MEASURE, Circuit, column_rows, sweep_backward
 
 CHUNK = 1 << 14
 # Geometric draws per block: bounds the event arrays a chunk allocates at any
 # noise strength.
 _BLOCK = 1024
+# Byte value of shot s's bit in a packed plane (np.packbits' big bit order).
+_BIT = np.array([0x80 >> i for i in range(8)], dtype=np.uint8)
 
-# Per kind, the components each Pauli term applies, one row per term drawn
-# uniformly.  DEPOL1 components are (X, Z): terms X, Y, Z.  DEPOL2 components
-# are (X_a, Z_a, X_b, Z_b): the 15 non-identity two-qubit Paulis.
-_TERMS = {
+# Per kind, the components each Pauli term applies, one row per term; a site
+# of probability p fires each term with probability p / len(terms).  DEPOL1
+# components are (X, Z): terms X, Y, Z.  DEPOL2 components are (X_a, Z_a, X_b,
+# Z_b): the 15 non-identity two-qubit Paulis.  A measurement FLIP (MX/MZ) and
+# an INJECT_Z have one component and one term.
+KINDS = ("DEPOL1", "DEPOL2", "FLIP", "INJECT_Z")
+TERMS = {
     "DEPOL1": np.array([(1, 0), (1, 1), (0, 1)], dtype=bool),
     "DEPOL2": np.array([(xa, za, xb, zb)
                         for xa in (0, 1) for za in (0, 1) for xb in (0, 1) for zb in (0, 1)
@@ -44,8 +54,6 @@ _TERMS = {
     "FLIP": np.ones((1, 1), dtype=bool),
     "INJECT_Z": np.ones((1, 1), dtype=bool),
 }
-# Byte value of shot s's bit in a packed plane (np.packbits' big bit order).
-_BIT = np.array([0x80 >> i for i in range(8)], dtype=np.uint8)
 
 
 @dataclass
@@ -62,28 +70,30 @@ class ShotBatch:
 
 
 @dataclass
-class SiteGroup:
-    """Noise sites of one kind sharing one probability, in forward order."""
-    kind: str                   # "DEPOL1", "DEPOL2", "FLIP" (MX/MZ) or "INJECT_Z"
-    p: float
-    instr: list[int]            # instruction index of each site
-    comps: np.ndarray           # (sites, components) row ids into the table
-    rids: np.ndarray | None     # INJECT_Z only: resource id of each site
-
-
-@dataclass
 class FaultTable:
-    """Component rows as CSR over measurement indices, plus the site groups."""
-    groups: list[SiteGroup]
-    row_ptr: np.ndarray         # row r flips row_meas[row_ptr[r]:row_ptr[r + 1]]
-    row_meas: np.ndarray
+    """Noise sites in forward order and their components' rows: the
+    sampler reads the measurement CSR, the merge the signatures."""
+    circuit: Circuit
+    kind: np.ndarray            # (sites,) int8 index into KINDS
+    p: np.ndarray               # (sites,) float64
+    origin: np.ndarray          # (sites,) int32 origin patch
+    rid: np.ndarray             # (sites,) int32 resource id of an INJECT_Z, else -1
+    first: np.ndarray           # (sites,) int32: component c is comp_row[first + c]
+    comp_row: np.ndarray        # int32 row id of each component; sites share rows
+    row_ptr: np.ndarray         # int32: row r flips row_meas[row_ptr[r]:row_ptr[r + 1]]
+    row_meas: np.ndarray        # int32
+    # Per row, its signature columns as a bitset: only the merge reads them,
+    # so a pipeline drops them once its mechanisms are built.
+    sigs: list[int] | None
 
-    def row(self, r: int) -> np.ndarray:
-        return self.row_meas[self.row_ptr[r]:self.row_ptr[r + 1]]
+
+def signature_columns(circuit: Circuit) -> list:
+    """The parity sets whose bits a signature holds, in bit order."""
+    return [*circuit.detectors, *circuit.observables, *circuit.checks]
 
 
 def fault_table(circuit: Circuit) -> FaultTable:
-    """Build the fault table by one backward sweep over the measurements.
+    """Build the fault table by one backward sweep.
 
     Sites with p = 0 are left out, except injections, which forced patterns
     can fire.  Raises ValueError on an INJECT_Z with no `circuit.injections`
@@ -92,12 +102,20 @@ def fault_table(circuit: Circuit) -> FaultTable:
     nm = circuit.num_measurements
     nq = len(circuit.qubit_index())
     inj_rid = dict(circuit.injections)
-    rows: list[int] = []    # component rows as measurement bitsets
-    sites = []              # (kind, p, instr, first component row), reversed
+    col_row = [(1 << m) | (sig << nm) for m, sig in enumerate(
+        column_rows(circuit, signature_columns(circuit)))]
+    # Per site its kind, p, origin and rid, and per component its row id,
+    # built in reverse: the sweep visits sites backwards.  Components with
+    # equal bitsets (most sites between two gates on a qubit) share one row.
+    kinds: list[int] = []
+    ps: list[float] = []
+    origins: list[int] = []
+    rids: list[int] = []
+    comp_row: list[int] = []
+    row_id: dict[int, int] = {}
     sx, sz = [0] * nq, [0] * nq
     last = len(circuit.instructions) - 1
-    for step, (ins, qs, mi) in enumerate(sweep_backward(circuit, [1 << m for m in range(nm)],
-                                                        sx, sz)):
+    for step, (ins, qs, mi) in enumerate(sweep_backward(circuit, col_row, sx, sz)):
         ii = last - step
         op = ins.op
         if op == "INJECT_Z":
@@ -107,51 +125,61 @@ def fault_table(circuit: Circuit) -> FaultTable:
             row = 0
             for q in qs:
                 row ^= sz[q]
-            new = [(row,)]
+            new = [(ins.targets[0][0], (row,))]
         elif ins.p == 0:
             continue
         elif op == "DEPOL1":
-            new = [(sx[q], sz[q]) for q in qs]
+            new = [(a[0], (sx[q], sz[q])) for a, q in zip(ins.targets, qs)]
         elif op == "DEPOL2":
             a, b = qs
-            new = [(sx[a], sz[a], sx[b], sz[b])]
+            new = [(ins.targets[0][0], (sx[a], sz[a], sx[b], sz[b]))]
         elif op in OPS_MEASURE:
-            op, new = "FLIP", [(1 << mi,)]
+            op, new = "FLIP", [(ins.targets[0][0], (col_row[mi],))]
         else:
             continue
-        # Reversed per instruction, so reversing `sites` gives forward order.
-        for comps in reversed(new):
-            sites.append((op, ins.p, ii, len(rows)))
-            rows.extend(comps)
-
-    by_key: dict[tuple[str, float], list] = {}
-    for kind, p, ii, first in reversed(sites):
-        by_key.setdefault((kind, p), []).append((ii, first))
-    groups = []
-    for (kind, p), ss in by_key.items():
-        first = np.array([f for _, f in ss], dtype=np.int64)
-        groups.append(SiteGroup(
-            kind, p, [ii for ii, _ in ss],
-            first[:, None] + np.arange(_TERMS[kind].shape[1]),
-            np.array([inj_rid[ii] for ii, _ in ss]) if kind == "INJECT_Z" else None))
+        code, resource = KINDS.index(op), inj_rid.get(ii, -1)
+        for patch, comps in reversed(new):
+            kinds.append(code)
+            ps.append(ins.p)
+            origins.append(patch)
+            rids.append(resource)
+            comp_row.extend(row_id.setdefault(r, len(row_id)) for r in reversed(comps))
+    rows = list(row_id)
+    kind, p, origin, rid, comp_row = (np.array(col[::-1], dtype=dt) for col, dt in zip(
+        (kinds, ps, origins, rids, comp_row), (np.int8, np.float64, np.int32, np.int32, np.int32)))
+    ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
+    first = (np.cumsum(ncomp) - ncomp).astype(np.int32)
 
     # Rows to sorted measurement indices, a block of rows at a time: find the
     # nonzero 64-bit words of each row, then their bits.
     nwords = nm // 64 + 1     # at least one, so rows with no measurements still reshape
-    row_of, meas = [], []
+    meas_mask = (1 << nm) - 1
+    row_of, row_meas = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     for lo in range(0, len(rows), 1024):
-        blob = b"".join(r.to_bytes(8 * nwords, "little") for r in rows[lo:lo + 1024])
+        blob = b"".join((r & meas_mask).to_bytes(8 * nwords, "little")
+                        for r in rows[lo:lo + 1024])
         r_i, w_i = np.nonzero(np.frombuffer(blob, dtype="<u8").reshape(-1, nwords))
         words = np.frombuffer(blob, dtype=np.uint8).reshape(-1, nwords, 8)[r_i, w_i]
         e, bit = np.divmod(np.flatnonzero(
             np.unpackbits(words, axis=1, bitorder="little").view(bool)), 64)
-        row_of.append(lo + r_i[e])
-        meas.append(w_i[e] * 64 + bit)
-    row_of = np.concatenate(row_of) if row_of else np.zeros(0, dtype=np.int64)
-    row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of, minlength=len(rows)), out=row_ptr[1:])
-    return FaultTable(groups, row_ptr,
-                      np.concatenate(meas) if meas else np.zeros(0, dtype=np.int64))
+        row_of.append((lo + r_i[e]).astype(np.int32))
+        row_meas.append((w_i[e] * 64 + bit).astype(np.int32))
+    row_ptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(np.concatenate(row_of), minlength=len(rows)), out=row_ptr[1:])
+    return FaultTable(circuit, kind, p, origin, rid, first, comp_row, row_ptr,
+                      np.concatenate(row_meas), [r >> nm for r in rows])
+
+
+def _groups(table: FaultTable):
+    """Per (kind, p), in order of first occurrence: kind, p, the component
+    rows of its sites in forward order (sites, components), and the sites'
+    resource ids."""
+    by_key: dict[tuple[int, float], list[int]] = {}
+    for site, key in enumerate(zip(table.kind.tolist(), table.p.tolist())):
+        by_key.setdefault(key, []).append(site)
+    for (k, p), sites in by_key.items():
+        comps = table.comp_row[table.first[sites, None] + np.arange(TERMS[KINDS[k]].shape[1])]
+        yield KINDS[k], p, comps, table.rid[sites]
 
 
 def _fired(rng: np.random.Generator, p: float, n_slots: int):
@@ -177,32 +205,35 @@ def _xor_rows(plane: np.ndarray, table: FaultTable, rows: np.ndarray,
     # Position in row_meas of every (event, member) pair.
     pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
     s = np.repeat(shots, lens)
-    np.bitwise_xor.at(plane.reshape(-1), table.row_meas[pos] * plane.shape[1] + (s >> 3),
-                      _BIT[s & 7])
+    # int64 before the multiply: the table's int32 indices times the plane
+    # width need not fit in int32.
+    flat = table.row_meas[pos].astype(np.int64) * plane.shape[1] + (s >> 3)
+    np.bitwise_xor.at(plane.reshape(-1), flat, _BIT[s & 7])
 
 
-def _sample_chunk(table: FaultTable, num_meas: int, num_res: int, shots: int,
+def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
                   rng: np.random.Generator, forced: np.ndarray | None) -> tuple:
-    meas = np.zeros((num_meas, (shots + 7) // 8), dtype=np.uint8)
-    injected = np.zeros((num_res, shots), dtype=bool)
-    for g in table.groups:
-        terms = _TERMS[g.kind]
-        if g.kind == "INJECT_Z" and forced is not None:
-            fired = np.flatnonzero(forced[g.rids])          # over (sites, shots)
+    circuit = table.circuit
+    meas = np.zeros((circuit.num_measurements, (shots + 7) // 8), dtype=np.uint8)
+    injected = np.zeros((len(circuit.injections), shots), dtype=bool)
+    for kind, p, comps, rids in groups:
+        terms = TERMS[kind]
+        if kind == "INJECT_Z" and forced is not None:
+            fired = np.flatnonzero(forced[rids])            # over (sites, shots)
             blocks = [fired[i:i + _BLOCK] for i in range(0, fired.size, _BLOCK)]
         else:
-            blocks = _fired(rng, g.p, len(g.instr) * shots)
+            blocks = _fired(rng, p, len(comps) * shots)
         for slots in blocks:
             site, shot = np.divmod(slots, shots)
-            if g.rids is not None:
-                injected[g.rids[site], shot] = True
+            if kind == "INJECT_Z":
+                injected[rids[site], shot] = True
             if len(terms) > 1:
                 ev, comp = np.divmod(np.flatnonzero(
                     terms[rng.integers(0, len(terms), slots.size)]), terms.shape[1])
                 site, shot = site[ev], shot[ev]
             else:
                 comp = np.zeros_like(site)
-            _xor_rows(meas, table, g.comps[site, comp], shot)
+            _xor_rows(meas, table, comps[site, comp], shot)
     return meas, injected
 
 
@@ -216,16 +247,19 @@ def _parities(meas: np.ndarray, sets) -> np.ndarray:
 
 def sample(circuit: Circuit, shots: int, seed: int,
            forced_injections: np.ndarray | None = None,
-           first_chunk: int = 0) -> ShotBatch:
+           first_chunk: int = 0, table: FaultTable | None = None) -> ShotBatch:
     """Sample `shots` reference-relative shots.
 
     `forced_injections` (num_resources, shots) bool overrides the random
     injection draws, enabling exhaustive pattern sweeps at the circuit level.
     Chunk k draws from the child seed `[seed, k]`, counting from
     `first_chunk`: with `shots <= CHUNK`, `sample(c, shots, seed, None, k)` is
-    chunk k of a longer run.
+    chunk k of a longer run.  `table` is `circuit`'s fault table, built
+    here when not given.
     """
-    table = fault_table(circuit)
+    if table is None:
+        table = fault_table(circuit)
+    groups = list(_groups(table))
     chunks = []
     # At least one chunk, so zero shots still give planes of the right height.
     for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
@@ -234,8 +268,7 @@ def sample(circuit: Circuit, shots: int, seed: int,
         forced = None
         if forced_injections is not None:
             forced = forced_injections[:, done:done + n]
-        meas, injected = _sample_chunk(table, circuit.num_measurements,
-                                       len(circuit.injections), n, rng, forced)
+        meas, injected = _sample_chunk(table, groups, n, rng, forced)
         chunks.append([meas] + [_parities(meas, sets) for sets in (
             circuit.detectors, circuit.checks, circuit.observables)] + [injected])
     # CHUNK is a multiple of 8, so the chunks' packed planes join byte-aligned.

@@ -6,8 +6,8 @@ Z) is propagated forward through the circuit as a row of dense X/Z frame
 planes; recorded measurement flips (`forward_faults`) give the fault's
 detector/check/observable signature.  Slow and memory-hungry (O(faults x
 qubits) bytes), but each fault is simulated directly, so it is the reference
-the backward sensitivity pass must reproduce exactly, here and in the
-sampler's fault table.
+that the fault table's rows (`msdsim.sampler.fault_table`) and the error
+mechanisms merged from them must reproduce exactly.
 """
 from __future__ import annotations
 

@@ -5,9 +5,10 @@ from msdsim.builders import (MultiPatchBuilder, NoiseModel,
                              build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit,
                              minimal_web_observables)
-from msdsim.circuit import reference_run, validate_annotations
+from msdsim.circuit import validate_annotations
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol)
+from tableau_oracle import reference_run
 
 
 class TestNoiseModel:

@@ -11,7 +11,7 @@ from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Edge, IterativeConfig,
                             IterativeDecoder, MatchingGraph, predict_outcome)
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
-from msdsim.sampler import sample
+from msdsim.sampler import fault_table, sample
 
 
 def _random_graph(rng: np.random.Generator, n: int) -> MatchingGraph:
@@ -59,7 +59,7 @@ class TestMatchingOptimality:
 
     def test_rejects_high_degree_mechanism(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.001))
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         from msdsim.dem import ErrorMechanism
         bad = mechs + [ErrorMechanism(prob=0.001, origin_patch=0, basis="Z",
                                       home_dets=(0, 1, 2), foreign_dets=(),
@@ -95,7 +95,7 @@ def _pairs_weight(g: MatchingGraph, pairs) -> float:
 def pipeline():
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
                                    NoiseModel(1e-3, 0.0))
-    return c, IterativeDecoder(c, enumerate_error_mechanisms(c))
+    return c, IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
 
 
 class TestIterativeLoop:
@@ -115,7 +115,7 @@ class TestIterativeLoop:
         observable is gauge and excluded: some faults flipping it alone are
         detector-silent by construction.)"""
         c, dec = pipeline
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         nd = len(c.detectors)
         for m in mechs:
             det = np.zeros(nd, dtype=bool)
@@ -128,7 +128,7 @@ class TestIterativeLoop:
     def test_foreign_toggle_changes_neighbour_syndrome(self, pipeline):
         """A fault with a foreign signature must drive a second iteration."""
         c, dec = pipeline
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         m = next(m for m in mechs if m.foreign_dets and m.home_dets)
         det = np.zeros(len(c.detectors), dtype=bool)
         for i in m.home_dets:
@@ -171,7 +171,7 @@ def sampled(request):
     """(decoder, per-shot syndromes) for 2000 sampled shots of a workload."""
     protocol, noise = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
-    dec = IterativeDecoder(c, enumerate_error_mechanisms(c))
+    dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
     batch = sample(c, 2000, seed=41)
     det = batch.unpack(batch.det_bits)
     return dec, [dec.syndrome_masks(det[:, s]) for s in range(batch.num_shots)]

@@ -12,12 +12,12 @@ from msdsim.circuit import Circuit, Detector, ParitySet
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.layout import build_patch
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
-from msdsim.sampler import sample
+from msdsim.sampler import fault_table, sample
 
 
 @pytest.fixture(scope="module")
 def mechs():
-    return enumerate_error_mechanisms(build_memory_circuit(3, 3, NoiseModel(0.01)))
+    return enumerate_error_mechanisms(fault_table(build_memory_circuit(3, 3, NoiseModel(0.01))))
 
 
 class TestMemoryMechanisms:
@@ -39,7 +39,7 @@ class TestMemoryMechanisms:
 
     def test_noiseless_circuit_has_no_mechanisms(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.0))
-        assert enumerate_error_mechanisms(c) == []
+        assert enumerate_error_mechanisms(fault_table(c)) == []
 
     def test_observable_flips_need_x_plane(self, mechs):
         """The logical-Z readout is only flipped by X-type components."""
@@ -53,7 +53,7 @@ class TestDetectorRates:
         """1 - 2*E[det] must equal prod(1 - 2 p_i) over mechanisms hitting the
         detector (XOR of independent Bernoulli variables)."""
         c = build_memory_circuit(3, 3, NoiseModel(0.01))
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         pred = np.ones(len(c.detectors))
         for m in mechs:
             for d in m.home_dets:
@@ -74,7 +74,7 @@ class TestInjectionMechanisms:
         support contains that resource."""
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.3))
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         assert len(mechs) == spec.num_resources
         by_patch = {m.origin_patch for m in mechs}
         assert len(by_patch) == spec.num_resources
@@ -87,7 +87,7 @@ class TestInjectionMechanisms:
     def test_injection_checks_match_protocol(self):
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.25))
-        mechs = sorted(enumerate_error_mechanisms(c), key=lambda m: m.origin_patch)
+        mechs = sorted(enumerate_error_mechanisms(fault_table(c)), key=lambda m: m.origin_patch)
         # resource r is consumed into data qubit r+1; check supports are index
         # sets over data qubits 1..k
         masks = [sum(1 << ci for ci, chk in enumerate(spec.checks)
@@ -99,7 +99,7 @@ class TestInjectionMechanisms:
 class TestMerging:
     def test_signatures_unique(self):
         c = build_memory_circuit(3, 2, NoiseModel(0.005))
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         keys = [(m.origin_patch, m.basis, m.home_dets, m.foreign_dets,
                  m.obs_mask, m.check_mask) for m in mechs]
         assert len(keys) == len(set(keys))
@@ -120,13 +120,13 @@ _ORACLE_CIRCUITS = {
 
 
 class TestOracle:
-    """The backward sensitivity pass must reproduce the forward-propagation
+    """The merge over the fault table must reproduce the forward-propagation
     oracle exactly: same mechanisms, same order, probabilities bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
     def test_builder_circuits_equal_oracle(self, name):
         c = _ORACLE_CIRCUITS[name]()
-        assert enumerate_error_mechanisms(c) == oracle_mechanisms(c)
+        assert enumerate_error_mechanisms(fault_table(c)) == oracle_mechanisms(c)
 
     def test_cnot_pairs_sharing_a_qubit_apply_in_order(self):
         """CNOT 0->1 then 1->2 in one instruction carries an X on qubit 0 to
@@ -137,7 +137,7 @@ class TestOracle:
         c.emit("CNOT", ((0, 0), (0, 1), (0, 1), (0, 2)))
         mi = c.measure(0, 2, "Z", 0.0)
         c.detectors.append(Detector(meas=(mi,), home_patch=0, basis="Z", round=0, plaq=0))
-        mechs = enumerate_error_mechanisms(c)
+        mechs = enumerate_error_mechanisms(fault_table(c))
         assert mechs == oracle_mechanisms(c)
         q = 0.1 / 3  # the X and Y terms both flip it
         assert [(m.home_dets, m.prob) for m in mechs] == [((0,), pytest.approx(2 * q * (1 - q)))]
@@ -146,7 +146,7 @@ class TestOracle:
     @given(st.data())
     def test_random_circuits_equal_oracle(self, data):
         c = data.draw(_random_circuits())
-        assert enumerate_error_mechanisms(c) == oracle_mechanisms(c)
+        assert enumerate_error_mechanisms(fault_table(c)) == oracle_mechanisms(c)
 
 
 _PROBS = st.sampled_from([0.0, 0.01, 0.1, 0.3])

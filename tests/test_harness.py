@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from msdsim.builders import build_memory_circuit
+from msdsim import harness, sampler
+from msdsim.builders import build_distillation_circuit, build_memory_circuit
 from msdsim.decoder import IterativeConfig
 from msdsim.harness import (DecodingPipeline, ExperimentConfig,
                             ExperimentStats, emit_results, qubit_cycles,
@@ -13,7 +14,7 @@ from msdsim.harness import (DecodingPipeline, ExperimentConfig,
                             wilson_interval)
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               build_protocol, discard_ratio)
-from msdsim.sampler import CHUNK, sample
+from msdsim.sampler import CHUNK, fault_table, sample
 
 
 class TestWilson:
@@ -102,6 +103,26 @@ class TestSurfaceDrivers:
         assert want.errors > 0
         assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
             (want.shots, want.accepted, want.errors, want.iteration_hist)
+
+    def test_fault_table_built_once_per_pipeline(self, monkeypatch):
+        """Over runs of two chunks, the fault table is built once per
+        `DecodingPipeline.build` and never while the shots are drawn."""
+        calls = []
+
+        def spy(circuit):
+            calls.append(circuit)
+            return fault_table(circuit)
+
+        monkeypatch.setattr(harness, "fault_table", spy)
+        monkeypatch.setattr(sampler, "fault_table", spy)
+        run_memory_baseline(ExperimentConfig(p_circuit=5e-3, shots=CHUNK + 37, rounds=2))
+        assert len(calls) == 1
+        cfg = ExperimentConfig(p_circuit=0.0, p_in=0.1, shots=CHUNK + 37)
+        pipeline = DecodingPipeline.build(build_distillation_circuit(
+            build_protocol(cfg.protocol), cfg.d, cfg.noise()))
+        assert len(calls) == 2
+        run_distillation(cfg, pipeline)
+        assert len(calls) == 2
 
     def test_subcircuit_keys_are_patches(self):
         cfg = ExperimentConfig(p_circuit=0.0, shots=20)

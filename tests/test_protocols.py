@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from msdsim.pauli import CliffordGate, PauliString, StabilizerTableau, group_contains
+from msdsim.pauli import CliffordGate, StabilizerTableau
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               analytic_pout_7to1, analytic_pout_15to1,
                               build_protocol, cnot_sublayers, discard_ratio,
                               exhaustive_oracle, run_logical_shot,
                               sample_logical_shots)
+from tableau_oracle import PauliString, group_contains
 
 
 def _pauli_on(kind, support, n):

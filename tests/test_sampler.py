@@ -16,10 +16,11 @@ from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
 from msdsim.circuit import Circuit, ParitySet
 from msdsim.dem import enumerate_error_mechanisms
+from msdsim.harness import DecodingPipeline
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                               exhaustive_oracle)
-from msdsim.sampler import _TERMS, CHUNK, fault_table, sample
+from msdsim.sampler import CHUNK, KINDS, TERMS, fault_table, sample
 
 
 class TestReproducibility:
@@ -120,41 +121,45 @@ class TestForcedInjections:
 
     def test_unregistered_injection_names_instruction(self):
         """An INJECT_Z with no `injections` entry has no resource row to
-        record; `dem` needs none and accepts the circuit."""
+        record.  The fault table rejects it, so the sampler, the DEM (which
+        is merged from the table) and the pipeline build all raise."""
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         ii = len(c.instructions)
         c.emit("INJECT_Z", ((0, 0),), 0.3)
-        enumerate_error_mechanisms(c)
-        with pytest.raises(ValueError, match=f"instruction {ii} "):
-            sample(c, 10, seed=0)
+        for build in (fault_table, lambda c: sample(c, 10, seed=0),
+                      lambda c: enumerate_error_mechanisms(fault_table(c)),
+                      DecodingPipeline.build):
+            with pytest.raises(ValueError, match=f"instruction {ii} "):
+                build(c)
 
-
-def _table_rows(circuit: Circuit) -> dict[int, list[np.ndarray]]:
-    """Per instruction, the measurement rows of its p > 0 faults in
-    `forward_faults` order: the XOR of each term's component rows."""
-    table = fault_table(circuit)
-    out: dict[int, list[np.ndarray]] = {}
-    for g in table.groups:
-        if g.p == 0:
-            continue
-        for site, ii in enumerate(g.instr):
-            for term in _TERMS[g.kind]:
-                row = np.zeros(circuit.num_measurements, dtype=bool)
-                for r in g.comps[site][term]:
-                    row[table.row(r)] ^= True
-                out.setdefault(ii, []).append(row)
-    return out
+    def test_given_table_is_byte_identical(self):
+        """Passing the circuit's fault table changes nothing: chunk k drawn
+        from a given table equals chunk k drawn from a table built inside."""
+        c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
+                                       NoiseModel(1e-3, 0.05))
+        table = fault_table(c)
+        for k in (0, 3):
+            a = sample(c, 2000, 17, None, k, table)
+            b = sample(c, 2000, 17, None, k)
+            for name in ("meas_bits", "det_bits", "check_bits", "obs_bits", "injected"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (k, name)
 
 
 def _assert_table_equals_oracle(circuit: Circuit) -> None:
-    faults, flips = forward_faults(circuit)
-    want: dict[int, list[np.ndarray]] = {}
-    for fault, row in zip(faults, flips):
-        want.setdefault(fault[0], []).append(row)
-    got = _table_rows(circuit)
-    assert got.keys() == want.keys()
-    for ii, rows in want.items():
-        assert np.array_equal(np.array(got[ii]), np.array(rows)), ii
+    """The measurement rows of the table's p > 0 faults, in forward order
+    (the XOR of each term's component rows), equal `forward_faults`'."""
+    table = fault_table(circuit)
+    got = []
+    for kind, p, first in zip(table.kind, table.p, table.first):
+        if p == 0:
+            continue
+        for term in TERMS[KINDS[kind]]:
+            row = np.zeros(circuit.num_measurements, dtype=bool)
+            for r in table.comp_row[first + np.flatnonzero(term)]:
+                row[table.row_meas[table.row_ptr[r]:table.row_ptr[r + 1]]] ^= True
+            got.append(row)
+    _, flips = forward_faults(circuit)
+    assert np.array_equal(np.array(got, dtype=bool).reshape(flips.shape), flips)
 
 
 class TestFaultTable:
