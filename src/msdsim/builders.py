@@ -180,13 +180,6 @@ class MultiPatchBuilder:
 
 # -- experiment circuits ---------------------------------------------------
 
-def build_se_round(layout: PatchLayout, noise: NoiseModel) -> Circuit:
-    """A single detached syndrome-extraction round on one patch."""
-    b = MultiPatchBuilder({0: layout}, noise)
-    b.se_round([0])
-    return b.finish()
-
-
 def build_memory_circuit(d: int, rounds: int, noise: NoiseModel) -> Circuit:
     """Single-patch |0> memory: init, `rounds` SE rounds, transversal Z readout
     with the logical-Z observable."""

@@ -98,11 +98,14 @@ _CASTS = {"d": int, "shots": int, "seed": int, "max_iters": int, "rounds": int,
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags."""
+    """Defaults < config file < explicit flags.  `opts["given"]` names the
+    options a config file or a flag set."""
     opts = dict(_DEFAULTS)
     opts["shots"] = args.shots_default
+    given = set()
     if args.config:
         for k, v in read_config_file(args.config).items():
+            given.add(k)
             if k == "p_in":
                 try:
                     opts["p_in"] = [float(x) for x in v.replace(",", " ").split()]
@@ -122,8 +125,11 @@ def resolve_options(args: argparse.Namespace) -> dict:
         v = getattr(args, k, None)
         if v is not None:
             opts[k] = v
+            given.add(k)
     if args.p_in is not None:
         opts["p_in"] = list(args.p_in)
+        given.add("p_in")
+    opts["given"] = given
     opts["protocol"] = _protocol(str(opts["protocol"]))
     if opts["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown format {opts['format']!r}")
@@ -219,7 +225,7 @@ def cmd_subcircuit(opts: dict) -> int:
 
 def cmd_cost(opts: dict) -> int:
     lines = ["protocol,d,qubit_cycles"]
-    for d in (3, 5, 7, 9) if opts["d"] == _DEFAULTS["d"] else (opts["d"],):
+    for d in (opts["d"],) if "d" in opts["given"] else (3, 5, 7, 9):
         lines.append(f"{opts['protocol']},{d},{harness.qubit_cycles(opts['protocol'], d)}")
     _write(opts, "\n".join(lines) + "\n")
     return EXIT_OK

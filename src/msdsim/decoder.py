@@ -21,9 +21,21 @@ Ties between equal-weight pairings go to the lexicographically smallest pair
 list (defects in ascending order, the boundary before any partner), so
 decoding is deterministic; the lowest edge id wins between parallel edges.
 
-The cross-patch loop is incremental: after the first sweep it re-decodes only
-the graphs whose effective syndrome changed, and a graph whose syndrome is
-zero gets the shared empty correction without a call.
+The subset DP is memoised per graph: `f(S)`, the optimal weight of a set S
+of nodes, and the lowest node's choice are kept under S's node bitmask, so
+clusters that reach the same subset share it.  `f(S)` and its tie rule do not
+depend on which cluster reaches S, so the memo changes no pairing.  A call
+that leaves the memo above `MEMO_CAP` entries empties it.
+
+Each shot travels as bitsets in *slot order*: each graph's detectors take one
+contiguous range of slots, ascending, with the graphs in `graphs` order.
+`IterativeDecoder.pack_shots` packs a chunk's detector plane into one int per
+shot, and `syndrome_masks` cuts one such int into per-graph masks, one shift
+and mask per graph with a defect.  The cross-patch loop is incremental: its
+toggles are slot-order ints, each correction carries its foreign toggles
+resolved once, and after the first sweep it re-decodes only the graphs whose
+toggle range changed; a graph whose syndrome is zero gets the shared empty
+correction without a call.
 """
 from __future__ import annotations
 
@@ -40,6 +52,8 @@ from .dem import ErrorMechanism, _bits
 BOUNDARY = -1
 _DP_LIMIT = 14  # components with more defects use the blossom fallback
 CACHE_CAP = 2048  # component corrections kept per graph
+MEMO_CAP = 2048  # subset-DP states a graph keeps between calls
+_PACK_SHOTS = 2048  # shots per block when packing a detector plane
 
 
 @dataclass(frozen=True)
@@ -61,9 +75,7 @@ class Correction:
     obs_mask: int
     check_mask: int
     foreign_mask: int           # bit d set: global detector d toggles
-    # Per-graph `(key, local mask)` form of `foreign_mask`, resolved once by
-    # the IterativeDecoder that owns the graph.
-    toggles: tuple[tuple[tuple[int, str], int], ...] | None = None
+    toggles: int = 0            # `foreign_mask` in the owning decoder's slot order
 
     @property
     def edges(self) -> tuple[int, ...]:
@@ -74,20 +86,21 @@ class Correction:
         return _bits(self.foreign_mask)
 
 
-EMPTY = Correction(0, 0.0, 0, 0, 0, ())
+EMPTY = Correction(0, 0.0, 0, 0, 0, 0)
 
 
 def _xor(parts: list[Correction]) -> Correction:
     """The correction that applies all of `parts`: weights add, masks XOR."""
     weight = 0.0
-    edges = obs = chk = foreign = 0
+    edges = obs = chk = foreign = toggles = 0
     for p in parts:
         weight += p.weight
         edges ^= p.edge_mask
         obs ^= p.obs_mask
         chk ^= p.check_mask
         foreign ^= p.foreign_mask
-    return Correction(edges, weight, obs, chk, foreign, None if foreign else ())
+        toggles ^= p.toggles
+    return Correction(edges, weight, obs, chk, foreign, toggles)
 
 
 class MatchingGraph:
@@ -98,16 +111,26 @@ class MatchingGraph:
     rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
     `decode`, `component_hits`/`component_misses` those of components after a
-    syndrome miss."""
+    syndrome miss.
+
+    `slots[d]` is global detector d's slot in the owning decoder, the bit
+    a correction's `toggles` set for it; without `slots` it is d."""
 
     def __init__(self, num_nodes: int, edges: list[Edge],
-                 det_ids: tuple[int, ...] = (), key: tuple[int, str] | None = None):
+                 det_ids: tuple[int, ...] = (), key: tuple[int, str] | None = None,
+                 slots: list[int] | None = None):
         self.n = num_nodes
         self.edges = list(edges)
         self.det_ids = det_ids or tuple(range(num_nodes))
         self.key = key
+        self.slots = slots
         self.cache_cap = CACHE_CAP
+        self.memo_cap = MEMO_CAP
         self._cache: dict[int, Correction] = {}
+        # Subset-DP memo keyed by node bitmask: optimal weight, lowest node's
+        # partner (BOUNDARY: the boundary).
+        self._best: dict[int, float] = {0: 0.0}
+        self._choice: dict[int, int] = {}
         self._paths: dict[tuple[int, int], Correction] = {}
         self.syndrome_hits = self.syndrome_misses = 0
         self.component_hits = self.component_misses = 0
@@ -115,7 +138,8 @@ class MatchingGraph:
 
     @classmethod
     def from_mechanisms(cls, patch: int, basis: str, det_ids: tuple[int, ...],
-                        mechanisms: list[ErrorMechanism]) -> "MatchingGraph":
+                        mechanisms: list[ErrorMechanism],
+                        slots: list[int] | None = None) -> "MatchingGraph":
         local = {d: i for i, d in enumerate(det_ids)}
         edges = []
         for m in mechanisms:
@@ -130,7 +154,7 @@ class MatchingGraph:
             edges.append(Edge(eid=len(edges), u=u, v=v, weight=max(w, 0.0),
                               prob=m.prob, obs_mask=m.obs_mask,
                               check_mask=m.check_mask, foreign_dets=m.foreign_dets))
-        return cls(len(det_ids), edges, det_ids=det_ids, key=(patch, basis))
+        return cls(len(det_ids), edges, det_ids=det_ids, key=(patch, basis), slots=slots)
 
     def _prepare(self) -> None:
         # Node n acts as the boundary in the distance computation.
@@ -178,7 +202,8 @@ class MatchingGraph:
         correction."""
         part = self._paths.get((a, b))
         if part is None:
-            edges = obs = chk = foreign = 0
+            edges = obs = chk = foreign = toggles = 0
+            slots = self.slots
             for i in self._path_edges(a, b):
                 e = self.edges[i]
                 edges ^= 1 << i
@@ -186,7 +211,8 @@ class MatchingGraph:
                 chk ^= e.check_mask
                 for d in e.foreign_dets:
                     foreign ^= 1 << d
-            part = Correction(edges, float(self._dist[a, b]), obs, chk, foreign)
+                    toggles ^= 1 << (d if slots is None else slots[d])
+            part = Correction(edges, float(self._dist[a, b]), obs, chk, foreign, toggles)
             self._paths[(a, b)] = part
         return part
 
@@ -236,35 +262,39 @@ class MatchingGraph:
         """Optimal pairing of `defects` (ascending local ids) with each other
         and the boundary, as pairs sorted by their first elements.
 
-        Subset DP: the lowest defect of a set goes to the boundary or to the
-        first partner that beats every earlier choice by more than 1e-12, so
-        ties go to the lexicographically smallest pair list."""
-        k = len(defects)
-        if k > _DP_LIMIT:
+        Subset DP over the graph's memo: the lowest node of a set goes to the
+        boundary or to the first partner that beats every earlier choice by
+        more than 1e-12, so ties go to the lexicographically smallest pair
+        list."""
+        if len(defects) > _DP_LIMIT:
             return self._match_blossom(defects)
-        dist = self._dist
+        best, choice = self._best, self._choice
         n = self.n
-        to_b = [dist.item(a, n) for a in defects]
-        d = [[dist.item(a, b) for b in defects] for a in defects]
-        best = {0: 0.0}
-        choice: dict[int, int] = {}
+        m = n + 1
+        dist = memoryview(self._dist).cast("B").cast("d")  # row-major, m per row
+        get = best.get
 
         def solve(mask: int) -> float:
-            w = best.get(mask)
-            if w is not None:
-                return w
+            # `mask` is not in the memo; its subsets are looked up before
+            # any call, since most of them are.
             low = mask & -mask
             i = low.bit_length() - 1
             rest = mask ^ low
-            w = solve(rest) + to_b[i]
+            row = i * m
+            w = get(rest)
+            if w is None:
+                w = solve(rest)
+            w += dist[row + n]
             c = BOUNDARY
-            row = d[i]
-            m = rest
-            while m:
-                bit = m & -m
-                m ^= bit
+            r = rest
+            while r:
+                bit = r & -r
+                r ^= bit
                 j = bit.bit_length() - 1
-                cand = solve(rest ^ bit) + row[j]
+                cand = get(rest ^ bit)
+                if cand is None:
+                    cand = solve(rest ^ bit)
+                cand += dist[row + j]
                 if cand < w - 1e-12:
                     w = cand
                     c = j
@@ -272,21 +302,24 @@ class MatchingGraph:
             choice[mask] = c
             return w
 
-        full = (1 << k) - 1
-        if not math.isfinite(solve(full)):
-            raise RuntimeError("decode failure: defect cannot reach the boundary")
+        mask = 0
+        for a in defects:
+            mask |= 1 << a
+        w = get(mask)
+        if w is None:
+            w = solve(mask)
         pairs = []
-        mask = full
         while mask:
             low = mask & -mask
-            i = low.bit_length() - 1
             c = choice[mask]
-            if c == BOUNDARY:
-                pairs.append((defects[i], BOUNDARY))
-                mask ^= low
-            else:
-                pairs.append((defects[i], defects[c]))
-                mask ^= low | 1 << c
+            pairs.append((low.bit_length() - 1, c))
+            mask ^= low if c == BOUNDARY else low | 1 << c
+        if len(best) > self.memo_cap:
+            best.clear()
+            choice.clear()
+            best[0] = 0.0
+        if not math.isfinite(w):
+            raise RuntimeError("decode failure: defect cannot reach the boundary")
         return pairs
 
     def _match_blossom(self, defects: list[int]) -> list[tuple[int, int]]:
@@ -338,70 +371,90 @@ class IterativeDecoder:
         by_key: dict[tuple[int, str], list[int]] = {}
         for di, det in enumerate(circuit.detectors):
             by_key.setdefault((det.home_patch, det.basis), []).append(di)
-        # Per global detector: its graph and its bit in that graph's syndrome.
-        self.det_slot = [None] * len(circuit.detectors)
+        by_key = dict(sorted(by_key.items()))
+        # The global detector in each slot, and each detector's slot.
+        self._slot_dets = np.array([d for dets in by_key.values() for d in dets],
+                                   dtype=np.intp)
+        slots = [0] * len(circuit.detectors)
+        for s, d in enumerate(self._slot_dets.tolist()):
+            slots[d] = s
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
-        for key, dets in sorted(by_key.items()):
-            det_ids = tuple(dets)
-            for li, d in enumerate(det_ids):
-                self.det_slot[d] = (key, 1 << li)
-            self.graphs[key] = MatchingGraph.from_mechanisms(
-                key[0], key[1], det_ids, mechanisms)
+        # Per slot, for the slot's graph: (key, graph, first slot, mask of
+        # its width, mask clearing every slot up to its last).
+        self._slot_span: list[tuple] = []
+        lo = 0
+        for key, dets in by_key.items():
+            g = MatchingGraph.from_mechanisms(key[0], key[1], tuple(dets), mechanisms, slots)
+            hi = lo + len(dets)
+            self.graphs[key] = g
+            self._slot_span += [(key, g, lo, (1 << len(dets)) - 1, -1 << hi)] * len(dets)
+            lo = hi
 
-    def syndrome_masks(self, det_bits: np.ndarray) -> dict[tuple[int, str], int]:
-        """Split a full detector bit vector into per-graph bitmasks; graphs
-        without a defect are left out."""
-        out: dict[tuple[int, str], int] = {}
-        slots = self.det_slot
-        for d in np.flatnonzero(det_bits).tolist():
-            key, bit = slots[d]
-            out[key] = out.get(key, 0) | bit
+    def pack_shots(self, det: np.ndarray) -> list[int]:
+        """Per-shot slot-order ints of a (detectors, shots) bool plane: bit s
+        of a shot's int is the detector in slot s.  Packs `_PACK_SHOTS` shots
+        at a time, so no temporary is the size of the plane."""
+        nbytes = (len(self._slot_dets) + 7) // 8
+        out: list[int] = []
+        for lo in range(0, det.shape[1], _PACK_SHOTS):
+            block = np.packbits(det[self._slot_dets, lo:lo + _PACK_SHOTS], axis=0,
+                                bitorder="little")
+            buf = block.T.tobytes()
+            out += [int.from_bytes(buf[i:i + nbytes], "little")
+                    for i in range(0, len(buf), nbytes)]
         return out
 
-    def _foreign_toggles(self, corr: Correction):
-        """`corr.toggles`, resolved from its foreign detectors on first use."""
-        toggles: dict[tuple[int, str], int] = {}
-        for d in _bits(corr.foreign_mask):
-            key, bit = self.det_slot[d]
-            toggles[key] = toggles.get(key, 0) ^ bit
-        corr.toggles = tuple(toggles.items())
-        return corr.toggles
+    def syndrome_masks(self, shot: int) -> dict[tuple[int, str], int]:
+        """Split one shot's slot-order int into per-graph bitmasks; graphs
+        without a defect are left out."""
+        out: dict[tuple[int, str], int] = {}
+        spans = self._slot_span
+        while shot:
+            key, _, lo, full, clear = spans[(shot & -shot).bit_length() - 1]
+            out[key] = shot >> lo & full
+            shot &= clear
+        return out
 
     def decode_shot(self, raw: dict[tuple[int, str], int],
                     config: IterativeConfig = IterativeConfig()) -> DecodeResult:
         """Decode one shot's per-graph syndromes, iterating the foreign
-        toggles to a fixpoint or to `config.max_global_iters` sweeps."""
-        graphs = self.graphs
-        corrections = dict.fromkeys(graphs, EMPTY)
-        # `applied`: the toggles this iteration's syndromes carry; `toggles`:
-        # the foreign toggles of the current corrections.
-        applied = dict.fromkeys(graphs, 0)
-        toggles = applied.copy()
-        todo = [key for key, s in raw.items() if s]
-        obs = chk = 0
-        converged = False
-        iters = 0
-        for iters in range(1, config.max_global_iters + 1):
-            for key in todo:
-                s = raw.get(key, 0) ^ applied[key]
-                new = graphs[key].decode(s) if s else EMPTY
-                old = corrections[key]
+        toggles to a fixpoint or to `config.max_global_iters` sweeps.  The
+        result's `corrections` hold the graphs the loop decoded; every other
+        graph's correction is `EMPTY`."""
+        corrections: dict[tuple[int, str], Correction] = {}
+        obs = chk = toggles = 0
+        for key, s in raw.items():
+            if s:
+                new = corrections[key] = self.graphs[key].decode(s)
+                obs ^= new.obs_mask
+                chk ^= new.check_mask
+                toggles ^= new.toggles
+        # `toggles`: the foreign toggles of the current corrections;
+        # `applied`: those the last sweep's syndromes carried.  Both are
+        # slot-order ints, so a later sweep re-decodes the graphs whose
+        # range of `toggles ^ applied` is not zero.
+        spans = self._slot_span
+        applied = 0
+        iters = 1
+        while True:
+            changed = toggles ^ applied
+            if not changed or iters == config.max_global_iters:
+                break
+            iters += 1
+            applied = toggles
+            while changed:
+                key, g, lo, full, clear = spans[(changed & -changed).bit_length() - 1]
+                changed &= clear
+                s = raw.get(key, 0) ^ (applied >> lo & full)
+                new = g.decode(s) if s else EMPTY
+                old = corrections.get(key, EMPTY)
                 corrections[key] = new
                 obs ^= old.obs_mask ^ new.obs_mask
                 chk ^= old.check_mask ^ new.check_mask
-                for k, m in old.toggles:
-                    toggles[k] ^= m
-                t = new.toggles
-                for k, m in (self._foreign_toggles(new) if t is None else t):
-                    toggles[k] ^= m
-            if toggles == applied:
-                converged = True
-                break
-            todo = [key for key, m in toggles.items() if m != applied[key]]
-            applied = toggles.copy()
+                toggles ^= old.toggles ^ new.toggles
         return DecodeResult(corrections=corrections, obs_mask=obs,
                             check_mask=chk, iterations_used=iters,
-                            converged=converged)
+                            converged=not changed)
 
 
 def predict_outcome(result: DecodeResult, check_bits: int, obs_bits: int

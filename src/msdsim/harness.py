@@ -1,10 +1,11 @@
 """Monte Carlo experiment drivers: distillation, memory, and CNOT-block runs.
 
 Each driver builds its circuit's decoding pipeline once, then scores the
-shots of one shared loop (`_decoded_shots`): sample a chunk, unpack it,
-decode each shot, so memory does not grow with the shot count.  Counts carry
-Wilson-score confidence intervals.  Results serialize to CSV or JSON rows
-with the full parameter set and seed, so any row can be reproduced exactly.
+shots of one shared loop (`_decoded_shots`): sample a chunk, unpack it, pack
+each shot's detectors into one int, decode each shot, so memory does not grow
+with the shot count.  Counts carry Wilson-score confidence intervals.
+Results serialize to CSV or JSON rows with the full parameter set and seed,
+so any row can be reproduced exactly.
 """
 from __future__ import annotations
 
@@ -139,12 +140,11 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     itc = IterativeConfig(max_global_iters=config.max_iters)
     for k, done in enumerate(range(0, config.shots, CHUNK)):
         batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k, table)
-        det = batch.unpack(batch.det_bits)
+        det = dec.pack_shots(batch.unpack(batch.det_bits))
         chk = _shot_ints(batch.unpack(batch.check_bits))
         obs = _shot_ints(batch.unpack(batch.obs_bits))
-        for s in range(batch.num_shots):
-            res = dec.decode_shot(dec.syndrome_masks(det[:, s]), itc)
-            yield res, chk[s], obs[s]
+        for shot, c, o in zip(det, chk, obs):
+            yield dec.decode_shot(dec.syndrome_masks(shot), itc), c, o
 
 
 def run_distillation(config: ExperimentConfig,

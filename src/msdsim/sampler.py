@@ -66,7 +66,7 @@ class ShotBatch:
     injected: np.ndarray        # (num_resources, S) bool — which injections fired
 
     def unpack(self, plane: np.ndarray) -> np.ndarray:
-        return np.unpackbits(plane, axis=1, count=self.num_shots).astype(bool)
+        return np.unpackbits(plane, axis=1, count=self.num_shots).view(bool)
 
 
 @dataclass

@@ -4,12 +4,19 @@
 - `whole_syndrome_decode`: the decoder before syndromes were split into
   clusters.  One subset DP runs over all of a syndrome's defects (blossom above
   `_DP_LIMIT`), and the correction is read by scanning every edge of the graph.
+- `cluster_match`: the subset DP that `MatchingGraph._match` ran before its
+  states were memoised per graph: one top-down DP per cluster, with its own
+  distance tables.
+- `walk_syndrome_masks`: the per-shot split of a full detector bit vector
+  that the slot-order packing replaced, through a per-detector slot table.
 - `reference_decode_shot`: the cross-patch loop that re-decodes every graph
   on every iteration and resolves foreign detectors on every shot.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Correction, DecodeResult,
                             IterativeConfig, IterativeDecoder, MatchingGraph)
@@ -93,11 +100,91 @@ def whole_syndrome_decode(graph: MatchingGraph, syndrome: int) -> Correction:
     return Correction(edge_set, total, obs, chk, foreign)
 
 
+def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, int]]:
+    """Optimal pairing of `defects` (ascending local ids) with each other
+    and the boundary, as pairs sorted by their first elements.
+
+    Subset DP: the lowest defect of a set goes to the boundary or to the
+    first partner that beats every earlier choice by more than 1e-12, so
+    ties go to the lexicographically smallest pair list."""
+    k = len(defects)
+    if k > _DP_LIMIT:
+        return graph._match_blossom(defects)
+    dist = graph._dist
+    n = graph.n
+    to_b = [dist.item(a, n) for a in defects]
+    d = [[dist.item(a, b) for b in defects] for a in defects]
+    best = {0: 0.0}
+    choice: dict[int, int] = {}
+
+    def solve(mask: int) -> float:
+        w = best.get(mask)
+        if w is not None:
+            return w
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = mask ^ low
+        w = solve(rest) + to_b[i]
+        c = BOUNDARY
+        row = d[i]
+        m = rest
+        while m:
+            bit = m & -m
+            m ^= bit
+            j = bit.bit_length() - 1
+            cand = solve(rest ^ bit) + row[j]
+            if cand < w - 1e-12:
+                w = cand
+                c = j
+        best[mask] = w
+        choice[mask] = c
+        return w
+
+    full = (1 << k) - 1
+    if not math.isfinite(solve(full)):
+        raise RuntimeError("decode failure: defect cannot reach the boundary")
+    pairs = []
+    mask = full
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        c = choice[mask]
+        if c == BOUNDARY:
+            pairs.append((defects[i], BOUNDARY))
+            mask ^= low
+        else:
+            pairs.append((defects[i], defects[c]))
+            mask ^= low | 1 << c
+    return pairs
+
+
+def det_slots(decoder: IterativeDecoder) -> list[tuple[tuple[int, str], int]]:
+    """Per global detector: its graph's key and its bit in that graph's
+    syndrome, read off the graphs' `det_ids`."""
+    slots = [None] * len(decoder.circuit.detectors)
+    for key, g in decoder.graphs.items():
+        for li, d in enumerate(g.det_ids):
+            slots[d] = (key, 1 << li)
+    return slots
+
+
+def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
+                        det_bits: np.ndarray) -> dict[tuple[int, str], int]:
+    """Split a full detector bit vector into per-graph bitmasks through a
+    `det_slots` table; graphs without a defect are left out."""
+    out: dict[tuple[int, str], int] = {}
+    for d in np.flatnonzero(det_bits).tolist():
+        key, bit = slots[d]
+        out[key] = out.get(key, 0) | bit
+    return out
+
+
 def reference_decode_shot(decoder: IterativeDecoder,
                           raw: dict[tuple[int, str], int],
                           config: IterativeConfig = IterativeConfig()
                           ) -> DecodeResult:
     """The cross-patch loop, re-decoding every graph on every iteration."""
+    slots = det_slots(decoder)
     toggles = {key: 0 for key in decoder.graphs}
     corrections: dict[tuple[int, str], Correction] = {}
     converged = False
@@ -108,7 +195,7 @@ def reference_decode_shot(decoder: IterativeDecoder,
         new_toggles = {key: 0 for key in decoder.graphs}
         for corr in corrections.values():
             for d in corr.foreign_dets:
-                key, bit = decoder.det_slot[d]
+                key, bit = slots[d]
                 new_toggles[key] ^= bit
         if new_toggles == toggles:
             converged = True

@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdsim.builders import (NoiseModel, build_distillation_circuit,
-                             build_memory_circuit, build_se_round)
+from msdsim.builders import (MultiPatchBuilder, NoiseModel,
+                             build_distillation_circuit, build_memory_circuit)
 from msdsim.circuit import (Circuit, Detector, random_parities,
                             validate_annotations)
-from msdsim.layout import build_patch
+from msdsim.layout import PatchLayout, build_patch
 from msdsim.protocols import SEVEN_TO_ONE, build_protocol
 from tableau_oracle import reference_run
 from test_dem import _random_circuits
+
+
+def build_se_round(layout: PatchLayout, noise: NoiseModel) -> Circuit:
+    """A single detached syndrome-extraction round on one patch."""
+    b = MultiPatchBuilder({0: layout}, noise)
+    b.se_round([0])
+    return b.finish()
 
 
 def _varying_parities(circuit, seeds=32):

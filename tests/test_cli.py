@@ -105,6 +105,17 @@ class TestOutputs:
         assert lines[0] == "protocol,d,qubit_cycles"
         assert lines[1] == "FifteenToOne,3,999"
 
+    def test_cost_given_d_prints_one_row(self, capsys, tmp_path):
+        """A given d prints its row alone, also when it is the default d."""
+        code, out, _ = run_cli(capsys, "cost", "--d", "3")
+        assert code == EXIT_OK
+        assert out.strip().splitlines() == ["protocol,d,qubit_cycles", "SevenToOne,3,423"]
+        f = tmp_path / "run.cfg"
+        f.write_text("d=3\n")
+        code, out, _ = run_cli(capsys, "cost", "--config", str(f))
+        assert code == EXIT_OK
+        assert out.strip().splitlines() == ["protocol,d,qubit_cycles", "SevenToOne,3,423"]
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "res.csv"
         code, out, _ = run_cli(capsys, "analytic", "--p-in", "0.1",

@@ -4,14 +4,16 @@ against the whole-syndrome oracles in `matching_oracle`."""
 import numpy as np
 import pytest
 
-from matching_oracle import (brute_force_decode, reference_decode_shot,
+from matching_oracle import (brute_force_decode, cluster_match, det_slots,
+                             reference_decode_shot, walk_syndrome_masks,
                              whole_syndrome_decode)
+from msdsim import harness
 from msdsim.builders import NoiseModel, build_distillation_circuit, build_memory_circuit
-from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Edge, IterativeConfig,
+from msdsim.decoder import (_DP_LIMIT, BOUNDARY, EMPTY, Edge, IterativeConfig,
                             IterativeDecoder, MatchingGraph, predict_outcome)
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
-from msdsim.sampler import fault_table, sample
+from msdsim.sampler import CHUNK, fault_table, sample
 
 
 def _random_graph(rng: np.random.Generator, n: int) -> MatchingGraph:
@@ -91,6 +93,11 @@ def _pairs_weight(g: MatchingGraph, pairs) -> float:
     return sum(float(g._dist[a, g.n if b == BOUNDARY else b]) for a, b in pairs)
 
 
+def _split(dec: IterativeDecoder, det: np.ndarray) -> dict:
+    """Per-graph syndromes of one shot's detector bit vector."""
+    return dec.syndrome_masks(dec.pack_shots(det[:, None])[0])
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
@@ -105,7 +112,7 @@ class TestIterativeLoop:
 
     def test_trivial_shot_converges_in_one(self, pipeline):
         c, dec = pipeline
-        res = dec.decode_shot(dec.syndrome_masks(np.zeros(len(c.detectors), bool)))
+        res = dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool)))
         assert res.converged and res.iterations_used == 1
         assert res.obs_mask == 0 and res.check_mask == 0
 
@@ -121,7 +128,7 @@ class TestIterativeLoop:
             det = np.zeros(nd, dtype=bool)
             for i in m.home_dets + m.foreign_dets:
                 det[i] = True
-            res = dec.decode_shot(dec.syndrome_masks(det))
+            res = dec.decode_shot(_split(dec, det))
             assert res.check_mask == m.check_mask
             assert (res.obs_mask ^ m.obs_mask) & 1 == 0
 
@@ -133,7 +140,7 @@ class TestIterativeLoop:
         det = np.zeros(len(c.detectors), dtype=bool)
         for i in m.home_dets:
             det[i] = True
-        res = dec.decode_shot(dec.syndrome_masks(det))
+        res = dec.decode_shot(_split(dec, det))
         assert res.converged
         if any(corr.foreign_dets for corr in res.corrections.values()):
             assert res.iterations_used >= 2
@@ -142,7 +149,7 @@ class TestIterativeLoop:
         c, dec = pipeline
         rng = np.random.default_rng(3)
         det = rng.random(len(c.detectors)) < 0.05
-        res = dec.decode_shot(dec.syndrome_masks(det),
+        res = dec.decode_shot(_split(dec, det),
                               IterativeConfig(max_global_iters=1))
         assert res.iterations_used == 1
 
@@ -174,7 +181,7 @@ def sampled(request):
     dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
     batch = sample(c, 2000, seed=41)
     det = batch.unpack(batch.det_bits)
-    return dec, [dec.syndrome_masks(det[:, s]) for s in range(batch.num_shots)]
+    return dec, [dec.syndrome_masks(shot) for shot in dec.pack_shots(det)]
 
 
 def _recorded_decodes(dec: IterativeDecoder, shots) -> set[tuple]:
@@ -271,6 +278,111 @@ class TestClusterSplit:
             _check_correction(g, syndrome, got)
 
 
+def _fresh(g: MatchingGraph) -> MatchingGraph:
+    """A copy of `g` with empty caches and memo."""
+    return MatchingGraph(g.n, g.edges, g.det_ids, g.key, g.slots)
+
+
+class TestMemoisedMatch:
+    def test_sampled_clusters_match_per_cluster_dp(self, sampled, monkeypatch):
+        """Every cluster of 2000 sampled shots, matched on graphs whose memo
+        carries over from cluster to cluster, gets the per-cluster DP's pair
+        list exactly."""
+        dec, shots = sampled
+        decodes = sorted(_recorded_decodes(dec, shots))
+        fresh = {key: _fresh(g) for key, g in dec.graphs.items()}
+        seen = []
+        orig = MatchingGraph._match
+
+        def recording(self, defects):
+            pairs = orig(self, defects)
+            seen.append((self, list(defects), pairs))
+            return pairs
+
+        monkeypatch.setattr(MatchingGraph, "_match", recording)
+        for key, s in decodes:
+            fresh[key].decode(s)
+        monkeypatch.setattr(MatchingGraph, "_match", orig)
+        for g, defects, pairs in seen:
+            assert pairs == cluster_match(g, defects), (g.key, defects)
+        assert len(seen) > 500
+        shared = sum(len(g._best) for g in fresh.values())
+        print(f"{len(seen)} clusters; {shared} DP states kept over all graphs")
+
+    def test_random_ties_match_per_cluster_dp(self):
+        """Integer weights make equal-weight pairings common: the memo keeps
+        the per-cluster DP's tie rule on every subset it is asked for."""
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            n = int(rng.integers(6, 16))
+            edges = [Edge(eid=i, u=i, v=BOUNDARY, weight=float(rng.integers(1, 4)))
+                     for i in range(n)]
+            for _ in range(3 * n):
+                u, v = (int(x) for x in rng.integers(0, n, 2))
+                if u != v:
+                    edges.append(Edge(eid=len(edges), u=u, v=v,
+                                      weight=float(rng.integers(1, 3))))
+            g = MatchingGraph(n, edges)
+            for _ in range(40):
+                k = int(rng.integers(1, min(n, 10) + 1))
+                defects = sorted(rng.choice(n, size=k, replace=False).tolist())
+                assert g._match(defects) == cluster_match(g, defects), (trial, defects)
+
+    def test_memo_cap_holds_and_changes_nothing(self, sampled):
+        """A memo capped at 3 states and an uncapped one give the same
+        corrections; with the cluster cache off every decode runs the DP."""
+        dec, shots = sampled
+        decodes = sorted(_recorded_decodes(dec, shots[:300]))
+        grew = False
+        for key, g in dec.graphs.items():
+            assert len(g._best) <= g.memo_cap and len(g._choice) <= g.memo_cap
+            tiny, big = _fresh(g), _fresh(g)
+            tiny.memo_cap, big.memo_cap = 3, 10**9
+            tiny.cache_cap = big.cache_cap = 0
+            for k, s in decodes:
+                if k != key:
+                    continue
+                a, b = tiny.decode(s), big.decode(s)
+                assert (a.edge_mask, a.weight, a.obs_mask, a.check_mask,
+                        a.foreign_mask, a.toggles) == (b.edge_mask, b.weight, b.obs_mask,
+                                                       b.check_mask, b.foreign_mask,
+                                                       b.toggles)
+                assert len(tiny._best) <= 3 and len(tiny._choice) <= 3
+            grew |= len(big._best) > 3
+        assert grew
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+def test_packed_shots_split_like_the_walk(workload, monkeypatch):
+    """Over a run of two chunks whose length is no multiple of 8, every
+    shot's packed int splits into the masks the per-detector walk gives for
+    the same shot of one whole `sample` call."""
+    protocol, noise = _WORKLOADS[workload]
+    pipeline = harness.DecodingPipeline.build(
+        build_distillation_circuit(build_protocol(protocol), 3, noise))
+    dec = pipeline.decoder
+    shots = CHUNK + 13
+    got = []
+    orig = dec.syndrome_masks
+
+    def split(shot):
+        got.append(orig(shot))
+        return got[-1]
+
+    monkeypatch.setattr(dec, "syndrome_masks", split)
+    monkeypatch.setattr(dec, "decode_shot", lambda raw, config: None)
+    cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
+                                   p_in=noise.p_in, shots=shots, seed=17)
+    assert sum(1 for _ in harness._decoded_shots(pipeline, cfg)) == shots
+    batch = sample(pipeline.circuit, shots, cfg.seed, None, 0, pipeline.table)
+    det = batch.unpack(batch.det_bits)
+    slots = det_slots(dec)
+    assert len(got) == shots
+    for s in range(shots):
+        assert got[s] == walk_syndrome_masks(slots, det[:, s]), s
+    assert sum(map(bool, got)) > shots // 2
+
+
 class TestIncrementalLoop:
     @pytest.mark.parametrize("max_iters", [1, 2, 3])
     def test_matches_reference_loop(self, sampled, max_iters):
@@ -284,7 +396,7 @@ class TestIncrementalLoop:
             assert (got.obs_mask, got.check_mask, got.iterations_used,
                     got.converged) == (want.obs_mask, want.check_mask,
                                        want.iterations_used, want.converged), i
-            assert {k: c.edge_mask for k, c in got.corrections.items()} == \
+            assert {k: got.corrections.get(k, EMPTY).edge_mask for k in dec.graphs} == \
                 {k: c.edge_mask for k, c in want.corrections.items()}, i
 
 
@@ -318,7 +430,7 @@ class TestCaches:
     def test_zero_syndrome_reads_shared_empty_correction(self, pipeline):
         """A zero syndrome costs no decode call and no cache entry."""
         c, dec = pipeline
-        zero = dec.syndrome_masks(np.zeros(len(c.detectors), bool))
+        zero = _split(dec, np.zeros(len(c.detectors), bool))
         assert _recorded_decodes(dec, [zero]) == set()
         g = next(iter(dec.graphs.values()))
         before = (g.syndrome_hits, g.syndrome_misses, len(g._cache))

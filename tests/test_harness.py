@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from matching_oracle import det_slots, walk_syndrome_masks
 from msdsim import harness, sampler
 from msdsim.builders import build_distillation_circuit, build_memory_circuit
 from msdsim.decoder import IterativeConfig
@@ -96,8 +97,9 @@ class TestSurfaceDrivers:
         batch = sample(pipeline.circuit, cfg.shots, cfg.seed)
         det = batch.unpack(batch.det_bits)
         obs = batch.unpack(batch.obs_bits)
+        slots = det_slots(dec)
         for s in range(cfg.shots):
-            res = dec.decode_shot(dec.syndrome_masks(det[:, s]), itc)
+            res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), itc)
             want.record(True, bool((res.obs_mask & 1) != obs[0, s]), res.iterations_used)
         got = run_memory_baseline(cfg)
         assert want.errors > 0
