@@ -30,12 +30,12 @@ that leaves the memo above `MEMO_CAP` entries empties it.
 Each shot travels as bitsets in *slot order*: each graph's detectors take one
 contiguous range of slots, ascending, with the graphs in `graphs` order.
 `IterativeDecoder.pack_shots` packs a chunk's detector plane into one int per
-shot, and `syndrome_masks` cuts one such int into per-graph masks, one shift
-and mask per graph with a defect.  The cross-patch loop is incremental: its
-toggles are slot-order ints, each correction carries its foreign toggles
-resolved once, and after the first sweep it re-decodes only the graphs whose
-toggle range changed; a graph whose syndrome is zero gets the shared empty
-correction without a call.
+shot with `pack_rows`, the one per-shot packer, and `syndrome_masks` cuts one
+such int into per-graph masks, one shift and mask per graph with a defect.
+The cross-patch loop is incremental: its toggles are slot-order ints, each
+correction carries its foreign toggles resolved once, and after the first
+sweep it re-decodes only the graphs whose toggle range changed; a graph whose
+syndrome is zero gets the shared empty correction without a call.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ class Edge:
     u: int                      # local node index
     v: int                      # local node index or BOUNDARY
     weight: float
-    prob: float = 0.0
     obs_mask: int = 0
     check_mask: int = 0
     foreign_dets: tuple[int, ...] = ()
@@ -152,8 +151,8 @@ class MatchingGraph:
             v = local[m.home_dets[1]] if len(m.home_dets) == 2 else BOUNDARY
             w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
             edges.append(Edge(eid=len(edges), u=u, v=v, weight=max(w, 0.0),
-                              prob=m.prob, obs_mask=m.obs_mask,
-                              check_mask=m.check_mask, foreign_dets=m.foreign_dets))
+                              obs_mask=m.obs_mask, check_mask=m.check_mask,
+                              foreign_dets=m.foreign_dets))
         return cls(len(det_ids), edges, det_ids=det_ids, key=(patch, basis), slots=slots)
 
     def _prepare(self) -> None:
@@ -392,17 +391,8 @@ class IterativeDecoder:
 
     def pack_shots(self, det: np.ndarray) -> list[int]:
         """Per-shot slot-order ints of a (detectors, shots) bool plane: bit s
-        of a shot's int is the detector in slot s.  Packs `_PACK_SHOTS` shots
-        at a time, so no temporary is the size of the plane."""
-        nbytes = (len(self._slot_dets) + 7) // 8
-        out: list[int] = []
-        for lo in range(0, det.shape[1], _PACK_SHOTS):
-            block = np.packbits(det[self._slot_dets, lo:lo + _PACK_SHOTS], axis=0,
-                                bitorder="little")
-            buf = block.T.tobytes()
-            out += [int.from_bytes(buf[i:i + nbytes], "little")
-                    for i in range(0, len(buf), nbytes)]
-        return out
+        of a shot's int is the detector in slot s."""
+        return pack_rows(det, self._slot_dets)
 
     def syndrome_masks(self, shot: int) -> dict[tuple[int, str], int]:
         """Split one shot's slot-order int into per-graph bitmasks; graphs
@@ -455,6 +445,24 @@ class IterativeDecoder:
         return DecodeResult(corrections=corrections, obs_mask=obs,
                             check_mask=chk, iterations_used=iters,
                             converged=not changed)
+
+
+def pack_rows(plane: np.ndarray, order: np.ndarray | None = None) -> list[int]:
+    """Per-shot ints of a (rows, shots) bool plane: bit i of a shot's int is
+    row `order[i]` (row i without `order`).  Packs `_PACK_SHOTS` shots at a
+    time, so no temporary is the size of the plane."""
+    nbytes = ((plane.shape[0] if order is None else len(order)) + 7) // 8
+    if nbytes == 0:
+        return [0] * plane.shape[1]
+    out: list[int] = []
+    for lo in range(0, plane.shape[1], _PACK_SHOTS):
+        block = plane[:, lo:lo + _PACK_SHOTS]
+        if order is not None:
+            block = block[order]
+        buf = np.packbits(block, axis=0, bitorder="little").T.tobytes()
+        out += [int.from_bytes(buf[i:i + nbytes], "little")
+                for i in range(0, len(buf), nbytes)]
+    return out
 
 
 def predict_outcome(result: DecodeResult, check_bits: int, obs_bits: int

@@ -2,7 +2,7 @@
 
 `enumerate_error_mechanisms` reads the fault table (`sampler.fault_table`,
 the one reader of noise channels) and XORs, per site with p > 0 in forward
-order, the signature halves of each Pauli term's components (`TERMS`).  X and
+order, the signature rows of each Pauli term's components (`TERMS`).  X and
 Z frames never mix (the circuits use only resets and CNOTs), so each term's
 signature splits cleanly into an X-basis and a Z-basis component by column
 basis.  Components are merged by identical signature with XOR-combined

@@ -2,8 +2,9 @@
 
 Each driver builds its circuit's decoding pipeline once, then scores the
 shots of one shared loop (`_decoded_shots`): sample a chunk, unpack it, pack
-each shot's detectors into one int, decode each shot, so memory does not grow
-with the shot count.  Counts carry Wilson-score confidence intervals.
+each shot's detectors, checks and observables into one int each
+(`decoder.pack_rows`), decode each shot, so memory does not grow with the
+shot count.  Counts carry Wilson-score confidence intervals.
 Results serialize to CSV or JSON rows with the full parameter set and seed,
 so any row can be reproduced exactly.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from .builders import (NoiseModel, build_cnot_subcircuit_experiment,
                        build_distillation_circuit, build_memory_circuit)
 from .circuit import Circuit, validate_annotations
-from .decoder import IterativeConfig, IterativeDecoder, predict_outcome
+from .decoder import IterativeConfig, IterativeDecoder, pack_rows, predict_outcome
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
@@ -104,8 +105,9 @@ class ExperimentStats:
 class DecodingPipeline:
     """Circuit, fault table and decoder for one circuit: `build` checks the
     annotations exactly, builds the circuit's fault table, merges the error
-    mechanisms from it and builds the matching graphs.  Every shot the
-    pipeline decodes is sampled from its table, so no chunk rebuilds it.
+    mechanisms from it and builds the matching graphs.  The table's signature
+    rows serve both the merge and the sampler: every shot the pipeline
+    decodes is sampled from them, so no chunk rebuilds the table.
 
     Noise strengths are baked into the circuit's instructions, the table and
     the mechanism probabilities, so a pipeline is valid only for the noise it
@@ -119,14 +121,7 @@ class DecodingPipeline:
         validate_annotations(circuit)
         table = fault_table(circuit)
         mechanisms = enumerate_error_mechanisms(table)
-        table.sigs = None       # only the merge reads the signatures
         return cls(circuit, table, IterativeDecoder(circuit, mechanisms))
-
-
-def _shot_ints(plane: np.ndarray) -> list[int]:
-    """Per-shot ints of a (rows <= 64, shots) bit plane; bit i is row i."""
-    weights = np.left_shift(np.uint64(1), np.arange(plane.shape[0], dtype=np.uint64))
-    return (weights @ plane.astype(np.uint64)).tolist()
 
 
 def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
@@ -141,8 +136,8 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     for k, done in enumerate(range(0, config.shots, CHUNK)):
         batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k, table)
         det = dec.pack_shots(batch.unpack(batch.det_bits))
-        chk = _shot_ints(batch.unpack(batch.check_bits))
-        obs = _shot_ints(batch.unpack(batch.obs_bits))
+        chk = pack_rows(batch.unpack(batch.check_bits))
+        obs = pack_rows(batch.unpack(batch.obs_bits))
         for shot, c, o in zip(det, chk, obs):
             yield dec.decode_shot(dec.syndrome_masks(shot), itc), c, o
 

@@ -52,10 +52,7 @@ class ProtocolSpec:
 
 @dataclass
 class ShotRecord:
-    n_bits: np.ndarray
-    m_bits: np.ndarray
     accepted: bool
-    frame_offset: bool
     output_error: bool
 
 
@@ -144,8 +141,8 @@ def analytic_pout(kind: str, p: float) -> float:
 def _run_circuit(spec: ProtocolSpec, pattern: int, rng: np.random.Generator):
     """Tableau run of the |-> proxy circuit for one injected-error pattern.
 
-    Returns (n_bits, m_bits, m0, check_parities, frame_parity, observable_parity).
-    Parities are raw; callers compare against a noiseless reference run.
+    Returns (check_parities, observable_parity).  Parities are raw; callers
+    compare against a noiseless reference run.
     """
     nd = spec.num_data
     nr = spec.num_resources
@@ -161,9 +158,10 @@ def _run_circuit(spec: ProtocolSpec, pattern: int, rng: np.random.Generator):
     for j, r in spec.consumption:
         t.apply(CliffordGate("CNOT", (j, nd + r)))
     rbs = lambda: int(rng.integers(0, 2))
-    n_bits = np.zeros(nr, dtype=np.uint8)
+    # The resources are read out as in the protocol, though no parity below
+    # reads their bits.
     for r in range(nr):
-        n_bits[r] = t.measure(nd + r, "X", rbs)[0]
+        t.measure(nd + r, "X", rbs)
     m_bits = np.zeros(nd - 1, dtype=np.uint8)
     for j in range(1, nd):
         m_bits[j - 1] = t.measure(j, "X", rbs)[0]
@@ -183,12 +181,12 @@ def _run_circuit(spec: ProtocolSpec, pattern: int, rng: np.random.Generator):
     for j in spec.frame_rule:
         frame ^= int(m_bits[j - 1])
     observable = m0 ^ frame
-    return n_bits, m_bits, m0, tuple(checks), frame, observable
+    return tuple(checks), observable
 
 
 @lru_cache(maxsize=4)
-def _reference_parities(kind: str) -> tuple[tuple[int, ...], int, int]:
-    """(check parities, frame parity, observable parity) of the noiseless run.
+def _reference_parities(kind: str) -> tuple[tuple[int, ...], int]:
+    """(check parities, observable parity) of the noiseless run.
 
     Deterministic parities do not depend on the RNG; asserted here by running
     twice with different seeds.
@@ -198,8 +196,8 @@ def _reference_parities(kind: str) -> tuple[tuple[int, ...], int, int]:
     b = _run_circuit(spec, 0, np.random.default_rng(99))
     # Checks and the output observable are stabilizer parities; the frame-rule
     # parity alone is gauge (only its combination with m0 is deterministic).
-    assert a[3] == b[3] and a[5] == b[5], "reference parities not deterministic"
-    return a[3], a[4], a[5]
+    assert a == b, "reference parities not deterministic"
+    return a
 
 
 def run_logical_shot(spec: ProtocolSpec, pattern: int,
@@ -209,16 +207,9 @@ def run_logical_shot(spec: ProtocolSpec, pattern: int,
         raise ValueError("pattern out of range")
     if rng is None:
         rng = np.random.default_rng(0)
-    ref_checks, _ref_frame, ref_obs = _reference_parities(spec.kind)
-    n_bits, m_bits, _m0, checks, frame, obs = _run_circuit(spec, pattern, rng)
-    accepted = checks == ref_checks
-    return ShotRecord(
-        n_bits=n_bits,
-        m_bits=m_bits,
-        accepted=accepted,
-        frame_offset=bool(frame),
-        output_error=bool(obs ^ ref_obs),
-    )
+    ref_checks, ref_obs = _reference_parities(spec.kind)
+    checks, obs = _run_circuit(spec, pattern, rng)
+    return ShotRecord(accepted=checks == ref_checks, output_error=bool(obs ^ ref_obs))
 
 
 @dataclass
@@ -264,13 +255,13 @@ class OracleTable:
 
 def _single_error_flips(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-resource (check-flip mask, observable flip) from single-error tableau runs."""
-    ref_checks, _ref_frame, ref_obs = _reference_parities(spec.kind)
+    ref_checks, ref_obs = _reference_parities(spec.kind)
     k = spec.num_resources
     check_masks = np.zeros(k, dtype=np.int64)
     obs_flips = np.zeros(k, dtype=bool)
     rng = np.random.default_rng(7)
     for r in range(k):
-        _, _, _, checks, _, obs = _run_circuit(spec, 1 << r, rng)
+        checks, obs = _run_circuit(spec, 1 << r, rng)
         mask = 0
         for i, (c, rc) in enumerate(zip(checks, ref_checks)):
             if c != rc:

@@ -1,25 +1,23 @@
 """The fault table, and Monte Carlo shots by sparse fault sampling from it.
 
-Every emitted measurement/detector/check/observable bit is a *flip* relative
-to the noiseless reference execution (identically zero on a noiseless
-circuit).  `fault_table` is the one reader of noise channels.  One backward
-sensitivity sweep (`circuit.sweep_backward`) carries, per qubit, the columns
-an X or a Z error at that point would flip: each measurement's own column in
-the low `num_measurements` bits, the signature columns (detectors,
-observables, checks) holding it above them.  Each noise site reads its
-components off the sets at its site: the X and Z parts of every depolarized
-qubit, a measurement's own classical flip, an injection's joint Z.  The
-sampler reads the measurement half of each component; the error-mechanism
-merge (`dem`) reads the signature half.  Sites sharing a kind and a
-probability form a group.
+Every emitted detector/check/observable bit is a *flip* relative to the
+noiseless reference execution (identically zero on a noiseless circuit).
+`fault_table` is the one reader of noise channels.  One backward sensitivity
+sweep (`circuit.sweep_backward`) carries, per qubit, the signature columns
+(detectors, observables, checks; `signature_columns`) an X or a Z error at
+that point would flip.  Each noise site reads its components off the sets at
+its site: the X and Z parts of every depolarized qubit, a measurement's own
+classical flip, an injection's joint Z.  A component's row is its signature;
+the sampler and the error-mechanism merge (`dem`) read the same rows.  Sites
+sharing a kind and a probability form a group.
 
 Per chunk, each group's (site, shot) slots fire independently with
 probability p, drawn as geometric skips in bounded blocks (exact i.i.d.
 Bernoulli, never two draws of one slot); a fired slot picks a uniform
 non-identity Pauli term and XORs the rows of the components it applies into
-that shot's bit-packed measurement flips.  Detector, check and observable
-planes are XORs of packed measurement rows.  This is frame-free sampling from
-a detector-error-style table, as in Stim (Gidney, arXiv:2103.02202).
+that shot's column of one bit-packed signature plane, whose row ranges are the
+detector, observable and check planes.  This is frame-free sampling from a
+detector-error-style table, as in Stim (Gidney, arXiv:2103.02202).
 
 Shots are sampled in fixed-size chunks with per-chunk child seeds, so results
 are bit-exact reproducible for a given seed whether a run is drawn in one call
@@ -59,9 +57,8 @@ TERMS = {
 @dataclass
 class ShotBatch:
     num_shots: int
-    meas_bits: np.ndarray       # packed: (num_meas, ceil(S/8)) uint8
-    det_bits: np.ndarray        # packed likewise
-    check_bits: np.ndarray
+    det_bits: np.ndarray        # packed: (num_detectors, ceil(S/8)) uint8
+    check_bits: np.ndarray      # packed likewise
     obs_bits: np.ndarray
     injected: np.ndarray        # (num_resources, S) bool — which injections fired
 
@@ -71,8 +68,9 @@ class ShotBatch:
 
 @dataclass
 class FaultTable:
-    """Noise sites in forward order and their components' rows: the
-    sampler reads the measurement CSR, the merge the signatures."""
+    """Noise sites in forward order and their components' rows.  A row is a
+    signature, the columns of `signature_columns` it flips, held two ways:
+    as a CSR the sampler scatters and as a bitset the merge XORs."""
     circuit: Circuit
     kind: np.ndarray            # (sites,) int8 index into KINDS
     p: np.ndarray               # (sites,) float64
@@ -80,11 +78,9 @@ class FaultTable:
     rid: np.ndarray             # (sites,) int32 resource id of an INJECT_Z, else -1
     first: np.ndarray           # (sites,) int32: component c is comp_row[first + c]
     comp_row: np.ndarray        # int32 row id of each component; sites share rows
-    row_ptr: np.ndarray         # int32: row r flips row_meas[row_ptr[r]:row_ptr[r + 1]]
-    row_meas: np.ndarray        # int32
-    # Per row, its signature columns as a bitset: only the merge reads them,
-    # so a pipeline drops them once its mechanisms are built.
-    sigs: list[int] | None
+    row_ptr: np.ndarray         # int32: row r flips row_cols[row_ptr[r]:row_ptr[r + 1]]
+    row_cols: np.ndarray        # int32 columns, ascending within a row
+    sigs: list[int]             # row r's columns as a bitset
 
 
 def signature_columns(circuit: Circuit) -> list:
@@ -99,11 +95,10 @@ def fault_table(circuit: Circuit) -> FaultTable:
     can fire.  Raises ValueError on an INJECT_Z with no `circuit.injections`
     entry.
     """
-    nm = circuit.num_measurements
     nq = len(circuit.qubit_index())
     inj_rid = dict(circuit.injections)
-    col_row = [(1 << m) | (sig << nm) for m, sig in enumerate(
-        column_rows(circuit, signature_columns(circuit)))]
+    cols = signature_columns(circuit)
+    col_row = column_rows(circuit, cols)
     # Per site its kind, p, origin and rid, and per component its row id,
     # built in reverse: the sweep visits sites backwards.  Components with
     # equal bitsets (most sites between two gates on a qubit) share one row.
@@ -150,24 +145,22 @@ def fault_table(circuit: Circuit) -> FaultTable:
     ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
     first = (np.cumsum(ncomp) - ncomp).astype(np.int32)
 
-    # Rows to sorted measurement indices, a block of rows at a time: find the
+    # Rows to sorted column indices, a block of rows at a time: find the
     # nonzero 64-bit words of each row, then their bits.
-    nwords = nm // 64 + 1     # at least one, so rows with no measurements still reshape
-    meas_mask = (1 << nm) - 1
-    row_of, row_meas = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    nwords = len(cols) // 64 + 1     # at least one, so rows with no columns still reshape
+    row_of, row_cols = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     for lo in range(0, len(rows), 1024):
-        blob = b"".join((r & meas_mask).to_bytes(8 * nwords, "little")
-                        for r in rows[lo:lo + 1024])
+        blob = b"".join(r.to_bytes(8 * nwords, "little") for r in rows[lo:lo + 1024])
         r_i, w_i = np.nonzero(np.frombuffer(blob, dtype="<u8").reshape(-1, nwords))
         words = np.frombuffer(blob, dtype=np.uint8).reshape(-1, nwords, 8)[r_i, w_i]
         e, bit = np.divmod(np.flatnonzero(
             np.unpackbits(words, axis=1, bitorder="little").view(bool)), 64)
         row_of.append((lo + r_i[e]).astype(np.int32))
-        row_meas.append((w_i[e] * 64 + bit).astype(np.int32))
+        row_cols.append((w_i[e] * 64 + bit).astype(np.int32))
     row_ptr = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum(np.bincount(np.concatenate(row_of), minlength=len(rows)), out=row_ptr[1:])
     return FaultTable(circuit, kind, p, origin, rid, first, comp_row, row_ptr,
-                      np.concatenate(row_meas), [r >> nm for r in rows])
+                      np.concatenate(row_cols), rows)
 
 
 def _groups(table: FaultTable):
@@ -202,19 +195,19 @@ def _xor_rows(plane: np.ndarray, table: FaultTable, rows: np.ndarray,
     total = int(lens.sum())
     if total == 0:
         return
-    # Position in row_meas of every (event, member) pair.
+    # Position in row_cols of every (event, member) pair.
     pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
     s = np.repeat(shots, lens)
     # int64 before the multiply: the table's int32 indices times the plane
     # width need not fit in int32.
-    flat = table.row_meas[pos].astype(np.int64) * plane.shape[1] + (s >> 3)
+    flat = table.row_cols[pos].astype(np.int64) * plane.shape[1] + (s >> 3)
     np.bitwise_xor.at(plane.reshape(-1), flat, _BIT[s & 7])
 
 
 def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
                   rng: np.random.Generator, forced: np.ndarray | None) -> tuple:
     circuit = table.circuit
-    meas = np.zeros((circuit.num_measurements, (shots + 7) // 8), dtype=np.uint8)
+    plane = np.zeros((len(signature_columns(circuit)), (shots + 7) // 8), dtype=np.uint8)
     injected = np.zeros((len(circuit.injections), shots), dtype=bool)
     for kind, p, comps, rids in groups:
         terms = TERMS[kind]
@@ -233,16 +226,8 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
                 site, shot = site[ev], shot[ev]
             else:
                 comp = np.zeros_like(site)
-            _xor_rows(meas, table, comps[site, comp], shot)
-    return meas, injected
-
-
-def _parities(meas: np.ndarray, sets) -> np.ndarray:
-    out = np.zeros((len(sets), meas.shape[1]), dtype=meas.dtype)
-    for si, s in enumerate(sets):
-        for m in s.meas:
-            out[si] ^= meas[m]
-    return out
+            _xor_rows(plane, table, comps[site, comp], shot)
+    return plane, injected
 
 
 def sample(circuit: Circuit, shots: int, seed: int,
@@ -260,6 +245,7 @@ def sample(circuit: Circuit, shots: int, seed: int,
     if table is None:
         table = fault_table(circuit)
     groups = list(_groups(table))
+    nd, no = len(circuit.detectors), len(circuit.observables)
     chunks = []
     # At least one chunk, so zero shots still give planes of the right height.
     for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
@@ -268,8 +254,9 @@ def sample(circuit: Circuit, shots: int, seed: int,
         forced = None
         if forced_injections is not None:
             forced = forced_injections[:, done:done + n]
-        meas, injected = _sample_chunk(table, groups, n, rng, forced)
-        chunks.append([meas] + [_parities(meas, sets) for sets in (
-            circuit.detectors, circuit.checks, circuit.observables)] + [injected])
+        plane, injected = _sample_chunk(table, groups, n, rng, forced)
+        # Signature rows run detectors, observables, checks; ShotBatch's
+        # fields run detectors, checks, observables.
+        chunks.append((plane[:nd], plane[nd + no:], plane[nd:nd + no], injected))
     # CHUNK is a multiple of 8, so the chunks' packed planes join byte-aligned.
     return ShotBatch(shots, *(np.concatenate(planes, axis=1) for planes in zip(*chunks)))

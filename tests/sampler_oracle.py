@@ -89,6 +89,6 @@ def sample(circuit: Circuit, shots: int, seed: int) -> ShotBatch:
     """`shots` reference-relative shots in one frame-simulated chunk."""
     meas, injected = _sample_chunk(circuit, shots, np.random.default_rng(seed),
                                    circuit.qubit_index(), None)
-    bits = [meas] + [_parities(meas, sets) for sets in (
+    bits = [_parities(meas, sets) for sets in (
         circuit.detectors, circuit.checks, circuit.observables)]
     return ShotBatch(shots, *(np.packbits(b, axis=1) for b in bits), injected)

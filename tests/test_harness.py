@@ -6,7 +6,8 @@ import pytest
 
 from matching_oracle import det_slots, walk_syndrome_masks
 from msdsim import harness, sampler
-from msdsim.builders import build_distillation_circuit, build_memory_circuit
+from msdsim.builders import (NoiseModel, build_distillation_circuit,
+                             build_memory_circuit)
 from msdsim.decoder import IterativeConfig
 from msdsim.harness import (DecodingPipeline, ExperimentConfig,
                             ExperimentStats, emit_results, qubit_cycles,
@@ -141,6 +142,23 @@ class TestCostModel:
 
     def test_reference_point(self):
         assert qubit_cycles(SEVEN_TO_ONE, 3) == 423
+
+    @pytest.mark.parametrize("kind", [SEVEN_TO_ONE, FIFTEEN_TO_ONE])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_matches_built_circuit(self, kind, d):
+        """Each patch of the built circuit measures its d^2 - 1 ancillas once
+        per round and has d^2 data qubits; the data-qubit-rounds summed over
+        patches are `qubit_cycles`."""
+        circ = build_distillation_circuit(build_protocol(kind), d, NoiseModel(1e-3, 0.01))
+        ancilla_meas: dict[int, int] = {}
+        for patch, q, _ in circ.meas_addr:
+            if q >= circ.layouts[patch].num_data:
+                ancilla_meas[patch] = ancilla_meas.get(patch, 0) + 1
+        cycles = 0
+        for n in ancilla_meas.values():
+            assert n % (d * d - 1) == 0
+            cycles += n // (d * d - 1) * d * d
+        assert cycles == qubit_cycles(kind, d)
 
 
 class TestResultEmission:

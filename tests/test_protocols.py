@@ -77,8 +77,8 @@ class TestOracle:
         assert int(exhaustive_oracle(FIFTEEN_TO_ONE).accepted.sum()) == 2048
 
     def test_zero_pattern(self):
-        # frame_offset is the raw Clifford-correction parity (gauge), so only
-        # acceptance and the output error are pinned here.
+        # A shot record is its acceptance and output error; the raw
+        # Clifford-correction (frame) parity is gauge, so no record holds it.
         for kind in (SEVEN_TO_ONE, FIFTEEN_TO_ONE):
             rec = run_logical_shot(build_protocol(kind), 0)
             assert rec.accepted and not rec.output_error

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.stats import binom, chi2_contingency, chisquare
 
 from dem_oracle import forward_faults
@@ -20,7 +21,8 @@ from msdsim.harness import DecodingPipeline
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                               exhaustive_oracle)
-from msdsim.sampler import CHUNK, KINDS, TERMS, fault_table, sample
+from msdsim.sampler import (CHUNK, KINDS, TERMS, fault_table, sample,
+                            signature_columns)
 
 
 class TestReproducibility:
@@ -28,7 +30,6 @@ class TestReproducibility:
         c = build_memory_circuit(3, 3, NoiseModel(0.005))
         a = sample(c, 3000, seed=99)
         b = sample(c, 3000, seed=99)
-        assert np.array_equal(a.meas_bits, b.meas_bits)
         assert np.array_equal(a.det_bits, b.det_bits)
         assert np.array_equal(a.obs_bits, b.obs_bits)
 
@@ -41,7 +42,6 @@ class TestReproducibility:
     def test_noiseless_all_zero(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.0))
         batch = sample(c, 500, seed=0)
-        assert not batch.unpack(batch.meas_bits).any()
         assert not batch.unpack(batch.det_bits).any()
         assert not batch.unpack(batch.obs_bits).any()
 
@@ -67,7 +67,7 @@ class TestChunking:
         whole = sample(c, shots, 7)
         parts = [sample(c, min(CHUNK, shots - done), 7, None, k)
                  for k, done in enumerate(range(0, shots, CHUNK))]
-        for name in ("meas_bits", "det_bits", "check_bits", "obs_bits", "injected"):
+        for name in ("det_bits", "check_bits", "obs_bits", "injected"):
             joined = np.concatenate([getattr(b, name) for b in parts], axis=1)
             assert np.array_equal(getattr(whole, name), joined), name
         assert whole.unpack(whole.check_bits).shape == (len(c.checks), shots)
@@ -141,30 +141,43 @@ class TestForcedInjections:
         for k in (0, 3):
             a = sample(c, 2000, 17, None, k, table)
             b = sample(c, 2000, 17, None, k)
-            for name in ("meas_bits", "det_bits", "check_bits", "obs_bits", "injected"):
+            for name in ("det_bits", "check_bits", "obs_bits", "injected"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (k, name)
 
 
 def _assert_table_equals_oracle(circuit: Circuit) -> None:
-    """The measurement rows of the table's p > 0 faults, in forward order
-    (the XOR of each term's component rows), equal `forward_faults`'."""
+    """The signature rows of the table's p > 0 faults, in forward order (the
+    XOR of each term's component rows), equal `forward_faults`' measurement
+    flips projected onto `signature_columns`, read both off the CSR and off
+    the `sigs` bitsets."""
     table = fault_table(circuit)
-    got = []
+    cols = signature_columns(circuit)
+    csr, ints = [], []
     for kind, p, first in zip(table.kind, table.p, table.first):
         if p == 0:
             continue
         for term in TERMS[KINDS[kind]]:
-            row = np.zeros(circuit.num_measurements, dtype=bool)
+            row, sig = np.zeros(len(cols), dtype=bool), 0
             for r in table.comp_row[first + np.flatnonzero(term)]:
-                row[table.row_meas[table.row_ptr[r]:table.row_ptr[r + 1]]] ^= True
-            got.append(row)
+                row[table.row_cols[table.row_ptr[r]:table.row_ptr[r + 1]]] ^= True
+                sig ^= table.sigs[r]
+            csr.append(row)
+            ints.append(sig)
     _, flips = forward_faults(circuit)
-    assert np.array_equal(np.array(got, dtype=bool).reshape(flips.shape), flips)
+    # member[m, c]: how often measurement m is in column c (a repeat cancels).
+    member = coo_matrix((np.ones(sum(len(s.meas) for s in cols), dtype=np.int64),
+                         ([m for s in cols for m in s.meas],
+                          [c for c, s in enumerate(cols) for _ in s.meas])),
+                        shape=(circuit.num_measurements, len(cols))).tocsr()
+    want = (csr_matrix(flips, dtype=np.int64) @ member).toarray() % 2 == 1
+    assert np.array_equal(np.array(csr, dtype=bool).reshape(want.shape), want)
+    assert ints == [int.from_bytes(np.packbits(w, bitorder="little").tobytes(), "little")
+                    for w in want]
 
 
 class TestFaultTable:
-    """Every elementary fault's measurement flips, read off the backward
-    sweep's component rows, equal forward propagation of that fault."""
+    """Every elementary fault's signature, read off the backward sweep's
+    component rows, equals forward propagation of that fault."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
     def test_builder_circuits_equal_oracle(self, name):
@@ -177,10 +190,11 @@ class TestFaultTable:
 
 
 def _flip_circuit(p: float, n: int = 40) -> Circuit:
-    """`n` measurements of one qubit, each with classical flip probability p."""
+    """`n` measurements of one qubit, each with classical flip probability p
+    and its own check, so the check plane carries the flips."""
     c = Circuit(layouts={0: build_patch(3)})
-    for _ in range(n):
-        c.measure(0, 0, "Z", p)
+    for i in range(n):
+        c.checks.append(ParitySet(meas=(c.measure(0, 0, "Z", p),), id=i))
     return c
 
 
@@ -191,7 +205,7 @@ class TestBernoulli:
         the upper tail."""
         n, p, shots = 40, 0.3, 20_000
         batch = sample(_flip_circuit(p, n), shots, seed=4)
-        counts = batch.unpack(batch.meas_bits).sum(axis=0)
+        counts = batch.unpack(batch.check_bits).sum(axis=0)
         sigma = np.sqrt(n * p * (1 - p) / shots)
         assert abs(counts.mean() - n * p) < 5 * sigma
         hist = np.bincount(counts, minlength=n + 1)
@@ -206,7 +220,7 @@ class TestBernoulli:
         shots = CHUNK + 37
         batch = sample(_flip_circuit(p, 5), shots, seed=4)
         want = np.packbits(np.full((5, shots), p == 1.0), axis=1)
-        assert np.array_equal(batch.meas_bits, want)
+        assert np.array_equal(batch.check_bits, want)
 
     def test_memory_bounded_at_any_noise(self):
         """Fired slots are processed in bounded blocks: at p = 0.5 and 1 the
@@ -245,7 +259,7 @@ class TestAgainstFrameOracle:
     def test_row_rates(self, batches):
         a, b = batches
         n = a.num_shots
-        for name in ("meas_bits", "det_bits", "check_bits", "obs_bits"):
+        for name in ("det_bits", "check_bits", "obs_bits"):
             ka = a.unpack(getattr(a, name)).sum(axis=1)
             kb = b.unpack(getattr(b, name)).sum(axis=1)
             pooled = (ka + kb) / (2 * n)
