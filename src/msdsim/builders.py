@@ -196,20 +196,13 @@ def build_memory_circuit(d: int, rounds: int, noise: NoiseModel) -> Circuit:
     return b.finish()
 
 
-def _data_patch_ids(spec: ProtocolSpec) -> list[int]:
-    return list(range(spec.num_data))
-
-
-def _resource_patch_id(spec: ProtocolSpec, r: int) -> int:
-    return spec.num_data + r
-
-
 def _apply_protocol_layers(b: MultiPatchBuilder, spec: ProtocolSpec,
-                           data_patches: list[int]) -> None:
-    """Init + SE round, then each barrier group of transversal CNOTs followed
-    by one SE round on the data patches."""
-    for q in data_patches:
-        b.init_patch(q, "+" if q in spec.init_plus else "0")
+                           init: dict[int, str]) -> None:
+    """Init each data patch q to `init[q]` + SE round, then each barrier
+    group of transversal CNOTs followed by one SE round on the data patches."""
+    data_patches = list(init)
+    for q, basis in init.items():
+        b.init_patch(q, basis)
     b.se_round(data_patches)
     for layer in cnot_sublayers(spec):
         for sub in layer:
@@ -226,15 +219,16 @@ def build_distillation_circuit(spec: ProtocolSpec, d: int, noise: NoiseModel) ->
     k = spec.num_resources
     all_patches = list(range(spec.num_data + k))
     b = MultiPatchBuilder({p: lay for p in all_patches}, noise)
-    data_patches = _data_patch_ids(spec)
-    _apply_protocol_layers(b, spec, data_patches)
+    _apply_protocol_layers(b, spec, {q: "+" if q in spec.init_plus else "0"
+                                     for q in range(spec.num_data)})
     # Resource preparation is noise-exempt; input errors are injected logical Zs.
+    # Resource r lives on patch num_data + r.
     for j, r in spec.consumption:
-        rp = _resource_patch_id(spec, r)
+        rp = spec.num_data + r
         b.init_patch(rp, "-", noisy=False)
         b.inject_logical_z(rp, r)
     for j, r in spec.consumption:
-        b.transversal_cnot(j, _resource_patch_id(spec, r))
+        b.transversal_cnot(j, spec.num_data + r)
     b.se_round(all_patches)
 
     m_chain: dict[int, tuple[int, ...]] = {}
@@ -318,16 +312,9 @@ def build_cnot_subcircuit_experiment(spec: ProtocolSpec, d: int, noise: NoiseMod
     if basis not in ("X", "Z"):
         raise ValueError("basis must be 'X' or 'Z'")
     lay = build_patch(d)
-    data_patches = _data_patch_ids(spec)
+    data_patches = list(range(spec.num_data))
     b = MultiPatchBuilder({p: lay for p in data_patches}, noise)
-    for q in data_patches:
-        b.init_patch(q, "+" if basis == "X" else "0")
-    b.se_round(data_patches)
-    for layer in cnot_sublayers(spec):
-        for sub in layer:
-            for c, t in sub:
-                b.transversal_cnot(c, t)
-        b.se_round(data_patches)
+    _apply_protocol_layers(b, spec, dict.fromkeys(data_patches, "+" if basis == "X" else "0"))
     b.se_round(data_patches)  # stand-in for the consumption-stage round
     c = b.circuit
     chain_support = lay.logical_x_support if basis == "X" else lay.logical_z_support

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Magic-state distillation simulation and decoding toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, shots_default=10_000):
+    def common(p):
         p.add_argument("--config", help="key=value config file (flags override)")
         p.add_argument("--protocol", default=None, help="7to1 or 15to1")
         p.add_argument("--d", type=int, default=None, help="code distance")
@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="memory experiment round count")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.set_defaults(shots_default=shots_default)
         return p
 
     common(sub.add_parser("analytic", help="closed-form output error tables"))

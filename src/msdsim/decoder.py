@@ -2,10 +2,11 @@
 
 Each (patch, measurement-basis) pair gets its own matching graph built from
 the mechanisms originating on that patch; detector flips a mechanism causes on
-*other* patches ride along as foreign signatures.  A global decode sweeps all
-graphs, XORs the foreign signatures of the chosen corrections into the other
-patches' effective syndromes, and repeats to a fixpoint (or the iteration
-cap).
+*other* patches ride along on its edge as foreign toggles.  A global decode
+sweeps all graphs, XORs the foreign toggles of the chosen corrections into the
+other patches' effective syndromes, and repeats to a fixpoint (or the
+iteration cap).  A `MatchingGraph` is nodes and edges only; the
+`IterativeDecoder` alone maps detectors to graphs, nodes and slots.
 
 Matching is exact, and its cost follows the defects rather than the graph.
 Pairwise distances come from one Dijkstra per graph at set-up.  A defect pair
@@ -32,10 +33,11 @@ contiguous range of slots, ascending, with the graphs in `graphs` order.
 `IterativeDecoder.pack_shots` packs a chunk's detector plane into one int per
 shot with `pack_rows`, the one per-shot packer, and `syndrome_masks` cuts one
 such int into per-graph masks, one shift and mask per graph with a defect.
-The cross-patch loop is incremental: its toggles are slot-order ints, each
-correction carries its foreign toggles resolved once, and after the first
-sweep it re-decodes only the graphs whose toggle range changed; a graph whose
-syndrome is zero gets the shared empty correction without a call.
+Each edge's foreign toggles are one slot-order int, set once at build, so a
+correction's toggles are the XOR of its edges'.  The cross-patch loop is
+incremental: after the first sweep it re-decodes only the graphs whose toggle
+range changed; a graph whose syndrome is zero gets the shared empty correction
+without a call.
 """
 from __future__ import annotations
 
@@ -47,7 +49,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .circuit import Circuit
-from .dem import ErrorMechanism, _bits
+from .dem import ErrorMechanism
+from .sampler import _bits
 
 BOUNDARY = -1
 _DP_LIMIT = 14  # components with more defects use the blossom fallback
@@ -58,13 +61,13 @@ _PACK_SHOTS = 2048  # shots per block when packing a detector plane
 
 @dataclass(frozen=True)
 class Edge:
-    eid: int
+    """A graph edge; its id is its index in the graph's `edges`."""
     u: int                      # local node index
     v: int                      # local node index or BOUNDARY
     weight: float
     obs_mask: int = 0
     check_mask: int = 0
-    foreign_dets: tuple[int, ...] = ()
+    toggles: int = 0            # foreign detectors it flips, in slot order
 
 
 @dataclass(slots=True)
@@ -73,56 +76,42 @@ class Correction:
     weight: float
     obs_mask: int
     check_mask: int
-    foreign_mask: int           # bit d set: global detector d toggles
-    toggles: int = 0            # `foreign_mask` in the owning decoder's slot order
+    toggles: int                # foreign detectors it flips, in slot order
 
     @property
     def edges(self) -> tuple[int, ...]:
         return _bits(self.edge_mask)
 
-    @property
-    def foreign_dets(self) -> tuple[int, ...]:
-        return _bits(self.foreign_mask)
 
-
-EMPTY = Correction(0, 0.0, 0, 0, 0, 0)
+EMPTY = Correction(0, 0.0, 0, 0, 0)
 
 
 def _xor(parts: list[Correction]) -> Correction:
     """The correction that applies all of `parts`: weights add, masks XOR."""
     weight = 0.0
-    edges = obs = chk = foreign = toggles = 0
+    edges = obs = chk = toggles = 0
     for p in parts:
         weight += p.weight
         edges ^= p.edge_mask
         obs ^= p.obs_mask
         chk ^= p.check_mask
-        foreign ^= p.foreign_mask
         toggles ^= p.toggles
-    return Correction(edges, weight, obs, chk, foreign, toggles)
+    return Correction(edges, weight, obs, chk, toggles)
 
 
 class MatchingGraph:
-    """Matching graph over one home patch's detectors of one basis.
+    """Matching graph over `num_nodes` nodes and the boundary.
 
     One cache, keyed by defect bitmask, holds the corrections of components;
     a syndrome that is one component is its own key, and one with several is
     rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
     `decode`, `component_hits`/`component_misses` those of components after a
-    syndrome miss.
+    syndrome miss."""
 
-    `slots[d]` is global detector d's slot in the owning decoder, the bit
-    a correction's `toggles` set for it; without `slots` it is d."""
-
-    def __init__(self, num_nodes: int, edges: list[Edge],
-                 det_ids: tuple[int, ...] = (), key: tuple[int, str] | None = None,
-                 slots: list[int] | None = None):
+    def __init__(self, num_nodes: int, edges: list[Edge]):
         self.n = num_nodes
         self.edges = list(edges)
-        self.det_ids = det_ids or tuple(range(num_nodes))
-        self.key = key
-        self.slots = slots
         self.cache_cap = CACHE_CAP
         self.memo_cap = MEMO_CAP
         self._cache: dict[int, Correction] = {}
@@ -135,41 +124,23 @@ class MatchingGraph:
         self.component_hits = self.component_misses = 0
         self._prepare()
 
-    @classmethod
-    def from_mechanisms(cls, patch: int, basis: str, det_ids: tuple[int, ...],
-                        mechanisms: list[ErrorMechanism],
-                        slots: list[int] | None = None) -> "MatchingGraph":
-        local = {d: i for i, d in enumerate(det_ids)}
-        edges = []
-        for m in mechanisms:
-            if m.origin_patch != patch or m.basis != basis or not m.home_dets:
-                continue
-            if len(m.home_dets) > 2:
-                raise ValueError(
-                    f"mechanism with {len(m.home_dets)} home detectors is unmatchable")
-            u = local[m.home_dets[0]]
-            v = local[m.home_dets[1]] if len(m.home_dets) == 2 else BOUNDARY
-            w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
-            edges.append(Edge(eid=len(edges), u=u, v=v, weight=max(w, 0.0),
-                              obs_mask=m.obs_mask, check_mask=m.check_mask,
-                              foreign_dets=m.foreign_dets))
-        return cls(len(det_ids), edges, det_ids=det_ids, key=(patch, basis), slots=slots)
-
     def _prepare(self) -> None:
-        # Node n acts as the boundary in the distance computation.
+        # Per node pair, the first of its lightest edges; node n acts as the
+        # boundary in the distance computation.
         n = self.n
-        best: dict[tuple[int, int], Edge] = {}
-        for e in self.edges:
+        edges = self.edges
+        best: dict[tuple[int, int], int] = {}
+        for i, e in enumerate(edges):
             v = n if e.v == BOUNDARY else e.v
             k = (min(e.u, v), max(e.u, v))
             cur = best.get(k)
-            if cur is None or (e.weight, e.eid) < (cur.weight, cur.eid):
-                best[k] = e
+            if cur is None or e.weight < edges[cur].weight:
+                best[k] = i
         self._pair_edge = best
         if best:
             rows = [k[0] for k in best]
             cols = [k[1] for k in best]
-            w = [best[k].weight for k in best]
+            w = [edges[i].weight for i in best.values()]
             adj = coo_matrix((w + w, (rows + cols, cols + rows)), shape=(n + 1, n + 1))
             self._dist, self._pred = dijkstra(adj.tocsr(), directed=False,
                                               return_predecessors=True)
@@ -192,7 +163,7 @@ class MatchingGraph:
             if prev < 0:
                 raise RuntimeError("defect unreachable: disconnected matching graph")
             k = (min(prev, cur), max(prev, cur))
-            out.append(self._pair_edge[k].eid)
+            out.append(self._pair_edge[k])
             cur = prev
         return tuple(out)
 
@@ -201,17 +172,14 @@ class MatchingGraph:
         correction."""
         part = self._paths.get((a, b))
         if part is None:
-            edges = obs = chk = foreign = toggles = 0
-            slots = self.slots
+            edges = obs = chk = toggles = 0
             for i in self._path_edges(a, b):
                 e = self.edges[i]
                 edges ^= 1 << i
                 obs ^= e.obs_mask
                 chk ^= e.check_mask
-                for d in e.foreign_dets:
-                    foreign ^= 1 << d
-                    toggles ^= 1 << (d if slots is None else slots[d])
-            part = Correction(edges, float(self._dist[a, b]), obs, chk, foreign, toggles)
+                toggles ^= e.toggles
+            part = Correction(edges, float(self._dist[a, b]), obs, chk, toggles)
             self._paths[(a, b)] = part
         return part
 
@@ -344,15 +312,6 @@ class MatchingGraph:
         return pairs
 
 
-@dataclass(frozen=True)
-class IterativeConfig:
-    max_global_iters: int = 3
-
-    def __post_init__(self):
-        if self.max_global_iters < 1:
-            raise ValueError("max_global_iters must be >= 1")
-
-
 @dataclass
 class DecodeResult:
     corrections: dict[tuple[int, str], Correction]
@@ -363,7 +322,11 @@ class DecodeResult:
 
 
 class IterativeDecoder:
-    """All per-patch graphs plus the cross-patch syndrome-toggle loop."""
+    """All per-patch graphs plus the cross-patch syndrome-toggle loop.
+
+    The decoder alone maps detectors to graphs: graph (patch, basis) holds
+    the detectors homed to that patch in that basis, and its node i is the
+    detector in its i-th slot."""
 
     def __init__(self, circuit: Circuit, mechanisms: list[ErrorMechanism]):
         self.circuit = circuit
@@ -371,23 +334,35 @@ class IterativeDecoder:
         for di, det in enumerate(circuit.detectors):
             by_key.setdefault((det.home_patch, det.basis), []).append(di)
         by_key = dict(sorted(by_key.items()))
-        # The global detector in each slot, and each detector's slot.
+        # The global detector in each slot, each detector's slot, and each
+        # graph's first slot.
         self._slot_dets = np.array([d for dets in by_key.values() for d in dets],
                                    dtype=np.intp)
         slots = [0] * len(circuit.detectors)
         for s, d in enumerate(self._slot_dets.tolist()):
             slots[d] = s
+        first = {key: slots[dets[0]] for key, dets in by_key.items()}
+        edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in by_key}
+        for m in mechanisms:
+            if not m.home_dets:
+                continue
+            if len(m.home_dets) > 2:
+                raise ValueError(
+                    f"mechanism with {len(m.home_dets)} home detectors is unmatchable")
+            key = (m.origin_patch, m.basis)
+            u = slots[m.home_dets[0]] - first[key]
+            v = slots[m.home_dets[1]] - first[key] if len(m.home_dets) == 2 else BOUNDARY
+            w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
+            edges[key].append(Edge(u, v, w, m.obs_mask, m.check_mask,
+                                   sum(1 << slots[d] for d in m.foreign_dets)))
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
         # Per slot, for the slot's graph: (key, graph, first slot, mask of
         # its width, mask clearing every slot up to its last).
         self._slot_span: list[tuple] = []
-        lo = 0
         for key, dets in by_key.items():
-            g = MatchingGraph.from_mechanisms(key[0], key[1], tuple(dets), mechanisms, slots)
-            hi = lo + len(dets)
-            self.graphs[key] = g
+            g = self.graphs[key] = MatchingGraph(len(dets), edges[key])
+            lo, hi = first[key], first[key] + len(dets)
             self._slot_span += [(key, g, lo, (1 << len(dets)) - 1, -1 << hi)] * len(dets)
-            lo = hi
 
     def pack_shots(self, det: np.ndarray) -> list[int]:
         """Per-shot slot-order ints of a (detectors, shots) bool plane: bit s
@@ -406,11 +381,11 @@ class IterativeDecoder:
         return out
 
     def decode_shot(self, raw: dict[tuple[int, str], int],
-                    config: IterativeConfig = IterativeConfig()) -> DecodeResult:
+                    max_iters: int = 3) -> DecodeResult:
         """Decode one shot's per-graph syndromes, iterating the foreign
-        toggles to a fixpoint or to `config.max_global_iters` sweeps.  The
-        result's `corrections` hold the graphs the loop decoded; every other
-        graph's correction is `EMPTY`."""
+        toggles to a fixpoint or to `max_iters` sweeps.  The result's
+        `corrections` hold the graphs the loop decoded; every other graph's
+        correction is `EMPTY`."""
         corrections: dict[tuple[int, str], Correction] = {}
         obs = chk = toggles = 0
         for key, s in raw.items():
@@ -428,7 +403,7 @@ class IterativeDecoder:
         iters = 1
         while True:
             changed = toggles ^ applied
-            if not changed or iters == config.max_global_iters:
+            if not changed or iters >= max_iters:
                 break
             iters += 1
             applied = toggles

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import KINDS, TERMS, FaultTable, signature_columns
+from .sampler import KINDS, TERMS, FaultTable, _bits, signature_columns
 
 @dataclass(frozen=True)
 class ErrorMechanism:
@@ -32,16 +32,6 @@ class ErrorMechanism:
 
 def _xor_prob(a: float, b: float) -> float:
     return a * (1 - b) + b * (1 - a)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:

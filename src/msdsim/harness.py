@@ -22,7 +22,7 @@ import numpy as np
 from .builders import (NoiseModel, build_cnot_subcircuit_experiment,
                        build_distillation_circuit, build_memory_circuit)
 from .circuit import Circuit, validate_annotations
-from .decoder import IterativeConfig, IterativeDecoder, pack_rows, predict_outcome
+from .decoder import IterativeDecoder, pack_rows, predict_outcome
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
@@ -132,14 +132,13 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     the shots are those of one whole `sample` call; memory holds one chunk.
     """
     circ, table, dec = pipeline.circuit, pipeline.table, pipeline.decoder
-    itc = IterativeConfig(max_global_iters=config.max_iters)
     for k, done in enumerate(range(0, config.shots, CHUNK)):
         batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k, table)
         det = dec.pack_shots(batch.unpack(batch.det_bits))
         chk = pack_rows(batch.unpack(batch.check_bits))
         obs = pack_rows(batch.unpack(batch.obs_bits))
         for shot, c, o in zip(det, chk, obs):
-            yield dec.decode_shot(dec.syndrome_masks(shot), itc), c, o
+            yield dec.decode_shot(dec.syndrome_masks(shot), config.max_iters), c, o
 
 
 def run_distillation(config: ExperimentConfig,

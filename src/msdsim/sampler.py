@@ -83,6 +83,16 @@ class FaultTable:
     sigs: list[int]             # row r's columns as a bitset
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def signature_columns(circuit: Circuit) -> list:
     """The parity sets whose bits a signature holds, in bit order."""
     return [*circuit.detectors, *circuit.observables, *circuit.checks]
@@ -145,22 +155,14 @@ def fault_table(circuit: Circuit) -> FaultTable:
     ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
     first = (np.cumsum(ncomp) - ncomp).astype(np.int32)
 
-    # Rows to sorted column indices, a block of rows at a time: find the
-    # nonzero 64-bit words of each row, then their bits.
-    nwords = len(cols) // 64 + 1     # at least one, so rows with no columns still reshape
-    row_of, row_cols = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    for lo in range(0, len(rows), 1024):
-        blob = b"".join(r.to_bytes(8 * nwords, "little") for r in rows[lo:lo + 1024])
-        r_i, w_i = np.nonzero(np.frombuffer(blob, dtype="<u8").reshape(-1, nwords))
-        words = np.frombuffer(blob, dtype=np.uint8).reshape(-1, nwords, 8)[r_i, w_i]
-        e, bit = np.divmod(np.flatnonzero(
-            np.unpackbits(words, axis=1, bitorder="little").view(bool)), 64)
-        row_of.append((lo + r_i[e]).astype(np.int32))
-        row_cols.append((w_i[e] * 64 + bit).astype(np.int32))
-    row_ptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(np.concatenate(row_of), minlength=len(rows)), out=row_ptr[1:])
-    return FaultTable(circuit, kind, p, origin, rid, first, comp_row, row_ptr,
-                      np.concatenate(row_cols), rows)
+    # Each row's columns, ascending, as a CSR.
+    row_ptr, row_cols = [0], []
+    for r in rows:
+        row_cols += _bits(r)
+        row_ptr.append(len(row_cols))
+    return FaultTable(circuit, kind, p, origin, rid, first, comp_row,
+                      np.array(row_ptr, dtype=np.int32), np.array(row_cols, dtype=np.int32),
+                      rows)
 
 
 def _groups(table: FaultTable):

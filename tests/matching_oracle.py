@@ -7,10 +7,13 @@
 - `cluster_match`: the subset DP that `MatchingGraph._match` ran before its
   states were memoised per graph: one top-down DP per cluster, with its own
   distance tables.
+- `det_slots` / `slot_order`: each detector's graph and node, and the
+  detector in each slot, derived from the circuit's detectors rather than
+  the decoder's tables.
 - `walk_syndrome_masks`: the per-shot split of a full detector bit vector
-  that the slot-order packing replaced, through a per-detector slot table.
+  that the slot-order packing replaced, through a `det_slots` table.
 - `reference_decode_shot`: the cross-patch loop that re-decodes every graph
-  on every iteration and resolves foreign detectors on every shot.
+  on every iteration and resolves foreign toggles through `det_slots`.
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ import math
 import numpy as np
 
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Correction, DecodeResult,
-                            IterativeConfig, IterativeDecoder, MatchingGraph)
+                            IterativeDecoder, MatchingGraph)
+from msdsim.sampler import _bits
 
 
 def brute_force_decode(graph: MatchingGraph, syndrome: int) -> float:
@@ -90,14 +94,13 @@ def whole_syndrome_decode(graph: MatchingGraph, syndrome: int) -> Correction:
         total += float(graph._dist[a, bb])
         for eid in graph._path_edges(a, bb):
             edge_set ^= 1 << eid
-    obs = chk = foreign = 0
+    obs = chk = toggles = 0
     for i, e in enumerate(graph.edges):
         if edge_set >> i & 1:
             obs ^= e.obs_mask
             chk ^= e.check_mask
-            for d in e.foreign_dets:
-                foreign ^= 1 << d
-    return Correction(edge_set, total, obs, chk, foreign)
+            toggles ^= e.toggles
+    return Correction(edge_set, total, obs, chk, toggles)
 
 
 def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, int]]:
@@ -158,14 +161,29 @@ def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, i
     return pairs
 
 
+def _groups(decoder: IterativeDecoder) -> dict[tuple[int, str], list[int]]:
+    """The circuit's detector ids grouped by (home patch, basis), keys
+    sorted and ids ascending: one group per graph, in slot order."""
+    groups: dict[tuple[int, str], list[int]] = {}
+    for d, det in enumerate(decoder.circuit.detectors):
+        groups.setdefault((det.home_patch, det.basis), []).append(d)
+    return dict(sorted(groups.items()))
+
+
 def det_slots(decoder: IterativeDecoder) -> list[tuple[tuple[int, str], int]]:
     """Per global detector: its graph's key and its bit in that graph's
-    syndrome, read off the graphs' `det_ids`."""
+    syndrome, derived from the circuit's detectors."""
     slots = [None] * len(decoder.circuit.detectors)
-    for key, g in decoder.graphs.items():
-        for li, d in enumerate(g.det_ids):
+    for key, dets in _groups(decoder).items():
+        for li, d in enumerate(dets):
             slots[d] = (key, 1 << li)
     return slots
+
+
+def slot_order(decoder: IterativeDecoder) -> list[int]:
+    """The global detector in each slot: the graphs' groups laid end to
+    end."""
+    return [d for dets in _groups(decoder).values() for d in dets]
 
 
 def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
@@ -181,21 +199,21 @@ def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
 
 def reference_decode_shot(decoder: IterativeDecoder,
                           raw: dict[tuple[int, str], int],
-                          config: IterativeConfig = IterativeConfig()
-                          ) -> DecodeResult:
+                          max_iters: int = 3) -> DecodeResult:
     """The cross-patch loop, re-decoding every graph on every iteration."""
     slots = det_slots(decoder)
+    by_slot = [slots[d] for d in slot_order(decoder)]
     toggles = {key: 0 for key in decoder.graphs}
     corrections: dict[tuple[int, str], Correction] = {}
     converged = False
     iters = 0
-    for iters in range(1, config.max_global_iters + 1):
+    for iters in range(1, max_iters + 1):
         for key, g in decoder.graphs.items():
             corrections[key] = g.decode(raw.get(key, 0) ^ toggles[key])
         new_toggles = {key: 0 for key in decoder.graphs}
         for corr in corrections.values():
-            for d in corr.foreign_dets:
-                key, bit = slots[d]
+            for s in _bits(corr.toggles):
+                key, bit = by_slot[s]
                 new_toggles[key] ^= bit
         if new_toggles == toggles:
             converged = True

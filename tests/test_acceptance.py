@@ -256,12 +256,12 @@ def test_criterion_08_matching_equals_brute_force():
         n = int(rng.integers(2, 13))
         edges = []
         for i in range(n):
-            edges.append(Edge(eid=len(edges), u=i, v=BOUNDARY,
+            edges.append(Edge(u=i, v=BOUNDARY,
                               weight=float(rng.uniform(0.5, 4.0))))
         for _ in range(2 * n):
             u, v = rng.integers(0, n, 2)
             if u != v:
-                edges.append(Edge(eid=len(edges), u=int(u), v=int(v),
+                edges.append(Edge(u=int(u), v=int(v),
                                   weight=float(rng.uniform(0.2, 3.0))))
         g = MatchingGraph(n, edges)
         syndrome = int(rng.integers(0, 1 << n))

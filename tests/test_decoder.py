@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from matching_oracle import (brute_force_decode, cluster_match, det_slots,
-                             reference_decode_shot, walk_syndrome_masks,
-                             whole_syndrome_decode)
+                             reference_decode_shot, slot_order,
+                             walk_syndrome_masks, whole_syndrome_decode)
 from msdsim import harness
 from msdsim.builders import NoiseModel, build_distillation_circuit, build_memory_circuit
-from msdsim.decoder import (_DP_LIMIT, BOUNDARY, EMPTY, Edge, IterativeConfig,
-                            IterativeDecoder, MatchingGraph, predict_outcome)
+from msdsim.decoder import (_DP_LIMIT, BOUNDARY, EMPTY, Edge, IterativeDecoder,
+                            MatchingGraph, predict_outcome)
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
 from msdsim.sampler import CHUNK, fault_table, sample
@@ -19,13 +19,13 @@ from msdsim.sampler import CHUNK, fault_table, sample
 def _random_graph(rng: np.random.Generator, n: int) -> MatchingGraph:
     edges = []
     for i in range(n):
-        edges.append(Edge(eid=len(edges), u=i, v=BOUNDARY,
+        edges.append(Edge(u=i, v=BOUNDARY,
                           weight=float(rng.uniform(0.5, 4.0))))
     for _ in range(2 * n):
         u, v = rng.integers(0, n, 2)
         if u == v:
             continue
-        edges.append(Edge(eid=len(edges), u=int(u), v=int(v),
+        edges.append(Edge(u=int(u), v=int(v),
                           weight=float(rng.uniform(0.2, 3.0))))
     return MatchingGraph(n, edges)
 
@@ -51,8 +51,8 @@ class TestMatchingOptimality:
     def test_deterministic_tie_breaking(self):
         """Two equal-weight boundary edges: the lower edge id must win, and
         repeated decodes must agree."""
-        edges = [Edge(eid=0, u=0, v=BOUNDARY, weight=1.0, obs_mask=1),
-                 Edge(eid=1, u=0, v=BOUNDARY, weight=1.0, obs_mask=0)]
+        edges = [Edge(u=0, v=BOUNDARY, weight=1.0, obs_mask=1),
+                 Edge(u=0, v=BOUNDARY, weight=1.0, obs_mask=0)]
         g = MatchingGraph(1, edges)
         first = g.decode(1)
         assert first.edges == (0,)
@@ -106,10 +106,6 @@ def pipeline():
 
 
 class TestIterativeLoop:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IterativeConfig(max_global_iters=0)
-
     def test_trivial_shot_converges_in_one(self, pipeline):
         c, dec = pipeline
         res = dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool)))
@@ -142,15 +138,14 @@ class TestIterativeLoop:
             det[i] = True
         res = dec.decode_shot(_split(dec, det))
         assert res.converged
-        if any(corr.foreign_dets for corr in res.corrections.values()):
+        if any(corr.toggles for corr in res.corrections.values()):
             assert res.iterations_used >= 2
 
     def test_iteration_cap_respected(self, pipeline):
         c, dec = pipeline
         rng = np.random.default_rng(3)
         det = rng.random(len(c.detectors)) < 0.05
-        res = dec.decode_shot(_split(dec, det),
-                              IterativeConfig(max_global_iters=1))
+        res = dec.decode_shot(_split(dec, det), 1)
         assert res.iterations_used == 1
 
 
@@ -182,6 +177,35 @@ def sampled(request):
     batch = sample(c, 2000, seed=41)
     det = batch.unpack(batch.det_bits)
     return dec, [dec.syndrome_masks(shot) for shot in dec.pack_shots(det)]
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+def test_edges_follow_mechanisms(workload):
+    """Every mechanism with home detectors is one edge of its graph, in DEM
+    order: its ends are the local ids of its home detectors and its toggles
+    the slot bits of its foreign detectors, both derived from the circuit's
+    detectors rather than the decoder's tables."""
+    protocol, noise = _WORKLOADS[workload]
+    c = build_distillation_circuit(build_protocol(protocol), 3, noise)
+    mechs = enumerate_error_mechanisms(fault_table(c))
+    dec = IterativeDecoder(c, mechs)
+    local = [(key, bit.bit_length() - 1) for key, bit in det_slots(dec)]
+    slot_bit = {d: 1 << s for s, d in enumerate(slot_order(dec))}
+    want = {key: [] for key in dec.graphs}
+    for m in mechs:
+        if not m.home_dets:
+            continue
+        ends = [local[d] for d in m.home_dets]
+        assert {key for key, _ in ends} == {(m.origin_patch, m.basis)}
+        toggles = 0
+        for d in m.foreign_dets:
+            toggles ^= slot_bit[d]
+        want[ends[0][0]].append((ends[0][1], ends[1][1] if len(ends) == 2 else BOUNDARY,
+                                 m.obs_mask, m.check_mask, toggles))
+    got = {key: [(e.u, e.v, e.obs_mask, e.check_mask, e.toggles) for e in g.edges]
+           for key, g in dec.graphs.items()}
+    assert got == want
+    assert sum(e[4] != 0 for edges in want.values() for e in edges) > 10
 
 
 def _recorded_decodes(dec: IterativeDecoder, shots) -> set[tuple]:
@@ -257,13 +281,13 @@ class TestClusterSplit:
             for c in range(clusters):
                 base = c * size
                 for i in range(size):
-                    edges.append(Edge(eid=len(edges), u=base + i, v=BOUNDARY,
+                    edges.append(Edge(u=base + i, v=BOUNDARY,
                                       weight=float(rng.uniform(2.0, 3.0))))
                     for j in range(i + 1, size):
-                        edges.append(Edge(eid=len(edges), u=base + i, v=base + j,
+                        edges.append(Edge(u=base + i, v=base + j,
                                           weight=float(rng.uniform(0.3, 1.0))))
                 if c:  # a long bridge to the previous cluster
-                    edges.append(Edge(eid=len(edges), u=base, v=base - size,
+                    edges.append(Edge(u=base, v=base - size,
                                       weight=20.0))
             g = MatchingGraph(clusters * size, edges)
             k = int(rng.integers(20, 31))
@@ -280,7 +304,7 @@ class TestClusterSplit:
 
 def _fresh(g: MatchingGraph) -> MatchingGraph:
     """A copy of `g` with empty caches and memo."""
-    return MatchingGraph(g.n, g.edges, g.det_ids, g.key, g.slots)
+    return MatchingGraph(g.n, g.edges)
 
 
 class TestMemoisedMatch:
@@ -304,7 +328,7 @@ class TestMemoisedMatch:
             fresh[key].decode(s)
         monkeypatch.setattr(MatchingGraph, "_match", orig)
         for g, defects, pairs in seen:
-            assert pairs == cluster_match(g, defects), (g.key, defects)
+            assert pairs == cluster_match(g, defects), defects
         assert len(seen) > 500
         shared = sum(len(g._best) for g in fresh.values())
         print(f"{len(seen)} clusters; {shared} DP states kept over all graphs")
@@ -315,12 +339,12 @@ class TestMemoisedMatch:
         rng = np.random.default_rng(11)
         for trial in range(30):
             n = int(rng.integers(6, 16))
-            edges = [Edge(eid=i, u=i, v=BOUNDARY, weight=float(rng.integers(1, 4)))
+            edges = [Edge(u=i, v=BOUNDARY, weight=float(rng.integers(1, 4)))
                      for i in range(n)]
             for _ in range(3 * n):
                 u, v = (int(x) for x in rng.integers(0, n, 2))
                 if u != v:
-                    edges.append(Edge(eid=len(edges), u=u, v=v,
+                    edges.append(Edge(u=u, v=v,
                                       weight=float(rng.integers(1, 3))))
             g = MatchingGraph(n, edges)
             for _ in range(40):
@@ -344,9 +368,8 @@ class TestMemoisedMatch:
                     continue
                 a, b = tiny.decode(s), big.decode(s)
                 assert (a.edge_mask, a.weight, a.obs_mask, a.check_mask,
-                        a.foreign_mask, a.toggles) == (b.edge_mask, b.weight, b.obs_mask,
-                                                       b.check_mask, b.foreign_mask,
-                                                       b.toggles)
+                        a.toggles) == (b.edge_mask, b.weight, b.obs_mask,
+                                       b.check_mask, b.toggles)
                 assert len(tiny._best) <= 3 and len(tiny._choice) <= 3
             grew |= len(big._best) > 3
         assert grew
@@ -370,7 +393,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(dec, "syndrome_masks", split)
-    monkeypatch.setattr(dec, "decode_shot", lambda raw, config: None)
+    monkeypatch.setattr(dec, "decode_shot", lambda raw, max_iters: None)
     cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
                                    p_in=noise.p_in, shots=shots, seed=17)
     assert sum(1 for _ in harness._decoded_shots(pipeline, cfg)) == shots
@@ -389,10 +412,9 @@ class TestIncrementalLoop:
         """Re-decoding only the graphs whose syndrome changed gives the same
         result as re-decoding every graph on every iteration."""
         dec, shots = sampled
-        cfg = IterativeConfig(max_global_iters=max_iters)
         for i, raw in enumerate(shots[:1000]):
-            got = dec.decode_shot(raw, cfg)
-            want = reference_decode_shot(dec, raw, cfg)
+            got = dec.decode_shot(raw, max_iters)
+            want = reference_decode_shot(dec, raw, max_iters)
             assert (got.obs_mask, got.check_mask, got.iterations_used,
                     got.converged) == (want.obs_mask, want.check_mask,
                                        want.iterations_used, want.converged), i
@@ -405,9 +427,9 @@ class TestCaches:
         dec, shots = sampled
         decodes = sorted(_recorded_decodes(dec, shots[:500]))
         for key, g in dec.graphs.items():
-            tiny = MatchingGraph(g.n, g.edges, g.det_ids, key)
+            tiny = _fresh(g)
             tiny.cache_cap = 3
-            big = MatchingGraph(g.n, g.edges, g.det_ids, key)
+            big = _fresh(g)
             big.cache_cap = 10**9
             calls = 0
             misses = []
@@ -418,8 +440,8 @@ class TestCaches:
                     calls += 1
                     a, b = tiny.decode(s), big.decode(s)
                     assert (a.edge_mask, a.weight, a.obs_mask, a.check_mask,
-                            a.foreign_mask) == (b.edge_mask, b.weight, b.obs_mask,
-                                                b.check_mask, b.foreign_mask)
+                            a.toggles) == (b.edge_mask, b.weight, b.obs_mask,
+                                           b.check_mask, b.toggles)
                 misses.append(big.component_misses)
             assert len(tiny._cache) <= 3 and len(g._cache) <= g.cache_cap
             for h in (tiny, big):

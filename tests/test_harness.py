@@ -8,7 +8,6 @@ from matching_oracle import det_slots, walk_syndrome_masks
 from msdsim import harness, sampler
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
-from msdsim.decoder import IterativeConfig
 from msdsim.harness import (DecodingPipeline, ExperimentConfig,
                             ExperimentStats, emit_results, qubit_cycles,
                             result_row, run_distillation, run_logical,
@@ -93,14 +92,14 @@ class TestSurfaceDrivers:
         cfg = ExperimentConfig(p_circuit=5e-3, shots=CHUNK + 37, rounds=2, seed=9)
         pipeline = DecodingPipeline.build(
             build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
-        dec, itc = pipeline.decoder, IterativeConfig(cfg.max_iters)
+        dec = pipeline.decoder
         want = ExperimentStats()
         batch = sample(pipeline.circuit, cfg.shots, cfg.seed)
         det = batch.unpack(batch.det_bits)
         obs = batch.unpack(batch.obs_bits)
         slots = det_slots(dec)
         for s in range(cfg.shots):
-            res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), itc)
+            res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), cfg.max_iters)
             want.record(True, bool((res.obs_mask & 1) != obs[0, s]), res.iterations_used)
         got = run_memory_baseline(cfg)
         assert want.errors > 0
