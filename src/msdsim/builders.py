@@ -175,6 +175,10 @@ class MultiPatchBuilder:
         return meas
 
     def finish(self) -> Circuit:
+        """The built circuit, its detectors renumbered into slot order: a
+        stable sort by (home patch, basis), so each matching graph's
+        detectors are one contiguous id range, ascending by emission."""
+        self.circuit.detectors.sort(key=lambda d: (d.home_patch, d.basis))
         return self.circuit
 
 

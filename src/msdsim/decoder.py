@@ -28,11 +28,12 @@ clusters that reach the same subset share it.  `f(S)` and its tie rule do not
 depend on which cluster reaches S, so the memo changes no pairing.  A call
 that leaves the memo above `MEMO_CAP` entries empties it.
 
-Each shot travels as bitsets in *slot order*: each graph's detectors take one
-contiguous range of slots, ascending, with the graphs in `graphs` order.
-`IterativeDecoder.pack_shots` packs a chunk's detector plane into one int per
-shot with `pack_rows`, the one per-shot packer, and `syndrome_masks` cuts one
-such int into per-graph masks, one shift and mask per graph with a defect.
+Each shot travels as bitsets in *slot order*, which is detector id order:
+the builders number detectors by (home patch, basis), so each graph's
+detectors are one contiguous range of ids, ascending, with the graphs in
+`graphs` order.  The low bits of a shot's sampled signature are therefore
+its slot-order int, and `syndrome_masks` cuts it into per-graph masks, one
+shift and mask per graph with a defect.
 Each edge's foreign toggles are one slot-order int, set once at build, so a
 correction's toggles are the XOR of its edges'.  The cross-patch loop is
 incremental: after the first sweep it re-decodes only the graphs whose toggle
@@ -56,7 +57,6 @@ BOUNDARY = -1
 _DP_LIMIT = 14  # components with more defects use the blossom fallback
 CACHE_CAP = 2048  # component corrections kept per graph
 MEMO_CAP = 2048  # subset-DP states a graph keeps between calls
-_PACK_SHOTS = 2048  # shots per block when packing a detector plane
 
 
 @dataclass(frozen=True)
@@ -325,24 +325,20 @@ class IterativeDecoder:
     """All per-patch graphs plus the cross-patch syndrome-toggle loop.
 
     The decoder alone maps detectors to graphs: graph (patch, basis) holds
-    the detectors homed to that patch in that basis, and its node i is the
-    detector in its i-th slot."""
+    the detectors homed to that patch in that basis, one contiguous id
+    range, and its node i is the i-th of them.  Raises ValueError when the
+    circuit's detectors are not sorted by (home patch, basis)."""
 
     def __init__(self, circuit: Circuit, mechanisms: list[ErrorMechanism]):
         self.circuit = circuit
-        by_key: dict[tuple[int, str], list[int]] = {}
-        for di, det in enumerate(circuit.detectors):
-            by_key.setdefault((det.home_patch, det.basis), []).append(di)
-        by_key = dict(sorted(by_key.items()))
-        # The global detector in each slot, each detector's slot, and each
-        # graph's first slot.
-        self._slot_dets = np.array([d for dets in by_key.values() for d in dets],
-                                   dtype=np.intp)
-        slots = [0] * len(circuit.detectors)
-        for s, d in enumerate(self._slot_dets.tolist()):
-            slots[d] = s
-        first = {key: slots[dets[0]] for key, dets in by_key.items()}
-        edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in by_key}
+        keys = [(det.home_patch, det.basis) for det in circuit.detectors]
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            raise ValueError("detectors are not in slot order")
+        # Each graph's slots [lo, hi), in slot order.
+        span: dict[tuple[int, str], list[int]] = {}
+        for s, key in enumerate(keys):
+            span.setdefault(key, [s, s])[1] = s + 1
+        edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in span}
         for m in mechanisms:
             if not m.home_dets:
                 continue
@@ -350,28 +346,23 @@ class IterativeDecoder:
                 raise ValueError(
                     f"mechanism with {len(m.home_dets)} home detectors is unmatchable")
             key = (m.origin_patch, m.basis)
-            u = slots[m.home_dets[0]] - first[key]
-            v = slots[m.home_dets[1]] - first[key] if len(m.home_dets) == 2 else BOUNDARY
+            lo = span[key][0]
+            u = m.home_dets[0] - lo
+            v = m.home_dets[1] - lo if len(m.home_dets) == 2 else BOUNDARY
             w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
             edges[key].append(Edge(u, v, w, m.obs_mask, m.check_mask,
-                                   sum(1 << slots[d] for d in m.foreign_dets)))
+                                   sum(1 << d for d in m.foreign_dets)))
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
         # Per slot, for the slot's graph: (key, graph, first slot, mask of
         # its width, mask clearing every slot up to its last).
         self._slot_span: list[tuple] = []
-        for key, dets in by_key.items():
-            g = self.graphs[key] = MatchingGraph(len(dets), edges[key])
-            lo, hi = first[key], first[key] + len(dets)
-            self._slot_span += [(key, g, lo, (1 << len(dets)) - 1, -1 << hi)] * len(dets)
-
-    def pack_shots(self, det: np.ndarray) -> list[int]:
-        """Per-shot slot-order ints of a (detectors, shots) bool plane: bit s
-        of a shot's int is the detector in slot s."""
-        return pack_rows(det, self._slot_dets)
+        for key, (lo, hi) in span.items():
+            g = self.graphs[key] = MatchingGraph(hi - lo, edges[key])
+            self._slot_span += [(key, g, lo, (1 << (hi - lo)) - 1, -1 << hi)] * (hi - lo)
 
     def syndrome_masks(self, shot: int) -> dict[tuple[int, str], int]:
-        """Split one shot's slot-order int into per-graph bitmasks; graphs
-        without a defect are left out."""
+        """Split one shot's detector bits, a slot-order int, into per-graph
+        bitmasks; graphs without a defect are left out."""
         out: dict[tuple[int, str], int] = {}
         spans = self._slot_span
         while shot:
@@ -422,32 +413,14 @@ class IterativeDecoder:
                             converged=not changed)
 
 
-def pack_rows(plane: np.ndarray, order: np.ndarray | None = None) -> list[int]:
-    """Per-shot ints of a (rows, shots) bool plane: bit i of a shot's int is
-    row `order[i]` (row i without `order`).  Packs `_PACK_SHOTS` shots at a
-    time, so no temporary is the size of the plane."""
-    nbytes = ((plane.shape[0] if order is None else len(order)) + 7) // 8
-    if nbytes == 0:
-        return [0] * plane.shape[1]
-    out: list[int] = []
-    for lo in range(0, plane.shape[1], _PACK_SHOTS):
-        block = plane[:, lo:lo + _PACK_SHOTS]
-        if order is not None:
-            block = block[order]
-        buf = np.packbits(block, axis=0, bitorder="little").T.tobytes()
-        out += [int.from_bytes(buf[i:i + nbytes], "little")
-                for i in range(0, len(buf), nbytes)]
-    return out
-
-
-def predict_outcome(result: DecodeResult, check_bits: int, obs_bits: int
+def predict_outcome(result: DecodeResult, checks: int, observables: int
                     ) -> tuple[bool, bool, bool]:
     """(accepted, frame_offset, output_error) for a distillation shot.
 
-    `check_bits` / `obs_bits` are the shot's reference-relative raw parities
+    `checks` / `observables` are the shot's reference-relative raw parities
     packed as integers (observable id 0 = output, id 1 = frame rule)."""
-    corrected_checks = check_bits ^ result.check_mask
-    corrected_obs = obs_bits ^ result.obs_mask
+    corrected_checks = checks ^ result.check_mask
+    corrected_obs = observables ^ result.obs_mask
     return (corrected_checks == 0,
             bool(corrected_obs >> 1 & 1),
             bool(corrected_obs & 1))

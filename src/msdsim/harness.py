@@ -1,10 +1,11 @@
 """Monte Carlo experiment drivers: distillation, memory, and CNOT-block runs.
 
 Each driver builds its circuit's decoding pipeline once, then scores the
-shots of one shared loop (`_decoded_shots`): sample a chunk, unpack it, pack
-each shot's detectors, checks and observables into one int each
-(`decoder.pack_rows`), decode each shot, so memory does not grow with the
-shot count.  Counts carry Wilson-score confidence intervals.
+shots of one shared loop (`_decoded_shots`): sample a chunk, read each shot's
+signature as one int (`ShotBatch.unpack`), split it into detector,
+observable and check bits with shifts and masks, and decode each shot, so
+memory does not grow with the shot count.  Counts carry Wilson-score
+confidence intervals.
 Results serialize to CSV or JSON rows with the full parameter set and seed,
 so any row can be reproduced exactly.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .builders import (NoiseModel, build_cnot_subcircuit_experiment,
                        build_distillation_circuit, build_memory_circuit)
 from .circuit import Circuit, validate_annotations
-from .decoder import IterativeDecoder, pack_rows, predict_outcome
+from .decoder import IterativeDecoder, predict_outcome
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
@@ -58,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("d must be odd and >= 3")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("p_circuit", "p_in"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -132,13 +135,14 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     the shots are those of one whole `sample` call; memory holds one chunk.
     """
     circ, table, dec = pipeline.circuit, pipeline.table, pipeline.decoder
+    # A signature's bits run detectors (in slot order), observables, checks.
+    nd, no = len(circ.detectors), len(circ.observables)
+    det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
     for k, done in enumerate(range(0, config.shots, CHUNK)):
         batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k, table)
-        det = dec.pack_shots(batch.unpack(batch.det_bits))
-        chk = pack_rows(batch.unpack(batch.check_bits))
-        obs = pack_rows(batch.unpack(batch.obs_bits))
-        for shot, c, o in zip(det, chk, obs):
-            yield dec.decode_shot(dec.syndrome_masks(shot), config.max_iters), c, o
+        for sig in batch.unpack():
+            res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), config.max_iters)
+            yield res, sig >> (nd + no), sig >> nd & obs_mask
 
 
 def run_distillation(config: ExperimentConfig,

@@ -15,9 +15,12 @@ Per chunk, each group's (site, shot) slots fire independently with
 probability p, drawn as geometric skips in bounded blocks (exact i.i.d.
 Bernoulli, never two draws of one slot); a fired slot picks a uniform
 non-identity Pauli term and XORs the rows of the components it applies into
-that shot's column of one bit-packed signature plane, whose row ranges are the
-detector, observable and check planes.  This is frame-free sampling from a
-detector-error-style table, as in Stim (Gidney, arXiv:2103.02202).
+that shot's row of one shot-major, bit-packed signature plane: column c of
+shot s is bit `c & 7` of byte `c >> 3` of row s, so a shot's signature is one
+little-endian int (`ShotBatch.unpack`) whose low bits are its detectors in
+slot order, then its observables, then its checks.  This is frame-free
+sampling from a detector-error-style table, and the shot-major packing of
+Stim's bit-packed samples (Gidney, arXiv:2103.02202).
 
 Shots are sampled in fixed-size chunks with per-chunk child seeds, so results
 are bit-exact reproducible for a given seed whether a run is drawn in one call
@@ -35,8 +38,6 @@ CHUNK = 1 << 14
 # Geometric draws per block: bounds the event arrays a chunk allocates at any
 # noise strength.
 _BLOCK = 1024
-# Byte value of shot s's bit in a packed plane (np.packbits' big bit order).
-_BIT = np.array([0x80 >> i for i in range(8)], dtype=np.uint8)
 
 # Per kind, the components each Pauli term applies, one row per term; a site
 # of probability p fires each term with probability p / len(terms).  DEPOL1
@@ -57,13 +58,18 @@ TERMS = {
 @dataclass
 class ShotBatch:
     num_shots: int
-    det_bits: np.ndarray        # packed: (num_detectors, ceil(S/8)) uint8
-    check_bits: np.ndarray      # packed likewise
-    obs_bits: np.ndarray
+    sigs: np.ndarray            # (S, ceil(columns/8)) uint8, little-endian per shot
     injected: np.ndarray        # (num_resources, S) bool — which injections fired
 
-    def unpack(self, plane: np.ndarray) -> np.ndarray:
-        return np.unpackbits(plane, axis=1, count=self.num_shots).view(bool)
+    def unpack(self) -> list[int]:
+        """Each shot's signature as one int: bit c is column c of
+        `signature_columns`."""
+        width = self.sigs.shape[1]
+        if width == 0:
+            return [0] * self.num_shots
+        buf = self.sigs.tobytes()
+        return [int.from_bytes(buf[i:i + width], "little")
+                for i in range(0, len(buf), width)]
 
 
 @dataclass
@@ -199,17 +205,15 @@ def _xor_rows(plane: np.ndarray, table: FaultTable, rows: np.ndarray,
         return
     # Position in row_cols of every (event, member) pair.
     pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    s = np.repeat(shots, lens)
-    # int64 before the multiply: the table's int32 indices times the plane
-    # width need not fit in int32.
-    flat = table.row_cols[pos].astype(np.int64) * plane.shape[1] + (s >> 3)
-    np.bitwise_xor.at(plane.reshape(-1), flat, _BIT[s & 7])
+    cols = table.row_cols[pos]
+    flat = np.repeat(shots, lens) * plane.shape[1] + (cols >> 3)
+    np.bitwise_xor.at(plane.reshape(-1), flat, (1 << (cols & 7)).astype(np.uint8))
 
 
 def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
                   rng: np.random.Generator, forced: np.ndarray | None) -> tuple:
     circuit = table.circuit
-    plane = np.zeros((len(signature_columns(circuit)), (shots + 7) // 8), dtype=np.uint8)
+    plane = np.zeros((shots, (len(signature_columns(circuit)) + 7) // 8), dtype=np.uint8)
     injected = np.zeros((len(circuit.injections), shots), dtype=bool)
     for kind, p, comps, rids in groups:
         terms = TERMS[kind]
@@ -247,18 +251,14 @@ def sample(circuit: Circuit, shots: int, seed: int,
     if table is None:
         table = fault_table(circuit)
     groups = list(_groups(table))
-    nd, no = len(circuit.detectors), len(circuit.observables)
     chunks = []
-    # At least one chunk, so zero shots still give planes of the right height.
+    # At least one chunk, so zero shots still give planes of the right width.
     for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
         n = min(CHUNK, shots - done)
         rng = np.random.default_rng([seed, chunk_id])
         forced = None
         if forced_injections is not None:
             forced = forced_injections[:, done:done + n]
-        plane, injected = _sample_chunk(table, groups, n, rng, forced)
-        # Signature rows run detectors, observables, checks; ShotBatch's
-        # fields run detectors, checks, observables.
-        chunks.append((plane[:nd], plane[nd + no:], plane[nd:nd + no], injected))
-    # CHUNK is a multiple of 8, so the chunks' packed planes join byte-aligned.
-    return ShotBatch(shots, *(np.concatenate(planes, axis=1) for planes in zip(*chunks)))
+        chunks.append(_sample_chunk(table, groups, n, rng, forced))
+    planes, injected = zip(*chunks)
+    return ShotBatch(shots, np.concatenate(planes), np.concatenate(injected, axis=1))

@@ -5,13 +5,15 @@ interpreted forward, one dense uniform per noise site per shot.  Slow, but
 each fault is simulated directly, so its output distribution is the one the
 sparse fault sampler must reproduce (the random streams differ, so the
 comparison is statistical).
+
+`planes` reads a batch's packed signatures back into bool planes, bit by bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from msdsim.circuit import Circuit
-from msdsim.sampler import ShotBatch
+from msdsim.sampler import ShotBatch, signature_columns
 
 # index -> (x_a, z_a, x_b, z_b), the 15 non-identity two-qubit Paulis.
 _T2 = np.array([(xa, za, xb, zb)
@@ -89,6 +91,15 @@ def sample(circuit: Circuit, shots: int, seed: int) -> ShotBatch:
     """`shots` reference-relative shots in one frame-simulated chunk."""
     meas, injected = _sample_chunk(circuit, shots, np.random.default_rng(seed),
                                    circuit.qubit_index(), None)
-    bits = [_parities(meas, sets) for sets in (
-        circuit.detectors, circuit.checks, circuit.observables)]
-    return ShotBatch(shots, *(np.packbits(b, axis=1) for b in bits), injected)
+    bits = _parities(meas, signature_columns(circuit))
+    return ShotBatch(shots, np.packbits(bits.T, axis=1, bitorder="little"), injected)
+
+
+def planes(batch: ShotBatch, circuit: Circuit) -> tuple[np.ndarray, ...]:
+    """(detectors, checks, observables) of a batch as bool planes, each
+    (rows, shots): column c of shot s is bit c & 7 of byte c >> 3 of row s
+    of `batch.sigs`, the columns in `signature_columns` order."""
+    nd, no = len(circuit.detectors), len(circuit.observables)
+    bits = np.unpackbits(batch.sigs, axis=1, count=len(signature_columns(circuit)),
+                         bitorder="little").view(bool).T
+    return bits[:nd], bits[nd + no:], bits[nd:nd + no]

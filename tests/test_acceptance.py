@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from matching_oracle import brute_force_decode
+from sampler_oracle import planes
 from msdsim.builders import NoiseModel, build_distillation_circuit
 from msdsim.decoder import BOUNDARY, Edge, MatchingGraph
 from msdsim.harness import (ExperimentConfig, qubit_cycles, run_distillation,
@@ -157,8 +158,7 @@ def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
         for r in range(spec.num_resources):
             forced[r, pat] = bool((pat >> r) & 1)
     batch = sample(circ, n_pat, seed=0, forced_injections=forced)
-    chk = batch.unpack(batch.check_bits)
-    obs = batch.unpack(batch.obs_bits)
+    _, chk, obs = planes(batch, circ)
     from msdsim.decoder import predict_outcome
     dec = pipeline.decoder
     exact = True
@@ -218,7 +218,9 @@ def test_criterion_05_circuit_noise_regime(circuit_noise_runs,
 
 
 def test_criterion_06_iteration_bound(zero_noise_runs, circuit_noise_runs):
-    """>= 99.9% of decoded shots converge within 3 global iterations."""
+    """>= 99.9% of decoded shots converge within 3 global iterations: a
+    statement about these d=3 runs at p_circuit <= 1e-3.  At 7-to-1 d=7
+    (p_circuit 1e-3) about 0.5% of shots do not converge within 3."""
     total = within = 0
     for st in list(zero_noise_runs.values()) + list(circuit_noise_runs.values()):
         for iters, n in st.iteration_hist.items():
@@ -285,9 +287,7 @@ def test_criterion_10_reproducibility_and_throughput(circuit_noise_runs):
                                       NoiseModel(1e-3, 0.01))
     a = sample(circ, 2000, seed=77)
     b = sample(circ, 2000, seed=77)
-    identical = (np.array_equal(a.det_bits, b.det_bits)
-                 and np.array_equal(a.obs_bits, b.obs_bits)
-                 and np.array_equal(a.check_bits, b.check_bits))
+    identical = np.array_equal(a.sigs, b.sigs)
     cfg = ExperimentConfig(protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3,
                            p_in=0.01, shots=2000, seed=9)
     s1, s2 = run_distillation(cfg), run_distillation(cfg)

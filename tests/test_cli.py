@@ -66,7 +66,8 @@ class TestExitCodes:
                                       ("logical", "--max-iters", "0"),
                                       ("memory", "--rounds", "0"),
                                       ("analytic", "--p-in", "1.5"),
-                                      ("cost", "--d", "4")])
+                                      ("cost", "--d", "4"),
+                                      ("distill", "--seed", "-1")])
     def test_out_of_range_values(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--shots", "10")
         assert code == EXIT_CONFIG and out == "" and "error:" in err

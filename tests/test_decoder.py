@@ -7,8 +7,10 @@ import pytest
 from matching_oracle import (brute_force_decode, cluster_match, det_slots,
                              reference_decode_shot, slot_order,
                              walk_syndrome_masks, whole_syndrome_decode)
+from sampler_oracle import planes
 from msdsim import harness
-from msdsim.builders import NoiseModel, build_distillation_circuit, build_memory_circuit
+from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
+                             build_distillation_circuit, build_memory_circuit)
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, EMPTY, Edge, IterativeDecoder,
                             MatchingGraph, predict_outcome)
 from msdsim.dem import enumerate_error_mechanisms
@@ -95,7 +97,7 @@ def _pairs_weight(g: MatchingGraph, pairs) -> float:
 
 def _split(dec: IterativeDecoder, det: np.ndarray) -> dict:
     """Per-graph syndromes of one shot's detector bit vector."""
-    return dec.syndrome_masks(dec.pack_shots(det[:, None])[0])
+    return dec.syndrome_masks(sum(1 << d for d in np.flatnonzero(det).tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -154,11 +156,11 @@ class TestPredictOutcome:
         from msdsim.decoder import DecodeResult
         res = DecodeResult(corrections={}, obs_mask=0b10, check_mask=0b101,
                            iterations_used=1, converged=True)
-        accepted, frame, err = predict_outcome(res, check_bits=0b101, obs_bits=0b01)
+        accepted, frame, err = predict_outcome(res, checks=0b101, observables=0b01)
         assert accepted            # correction cancels the raw check bits
         assert frame               # corrected frame bit = 1^0... bit1: 0^1
         assert err                 # corrected output bit = 1^0
-        accepted2, _, err2 = predict_outcome(res, check_bits=0b100, obs_bits=0b10)
+        accepted2, _, err2 = predict_outcome(res, checks=0b100, observables=0b10)
         assert not accepted2 and not err2
 
 
@@ -175,8 +177,8 @@ def sampled(request):
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
     batch = sample(c, 2000, seed=41)
-    det = batch.unpack(batch.det_bits)
-    return dec, [dec.syndrome_masks(shot) for shot in dec.pack_shots(det)]
+    det_mask = (1 << len(c.detectors)) - 1
+    return dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -398,12 +400,38 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
                                    p_in=noise.p_in, shots=shots, seed=17)
     assert sum(1 for _ in harness._decoded_shots(pipeline, cfg)) == shots
     batch = sample(pipeline.circuit, shots, cfg.seed, None, 0, pipeline.table)
-    det = batch.unpack(batch.det_bits)
+    det = planes(batch, pipeline.circuit)[0]
     slots = det_slots(dec)
     assert len(got) == shots
     for s in range(shots):
         assert got[s] == walk_syndrome_masks(slots, det[:, s]), s
     assert sum(map(bool, got)) > shots // 2
+
+
+_BUILDERS = {
+    "memory-d3": lambda: build_memory_circuit(3, 3, NoiseModel(1e-3)),
+    **{f"{protocol}-d{d}": lambda protocol=protocol, d=d: build_distillation_circuit(
+        build_protocol(protocol), d, NoiseModel(1e-3, 0.01))
+       for protocol in (SEVEN_TO_ONE, FIFTEEN_TO_ONE) for d in (3, 5)},
+    **{f"cnot-{basis}": lambda basis=basis: build_cnot_subcircuit_experiment(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), basis) for basis in "ZX"},
+}
+
+
+class TestSlotOrder:
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_builders_emit_detectors_in_slot_order(self, name):
+        """Detector s is in slot s: the slot order the oracle derives from
+        the circuit's detectors is the identity."""
+        c = _BUILDERS[name]()
+        assert slot_order(IterativeDecoder(c, [])) == list(range(len(c.detectors)))
+
+    def test_unsorted_detectors_are_rejected(self):
+        c = _BUILDERS["SevenToOne-d3"]()
+        mechs = enumerate_error_mechanisms(fault_table(c))
+        c.detectors[0], c.detectors[-1] = c.detectors[-1], c.detectors[0]
+        with pytest.raises(ValueError, match="detectors are not in slot order"):
+            IterativeDecoder(c, mechs)
 
 
 class TestIncrementalLoop:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dem_oracle import enumerate_error_mechanisms as oracle_mechanisms
+from sampler_oracle import planes
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
 from msdsim.circuit import Circuit, Detector, ParitySet
@@ -60,7 +61,7 @@ class TestDetectorRates:
                 pred[d] *= 1 - 2 * m.prob
         shots = 200_000
         batch = sample(c, shots, seed=11)
-        mean = batch.unpack(batch.det_bits).mean(axis=1)
+        mean = planes(batch, c)[0].mean(axis=1)
         want = (1 - pred) / 2
         sigma = np.sqrt(want * (1 - want) / shots)
         z = np.abs(mean - want) / sigma

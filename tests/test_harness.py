@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from matching_oracle import det_slots, walk_syndrome_masks
+from sampler_oracle import planes
 from msdsim import harness, sampler
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
@@ -95,8 +96,7 @@ class TestSurfaceDrivers:
         dec = pipeline.decoder
         want = ExperimentStats()
         batch = sample(pipeline.circuit, cfg.shots, cfg.seed)
-        det = batch.unpack(batch.det_bits)
-        obs = batch.unpack(batch.obs_bits)
+        det, _, obs = planes(batch, pipeline.circuit)
         slots = det_slots(dec)
         for s in range(cfg.shots):
             res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), cfg.max_iters)

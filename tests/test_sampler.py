@@ -11,7 +11,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.stats import binom, chi2_contingency, chisquare
 
 from dem_oracle import forward_faults
-from sampler_oracle import sample as frame_sample
+from sampler_oracle import planes, sample as frame_sample
 from test_dem import _ORACLE_CIRCUITS, _random_circuits
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
@@ -30,20 +30,20 @@ class TestReproducibility:
         c = build_memory_circuit(3, 3, NoiseModel(0.005))
         a = sample(c, 3000, seed=99)
         b = sample(c, 3000, seed=99)
-        assert np.array_equal(a.det_bits, b.det_bits)
-        assert np.array_equal(a.obs_bits, b.obs_bits)
+        assert np.array_equal(a.sigs, b.sigs)
 
     def test_different_seeds_differ(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.005))
         a = sample(c, 3000, seed=1)
         b = sample(c, 3000, seed=2)
-        assert not np.array_equal(a.det_bits, b.det_bits)
+        assert not np.array_equal(planes(a, c)[0], planes(b, c)[0])
 
     def test_noiseless_all_zero(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.0))
         batch = sample(c, 500, seed=0)
-        assert not batch.unpack(batch.det_bits).any()
-        assert not batch.unpack(batch.obs_bits).any()
+        det, _, obs = planes(batch, c)
+        assert not det.any()
+        assert not obs.any()
 
 
 class TestChunking:
@@ -51,14 +51,14 @@ class TestChunking:
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         shots = CHUNK + 37
         batch = sample(c, shots, seed=5)
-        det = batch.unpack(batch.det_bits)
+        det = planes(batch, c)[0]
         assert det.shape == (len(c.detectors), shots)
         # noise must be present on both sides of the chunk boundary
         assert det[:, :CHUNK].any() and det[:, CHUNK:].any()
 
     def test_chunk_by_chunk_equals_one_call(self):
         """Chunk k drawn alone (`first_chunk=k`) is the k-th slice of one
-        whole call: the packed planes join byte-aligned, lane for lane."""
+        whole call: the chunks' signature rows join shot after shot."""
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         c.checks.append(ParitySet(meas=c.observables[0].meas, id=0))
         c.injections.append((len(c.instructions), 0))
@@ -67,15 +67,40 @@ class TestChunking:
         whole = sample(c, shots, 7)
         parts = [sample(c, min(CHUNK, shots - done), 7, None, k)
                  for k, done in enumerate(range(0, shots, CHUNK))]
-        for name in ("det_bits", "check_bits", "obs_bits", "injected"):
-            joined = np.concatenate([getattr(b, name) for b in parts], axis=1)
-            assert np.array_equal(getattr(whole, name), joined), name
-        assert whole.unpack(whole.check_bits).shape == (len(c.checks), shots)
+        assert np.array_equal(whole.sigs, np.concatenate([b.sigs for b in parts]))
+        assert np.array_equal(whole.injected,
+                              np.concatenate([b.injected for b in parts], axis=1))
+        assert planes(whole, c)[1].shape == (len(c.checks), shots)
+
+    def test_unpack_reads_each_shot_bit_by_bit(self):
+        """Over two chunks and a tail of no whole byte, each shot's
+        signature int has bit c set exactly when `planes` reads column c of
+        that shot set.  Columns: the memory circuit's detectors and
+        observable, then checks that flip with probability 1, 0 and 1
+        (measured straight after a reset, so only their own flip reaches
+        them), 20 columns in all."""
+        c = build_memory_circuit(3, 2, NoiseModel(0.01))
+        for i, p in enumerate((1.0, 0.0, 1.0)):
+            c.emit("RZ", ((0, 0),))
+            c.checks.append(ParitySet(meas=(c.measure(0, 0, "Z", p),), id=i))
+        cols = len(signature_columns(c))
+        assert cols % 8
+        shots = CHUNK + 1003
+        batch = sample(c, shots, seed=6)
+        det, chk, obs = planes(batch, c)
+        assert chk[0].all() and not chk[1].any() and chk[2].all()
+        assert det[:, :CHUNK].any() and det[:, CHUNK:].any()
+        bits = np.vstack([det, obs, chk])
+        sigs = batch.unpack()
+        assert len(sigs) == shots
+        for s in range(shots):
+            assert sigs[s] == sum(1 << col for col in range(cols) if bits[col, s]), s
 
     def test_unpack_respects_shot_count(self):
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         batch = sample(c, 10, seed=5)
-        assert batch.unpack(batch.det_bits).shape[1] == 10
+        assert len(batch.unpack()) == 10
+        assert planes(batch, c)[0].shape[1] == 10
 
 
 class TestStatistics:
@@ -84,8 +109,8 @@ class TestStatistics:
         c_hi = build_memory_circuit(3, 3, NoiseModel(1e-2))
         lo = sample(c_lo, 20_000, seed=3)
         hi = sample(c_hi, 20_000, seed=3)
-        m_lo = lo.unpack(lo.det_bits).mean()
-        m_hi = hi.unpack(hi.det_bits).mean()
+        m_lo = planes(lo, c_lo)[0].mean()
+        m_hi = planes(hi, c_hi)[0].mean()
         assert 0 < m_lo < m_hi < 0.5
         assert m_hi / m_lo == pytest.approx(10.0, rel=0.35)
 
@@ -103,8 +128,7 @@ class TestForcedInjections:
             for r in range(spec.num_resources):
                 forced[r, s] = bool((pat >> r) & 1)
         batch = sample(c, len(patterns), seed=0, forced_injections=forced)
-        chk = batch.unpack(batch.check_bits)
-        obs = batch.unpack(batch.obs_bits)
+        _, chk, obs = planes(batch, c)
         assert np.array_equal(batch.injected, forced)
         for s, pat in enumerate(patterns):
             accepted = not chk[:, s].any()
@@ -141,7 +165,7 @@ class TestForcedInjections:
         for k in (0, 3):
             a = sample(c, 2000, 17, None, k, table)
             b = sample(c, 2000, 17, None, k)
-            for name in ("det_bits", "check_bits", "obs_bits", "injected"):
+            for name in ("sigs", "injected"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (k, name)
 
 
@@ -204,8 +228,9 @@ class TestBernoulli:
         Binomial(M, p).  A slot drawn twice would XOR back to zero and thin
         the upper tail."""
         n, p, shots = 40, 0.3, 20_000
-        batch = sample(_flip_circuit(p, n), shots, seed=4)
-        counts = batch.unpack(batch.check_bits).sum(axis=0)
+        c = _flip_circuit(p, n)
+        batch = sample(c, shots, seed=4)
+        counts = planes(batch, c)[1].sum(axis=0)
         sigma = np.sqrt(n * p * (1 - p) / shots)
         assert abs(counts.mean() - n * p) < 5 * sigma
         hist = np.bincount(counts, minlength=n + 1)
@@ -219,8 +244,8 @@ class TestBernoulli:
     def test_certain_probabilities(self, p):
         shots = CHUNK + 37
         batch = sample(_flip_circuit(p, 5), shots, seed=4)
-        want = np.packbits(np.full((5, shots), p == 1.0), axis=1)
-        assert np.array_equal(batch.check_bits, want)
+        want = np.packbits(np.full((shots, 5), p == 1.0), axis=1, bitorder="little")
+        assert np.array_equal(batch.sigs, want)
 
     def test_memory_bounded_at_any_noise(self):
         """Fired slots are processed in bounded blocks: at p = 0.5 and 1 the
@@ -254,14 +279,14 @@ class TestAgainstFrameOracle:
         protocol, p_circuit, p_in, shots = _STAT_CIRCUITS[request.param]
         c = build_distillation_circuit(build_protocol(protocol), 3,
                                        NoiseModel(p_circuit, p_in))
-        return sample(c, shots, seed=31), frame_sample(c, shots, seed=32)
+        return c, sample(c, shots, seed=31), frame_sample(c, shots, seed=32)
 
     def test_row_rates(self, batches):
-        a, b = batches
+        c, a, b = batches
         n = a.num_shots
-        for name in ("det_bits", "check_bits", "obs_bits"):
-            ka = a.unpack(getattr(a, name)).sum(axis=1)
-            kb = b.unpack(getattr(b, name)).sum(axis=1)
+        for name, pa, pb in zip(("det", "check", "obs"), planes(a, c), planes(b, c)):
+            ka = pa.sum(axis=1)
+            kb = pb.sum(axis=1)
             pooled = (ka + kb) / (2 * n)
             se = np.sqrt(pooled * (1 - pooled) * 2 / n)
             z = np.divide((ka - kb) / n, se, out=np.zeros(len(se)), where=se > 0)
@@ -270,9 +295,10 @@ class TestAgainstFrameOracle:
             2 * b.injected.mean() / b.injected.size)
 
     def test_check_observable_patterns(self, batches):
+        c, *pair = batches
         hists = []
-        for batch in batches:
-            bits = np.vstack([batch.unpack(batch.check_bits), batch.unpack(batch.obs_bits)])
+        for batch in pair:
+            bits = np.vstack(planes(batch, c)[1:])
             keys = (bits.astype(np.int64) << np.arange(len(bits))[:, None]).sum(axis=0)
             hists.append(dict(zip(*np.unique(keys, return_counts=True))))
         patterns = sorted(set(hists[0]) | set(hists[1]))
