@@ -223,8 +223,7 @@ def build_distillation_circuit(spec: ProtocolSpec, d: int, noise: NoiseModel) ->
     k = spec.num_resources
     all_patches = list(range(spec.num_data + k))
     b = MultiPatchBuilder({p: lay for p in all_patches}, noise)
-    _apply_protocol_layers(b, spec, {q: "+" if q in spec.init_plus else "0"
-                                     for q in range(spec.num_data)})
+    _apply_protocol_layers(b, spec, {q: spec.init_basis(q) for q in range(spec.num_data)})
     # Resource preparation is noise-exempt; input errors are injected logical Zs.
     # Resource r lives on patch num_data + r.
     for j, r in spec.consumption:

@@ -157,15 +157,16 @@ def _write(opts: dict, text: str) -> None:
 
 def cmd_analytic(opts: dict) -> int:
     rows = []
+    spec = build_protocol(opts["protocol"])
     for p in opts["p_in"]:
-        spec = build_protocol(opts["protocol"])
+        discard = discard_ratio(spec, p)
         rows.append({
             "experiment": "analytic", "protocol": opts["protocol"], "d": 0,
             "p_circuit": 0.0, "p_in": p, "shots": 0, "accepted": 0, "errors": 0,
-            "p_accept": round(1 - discard_ratio(spec, p), 10),
+            "p_accept": round(1 - discard, 10),
             "p_out": round(analytic_pout(opts["protocol"], p), 10),
             "ci_lo": 0.0, "ci_hi": 0.0,
-            "discard_ratio": round(discard_ratio(spec, p), 10),
+            "discard_ratio": round(discard, 10),
             "seed": 0, "seconds": 0.0,
         })
     _write(opts, harness.emit_results(rows, opts["format"]))

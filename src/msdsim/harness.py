@@ -148,7 +148,7 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
 def run_distillation(config: ExperimentConfig,
                      pipeline: DecodingPipeline | None = None) -> ExperimentStats:
     """Full surface-code distillation Monte Carlo at one parameter point."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if pipeline is None:
         spec = build_protocol(config.protocol)
         pipeline = DecodingPipeline.build(
@@ -157,19 +157,19 @@ def run_distillation(config: ExperimentConfig,
     for res, chk, obs in _decoded_shots(pipeline, config):
         accepted, _, error = predict_outcome(res, chk, obs)
         stats.record(accepted, error, res.iterations_used)
-    stats.seconds = time.time() - t0
+    stats.seconds = time.perf_counter() - t0
     return stats
 
 
 def run_memory_baseline(config: ExperimentConfig) -> ExperimentStats:
     """Single-patch |0> memory logical error rate (every shot "accepted")."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     pipeline = DecodingPipeline.build(
         build_memory_circuit(config.d, config.rounds, config.noise()))
     stats = ExperimentStats()
     for res, _, obs in _decoded_shots(pipeline, config):
         stats.record(True, bool((res.obs_mask ^ obs) & 1), res.iterations_used)
-    stats.seconds = time.time() - t0
+    stats.seconds = time.perf_counter() - t0
     return stats
 
 
@@ -181,14 +181,14 @@ def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
     spec = build_protocol(config.protocol)
     out: dict[int, ExperimentStats] = {}
     for basis in ("Z", "X"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         circ = build_cnot_subcircuit_experiment(spec, config.d, config.noise(), basis)
         per_obs = [ExperimentStats() for _ in circ.observables]
         for res, _, obs in _decoded_shots(DecodingPipeline.build(circ), config):
             wrong = res.obs_mask ^ obs
             for o, st in enumerate(per_obs):
                 st.record(True, bool(wrong >> o & 1), res.iterations_used)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         for ob, st in zip(circ.observables, per_obs):
             st.seconds = dt
             out[ob.id] = st
@@ -197,13 +197,13 @@ def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
 
 def run_logical(config: ExperimentConfig) -> ExperimentStats:
     """Logical-level (noise-free code) protocol Monte Carlo."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     acc, err = sample_logical_shots(config.protocol, config.p_in, config.shots,
                                     np.random.default_rng(config.seed))
     stats = ExperimentStats(shots=config.shots, accepted=int(acc.sum()),
                             errors=int((acc & err).sum()),
                             iteration_hist={1: config.shots})
-    stats.seconds = time.time() - t0
+    stats.seconds = time.perf_counter() - t0
     return stats
 
 

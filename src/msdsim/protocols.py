@@ -2,7 +2,9 @@
 
 Defines the CNOT networks, post-selection checks and frame rules, closed-form
 output-error formulas, and an exhaustive enumeration oracle that recovers the
-formulas from first principles (tableau simulation of every error pattern).
+formulas from first principles: every error pattern's checks and output flip
+are read off the linear syndrome map of the protocol's classical code (the
+[7,4] and [15,11] Hamming codes).
 
 Convention: resource states are logical |-> states consumed via CNOTs whose
 controls are the data qubits; an injected Z error re-initialises a resource as
@@ -16,11 +18,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 import numpy as np
-
-from .pauli import CliffordGate, StabilizerTableau
 
 SEVEN_TO_ONE = "SevenToOne"
 FIFTEEN_TO_ONE = "FifteenToOne"
@@ -49,11 +48,19 @@ class ProtocolSpec:
     def init_basis(self, qubit: int) -> str:
         return "+" if qubit in self.init_plus else "0"
 
+    def syndrome_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-resource (check mask, output flip) of an injected Z error.
 
-@dataclass
-class ShotRecord:
-    accepted: bool
-    output_error: bool
+        Resource r is consumed by data qubit j, so its error flips check i
+        iff j is in checks[i] (bit i of the mask), and the output iff j is in
+        the frame rule.
+        """
+        check_masks = np.zeros(self.num_resources, dtype=np.int64)
+        out_flips = np.zeros(self.num_resources, dtype=bool)
+        for j, r in self.consumption:
+            check_masks[r] = sum(1 << i for i, ck in enumerate(self.checks) if j in ck)
+            out_flips[r] = j in self.frame_rule
+        return check_masks, out_flips
 
 
 def build_protocol(kind: str) -> ProtocolSpec:
@@ -138,80 +145,6 @@ def analytic_pout(kind: str, p: float) -> float:
     return analytic_pout_7to1(p) if kind == SEVEN_TO_ONE else analytic_pout_15to1(p)
 
 
-def _run_circuit(spec: ProtocolSpec, pattern: int, rng: np.random.Generator):
-    """Tableau run of the |-> proxy circuit for one injected-error pattern.
-
-    Returns (check_parities, observable_parity).  Parities are raw; callers
-    compare against a noiseless reference run.
-    """
-    nd = spec.num_data
-    nr = spec.num_resources
-    n_tot = nd + nr
-    bases = [spec.init_basis(q) for q in range(nd)]
-    # Resource r lives at qubit nd + r; injected Z flips |-> into |+>.
-    for r in range(nr):
-        bases.append("+" if (pattern >> r) & 1 else "-")
-    t = StabilizerTableau(n_tot, bases)
-    for layer in spec.cnot_layers:
-        for c, tgt in layer:
-            t.apply(CliffordGate("CNOT", (c, tgt)))
-    for j, r in spec.consumption:
-        t.apply(CliffordGate("CNOT", (j, nd + r)))
-    rbs = lambda: int(rng.integers(0, 2))
-    # The resources are read out as in the protocol, though no parity below
-    # reads their bits.
-    for r in range(nr):
-        t.measure(nd + r, "X", rbs)
-    m_bits = np.zeros(nd - 1, dtype=np.uint8)
-    for j in range(1, nd):
-        m_bits[j - 1] = t.measure(j, "X", rbs)[0]
-    m0 = t.measure(0, "X", rbs)[0]
-    # Check/frame parities use the data X readouts only.  Combining m and n
-    # bits (as in the teleportation-based protocol) is degenerate here: an
-    # injected error flips the resource's own bit *and* the kicked-back data
-    # parity, so the pair cancels.  The m-parities alone flip iff the error
-    # pattern has odd overlap with the check set.
-    checks = []
-    for ck in spec.checks:
-        par = 0
-        for j in ck:
-            par ^= int(m_bits[j - 1])
-        checks.append(par)
-    frame = 0
-    for j in spec.frame_rule:
-        frame ^= int(m_bits[j - 1])
-    observable = m0 ^ frame
-    return tuple(checks), observable
-
-
-@lru_cache(maxsize=4)
-def _reference_parities(kind: str) -> tuple[tuple[int, ...], int]:
-    """(check parities, observable parity) of the noiseless run.
-
-    Deterministic parities do not depend on the RNG; asserted here by running
-    twice with different seeds.
-    """
-    spec = build_protocol(kind)
-    a = _run_circuit(spec, 0, np.random.default_rng(11))
-    b = _run_circuit(spec, 0, np.random.default_rng(99))
-    # Checks and the output observable are stabilizer parities; the frame-rule
-    # parity alone is gauge (only its combination with m0 is deterministic).
-    assert a == b, "reference parities not deterministic"
-    return a
-
-
-def run_logical_shot(spec: ProtocolSpec, pattern: int,
-                     rng: np.random.Generator | None = None) -> ShotRecord:
-    """Exact tableau simulation of one shot with the given injected-Z pattern."""
-    if pattern < 0 or pattern >= (1 << spec.num_resources):
-        raise ValueError("pattern out of range")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ref_checks, ref_obs = _reference_parities(spec.kind)
-    checks, obs = _run_circuit(spec, pattern, rng)
-    return ShotRecord(accepted=checks == ref_checks, output_error=bool(obs ^ ref_obs))
-
-
 @dataclass
 class OracleTable:
     """Exhaustive pattern table with exact polynomial aggregation."""
@@ -253,63 +186,27 @@ class OracleTable:
         return buf.getvalue()
 
 
-def _single_error_flips(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resource (check-flip mask, observable flip) from single-error tableau runs."""
-    ref_checks, ref_obs = _reference_parities(spec.kind)
-    k = spec.num_resources
-    check_masks = np.zeros(k, dtype=np.int64)
-    obs_flips = np.zeros(k, dtype=bool)
-    rng = np.random.default_rng(7)
-    for r in range(k):
-        checks, obs = _run_circuit(spec, 1 << r, rng)
-        mask = 0
-        for i, (c, rc) in enumerate(zip(checks, ref_checks)):
-            if c != rc:
-                mask |= 1 << i
-        check_masks[r] = mask
-        obs_flips[r] = obs != ref_obs
-    return check_masks, obs_flips
-
-
 @lru_cache(maxsize=4)
 def exhaustive_oracle(kind: str) -> OracleTable:
-    """Enumerate every injected-error pattern and tabulate accept/error.
+    """Tabulate accept/error for every injected-error pattern.
 
-    Small instances run the full tableau per pattern.  For 2^15 patterns the
-    per-pattern flips are composed linearly from single-error tableau runs
-    (Pauli errors act linearly on deterministic parities); the linearity is
-    spot-checked against full runs on random multi-error patterns.
+    The table is the classical syndrome map of the protocol's code
+    (`ProtocolSpec.syndrome_map`): a pattern is accepted iff the XOR of its
+    resources' check masks is 0, and it is an output error iff an odd number
+    of its resources flip the output.
     """
     spec = build_protocol(kind)
     k = spec.num_resources
-    npat = 1 << k
-    if k <= 8:
-        accepted = np.zeros(npat, dtype=bool)
-        error = np.zeros(npat, dtype=bool)
-        rng = np.random.default_rng(3)
-        for pat in range(npat):
-            rec = run_logical_shot(spec, pat, rng)
-            accepted[pat] = rec.accepted
-            error[pat] = rec.output_error
-        return OracleTable(kind, k, accepted, error)
-    check_masks, obs_flips = _single_error_flips(spec)
-    pats = np.arange(npat, dtype=np.int64)
-    bits = ((pats[:, None] >> np.arange(k)) & 1).astype(bool)
-    cmask = np.zeros(npat, dtype=np.int64)
+    check_masks, out_flips = spec.syndrome_map()
+    pats = np.arange(1 << k, dtype=np.int64)
+    syndrome = np.zeros(1 << k, dtype=np.int64)
+    error = np.zeros(1 << k, dtype=bool)
     for r in range(k):
-        cmask[bits[:, r]] ^= check_masks[r]
-    accepted = cmask == 0
-    error = np.zeros(npat, dtype=bool)
-    err_par = bits[:, obs_flips].sum(axis=1) % 2
-    error = err_par.astype(bool)
-    # Linearity spot check against full tableau runs.
-    rng = np.random.default_rng(17)
-    for pat in rng.integers(0, npat, size=24):
-        rec = run_logical_shot(spec, int(pat), rng)
-        assert rec.accepted == bool(accepted[pat]), f"linearity violated at {pat}"
-        if rec.accepted:
-            assert rec.output_error == bool(error[pat]), f"linearity violated at {pat}"
-    return OracleTable(kind, k, accepted, error)
+        fired = ((pats >> r) & 1).astype(bool)
+        syndrome[fired] ^= check_masks[r]
+        if out_flips[r]:
+            error ^= fired
+    return OracleTable(kind, k, syndrome == 0, error)
 
 
 def discard_ratio(spec: ProtocolSpec, p: float) -> float:
@@ -324,7 +221,7 @@ def sample_logical_shots(kind: str, p_in: float, shots: int,
     """Vectorised logical-level Monte Carlo: (accepted, output_error) planes.
 
     Error patterns are drawn i.i.d. per resource; outcomes are looked up in
-    the exhaustive oracle table (exact tableau-derived semantics).
+    the exhaustive oracle table (the exact syndrome-map semantics).
     """
     table = exhaustive_oracle(kind)
     k = table.num_resources

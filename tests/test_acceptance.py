@@ -94,7 +94,7 @@ def memory_baseline_1e3():
 
 
 def test_criterion_01_oracle_matches_closed_form():
-    """Exhaustive tableau oracle equals the closed-form output error rate."""
+    """Exhaustive syndrome-map oracle equals the closed-form output error rate."""
     t0 = time.time()
     worst = 0.0
     for kind in (SEVEN_TO_ONE, FIFTEEN_TO_ONE):

