@@ -8,8 +8,10 @@ other patches' effective syndromes, and repeats to a fixpoint (or the
 iteration cap).  A `MatchingGraph` is nodes and edges only; the
 `IterativeDecoder` alone maps detectors to graphs, nodes and slots.
 
-Matching is exact, and its cost follows the defects rather than the graph.
-Pairwise distances come from one Dijkstra per graph at set-up.  A defect pair
+Matching is exact, and its cost follows the defects rather than the graph,
+as in sparse blossom (Higgott & Gidney, arXiv:2303.15933), with no graph
+library on the common path.  Pairwise distances and shortest paths come from
+one numpy Floyd–Warshall pass per graph at set-up.  A defect pair
 (a, b) is *useful* when `dist(a, b) < dist(a, B) + dist(b, B)`, B the
 boundary; otherwise sending both to the boundary costs no more, so some
 optimal pairing uses only useful pairs.  `decode` therefore splits a syndrome
@@ -21,6 +23,8 @@ per-graph cache, and a syndrome's correction is the XOR of its components'.
 Ties between equal-weight pairings go to the lexicographically smallest pair
 list (defects in ascending order, the boundary before any partner), so
 decoding is deterministic; the lowest edge id wins between parallel edges.
+Between equal-weight paths, the predecessor set by the lowest intermediate
+node k that strictly improves a distance wins.
 
 The subset DP is memoised per graph: `f(S)`, the optimal weight of a set S
 of nodes, and the lowest node's choice are kept under S's node bitmask, so
@@ -46,8 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .circuit import Circuit
 from .dem import ErrorMechanism
@@ -137,17 +139,24 @@ class MatchingGraph:
             if cur is None or e.weight < edges[cur].weight:
                 best[k] = i
         self._pair_edge = best
-        if best:
-            rows = [k[0] for k in best]
-            cols = [k[1] for k in best]
-            w = [edges[i].weight for i in best.values()]
-            adj = coo_matrix((w + w, (rows + cols, cols + rows)), shape=(n + 1, n + 1))
-            self._dist, self._pred = dijkstra(adj.tocsr(), directed=False,
-                                              return_predecessors=True)
-        else:
-            self._dist = np.full((n + 1, n + 1), np.inf)
-            np.fill_diagonal(self._dist, 0.0)
-            self._pred = np.full((n + 1, n + 1), -9999, dtype=np.int32)
+        # Floyd–Warshall over the lightest-edge weights.  _pred[a, b] is b's
+        # predecessor on the path from a (negative: none); an entry changes
+        # only on a strict improvement, so ties go to the lowest k.
+        m = n + 1
+        dist = np.full((m, m), np.inf)
+        pred = np.full((m, m), -1, dtype=np.int32)
+        for (u, v), i in best.items():
+            dist[u, v] = dist[v, u] = edges[i].weight
+            pred[u, v], pred[v, u] = u, v
+        np.fill_diagonal(dist, 0.0)
+        cand = np.empty_like(dist)
+        better = np.empty((m, m), dtype=bool)
+        for k in range(m):
+            np.add(dist[:, k, None], dist[k], out=cand)
+            np.less(cand, dist, out=better)
+            np.minimum(dist, cand, out=dist)
+            np.copyto(pred, pred[k], where=better)
+        self._dist, self._pred = dist, pred
         # _useful[a]: bitmask of the nodes b that a useful pair (a, b) joins.
         to_b = self._dist[:n, n]
         useful = self._dist[:n, :n] < to_b[:, None] + to_b[None, :] - 1e-12

@@ -1,6 +1,10 @@
 """Whole-syndrome matching oracles for `msdsim.decoder`.
 
-- `brute_force_decode`: the minimum pairing weight by exhaustive search.
+- `dijkstra_tables`: the distance and predecessor tables `MatchingGraph`
+  built with one scipy Dijkstra per graph before Floyd–Warshall replaced it;
+  `dijkstra_path` reads a path from them and `useful_rows` the useful pairs.
+- `brute_force_decode`: the minimum pairing weight by exhaustive search over
+  the Dijkstra distances.
 - `whole_syndrome_decode`: the decoder before syndromes were split into
   clusters.  One subset DP runs over all of a syndrome's defects (blossom above
   `_DP_LIMIT`), and the correction is read by scanning every edge of the graph.
@@ -20,16 +24,72 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Correction, DecodeResult,
                             IterativeDecoder, MatchingGraph)
 from msdsim.sampler import _bits
 
 
+def dijkstra_tables(graph: MatchingGraph
+                    ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
+    """(dist, pred, pair_edge) of `graph` by scipy's Dijkstra; node n is the
+    boundary, and pair_edge holds the first of each node pair's lightest
+    edges."""
+    n = graph.n
+    edges = graph.edges
+    best: dict[tuple[int, int], int] = {}
+    for i, e in enumerate(edges):
+        v = n if e.v == BOUNDARY else e.v
+        k = (min(e.u, v), max(e.u, v))
+        cur = best.get(k)
+        if cur is None or e.weight < edges[cur].weight:
+            best[k] = i
+    if best:
+        rows = [k[0] for k in best]
+        cols = [k[1] for k in best]
+        w = [edges[i].weight for i in best.values()]
+        adj = coo_matrix((w + w, (rows + cols, cols + rows)), shape=(n + 1, n + 1))
+        dist, pred = dijkstra(adj.tocsr(), directed=False,
+                              return_predecessors=True)
+    else:
+        dist = np.full((n + 1, n + 1), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        pred = np.full((n + 1, n + 1), -9999, dtype=np.int32)
+    return dist, pred, best
+
+
+def dijkstra_path(pred: np.ndarray, pair_edge: dict[tuple[int, int], int],
+                  a: int, b: int) -> tuple[int, ...]:
+    """The edge ids of the path from a to b in `pred`, b's end first."""
+    out = []
+    cur = b
+    while cur != a:
+        prev = int(pred[a, cur])
+        if prev < 0:
+            raise RuntimeError("defect unreachable: disconnected matching graph")
+        k = (min(prev, cur), max(prev, cur))
+        out.append(pair_edge[k])
+        cur = prev
+    return tuple(out)
+
+
+def useful_rows(dist: np.ndarray, n: int) -> list[int]:
+    """Per node a, the bitmask of the nodes b with dist(a, b) < dist(a, B) +
+    dist(b, B), B the boundary."""
+    to_b = dist[:n, n]
+    useful = dist[:n, :n] < to_b[:, None] + to_b[None, :] - 1e-12
+    np.fill_diagonal(useful, False)
+    packed = np.packbits(useful, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def brute_force_decode(graph: MatchingGraph, syndrome: int) -> float:
-    """Exhaustive minimum pairing weight of a syndrome bitmask."""
+    """Exhaustive minimum pairing weight of a syndrome bitmask, over the
+    Dijkstra distances rather than the graph's own table."""
     defects = [i for i in range(graph.n) if (syndrome >> i) & 1]
-    d = graph._dist
+    d = dijkstra_tables(graph)[0]
     n = graph.n
 
     def rec(rem: tuple[int, ...]) -> float:

@@ -3,10 +3,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import msdsim
 from msdsim.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, main,
                         read_config_file)
 
@@ -198,3 +203,23 @@ class TestPinnedOutputs:
         assert (row["accepted"], row["errors"]) == self.LOGICAL_COUNTS[protocol]
         masked = re.sub(r'"seconds": [0-9.e+-]+', '"seconds": null', out)
         assert hashlib.sha256(masked.encode()).hexdigest() == self.LOGICAL_SHA256[protocol]
+
+
+def test_distill_run_imports_neither_scipy_nor_networkx():
+    """A fresh process that imports the CLI and runs 200 shots of 7-to-1 at
+    d=3 loads neither scipy nor networkx: matching distances need numpy only,
+    and networkx is imported only for a cluster above the subset-DP limit."""
+    code = (
+        "import sys\n"
+        "import msdsim.cli\n"
+        "from msdsim import harness\n"
+        "cfg = harness.ExperimentConfig(protocol=harness.SEVEN_TO_ONE, d=3, p_circuit=1e-3,"
+        " p_in=0.01, shots=200, seed=0)\n"
+        "assert harness.run_distillation(cfg).shots == 200\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'networkx')))\n")
+    src = str(Path(msdsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

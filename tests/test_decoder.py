@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from matching_oracle import (brute_force_decode, cluster_match, det_slots,
-                             reference_decode_shot, slot_order,
-                             walk_syndrome_masks, whole_syndrome_decode)
+                             dijkstra_path, dijkstra_tables, reference_decode_shot,
+                             slot_order, useful_rows, walk_syndrome_masks,
+                             whole_syndrome_decode)
 from sampler_oracle import planes
 from msdsim import harness
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
@@ -89,6 +90,37 @@ class TestMatchingOptimality:
             w_dp = _pairs_weight(g, g._match(some))
             w_blossom = _pairs_weight(g, g._match_blossom(some))
             assert w_blossom == pytest.approx(w_dp, abs=1e-9), trial
+
+
+    def test_equal_weight_paths_go_through_the_lowest_intermediate_node(self):
+        """Two a->b paths of weight 2: 0-1-3 and 0-2-3, flipping different
+        observables.  Node 2's path is found first from node 0 (its first
+        edge is lighter), but node 1 is the lowest intermediate node that
+        shortens 0->3, so the path goes through node 1."""
+        edges = [Edge(u=0, v=2, weight=0.5, obs_mask=0b10),
+                 Edge(u=2, v=3, weight=1.5),
+                 Edge(u=0, v=1, weight=1.5, obs_mask=0b01),
+                 Edge(u=1, v=3, weight=0.5)]
+        edges += [Edge(u=i, v=BOUNDARY, weight=5.0) for i in range(4)]
+        g = MatchingGraph(4, edges)
+        assert g._dist[0, 3] == 2.0
+        corr = g.decode(0b1001)
+        assert (corr.edges, corr.weight, corr.obs_mask) == ((2, 3), 2.0, 0b01)
+
+    def test_node_without_edges_cannot_reach_the_boundary(self):
+        g = MatchingGraph(2, [Edge(u=0, v=BOUNDARY, weight=1.0)])
+        assert g.decode(0b01).weight == 1.0
+        with pytest.raises(RuntimeError, match="cannot reach the boundary"):
+            g.decode(0b10)
+
+    def test_pair_cut_off_from_the_boundary(self):
+        """Nodes 1 and 2 are joined to each other only: together they match,
+        but either alone cannot reach the boundary."""
+        g = MatchingGraph(3, [Edge(u=0, v=BOUNDARY, weight=1.0),
+                              Edge(u=1, v=2, weight=0.5)])
+        assert g.decode(0b110).weight == 0.5
+        with pytest.raises(RuntimeError, match="cannot reach the boundary"):
+            g.decode(0b010)
 
 
 def _pairs_weight(g: MatchingGraph, pairs) -> float:
@@ -416,6 +448,63 @@ _BUILDERS = {
     **{f"cnot-{basis}": lambda basis=basis: build_cnot_subcircuit_experiment(
         build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), basis) for basis in "ZX"},
 }
+
+
+_ORACLE_CIRCUITS = {
+    **{f"memory-d{d}": lambda d=d: build_memory_circuit(d, d, NoiseModel(1e-3))
+       for d in (3, 5)},
+    **{f"{protocol}-d{d}": lambda protocol=protocol, d=d: build_distillation_circuit(
+        build_protocol(protocol), d, NoiseModel(1e-3, 0.01))
+       for protocol, ds in ((SEVEN_TO_ONE, (3, 5, 7)), (FIFTEEN_TO_ONE, (3, 5)))
+       for d in ds},
+    **{f"cnot-{basis}-d3": lambda basis=basis: build_cnot_subcircuit_experiment(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), basis) for basis in "ZX"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
+def test_distances_and_paths_match_dijkstra(name):
+    """Every graph's Floyd–Warshall tables against scipy's Dijkstra.  At d=3
+    the distances are bitwise equal and every pair's path is Dijkstra's.
+    Above d=3 the sums run in another order, and equal-weight paths may
+    differ: distances agree within 1e-12.  Everywhere, every path is a chain
+    of graph edges from a to b that weighs the Dijkstra distance and flips
+    the XOR of its edges' masks."""
+    c = _ORACLE_CIRCUITS[name]()
+    dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+    exact = name.endswith("-d3")
+    pairs = 0
+    for key, g in dec.graphs.items():
+        n = g.n
+        dist, pred, pair_edge = dijkstra_tables(g)
+        if exact:
+            assert np.array_equal(g._dist, dist), key
+        else:
+            assert np.array_equal(np.isinf(g._dist), np.isinf(dist)), key
+            assert np.allclose(g._dist, dist, rtol=0, atol=1e-12), key
+        assert g._useful == useful_rows(dist, n), key
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                if np.isinf(dist[a, b]):
+                    continue
+                pairs += 1
+                got = g._path(a, b)
+                ends = obs = chk = toggles = 0
+                weight = 0.0
+                for i in got.edges:
+                    e = g.edges[i]
+                    ends ^= 1 << e.u ^ 1 << (n if e.v == BOUNDARY else e.v)
+                    weight += e.weight
+                    obs ^= e.obs_mask
+                    chk ^= e.check_mask
+                    toggles ^= e.toggles
+                assert (got.obs_mask, got.check_mask, got.toggles) == (obs, chk, toggles)
+                assert ends == 1 << a | 1 << b, (key, a, b)
+                assert weight == pytest.approx(dist[a, b], abs=1e-9), (key, a, b)
+                if exact:
+                    want = sum(1 << i for i in dijkstra_path(pred, pair_edge, a, b))
+                    assert got.edge_mask == want, (key, a, b)
+    assert pairs > 100
 
 
 class TestSlotOrder:
