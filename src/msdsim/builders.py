@@ -35,7 +35,7 @@ class NoiseModel:
 
 
 class MultiPatchBuilder:
-    """Stateful constructor tracking rounds, pending CNOT layers and the
+    """Stateful constructor tracking pending CNOT layers and the
     per-plaquette measurement history needed for detector emission."""
 
     def __init__(self, layouts: dict[int, PatchLayout], noise: NoiseModel):
@@ -44,7 +44,6 @@ class MultiPatchBuilder:
         self.layouts = layouts
         self.init_basis: dict[int, str] = {}
         self.prev_meas: dict[tuple[int, int], int] = {}
-        self.rounds_done: dict[int, int] = {p: 0 for p in layouts}
         self.pending: list[tuple[int, int]] = []  # transversal CNOTs since last round
 
     # -- primitive stages -------------------------------------------------
@@ -126,8 +125,6 @@ class MultiPatchBuilder:
             for pi, plq in enumerate(lay.plaquettes):
                 self._emit_round_detector(pk, pi, plq, new_meas[(pk, pi)])
         self.prev_meas.update(new_meas)
-        for pk in patches:
-            self.rounds_done[pk] += 1
         self.pending = []
 
     def _backpropagated_patches(self, patch: int, kind: str) -> set[int]:
@@ -152,8 +149,7 @@ class MultiPatchBuilder:
             else:
                 return  # unresolvable prior value: parity not deterministic
         self.circuit.detectors.append(Detector(
-            meas=tuple(sorted(terms)), home_patch=patch, basis=plq.kind,
-            round=self.rounds_done[patch], plaq=pi))
+            meas=tuple(sorted(terms)), home_patch=patch, basis=plq.kind))
 
     def readout_patch(self, patch: int, basis: str) -> list[int]:
         """Transversally measure all data qubits; returns per-qubit measurement
@@ -170,8 +166,7 @@ class MultiPatchBuilder:
                 continue
             terms = sorted([meas[q] for q in plq.data] + [prev])
             self.circuit.detectors.append(Detector(
-                meas=tuple(terms), home_patch=patch, basis=basis,
-                round=self.rounds_done[patch], plaq=pi))
+                meas=tuple(terms), home_patch=patch, basis=basis))
         return meas
 
     def finish(self) -> Circuit:

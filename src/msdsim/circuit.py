@@ -37,8 +37,6 @@ class Detector:
     meas: tuple[int, ...]
     home_patch: int
     basis: str          # measurement basis of every member, "X" or "Z"
-    round: int
-    plaq: int           # plaquette index within the home patch
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .dem import ErrorMechanism
-from .sampler import _bits
+from .dem import ErrorMechanism, _bits
 
 BOUNDARY = -1
 _DP_LIMIT = 14  # components with more defects use the blossom fallback
@@ -161,8 +160,8 @@ class MatchingGraph:
         to_b = self._dist[:n, n]
         useful = self._dist[:n, :n] < to_b[:, None] + to_b[None, :] - 1e-12
         np.fill_diagonal(useful, False)
-        packed = np.packbits(useful, axis=1, bitorder="little")
-        self._useful = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self._useful = [sum(1 << b for b in np.flatnonzero(row).tolist())
+                        for row in useful]
 
     def _path_edges(self, a: int, b: int) -> tuple[int, ...]:
         out = []

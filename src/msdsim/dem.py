@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import KINDS, TERMS, FaultTable, _bits, signature_columns
+from .sampler import KINDS, TERMS, FaultTable, signature_columns
 
 @dataclass(frozen=True)
 class ErrorMechanism:
@@ -28,6 +28,16 @@ class ErrorMechanism:
     foreign_dets: tuple[int, ...]   # detector ids homed to other patches
     obs_mask: int                   # bit i set -> observable id i flips
     check_mask: int
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _xor_prob(a: float, b: float) -> float:
@@ -51,7 +61,7 @@ def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:
              for k in KINDS]
     ncomp = [TERMS[k].shape[1] for k in KINDS]
     z_cols = ~x_cols
-    sigs = [table.sigs[r] for r in table.comp_row.tolist()]     # per component
+    sigs = table.sigs[table.comp_row].tolist()                  # per component
     for kind, p, origin, first in zip(table.kind.tolist(), table.p.tolist(),
                                       table.origin.tolist(), table.first.tolist()):
         if p == 0:

@@ -15,12 +15,12 @@ Per chunk, each group's (site, shot) slots fire independently with
 probability p, drawn as geometric skips in bounded blocks (exact i.i.d.
 Bernoulli, never two draws of one slot); a fired slot picks a uniform
 non-identity Pauli term and XORs the rows of the components it applies into
-that shot's row of one shot-major, bit-packed signature plane: column c of
-shot s is bit `c & 7` of byte `c >> 3` of row s, so a shot's signature is one
-little-endian int (`ShotBatch.unpack`) whose low bits are its detectors in
-slot order, then its observables, then its checks.  This is frame-free
-sampling from a detector-error-style table, and the shot-major packing of
-Stim's bit-packed samples (Gidney, arXiv:2103.02202).
+that shot's signature, one int per shot whose bit c is column c of
+`signature_columns`: its detectors in slot order, then its observables, then
+its checks.  Rows and shots share that one format from the table to the
+decoder: one array of ints, int64 while a signature has fewer than 64
+columns and Python ints above.  This is frame-free sampling from a
+detector-error-style table (Gidney, arXiv:2103.02202).
 
 Shots are sampled in fixed-size chunks with per-chunk child seeds, so results
 are bit-exact reproducible for a given seed whether a run is drawn in one call
@@ -57,26 +57,20 @@ TERMS = {
 
 @dataclass
 class ShotBatch:
-    num_shots: int
-    sigs: np.ndarray            # (S, ceil(columns/8)) uint8, little-endian per shot
+    sigs: np.ndarray            # (S,) each shot's signature, in the table's dtype
     injected: np.ndarray        # (num_resources, S) bool — which injections fired
 
     def unpack(self) -> list[int]:
         """Each shot's signature as one int: bit c is column c of
         `signature_columns`."""
-        width = self.sigs.shape[1]
-        if width == 0:
-            return [0] * self.num_shots
-        buf = self.sigs.tobytes()
-        return [int.from_bytes(buf[i:i + width], "little")
-                for i in range(0, len(buf), width)]
+        return self.sigs.tolist()
 
 
 @dataclass
 class FaultTable:
     """Noise sites in forward order and their components' rows.  A row is a
-    signature, the columns of `signature_columns` it flips, held two ways:
-    as a CSR the sampler scatters and as a bitset the merge XORs."""
+    signature: an int whose bit c is set when the row flips column c of
+    `signature_columns`."""
     circuit: Circuit
     kind: np.ndarray            # (sites,) int8 index into KINDS
     p: np.ndarray               # (sites,) float64
@@ -84,19 +78,7 @@ class FaultTable:
     rid: np.ndarray             # (sites,) int32 resource id of an INJECT_Z, else -1
     first: np.ndarray           # (sites,) int32: component c is comp_row[first + c]
     comp_row: np.ndarray        # int32 row id of each component; sites share rows
-    row_ptr: np.ndarray         # int32: row r flips row_cols[row_ptr[r]:row_ptr[r + 1]]
-    row_cols: np.ndarray        # int32 columns, ascending within a row
-    sigs: list[int]             # row r's columns as a bitset
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    sigs: np.ndarray            # (rows,) int64 or object: row r's signature
 
 
 def signature_columns(circuit: Circuit) -> list:
@@ -155,20 +137,15 @@ def fault_table(circuit: Circuit) -> FaultTable:
             origins.append(patch)
             rids.append(resource)
             comp_row.extend(row_id.setdefault(r, len(row_id)) for r in reversed(comps))
-    rows = list(row_id)
     kind, p, origin, rid, comp_row = (np.array(col[::-1], dtype=dt) for col, dt in zip(
         (kinds, ps, origins, rids, comp_row), (np.int8, np.float64, np.int32, np.int32, np.int32)))
     ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
     first = (np.cumsum(ncomp) - ncomp).astype(np.int32)
-
-    # Each row's columns, ascending, as a CSR.
-    row_ptr, row_cols = [0], []
-    for r in rows:
-        row_cols += _bits(r)
-        row_ptr.append(len(row_cols))
-    return FaultTable(circuit, kind, p, origin, rid, first, comp_row,
-                      np.array(row_ptr, dtype=np.int32), np.array(row_cols, dtype=np.int32),
-                      rows)
+    # A signature of fewer than 64 columns fits an int64; wider ones are
+    # Python ints.  Shots take the rows' dtype, so a narrow circuit's shots
+    # cost 8 bytes each however many of them are nonzero.
+    sigs = np.array(list(row_id), dtype=np.int64 if len(cols) < 64 else object)
+    return FaultTable(circuit, kind, p, origin, rid, first, comp_row, sigs)
 
 
 def _groups(table: FaultTable):
@@ -195,26 +172,10 @@ def _fired(rng: np.random.Generator, p: float, n_slots: int):
         yield slots[:np.searchsorted(slots, n_slots)]
 
 
-def _xor_rows(plane: np.ndarray, table: FaultTable, rows: np.ndarray,
-              shots: np.ndarray) -> None:
-    """XOR table row rows[i] into shot shots[i] of the packed plane."""
-    starts = table.row_ptr[rows]
-    lens = table.row_ptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return
-    # Position in row_cols of every (event, member) pair.
-    pos = np.arange(total) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    cols = table.row_cols[pos]
-    flat = np.repeat(shots, lens) * plane.shape[1] + (cols >> 3)
-    np.bitwise_xor.at(plane.reshape(-1), flat, (1 << (cols & 7)).astype(np.uint8))
-
-
 def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
                   rng: np.random.Generator, forced: np.ndarray | None) -> tuple:
-    circuit = table.circuit
-    plane = np.zeros((shots, (len(signature_columns(circuit)) + 7) // 8), dtype=np.uint8)
-    injected = np.zeros((len(circuit.injections), shots), dtype=bool)
+    sigs = np.zeros(shots, dtype=table.sigs.dtype)
+    injected = np.zeros((len(table.circuit.injections), shots), dtype=bool)
     for kind, p, comps, rids in groups:
         terms = TERMS[kind]
         if kind == "INJECT_Z" and forced is not None:
@@ -232,8 +193,8 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
                 site, shot = site[ev], shot[ev]
             else:
                 comp = np.zeros_like(site)
-            _xor_rows(plane, table, comps[site, comp], shot)
-    return plane, injected
+            np.bitwise_xor.at(sigs, shot, table.sigs[comps[site, comp]])
+    return sigs, injected
 
 
 def sample(circuit: Circuit, shots: int, seed: int,
@@ -242,17 +203,22 @@ def sample(circuit: Circuit, shots: int, seed: int,
     """Sample `shots` reference-relative shots.
 
     `forced_injections` (num_resources, shots) bool overrides the random
-    injection draws, enabling exhaustive pattern sweeps at the circuit level.
+    injection draws, enabling exhaustive pattern sweeps at the circuit level;
+    any other shape raises ValueError.
     Chunk k draws from the child seed `[seed, k]`, counting from
     `first_chunk`: with `shots <= CHUNK`, `sample(c, shots, seed, None, k)` is
     chunk k of a longer run.  `table` is `circuit`'s fault table, built
     here when not given.
     """
+    want = (len(circuit.injections), shots)
+    if forced_injections is not None and np.shape(forced_injections) != want:
+        raise ValueError(f"forced_injections has shape {np.shape(forced_injections)}, "
+                         f"not (num_resources, shots) = {want}")
     if table is None:
         table = fault_table(circuit)
     groups = list(_groups(table))
     chunks = []
-    # At least one chunk, so zero shots still give planes of the right width.
+    # At least one chunk, so zero shots still give arrays to join.
     for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
         n = min(CHUNK, shots - done)
         rng = np.random.default_rng([seed, chunk_id])
@@ -260,5 +226,5 @@ def sample(circuit: Circuit, shots: int, seed: int,
         if forced_injections is not None:
             forced = forced_injections[:, done:done + n]
         chunks.append(_sample_chunk(table, groups, n, rng, forced))
-    planes, injected = zip(*chunks)
-    return ShotBatch(shots, np.concatenate(planes), np.concatenate(injected, axis=1))
+    sigs, injected = zip(*chunks)
+    return ShotBatch(np.concatenate(sigs), np.concatenate(injected, axis=1))

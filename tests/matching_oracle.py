@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Correction, DecodeResult,
                             IterativeDecoder, MatchingGraph)
-from msdsim.sampler import _bits
+from msdsim.dem import _bits
 
 
 def dijkstra_tables(graph: MatchingGraph

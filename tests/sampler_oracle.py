@@ -6,7 +6,7 @@ each fault is simulated directly, so its output distribution is the one the
 sparse fault sampler must reproduce (the random streams differ, so the
 comparison is statistical).
 
-`planes` reads a batch's packed signatures back into bool planes, bit by bit.
+`planes` reads a batch's signature ints back into bool planes, bit by bit.
 """
 from __future__ import annotations
 
@@ -91,15 +91,18 @@ def sample(circuit: Circuit, shots: int, seed: int) -> ShotBatch:
     """`shots` reference-relative shots in one frame-simulated chunk."""
     meas, injected = _sample_chunk(circuit, shots, np.random.default_rng(seed),
                                    circuit.qubit_index(), None)
-    bits = _parities(meas, signature_columns(circuit))
-    return ShotBatch(shots, np.packbits(bits.T, axis=1, bitorder="little"), injected)
+    sigs = np.zeros(shots, dtype=object)
+    for c, row in enumerate(_parities(meas, signature_columns(circuit))):
+        sigs[row] ^= 1 << c
+    return ShotBatch(sigs, injected)
 
 
 def planes(batch: ShotBatch, circuit: Circuit) -> tuple[np.ndarray, ...]:
     """(detectors, checks, observables) of a batch as bool planes, each
-    (rows, shots): column c of shot s is bit c & 7 of byte c >> 3 of row s
-    of `batch.sigs`, the columns in `signature_columns` order."""
+    (rows, shots): column c of shot s is bit c of `batch.sigs[s]`, the
+    columns in `signature_columns` order."""
     nd, no = len(circuit.detectors), len(circuit.observables)
-    bits = np.unpackbits(batch.sigs, axis=1, count=len(signature_columns(circuit)),
-                         bitorder="little").view(bool).T
+    cols = len(signature_columns(circuit))
+    bits = np.array([batch.sigs >> c & 1 for c in range(cols)],
+                    dtype=bool).reshape(cols, len(batch.sigs))
     return bits[:nd], bits[nd + no:], bits[nd:nd + no]

@@ -101,7 +101,7 @@ class TestReferenceRun:
         rejected, varying = [], []
         for m in range(base.num_measurements):
             c = dataclasses.replace(base, detectors=[
-                Detector(meas=(m,), home_patch=0, basis="Z", round=0, plaq=0)])
+                Detector(meas=(m,), home_patch=0, basis="Z")])
             try:
                 validate_annotations(c)
             except AssertionError:

@@ -137,7 +137,7 @@ class TestOracle:
         c.emit("DEPOL1", ((0, 0),), 0.1)
         c.emit("CNOT", ((0, 0), (0, 1), (0, 1), (0, 2)))
         mi = c.measure(0, 2, "Z", 0.0)
-        c.detectors.append(Detector(meas=(mi,), home_patch=0, basis="Z", round=0, plaq=0))
+        c.detectors.append(Detector(meas=(mi,), home_patch=0, basis="Z"))
         mechs = enumerate_error_mechanisms(fault_table(c))
         assert mechs == oracle_mechanisms(c)
         q = 0.1 / 3  # the X and Y terms both flip it
@@ -190,7 +190,7 @@ def _random_circuits(draw):
         for _ in range(draw(st.integers(0, 6))):
             c.detectors.append(Detector(
                 meas=tuple(draw(meas)), home_patch=draw(st.integers(0, n_patches - 1)),
-                basis=draw(st.sampled_from("XZ")), round=0, plaq=0))
+                basis=draw(st.sampled_from("XZ"))))
         for i in range(draw(st.integers(0, 3))):
             c.checks.append(ParitySet(meas=tuple(draw(meas)), id=i))
         for i in range(draw(st.integers(0, 2))):

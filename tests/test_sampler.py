@@ -1,6 +1,8 @@
 """Shot sampler tests: reproducibility, chunking, forced patterns, the fault
 table against the forward-propagation oracle, and the output distribution
 against the Pauli-frame oracle."""
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,38 @@ from msdsim.sampler import (CHUNK, KINDS, TERMS, fault_table, sample,
                             signature_columns)
 
 
+# sha256 of repr(sample(c, CHUNK + 37, 0).unpack()) on the benchmark's two
+# circuits, recorded from the bit-packed byte-plane sampler that the int
+# signatures replaced: the random stream and its shots are pinned.
+_STREAM_DIGESTS = {
+    "7to1-d3": (SEVEN_TO_ONE, 1e-3, 0.01,
+                "01b09cb228f8b03e7f1b710cb6d306a4cc25d81dcc451373d89d7ce85b796d70"),
+    "15to1-d3": (FIFTEEN_TO_ONE, 3e-3, 0.1,
+                 "3bf7ed4b7077c2b0bb05e10b5b8c85f11b6df96ffa4330514d3eba8cab091614"),
+}
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("name", sorted(_STREAM_DIGESTS))
+    def test_stream_is_pinned(self, name):
+        protocol, p_circuit, p_in, digest = _STREAM_DIGESTS[name]
+        c = build_distillation_circuit(build_protocol(protocol), 3,
+                                       NoiseModel(p_circuit, p_in))
+        sigs = sample(c, CHUNK + 37, 0).unpack()
+        assert hashlib.sha256(repr(sigs).encode()).hexdigest() == digest
+
+    def test_int64_rows_sample_like_python_ints(self):
+        """A signature of fewer than 64 columns is held as an int64; the same
+        table with its rows as Python ints gives the same shots."""
+        c = build_memory_circuit(3, 3, NoiseModel(0.05))
+        table = fault_table(c)
+        assert len(signature_columns(c)) < 64 and table.sigs.dtype == np.int64
+        wide = dataclasses.replace(table, sigs=table.sigs.astype(object))
+        a = sample(c, 3000, 5, table=table)
+        b = sample(c, 3000, 5, table=wide)
+        assert b.sigs.dtype == object
+        assert a.unpack() == b.unpack()
+
     def test_same_seed_byte_identical(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.005))
         a = sample(c, 3000, seed=99)
@@ -73,18 +106,18 @@ class TestChunking:
         assert planes(whole, c)[1].shape == (len(c.checks), shots)
 
     def test_unpack_reads_each_shot_bit_by_bit(self):
-        """Over two chunks and a tail of no whole byte, each shot's
-        signature int has bit c set exactly when `planes` reads column c of
-        that shot set.  Columns: the memory circuit's detectors and
-        observable, then checks that flip with probability 1, 0 and 1
-        (measured straight after a reset, so only their own flip reaches
-        them), 20 columns in all."""
+        """Over two chunks, each shot's signature int, read as a binary
+        string, has digit c set exactly when `planes` reads column c of that
+        shot set, and no digit above the columns.  Columns: the memory
+        circuit's detectors and observable, then checks that flip with
+        probability 1, 0 and 1 (measured straight after a reset, so only
+        their own flip reaches them), 20 columns in all."""
         c = build_memory_circuit(3, 2, NoiseModel(0.01))
         for i, p in enumerate((1.0, 0.0, 1.0)):
             c.emit("RZ", ((0, 0),))
             c.checks.append(ParitySet(meas=(c.measure(0, 0, "Z", p),), id=i))
         cols = len(signature_columns(c))
-        assert cols % 8
+        assert cols == 20
         shots = CHUNK + 1003
         batch = sample(c, shots, seed=6)
         det, chk, obs = planes(batch, c)
@@ -94,7 +127,8 @@ class TestChunking:
         sigs = batch.unpack()
         assert len(sigs) == shots
         for s in range(shots):
-            assert sigs[s] == sum(1 << col for col in range(cols) if bits[col, s]), s
+            digits = "".join("1" if bits[col, s] else "0" for col in reversed(range(cols)))
+            assert format(sigs[s], f"0{cols}b") == digits, s
 
     def test_unpack_respects_shot_count(self):
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
@@ -136,6 +170,18 @@ class TestForcedInjections:
             if accepted:
                 assert bool(obs[0, s]) == bool(table.output_error[pat])
 
+    def test_forced_shape_is_checked(self):
+        """A forced pattern of any shape but (num_resources, shots) is
+        rejected, not read with its resources and shots misaligned."""
+        spec = build_protocol(SEVEN_TO_ONE)
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.5))
+        for shape in ((7, 5), (7, 11), (6, 10), (70,)):
+            with pytest.raises(ValueError, match="forced_injections"):
+                sample(c, 10, seed=0, forced_injections=np.zeros(shape, dtype=bool))
+        forced = np.zeros((spec.num_resources, 10), dtype=bool)
+        forced[2, 4] = True
+        assert np.array_equal(sample(c, 10, seed=0, forced_injections=forced).injected, forced)
+
     def test_random_injections_fire_at_rate(self):
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.2))
@@ -172,20 +218,17 @@ class TestForcedInjections:
 def _assert_table_equals_oracle(circuit: Circuit) -> None:
     """The signature rows of the table's p > 0 faults, in forward order (the
     XOR of each term's component rows), equal `forward_faults`' measurement
-    flips projected onto `signature_columns`, read both off the CSR and off
-    the `sigs` bitsets."""
+    flips projected onto `signature_columns`."""
     table = fault_table(circuit)
     cols = signature_columns(circuit)
-    csr, ints = [], []
+    ints = []
     for kind, p, first in zip(table.kind, table.p, table.first):
         if p == 0:
             continue
         for term in TERMS[KINDS[kind]]:
-            row, sig = np.zeros(len(cols), dtype=bool), 0
+            sig = 0
             for r in table.comp_row[first + np.flatnonzero(term)]:
-                row[table.row_cols[table.row_ptr[r]:table.row_ptr[r + 1]]] ^= True
                 sig ^= table.sigs[r]
-            csr.append(row)
             ints.append(sig)
     _, flips = forward_faults(circuit)
     # member[m, c]: how often measurement m is in column c (a repeat cancels).
@@ -194,7 +237,6 @@ def _assert_table_equals_oracle(circuit: Circuit) -> None:
                           [c for c, s in enumerate(cols) for _ in s.meas])),
                         shape=(circuit.num_measurements, len(cols))).tocsr()
     want = (csr_matrix(flips, dtype=np.int64) @ member).toarray() % 2 == 1
-    assert np.array_equal(np.array(csr, dtype=bool).reshape(want.shape), want)
     assert ints == [int.from_bytes(np.packbits(w, bitorder="little").tobytes(), "little")
                     for w in want]
 
@@ -244,8 +286,7 @@ class TestBernoulli:
     def test_certain_probabilities(self, p):
         shots = CHUNK + 37
         batch = sample(_flip_circuit(p, 5), shots, seed=4)
-        want = np.packbits(np.full((shots, 5), p == 1.0), axis=1, bitorder="little")
-        assert np.array_equal(batch.sigs, want)
+        assert batch.unpack() == [0b11111 if p == 1.0 else 0] * shots
 
     def test_memory_bounded_at_any_noise(self):
         """Fired slots are processed in bounded blocks: at p = 0.5 and 1 the
@@ -283,7 +324,7 @@ class TestAgainstFrameOracle:
 
     def test_row_rates(self, batches):
         c, a, b = batches
-        n = a.num_shots
+        n = len(a.sigs)
         for name, pa, pb in zip(("det", "check", "obs"), planes(a, c), planes(b, c)):
             ka = pa.sum(axis=1)
             kb = pb.sum(axis=1)
