@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Detector, ParitySet
 from .layout import PatchLayout, Plaquette, build_patch
-from .protocols import ProtocolSpec, cnot_sublayers
+from .protocols import ProtocolSpec
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class MultiPatchBuilder:
     def __init__(self, layouts: dict[int, PatchLayout], noise: NoiseModel):
         self.circuit = Circuit(layouts=dict(layouts))
         self.noise = noise
-        self.layouts = layouts
         self.init_basis: dict[int, str] = {}
         self.prev_meas: dict[tuple[int, int], int] = {}
         self.pending: list[tuple[int, int]] = []  # transversal CNOTs since last round
@@ -49,7 +48,7 @@ class MultiPatchBuilder:
     # -- primitive stages -------------------------------------------------
     def init_patch(self, patch: int, basis: str, noisy: bool = True) -> None:
         """Reset all data qubits: basis '0' -> |0>, '+' -> |+>, '-' -> |->."""
-        lay = self.layouts[patch]
+        lay = self.circuit.layouts[patch]
         op = {"0": "RZ", "+": "RX", "-": "RMINUS"}[basis]
         addrs = tuple((patch, q) for q in range(lay.num_data))
         self.circuit.emit(op, addrs)
@@ -58,13 +57,13 @@ class MultiPatchBuilder:
             self.circuit.emit("DEPOL1", addrs, self.noise.p_circuit)
 
     def inject_logical_z(self, patch: int, resource_id: int) -> None:
-        lay = self.layouts[patch]
+        lay = self.circuit.layouts[patch]
         addrs = tuple((patch, q) for q in lay.logical_z_support)
         self.circuit.emit("INJECT_Z", addrs, self.noise.p_in)
         self.circuit.injections.append((len(self.circuit.instructions) - 1, resource_id))
 
     def transversal_cnot(self, cp: int, tp: int) -> None:
-        lc, lt = self.layouts[cp], self.layouts[tp]
+        lc, lt = self.circuit.layouts[cp], self.circuit.layouts[tp]
         if lc.d != lt.d:
             raise ValueError("transversal CNOT requires equal distances")
         pairs = []
@@ -85,7 +84,7 @@ class MultiPatchBuilder:
 
         # Sub-step 1: ancilla reset (X plaquettes to |+>, Z to |0>); data idles.
         for pk in patches:
-            lay = self.layouts[pk]
+            lay = self.circuit.layouts[pk]
             xa = tuple((pk, q.ancilla) for q in lay.x_plaquettes)
             za = tuple((pk, q.ancilla) for q in lay.z_plaquettes)
             if xa:
@@ -97,7 +96,7 @@ class MultiPatchBuilder:
         # Sub-steps 2-5: plaquette CNOTs in schedule order.
         for step in range(4):
             for pk in patches:
-                lay = self.layouts[pk]
+                lay = self.circuit.layouts[pk]
                 busy = set()
                 for plq in lay.plaquettes:
                     dq = plq.schedule()[step]
@@ -115,13 +114,13 @@ class MultiPatchBuilder:
         # Sub-step 6: ancilla measurement; data idles.
         new_meas: dict[tuple[int, int], int] = {}
         for pk in patches:
-            lay = self.layouts[pk]
+            lay = self.circuit.layouts[pk]
             for pi, plq in enumerate(lay.plaquettes):
                 new_meas[(pk, pi)] = c.measure(pk, plq.ancilla, plq.kind, p)
             idle([(pk, q) for q in range(lay.num_data)])
 
         for pk in patches:
-            lay = self.layouts[pk]
+            lay = self.circuit.layouts[pk]
             for pi, plq in enumerate(lay.plaquettes):
                 self._emit_round_detector(pk, pi, plq, new_meas[(pk, pi)])
         self.prev_meas.update(new_meas)
@@ -155,7 +154,7 @@ class MultiPatchBuilder:
         """Transversally measure all data qubits; returns per-qubit measurement
         indices and emits the final plaquette-reconstruction detectors."""
         assert not self.pending, "transversal CNOTs must be followed by a round"
-        lay = self.layouts[patch]
+        lay = self.circuit.layouts[patch]
         meas = [self.circuit.measure(patch, q, basis, self.noise.p_circuit)
                 for q in range(lay.num_data)]
         for pi, plq in enumerate(lay.plaquettes):
@@ -203,10 +202,9 @@ def _apply_protocol_layers(b: MultiPatchBuilder, spec: ProtocolSpec,
     for q, basis in init.items():
         b.init_patch(q, basis)
     b.se_round(data_patches)
-    for layer in cnot_sublayers(spec):
-        for sub in layer:
-            for c, t in sub:
-                b.transversal_cnot(c, t)
+    for layer in spec.cnot_layers:
+        for c, t in layer:
+            b.transversal_cnot(c, t)
         b.se_round(data_patches)
 
 
@@ -274,8 +272,7 @@ def minimal_web_observables(spec: ProtocolSpec) -> dict[str, list[tuple[int, int
     product whose web sweeps the least spacetime volume — in whichever basis
     run achieves it — benchmarks the CNOT block itself rather than the width
     of the webs.  Returns {basis: [(patch, final-support mask), ...]}."""
-    n = spec.num_data
-    layers = [[pair for sub in layer for pair in sub] for layer in cnot_sublayers(spec)]
+    n, layers = spec.num_data, spec.cnot_layers
     # Rounds swept per segment: init + first SE round, one SE round per CNOT
     # layer, and the trailing SE round + readout on the final support.
     weights = [2] + [1] * (len(layers) - 1) + [3]

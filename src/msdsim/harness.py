@@ -22,12 +22,13 @@ import numpy as np
 
 from .builders import (NoiseModel, build_cnot_subcircuit_experiment,
                        build_distillation_circuit, build_memory_circuit)
-from .circuit import Circuit, validate_annotations
+from .circuit import Circuit
 from .decoder import IterativeDecoder, predict_outcome
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
-from .sampler import CHUNK, FaultTable, fault_table, sample
+from .sampler import (CHUNK, FaultTable, fault_table, sample,
+                      validate_annotations)
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -106,11 +107,12 @@ class ExperimentStats:
 
 @dataclass
 class DecodingPipeline:
-    """Circuit, fault table and decoder for one circuit: `build` checks the
-    annotations exactly, builds the circuit's fault table, merges the error
-    mechanisms from it and builds the matching graphs.  The table's signature
-    rows serve both the merge and the sampler: every shot the pipeline
-    decodes is sampled from them, so no chunk rebuilds the table.
+    """Circuit, fault table and decoder for one circuit: `build` builds the
+    circuit's fault table (the one backward sweep), checks the annotations
+    exactly off its random-parity mask, merges the error mechanisms from it
+    and builds the matching graphs.  Every later stage reads the table: the
+    merge reads its signature rows, and every shot the pipeline decodes is
+    sampled from them, so no chunk sweeps the circuit again.
 
     Noise strengths are baked into the circuit's instructions, the table and
     the mechanism probabilities, so a pipeline is valid only for the noise it
@@ -121,8 +123,8 @@ class DecodingPipeline:
 
     @classmethod
     def build(cls, circuit: Circuit) -> "DecodingPipeline":
-        validate_annotations(circuit)
         table = fault_table(circuit)
+        validate_annotations(table)
         mechanisms = enumerate_error_mechanisms(table)
         return cls(circuit, table, IterativeDecoder(circuit, mechanisms))
 
@@ -139,7 +141,7 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     nd, no = len(circ.detectors), len(circ.observables)
     det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
     for k, done in enumerate(range(0, config.shots, CHUNK)):
-        batch = sample(circ, min(CHUNK, config.shots - done), config.seed, None, k, table)
+        batch = sample(table, min(CHUNK, config.shots - done), config.seed, None, k)
         for sig in batch.unpack():
             res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), config.max_iters)
             yield res, sig >> (nd + no), sig >> nd & obs_mask

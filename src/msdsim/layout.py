@@ -20,7 +20,6 @@ Z_SCHEDULE = ("nw", "sw", "ne", "se")
 @dataclass(frozen=True)
 class Plaquette:
     kind: str                 # "X" or "Z"
-    cell: tuple[int, int]
     ancilla: int              # qubit index within the patch
     corners: tuple[int | None, int | None, int | None, int | None]  # nw, ne, sw, se data indices
 
@@ -91,7 +90,7 @@ def build_patch(d: int) -> PatchLayout:
                     continue
             else:
                 continue
-            plaquettes.append(Plaquette(kind, (i, j), d * d + len(plaquettes), corners))
+            plaquettes.append(Plaquette(kind, d * d + len(plaquettes), corners))
 
     layout = PatchLayout(
         d=d,

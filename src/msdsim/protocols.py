@@ -30,7 +30,9 @@ class ProtocolSpec:
     kind: str
     num_data: int                       # data qubits incl. the output qubit 0
     init_plus: frozenset[int]           # data qubits initialised |+>; rest |0>
-    cnot_layers: tuple[tuple[tuple[int, int], ...], ...]  # (control, target) per barrier interval
+    # (control, target) pairs per barrier interval; a layer touches each
+    # qubit at most once, so its CNOTs apply simultaneously.
+    cnot_layers: tuple[tuple[tuple[int, int], ...], ...]
     consumption: tuple[tuple[int, int], ...]  # (data qubit j, resource index)
     checks: tuple[frozenset[int], ...]  # index sets over data qubits 1..k
     frame_rule: frozenset[int]          # X-logical representative; frame = sum of n_j+m_j over it
@@ -104,25 +106,6 @@ def build_protocol(kind: str) -> ProtocolSpec:
             frame_rule=frozenset(range(1, 8)),
         )
     raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-def cnot_sublayers(spec: ProtocolSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """CNOT layers split into simultaneously applicable sub-layers.
-
-    Within one barrier interval no qubit may appear twice in a sub-layer.
-    """
-    out = []
-    for layer in spec.cnot_layers:
-        subs: list[list[tuple[int, int]]] = []
-        for c, t in layer:
-            for sub in subs:
-                if all(c not in pair and t not in pair for pair in sub):
-                    sub.append((c, t))
-                    break
-            else:
-                subs.append([(c, t)])
-        out.append(tuple(tuple(s) for s in subs))
-    return tuple(out)
 
 
 def analytic_pout_7to1(p: float) -> float:

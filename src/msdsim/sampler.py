@@ -2,14 +2,18 @@
 
 Every emitted detector/check/observable bit is a *flip* relative to the
 noiseless reference execution (identically zero on a noiseless circuit).
-`fault_table` is the one reader of noise channels.  One backward sensitivity
-sweep (`circuit.sweep_backward`) carries, per qubit, the signature columns
-(detectors, observables, checks; `signature_columns`) an X or a Z error at
-that point would flip.  Each noise site reads its components off the sets at
-its site: the X and Z parts of every depolarized qubit, a measurement's own
-classical flip, an injection's joint Z.  A component's row is its signature;
-the sampler and the error-mechanism merge (`dem`) read the same rows.  Sites
-sharing a kind and a probability form a group.
+`fault_table` is the one reader of the instruction stream.  Its backward
+sensitivity sweep carries, per qubit, the signature columns (detectors,
+observables, checks; `signature_columns`) an X or a Z error at that point
+would flip.  Each noise site reads its components off the sets at its site:
+the X and Z parts of every depolarized qubit, a measurement's own classical
+flip, an injection's joint Z.  A component's row is its signature; the
+sampler and the error-mechanism merge (`dem`) read the same rows.  Sites
+sharing a kind and a probability form a group.  The same sweep runs the exact
+annotation check (`validate_annotations`), the gauge check of Stim's error
+analyser: a column is random on the noiseless circuit iff it is sensitive to
+an error that leaves the state unchanged, a Z just after a Z-basis reset or
+measurement or at the all-|0> start, or an X just after an X-basis one.
 
 Per chunk, each group's (site, shot) slots fire independently with
 probability p, drawn as geometric skips in bounded blocks (exact i.i.d.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import OPS_MEASURE, Circuit, column_rows, sweep_backward
+from .circuit import OPS_MEASURE, OPS_RESET, Circuit
 
 CHUNK = 1 << 14
 # Geometric draws per block: bounds the event arrays a chunk allocates at any
@@ -79,6 +83,7 @@ class FaultTable:
     first: np.ndarray           # (sites,) int32: component c is comp_row[first + c]
     comp_row: np.ndarray        # int32 row id of each component; sites share rows
     sigs: np.ndarray            # (rows,) int64 or object: row r's signature
+    random: int                 # bit c set: column c is random when noiseless
 
 
 def signature_columns(circuit: Circuit) -> list:
@@ -89,14 +94,23 @@ def signature_columns(circuit: Circuit) -> list:
 def fault_table(circuit: Circuit) -> FaultTable:
     """Build the fault table by one backward sweep.
 
+    Walking the instructions in reverse, `sx[q]` / `sz[q]` are the columns an
+    X / Z error on qubit q just after the current instruction would flip.
+    MZ / MX XOR their column row into the X / Z set of their qubit, resets
+    clear both sets, and a CNOT pulls X sensitivity back onto its control and
+    Z sensitivity onto its target, pair by pair in reverse.
+
     Sites with p = 0 are left out, except injections, which forced patterns
     can fire.  Raises ValueError on an INJECT_Z with no `circuit.injections`
     entry.
     """
-    nq = len(circuit.qubit_index())
+    index = circuit.qubit_index()
     inj_rid = dict(circuit.injections)
     cols = signature_columns(circuit)
-    col_row = column_rows(circuit, cols)
+    col_row = [0] * circuit.num_measurements    # per measurement, its columns
+    for c, s in enumerate(cols):
+        for m in s.meas:
+            col_row[m] ^= 1 << c
     # Per site its kind, p, origin and rid, and per component its row id,
     # built in reverse: the sweep visits sites backwards.  Components with
     # equal bitsets (most sites between two gates on a qubit) share one row.
@@ -106,12 +120,33 @@ def fault_table(circuit: Circuit) -> FaultTable:
     rids: list[int] = []
     comp_row: list[int] = []
     row_id: dict[int, int] = {}
-    sx, sz = [0] * nq, [0] * nq
-    last = len(circuit.instructions) - 1
-    for step, (ins, qs, mi) in enumerate(sweep_backward(circuit, col_row, sx, sz)):
-        ii = last - step
+    sx, sz = [0] * len(index), [0] * len(index)
+    random, mi = 0, circuit.num_measurements
+    for ii in range(len(circuit.instructions) - 1, -1, -1):
+        ins = circuit.instructions[ii]
         op = ins.op
-        if op == "INJECT_Z":
+        qs = [index[a] for a in ins.targets]
+        if op == "CNOT":
+            for k in range(len(qs) - 2, -1, -2):
+                c, t = qs[k], qs[k + 1]
+                sx[c] ^= sx[t]
+                sz[t] ^= sz[c]
+            continue
+        if op in OPS_RESET:
+            for q in qs:
+                random |= sz[q] if op == "RZ" else sx[q]
+                sx[q] = sz[q] = 0
+            continue
+        if op in OPS_MEASURE:
+            mi, q = mi - 1, qs[0]
+            if op == "MZ":
+                random |= sz[q]
+                sx[q] ^= col_row[mi]
+            else:
+                random |= sx[q]
+                sz[q] ^= col_row[mi]
+            op, new = "FLIP", [(ins.targets[0][0], (col_row[mi],))]
+        elif op == "INJECT_Z":
             if ii not in inj_rid:
                 raise ValueError(f"INJECT_Z at instruction {ii} has no entry in "
                                  "circuit.injections")
@@ -119,16 +154,14 @@ def fault_table(circuit: Circuit) -> FaultTable:
             for q in qs:
                 row ^= sz[q]
             new = [(ins.targets[0][0], (row,))]
-        elif ins.p == 0:
-            continue
         elif op == "DEPOL1":
             new = [(a[0], (sx[q], sz[q])) for a, q in zip(ins.targets, qs)]
         elif op == "DEPOL2":
             a, b = qs
             new = [(ins.targets[0][0], (sx[a], sz[a], sx[b], sz[b]))]
-        elif op in OPS_MEASURE:
-            op, new = "FLIP", [(ins.targets[0][0], (col_row[mi],))]
         else:
+            continue
+        if ins.p == 0 and op != "INJECT_Z":
             continue
         code, resource = KINDS.index(op), inj_rid.get(ii, -1)
         for patch, comps in reversed(new):
@@ -137,6 +170,9 @@ def fault_table(circuit: Circuit) -> FaultTable:
             origins.append(patch)
             rids.append(resource)
             comp_row.extend(row_id.setdefault(r, len(row_id)) for r in reversed(comps))
+    assert mi == 0
+    for q in range(len(index)):
+        random |= sz[q]     # the all-|0> start
     kind, p, origin, rid, comp_row = (np.array(col[::-1], dtype=dt) for col, dt in zip(
         (kinds, ps, origins, rids, comp_row), (np.int8, np.float64, np.int32, np.int32, np.int32)))
     ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
@@ -145,7 +181,23 @@ def fault_table(circuit: Circuit) -> FaultTable:
     # Python ints.  Shots take the rows' dtype, so a narrow circuit's shots
     # cost 8 bytes each however many of them are nonzero.
     sigs = np.array(list(row_id), dtype=np.int64 if len(cols) < 64 else object)
-    return FaultTable(circuit, kind, p, origin, rid, first, comp_row, sigs)
+    return FaultTable(circuit, kind, p, origin, rid, first, comp_row, sigs, random)
+
+
+def validate_annotations(table: FaultTable) -> None:
+    """Assert every detector, check and deterministic observable of the
+    table's circuit has a deterministic parity on the noiseless circuit
+    (`FaultTable.random`)."""
+    circuit = table.circuit
+    nd, no = len(circuit.detectors), len(circuit.observables)
+    dets = [i for i in range(nd) if table.random >> i & 1]
+    if dets:
+        raise AssertionError(f"non-deterministic detectors: {dets}")
+    if table.random >> (nd + no):
+        raise AssertionError("non-deterministic check parity")
+    for i, o in enumerate(circuit.observables):
+        if o.deterministic and table.random >> (nd + i) & 1:
+            raise AssertionError(f"non-deterministic observable {o.id}")
 
 
 def _groups(table: FaultTable):
@@ -197,25 +249,22 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
     return sigs, injected
 
 
-def sample(circuit: Circuit, shots: int, seed: int,
+def sample(table: FaultTable, shots: int, seed: int,
            forced_injections: np.ndarray | None = None,
-           first_chunk: int = 0, table: FaultTable | None = None) -> ShotBatch:
-    """Sample `shots` reference-relative shots.
+           first_chunk: int = 0) -> ShotBatch:
+    """Sample `shots` reference-relative shots from a circuit's fault table.
 
     `forced_injections` (num_resources, shots) bool overrides the random
     injection draws, enabling exhaustive pattern sweeps at the circuit level;
     any other shape raises ValueError.
     Chunk k draws from the child seed `[seed, k]`, counting from
-    `first_chunk`: with `shots <= CHUNK`, `sample(c, shots, seed, None, k)` is
-    chunk k of a longer run.  `table` is `circuit`'s fault table, built
-    here when not given.
+    `first_chunk`: with `shots <= CHUNK`, `sample(t, shots, seed, None, k)` is
+    chunk k of a longer run.
     """
-    want = (len(circuit.injections), shots)
+    want = (len(table.circuit.injections), shots)
     if forced_injections is not None and np.shape(forced_injections) != want:
         raise ValueError(f"forced_injections has shape {np.shape(forced_injections)}, "
                          f"not (num_resources, shots) = {want}")
-    if table is None:
-        table = fault_table(circuit)
     groups = list(_groups(table))
     chunks = []
     # At least one chunk, so zero shots still give arrays to join.

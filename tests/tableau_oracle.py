@@ -12,7 +12,8 @@ phase=1).  With it come the Pauli algebra (`commutes`, `multiply`,
 membership with sign (`group_contains`).
 
 `reference_run` executes a `Circuit` forward on the tableau; it is the ground
-truth for the exact annotation check (`circuit.random_parities`).
+truth for the exact annotation check (the fault table's random-parity mask,
+`sampler.FaultTable.random`).
 `run_logical_shot` runs the logical-level distillation circuit for one
 injected-error pattern; it is the ground truth for the syndrome-map oracle
 table (`protocols.exhaustive_oracle`).

@@ -23,7 +23,7 @@ from msdsim.harness import (ExperimentConfig, qubit_cycles, run_distillation,
                             DecodingPipeline)
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               build_protocol, discard_ratio, exhaustive_oracle)
-from msdsim.sampler import sample
+from msdsim.sampler import fault_table, sample
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -157,7 +157,7 @@ def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
     for pat in range(n_pat):
         for r in range(spec.num_resources):
             forced[r, pat] = bool((pat >> r) & 1)
-    batch = sample(circ, n_pat, seed=0, forced_injections=forced)
+    batch = sample(pipeline.table, n_pat, seed=0, forced_injections=forced)
     _, chk, obs = planes(batch, circ)
     from msdsim.decoder import predict_outcome
     dec = pipeline.decoder
@@ -285,8 +285,8 @@ def test_criterion_10_reproducibility_and_throughput(circuit_noise_runs):
     """Fixed seeds give byte-identical outputs; 1e5 decoded shots < 5 min."""
     circ = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
                                       NoiseModel(1e-3, 0.01))
-    a = sample(circ, 2000, seed=77)
-    b = sample(circ, 2000, seed=77)
+    a = sample(fault_table(circ), 2000, seed=77)
+    b = sample(fault_table(circ), 2000, seed=77)
     identical = np.array_equal(a.sigs, b.sigs)
     cfg = ExperimentConfig(protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3,
                            p_in=0.01, shots=2000, seed=9)

@@ -5,9 +5,9 @@ from msdsim.builders import (MultiPatchBuilder, NoiseModel,
                              build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit,
                              minimal_web_observables)
-from msdsim.circuit import validate_annotations
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol)
+from msdsim.sampler import fault_table, validate_annotations
 from tableau_oracle import reference_run
 
 
@@ -29,7 +29,7 @@ class TestMemoryCircuit:
         c = build_memory_circuit(3, rounds, NoiseModel(0.001))
         # 4 first-round Z detectors + 8 per bulk round + 4 readout Z detectors
         assert len(c.detectors) == 8 * rounds
-        validate_annotations(c)
+        validate_annotations(fault_table(c))
 
     def test_measurement_count(self):
         c = build_memory_circuit(3, 2, NoiseModel(0.001))
@@ -86,7 +86,7 @@ class TestDistillationCircuit:
         assert len(c.checks) == 3
         assert len(c.observables) == 2
         assert len(c.injections) == 7
-        validate_annotations(c)
+        validate_annotations(fault_table(c))
 
     def test_15to1_shape(self):
         spec = build_protocol(FIFTEEN_TO_ONE)
@@ -94,7 +94,7 @@ class TestDistillationCircuit:
         assert len(c.layouts) == 31
         assert len(c.checks) == 4
         assert len(c.injections) == 15
-        validate_annotations(c)
+        validate_annotations(fault_table(c))
 
     def test_detector_counts_frozen(self):
         c7 = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
@@ -138,7 +138,7 @@ class TestSubcircuitExperiment:
         ids = []
         for basis in ("Z", "X"):
             c = build_cnot_subcircuit_experiment(spec, 3, NoiseModel(0.001), basis)
-            validate_annotations(c)
+            validate_annotations(fault_table(c))
             ids.extend(o.id for o in c.observables)
         assert sorted(ids) == list(range(n))
 
@@ -155,5 +155,5 @@ class TestSubcircuitExperiment:
     def test_observables_deterministic(self):
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_cnot_subcircuit_experiment(spec, 3, NoiseModel(0.0), "Z")
-        validate_annotations(c)
+        validate_annotations(fault_table(c))
         assert not reference_run(c).observable_parity.any()

@@ -1,5 +1,6 @@
 """Circuit IR, reference execution, and annotation validation tests."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from msdsim.builders import (MultiPatchBuilder, NoiseModel,
                              build_distillation_circuit, build_memory_circuit)
-from msdsim.circuit import (Circuit, Detector, random_parities,
-                            validate_annotations)
+from msdsim.circuit import Circuit, Detector, ParitySet
 from msdsim.layout import PatchLayout, build_patch
 from msdsim.protocols import SEVEN_TO_ONE, build_protocol
+from msdsim.sampler import fault_table, signature_columns, validate_annotations
 from tableau_oracle import reference_run
 from test_dem import _random_circuits
 
@@ -24,11 +25,12 @@ def build_se_round(layout: PatchLayout, noise: NoiseModel) -> Circuit:
 
 
 def _varying_parities(circuit, seeds=32):
-    """Columns (detectors, checks, observables) whose `reference_run` parity
-    differs across seeds: the ground truth for `random_parities`."""
+    """Columns of `signature_columns` (detectors, observables, checks) whose
+    `reference_run` parity differs across seeds: the ground truth for
+    `FaultTable.random`."""
     runs = [reference_run(circuit, seed=s) for s in range(seeds)]
-    cols = np.array([np.concatenate([r.detector_parity, r.check_parity,
-                                     r.observable_parity]) for r in runs])
+    cols = np.array([np.concatenate([r.detector_parity, r.observable_parity,
+                                     r.check_parity]) for r in runs])
     return np.flatnonzero((cols != cols[0]).any(axis=0)).tolist()
 
 
@@ -67,7 +69,7 @@ class TestCircuitIR:
 class TestReferenceRun:
     def test_memory_annotations_deterministic(self):
         c = build_memory_circuit(3, 3, NoiseModel(1e-3))
-        validate_annotations(c)
+        validate_annotations(fault_table(c))
         ref = reference_run(c)
         assert not ref.detector_parity.any()
         assert not ref.observable_parity.any()
@@ -103,7 +105,7 @@ class TestReferenceRun:
             c = dataclasses.replace(base, detectors=[
                 Detector(meas=(m,), home_patch=0, basis="Z")])
             try:
-                validate_annotations(c)
+                validate_annotations(fault_table(c))
             except AssertionError:
                 rejected.append(m)
             if _varying_parities(c):
@@ -115,15 +117,43 @@ class TestReferenceRun:
         """The distillation frame observable is annotated non-deterministic;
         claiming otherwise must be caught."""
         c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0))
-        validate_annotations(c)
+        validate_annotations(fault_table(c))
         assert not all(o.deterministic for o in c.observables)
         c.observables = [dataclasses.replace(o, deterministic=True) for o in c.observables]
         with pytest.raises(AssertionError, match="non-deterministic observable"):
-            validate_annotations(c)
+            validate_annotations(fault_table(c))
+
+    def test_validate_names_the_random_column(self):
+        """The mask's columns run detectors, observables, checks; each kind
+        of random set raises its own message, detectors first, then checks,
+        then deterministic observables by id.  A random observable annotated
+        non-deterministic passes."""
+        base = build_memory_circuit(3, 2, NoiseModel(0.0))
+        # The first X-ancilla measurement follows the |0> start: random.
+        m = next(i for i, (_, _, basis) in enumerate(base.meas_addr) if basis == "X")
+        bad_det = Detector(meas=(m,), home_patch=0, basis="X")
+        bad_obs = ParitySet(meas=(m,), id=7)
+        good_chk = ParitySet(meas=base.observables[0].meas, id=0)
+        bad_chk = ParitySet(meas=(m,), id=0)
+        cases = [
+            ({"detectors": [*base.detectors[:2], bad_det]}, "non-deterministic detectors: [2]"),
+            ({"checks": [bad_chk]}, "non-deterministic check parity"),
+            ({"checks": [bad_chk], "observables": [*base.observables, bad_obs]},
+             "non-deterministic check parity"),
+            ({"checks": [good_chk], "observables": [*base.observables, bad_obs]},
+             "non-deterministic observable 7"),
+        ]
+        for change, message in cases:
+            with pytest.raises(AssertionError, match=re.escape(message)):
+                validate_annotations(fault_table(dataclasses.replace(base, **change)))
+        random_ok = dataclasses.replace(bad_obs, deterministic=False)
+        validate_annotations(fault_table(dataclasses.replace(
+            base, observables=[*base.observables, random_ok])))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_random_parities_match_reference_runs(self, data):
         c = data.draw(_random_circuits())
-        sets = [*c.detectors, *c.checks, *c.observables]
-        assert random_parities(c, sets) == _varying_parities(c)
+        random = fault_table(c).random
+        assert [i for i in range(len(signature_columns(c))) if random >> i & 1] \
+            == _varying_parities(c)

@@ -207,8 +207,9 @@ def sampled(request):
     """(decoder, per-shot syndromes) for 2000 sampled shots of a workload."""
     protocol, noise = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
-    dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
-    batch = sample(c, 2000, seed=41)
+    table = fault_table(c)
+    dec = IterativeDecoder(c, enumerate_error_mechanisms(table))
+    batch = sample(table, 2000, seed=41)
     det_mask = (1 << len(c.detectors)) - 1
     return dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
 
@@ -431,7 +432,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
                                    p_in=noise.p_in, shots=shots, seed=17)
     assert sum(1 for _ in harness._decoded_shots(pipeline, cfg)) == shots
-    batch = sample(pipeline.circuit, shots, cfg.seed, None, 0, pipeline.table)
+    batch = sample(pipeline.table, shots, cfg.seed, None, 0)
     det = planes(batch, pipeline.circuit)[0]
     slots = det_slots(dec)
     assert len(got) == shots

@@ -54,13 +54,14 @@ class TestDetectorRates:
         """1 - 2*E[det] must equal prod(1 - 2 p_i) over mechanisms hitting the
         detector (XOR of independent Bernoulli variables)."""
         c = build_memory_circuit(3, 3, NoiseModel(0.01))
-        mechs = enumerate_error_mechanisms(fault_table(c))
+        table = fault_table(c)
+        mechs = enumerate_error_mechanisms(table)
         pred = np.ones(len(c.detectors))
         for m in mechs:
             for d in m.home_dets:
                 pred[d] *= 1 - 2 * m.prob
         shots = 200_000
-        batch = sample(c, shots, seed=11)
+        batch = sample(table, shots, seed=11)
         mean = planes(batch, c)[0].mean(axis=1)
         want = (1 - pred) / 2
         sigma = np.sqrt(want * (1 - want) / shots)

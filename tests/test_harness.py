@@ -95,7 +95,7 @@ class TestSurfaceDrivers:
             build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
         dec = pipeline.decoder
         want = ExperimentStats()
-        batch = sample(pipeline.circuit, cfg.shots, cfg.seed)
+        batch = sample(fault_table(pipeline.circuit), cfg.shots, cfg.seed)
         det, _, obs = planes(batch, pipeline.circuit)
         slots = det_slots(dec)
         for s in range(cfg.shots):

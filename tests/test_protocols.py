@@ -4,7 +4,7 @@ import pytest
 
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               analytic_pout_7to1, analytic_pout_15to1,
-                              build_protocol, cnot_sublayers, discard_ratio,
+                              build_protocol, discard_ratio,
                               exhaustive_oracle, sample_logical_shots)
 from tableau_oracle import (CliffordGate, PauliString, StabilizerTableau,
                             _single_error_flips, group_contains,
@@ -28,14 +28,12 @@ class TestStructure:
         assert (s15.num_data, s15.num_resources, len(s15.checks)) == (16, 15, 4)
 
     def test_sublayers_conflict_free(self):
+        """Each CNOT layer touches each qubit at most once, so the builders
+        apply a layer's CNOTs as one simultaneous step."""
         for kind in (SEVEN_TO_ONE, FIFTEEN_TO_ONE):
-            spec = build_protocol(kind)
-            for layer, subs in zip(spec.cnot_layers, cnot_sublayers(spec)):
-                flat = [p for sub in subs for p in sub]
-                assert sorted(flat) == sorted(layer)
-                for sub in subs:
-                    qubits = [q for pair in sub for q in pair]
-                    assert len(qubits) == len(set(qubits))
+            for layer in build_protocol(kind).cnot_layers:
+                qubits = [q for pair in layer for q in pair]
+                assert len(qubits) == len(set(qubits))
 
     def test_network_group_is_code_times_bell(self):
         """After the CNOT network the stabilizer group is the [7,1] code on
