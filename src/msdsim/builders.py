@@ -94,12 +94,14 @@ class MultiPatchBuilder:
             idle(xa + za)
             idle([(pk, q) for q in range(lay.num_data)])
         # Sub-steps 2-5: plaquette CNOTs in schedule order.
+        schedules = {pk: [(plq, plq.schedule()) for plq in self.circuit.layouts[pk].plaquettes]
+                     for pk in patches}
         for step in range(4):
             for pk in patches:
                 lay = self.circuit.layouts[pk]
                 busy = set()
-                for plq in lay.plaquettes:
-                    dq = plq.schedule()[step]
+                for plq, schedule in schedules[pk]:
+                    dq = schedule[step]
                     if dq is None:
                         continue
                     if plq.kind == "X":

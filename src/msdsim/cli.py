@@ -134,6 +134,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown format {opts['format']!r}")
     for p in opts["p_in"]:
         _config_for(opts, p)  # range checks for every command, not only the Monte Carlo ones
+    if opts.get("out"):
+        _check_out(opts["out"])
     return opts
 
 
@@ -145,6 +147,17 @@ def _config_for(opts: dict, p_in: float) -> harness.ExperimentConfig:
             max_iters=opts["max_iters"], rounds=opts["rounds"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
+
+
+def _check_out(path: str) -> None:
+    """Raise ConfigError unless `path` can be opened for writing, so a bad
+    --out fails before any shot is sampled.  An existing file is left as it
+    is; a missing one is created empty."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _write(opts: dict, text: str) -> None:

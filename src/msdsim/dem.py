@@ -1,12 +1,17 @@
 """Error mechanisms: a merge over the circuit's fault table.
 
 `enumerate_error_mechanisms` reads the fault table (`sampler.fault_table`,
-the one reader of noise channels) and XORs, per site with p > 0 in forward
-order, the signature rows of each Pauli term's components (`TERMS`).  X and
-Z frames never mix (the circuits use only resets and CNOTs), so each term's
-signature splits cleanly into an X-basis and a Z-basis component by column
-basis.  Components are merged by identical signature with XOR-combined
-probabilities; the per-basis component restricted to the fault's own patch is
+the one reader of noise channels).  Each distinct row is split once into its
+X-column part and its Z-column part, by column basis; a Pauli term's part in
+one basis is the XOR of its components' parts in that basis.  Per noise site
+with p > 0, in forward order, and per basis, the site's pattern of components
+with a nonzero part picks the distinct component subsets its kind's terms
+reach (`TERMS`), each with how many terms reach it: a DEPOL2 site whose rows
+keep to one basis each adds 3 X parts and 3 Z parts, 4 terms each, not 15
+terms twice.  Parts are merged by identical signature per origin and basis,
+each term's probability XOR-folded into a running probability in forward
+order, so every probability is bit for bit the one of the forward oracle that
+folds term by term.  The per-basis part restricted to the fault's own patch is
 what becomes a matching-graph edge.  This is the detector-error-model
 construction of Gidney, arXiv:2103.02202.
 """
@@ -40,8 +45,54 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _xor_prob(a: float, b: float) -> float:
-    return a * (1 - b) + b * (1 - a)
+def _reached(terms: np.ndarray) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Indexed by a bitmask of the components with a nonzero part: the
+    nonempty subsets of those components that `terms` apply, as component
+    indices, each with how many terms apply it."""
+    masks = [sum(1 << c for c in np.flatnonzero(t).tolist()) for t in terms]
+    out = []
+    for nonzero in range(1 << terms.shape[1]):
+        counts: dict[int, int] = {}
+        for m in masks:
+            if m & nonzero:
+                counts[m & nonzero] = counts.get(m & nonzero, 0) + 1
+        out.append([(_bits(s), n) for s, n in counts.items()])
+    return out
+
+
+def _fold(table: FaultTable, x_cols: int) -> dict[tuple[int, str, int], float]:
+    """Per (origin, basis, signature part), the probability that an odd
+    number of the table's terms with that part fire: each term's q folded
+    into a running probability, sites in forward order.  A site's components
+    with a nonzero part in the basis form its pattern, which picks the
+    subsets its terms reach."""
+    probs: dict[tuple[int, str, int], float] = {}
+    reached = [_reached(TERMS[k]) for k in KINDS]
+    live = np.flatnonzero(table.p)
+    kinds, origins, firsts = (col[live].tolist() for col in (
+        table.kind, table.origin, table.first))
+    qs = (table.p / np.array([len(TERMS[k]) for k in KINDS])[table.kind])[live].tolist()
+    ncomp = np.array([TERMS[k].shape[1] for k in KINDS])[table.kind]
+    # Bit c of local[i]: component i is component c of its site.
+    local = np.left_shift(1, np.arange(len(table.comp_row)) - np.repeat(table.first, ncomp))
+    rows = table.sigs.tolist()
+    for basis, cols in (("X", x_cols), ("Z", ~x_cols)):
+        part_rows = np.array([r & cols for r in rows], dtype=object)
+        parts = part_rows[table.comp_row].tolist()
+        nonzero = (part_rows != 0)[table.comp_row]
+        patterns = np.add.reduceat(np.where(nonzero, local, 0), table.first)[live].tolist()
+        for kind, q, origin, first, pattern in zip(kinds, qs, origins, firsts, patterns):
+            for comps, n in reached[kind][pattern]:
+                part = 0
+                for c in comps:
+                    part ^= parts[first + c]
+                if part:
+                    key = (origin, basis, part)
+                    w = probs.get(key, 0.0)
+                    for _ in range(n):
+                        w = w * (1 - q) + q * (1 - w)
+                    probs[key] = w
+    return probs
 
 
 def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:
@@ -53,41 +104,19 @@ def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:
         basis = s.basis if col < nd else circuit.meas_addr[s.meas[0]][2]
         if basis == "X":
             x_cols |= 1 << col
+    probs = _fold(table, x_cols)
 
-    # Per (origin, basis, signature part), the probabilities of its faults in
-    # forward order.  A term is a set of its site's components, as a bitmask.
-    probs: dict[tuple[int, str, int], list[float]] = {}
-    terms = [[sum(1 << c for c in np.flatnonzero(t).tolist()) for t in TERMS[k]]
-             for k in KINDS]
-    ncomp = [TERMS[k].shape[1] for k in KINDS]
-    z_cols = ~x_cols
-    sigs = table.sigs[table.comp_row].tolist()                  # per component
-    for kind, p, origin, first in zip(table.kind.tolist(), table.p.tolist(),
-                                      table.origin.tolist(), table.first.tolist()):
-        if p == 0:
-            continue
-        p /= len(terms[kind])
-        subset = [0]        # subset[mask]: XOR of the components in mask
-        for sig in sigs[first:first + ncomp[kind]]:
-            subset += [s ^ sig for s in subset]
-        for mask in terms[kind]:
-            sig = subset[mask]
-            if part := sig & x_cols:
-                probs.setdefault((origin, "X", part), []).append(p)
-            if part := sig & z_cols:
-                probs.setdefault((origin, "Z", part), []).append(p)
-
-    det_home = [d.home_patch for d in circuit.detectors]
+    det_cols = (1 << nd) - 1
+    home = {}                   # per patch, the detectors homed to it
+    for i, d in enumerate(circuit.detectors):
+        home[d.home_patch] = home.get(d.home_patch, 0) | 1 << i
     out = []
-    for (origin, basis, part), ps in probs.items():
-        p = 0.0
-        for q in ps:
-            p = _xor_prob(p, q)
-        dets = _bits(part & ((1 << nd) - 1))
+    for (origin, basis, part), p in probs.items():
+        dets = part & det_cols
+        mine = dets & home.get(origin, 0)
         out.append(ErrorMechanism(
             prob=p, origin_patch=origin, basis=basis,
-            home_dets=tuple(d for d in dets if det_home[d] == origin),
-            foreign_dets=tuple(d for d in dets if det_home[d] != origin),
+            home_dets=_bits(mine), foreign_dets=_bits(dets ^ mine),
             obs_mask=(part >> nd) & ((1 << no) - 1),
             check_mask=part >> (nd + no)))
     out.sort(key=lambda m: (m.origin_patch, m.basis, m.home_dets,

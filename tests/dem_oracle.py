@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from msdsim.circuit import Circuit, OPS_MEASURE, OPS_RESET
-from msdsim.dem import ErrorMechanism, _xor_prob
+from msdsim.dem import ErrorMechanism
 
 # (x_a, z_a, x_b, z_b) for the 15 non-identity two-qubit Pauli terms.
 _TWO_QUBIT_TERMS = tuple(
@@ -23,6 +23,11 @@ _TWO_QUBIT_TERMS = tuple(
     if (xa, za, xb, zb) != (0, 0, 0, 0)
 )
 _ONE_QUBIT_TERMS = ((1, 0), (1, 1), (0, 1))  # X, Y, Z
+
+
+def _xor_prob(a: float, b: float) -> float:
+    """Probability that exactly one of two independent events fires."""
+    return a * (1 - b) + b * (1 - a)
 
 
 def forward_faults(circuit: Circuit) -> tuple[list[tuple], np.ndarray]:

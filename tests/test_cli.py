@@ -131,6 +131,17 @@ class TestOutputs:
         assert code == EXIT_OK and out == ""
         assert path.read_text().startswith("experiment,")
 
+    @pytest.mark.parametrize("command", ["analytic", "distill"])
+    def test_unwritable_out_fails_before_any_shot(self, capsys, tmp_path, monkeypatch, command):
+        def no_shots(cfg):
+            raise AssertionError("a shot was sampled")
+        monkeypatch.setattr(msdsim.harness, "run_distillation", no_shots)
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, command, "--shots", "10", "--out", str(path))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+        assert not path.parent.exists()
+
 
 class TestSweeps:
     def test_distill_sweep_equals_single_points(self, capsys):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dem_oracle import enumerate_error_mechanisms as oracle_mechanisms
 from sampler_oracle import planes
-from msdsim.builders import (NoiseModel, build_distillation_circuit,
-                             build_memory_circuit)
+from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
+                             build_distillation_circuit, build_memory_circuit)
 from msdsim.circuit import Circuit, Detector, ParitySet
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.layout import build_patch
@@ -118,6 +118,10 @@ _ORACLE_CIRCUITS = {
         build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0)),
     "injection-only": lambda: build_distillation_circuit(
         build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0, 0.3)),
+    "cnot-block-Z": lambda: build_cnot_subcircuit_experiment(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), "Z"),
+    "cnot-block-X": lambda: build_cnot_subcircuit_experiment(
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), "X"),
 }
 
 
@@ -143,6 +147,24 @@ class TestOracle:
         assert mechs == oracle_mechanisms(c)
         q = 0.1 / 3  # the X and Y terms both flip it
         assert [(m.home_dets, m.prob) for m in mechs] == [((0,), pytest.approx(2 * q * (1 - q)))]
+
+    def test_parity_set_mixing_bases(self):
+        """One parity set over an MX and an MZ: a Z error on the MX qubit and
+        an X error on the MZ qubit both flip it, so X and Z components alike
+        have a part in its basis (X, that of its first measurement).  A second
+        set over the MZ alone gives the X error's row a Z part too."""
+        c = Circuit(layouts={0: build_patch(3)})
+        c.emit("RX", ((0, 1),))
+        c.emit("RZ", ((0, 0),))
+        c.emit("DEPOL1", ((0, 0), (0, 1)), 0.1)
+        c.emit("DEPOL2", ((0, 0), (0, 1)), 0.1)
+        mx = c.measure(0, 1, "X", 0.0)
+        mz = c.measure(0, 0, "Z", 0.0)
+        c.observables.append(ParitySet(meas=(mx, mz), id=0))
+        c.observables.append(ParitySet(meas=(mz,), id=1))
+        mechs = enumerate_error_mechanisms(fault_table(c))
+        assert mechs == oracle_mechanisms(c)
+        assert [(m.basis, m.obs_mask) for m in mechs] == [("X", 1), ("Z", 2)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
