@@ -7,7 +7,8 @@ qubit receives exactly one noise operation per sub-step — 1-qubit depolarizing
 after resets, idles and measurements, 2-qubit depolarizing after CNOTs, and a
 classical flip on each measurement.  Transversal logical CNOT blocks are
 noiseless and instantaneous, and resource-state initialisation is noise-free;
-resource input errors enter only through explicit logical-Z injection.
+resource input errors enter only through explicit logical-Z injection, whose
+rate the sampler sets per run.
 
 Detector sets are derived by back-propagating each plaquette operator through
 the transversal CNOTs applied since the previous round: the X plaquette of a
@@ -26,12 +27,10 @@ from .protocols import ProtocolSpec
 @dataclass(frozen=True)
 class NoiseModel:
     p_circuit: float
-    p_in: float = 0.0
 
     def __post_init__(self):
-        for v in (self.p_circuit, self.p_in):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("noise strengths must be probabilities")
+        if not 0.0 <= self.p_circuit <= 1.0:
+            raise ValueError("noise strengths must be probabilities")
 
 
 class MultiPatchBuilder:
@@ -59,7 +58,7 @@ class MultiPatchBuilder:
     def inject_logical_z(self, patch: int, resource_id: int) -> None:
         lay = self.circuit.layouts[patch]
         addrs = tuple((patch, q) for q in lay.logical_z_support)
-        self.circuit.emit("INJECT_Z", addrs, self.noise.p_in)
+        self.circuit.emit("INJECT_Z", addrs)
         self.circuit.injections.append((len(self.circuit.instructions) - 1, resource_id))
 
     def transversal_cnot(self, cp: int, tp: int) -> None:

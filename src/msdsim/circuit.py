@@ -14,8 +14,8 @@ from .layout import PatchLayout
 
 # Opcodes.  RX/RZ/RMINUS reset to |+>, |0>, |->.  MX/MZ measure one qubit with
 # classical flip probability p.  DEPOL1/DEPOL2 are depolarizing channels.
-# INJECT_Z applies Z to every listed qubit jointly with probability p
-# (noiseless logical-error injection).
+# INJECT_Z applies Z to every listed qubit jointly (noiseless logical-error
+# injection).  It has no rate: the sampler sets each run's input error rate.
 OPS_RESET = {"RX", "RZ", "RMINUS"}
 OPS_MEASURE = {"MX", "MZ"}
 OPS_NOISE = {"DEPOL1", "DEPOL2", "INJECT_Z"}
@@ -72,6 +72,8 @@ class Circuit:
     def emit(self, op: str, targets: tuple[Addr, ...] = (), p: float = 0.0) -> None:
         if op not in OPS:
             raise ValueError(f"unknown opcode {op}")
+        if op == "INJECT_Z" and p != 0:
+            raise ValueError("INJECT_Z carries no rate: the sampler sets the input error rate")
         self.instructions.append(Instr(op, targets, p))
 
     def measure(self, patch: int, qubit: int, basis: str, p_flip: float) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import harness
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
@@ -130,23 +131,21 @@ def resolve_options(args: argparse.Namespace) -> dict:
         given.add("p_in")
     opts["given"] = given
     opts["protocol"] = _protocol(str(opts["protocol"]))
-    if opts["format"] not in ("csv", "json"):
-        raise ConfigError(f"unknown format {opts['format']!r}")
-    for p in opts["p_in"]:
-        _config_for(opts, p)  # range checks for every command, not only the Monte Carlo ones
+    formats = ("csv",) if args.command in ("oracle", "cost") else ("csv", "json")
+    if opts["format"] not in formats:   # oracle and cost tables are not result rows
+        raise ConfigError(f"{args.command} cannot write format {opts['format']!r}")
+    if not opts["p_in"]:
+        raise ConfigError("p_in needs at least one value")
+    try:    # one config per p_in: range checks for every command
+        opts["configs"] = [harness.ExperimentConfig(
+            protocol=opts["protocol"], d=opts["d"], p_circuit=opts["p_circuit"],
+            p_in=p, shots=opts["shots"], seed=opts["seed"],
+            max_iters=opts["max_iters"], rounds=opts["rounds"]) for p in opts["p_in"]]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if opts.get("out"):
         _check_out(opts["out"])
     return opts
-
-
-def _config_for(opts: dict, p_in: float) -> harness.ExperimentConfig:
-    try:
-        return harness.ExperimentConfig(
-            protocol=opts["protocol"], d=opts["d"], p_circuit=opts["p_circuit"],
-            p_in=p_in, shots=opts["shots"], seed=opts["seed"],
-            max_iters=opts["max_iters"], rounds=opts["rounds"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
 def _check_out(path: str) -> None:
@@ -200,32 +199,30 @@ def cmd_oracle(opts: dict) -> int:
 
 
 def cmd_logical(opts: dict) -> int:
-    rows = []
-    for p in opts["p_in"]:
-        cfg = _config_for(opts, p)
-        rows.append(harness.result_row("logical", cfg, harness.run_logical(cfg)))
+    rows = [harness.result_row("logical", cfg, harness.run_logical(cfg))
+            for cfg in opts["configs"]]
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
 
 def cmd_distill(opts: dict) -> int:
-    rows = []
-    for p in opts["p_in"]:
-        cfg = _config_for(opts, p)
-        rows.append(harness.result_row("distill", cfg, harness.run_distillation(cfg)))
+    """One pipeline, built once, serves every p_in."""
+    pipeline = harness.distillation_pipeline(opts["configs"][0])
+    rows = [harness.result_row("distill", cfg, harness.run_distillation(cfg, pipeline))
+            for cfg in opts["configs"]]
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
 
 def cmd_memory(opts: dict) -> int:
-    cfg = _config_for(opts, 0.0)
+    cfg = replace(opts["configs"][0], p_in=0.0)
     rows = [harness.result_row("memory", cfg, harness.run_memory_baseline(cfg))]
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
 
 def cmd_subcircuit(opts: dict) -> int:
-    cfg = _config_for(opts, 0.0)
+    cfg = replace(opts["configs"][0], p_in=0.0)
     per_patch = harness.run_subcircuit(cfg)
     baseline = harness.run_memory_baseline(cfg)
     rows = [harness.result_row("memory-baseline", cfg, baseline)]

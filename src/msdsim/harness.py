@@ -69,7 +69,7 @@ class ExperimentConfig:
             raise ValueError("max_iters and rounds must be >= 1")
 
     def noise(self) -> NoiseModel:
-        return NoiseModel(self.p_circuit, self.p_in)
+        return NoiseModel(self.p_circuit)
 
 
 @dataclass
@@ -114,9 +114,9 @@ class DecodingPipeline:
     merge reads its signature rows, and every shot the pipeline decodes is
     sampled from them, so no chunk sweeps the circuit again.
 
-    Noise strengths are baked into the circuit's instructions, the table and
-    the mechanism probabilities, so a pipeline is valid only for the noise it
-    was built with; a sweep builds one per point."""
+    A pipeline is valid only for the `p_circuit` it was built with, but the
+    sampler draws the injections at each run's `p_in`, so one pipeline serves
+    a whole `p_in` sweep."""
     circuit: Circuit
     table: FaultTable
     decoder: IterativeDecoder
@@ -130,7 +130,7 @@ class DecodingPipeline:
 
 
 def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
-    """Sample `config.shots` shots one chunk at a time and decode each.
+    """Sample `config.shots` shots at `config.p_in`, a chunk at a time; decode each.
 
     Yields `(DecodeResult, check bits, observable bits)` per shot, bit i of
     the ints being check / observable i.  Chunk k is `sample`'s chunk k, so
@@ -141,10 +141,16 @@ def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
     nd, no = len(circ.detectors), len(circ.observables)
     det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
     for k, done in enumerate(range(0, config.shots, CHUNK)):
-        batch = sample(table, min(CHUNK, config.shots - done), config.seed, None, k)
+        batch = sample(table, min(CHUNK, config.shots - done), config.seed, None, k, config.p_in)
         for sig in batch.unpack():
             res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), config.max_iters)
             yield res, sig >> (nd + no), sig >> nd & obs_mask
+
+
+def distillation_pipeline(config: ExperimentConfig) -> DecodingPipeline:
+    """The pipeline of `config`'s distillation circuit, for any `p_in`."""
+    return DecodingPipeline.build(build_distillation_circuit(
+        build_protocol(config.protocol), config.d, config.noise()))
 
 
 def run_distillation(config: ExperimentConfig,
@@ -152,9 +158,7 @@ def run_distillation(config: ExperimentConfig,
     """Full surface-code distillation Monte Carlo at one parameter point."""
     t0 = time.perf_counter()
     if pipeline is None:
-        spec = build_protocol(config.protocol)
-        pipeline = DecodingPipeline.build(
-            build_distillation_circuit(spec, config.d, config.noise()))
+        pipeline = distillation_pipeline(config)
     stats = ExperimentStats()
     for res, chk, obs in _decoded_shots(pipeline, config):
         accepted, _, error = predict_outcome(res, chk, obs)

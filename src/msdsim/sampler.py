@@ -9,7 +9,8 @@ would flip.  Each noise site reads its components off the sets at its site:
 the X and Z parts of every depolarized qubit, a measurement's own classical
 flip, an injection's joint Z.  A component's row is its signature; the
 sampler and the error-mechanism merge (`dem`) read the same rows.  Sites
-sharing a kind and a probability form a group.  The same sweep runs the exact
+sharing a kind and a probability form a group; injections carry no rate, and
+`sample` fires them at its `p_in`.  The same sweep runs the exact
 annotation check (`validate_annotations`), the gauge check of Stim's error
 analyser: a column is random on the noiseless circuit iff it is sensitive to
 an error that leaves the state unchanged, a Z just after a Z-basis reset or
@@ -62,7 +63,6 @@ TERMS = {
 @dataclass
 class ShotBatch:
     sigs: np.ndarray            # (S,) each shot's signature, in the table's dtype
-    injected: np.ndarray        # (num_resources, S) bool — which injections fired
 
     def unpack(self) -> list[int]:
         """Each shot's signature as one int: bit c is column c of
@@ -100,9 +100,9 @@ def fault_table(circuit: Circuit) -> FaultTable:
     clear both sets, and a CNOT pulls X sensitivity back onto its control and
     Z sensitivity onto its target, pair by pair in reverse.
 
-    Sites with p = 0 are left out, except injections, which forced patterns
-    can fire.  Raises ValueError on an INJECT_Z with no `circuit.injections`
-    entry.
+    Sites with p = 0 are left out, except injections (p = 0 here too), which
+    `sample` fires at its `p_in` or by a forced pattern.  Raises ValueError
+    on an INJECT_Z with no `circuit.injections` entry.
     """
     index = circuit.qubit_index()
     inj_rid = dict(circuit.injections)
@@ -200,16 +200,16 @@ def validate_annotations(table: FaultTable) -> None:
             raise AssertionError(f"non-deterministic observable {o.id}")
 
 
-def _groups(table: FaultTable):
-    """Per (kind, p), in order of first occurrence: kind, p, the component
-    rows of its sites in forward order (sites, components), and the sites'
-    resource ids."""
+def _groups(table: FaultTable, p_in: float):
+    """Per (kind, p), in order of first occurrence: kind, the rate its sites
+    fire at (`p_in` for the injections), the component rows of its sites in
+    forward order (sites, components), and the sites' resource ids."""
     by_key: dict[tuple[int, float], list[int]] = {}
     for site, key in enumerate(zip(table.kind.tolist(), table.p.tolist())):
         by_key.setdefault(key, []).append(site)
     for (k, p), sites in by_key.items():
         comps = table.comp_row[table.first[sites, None] + np.arange(TERMS[KINDS[k]].shape[1])]
-        yield KINDS[k], p, comps, table.rid[sites]
+        yield KINDS[k], p_in if KINDS[k] == "INJECT_Z" else p, comps, table.rid[sites]
 
 
 def _fired(rng: np.random.Generator, p: float, n_slots: int):
@@ -225,9 +225,8 @@ def _fired(rng: np.random.Generator, p: float, n_slots: int):
 
 
 def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
-                  rng: np.random.Generator, forced: np.ndarray | None) -> tuple:
+                  rng: np.random.Generator, forced: np.ndarray | None) -> np.ndarray:
     sigs = np.zeros(shots, dtype=table.sigs.dtype)
-    injected = np.zeros((len(table.circuit.injections), shots), dtype=bool)
     for kind, p, comps, rids in groups:
         terms = TERMS[kind]
         if kind == "INJECT_Z" and forced is not None:
@@ -237,8 +236,6 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
             blocks = _fired(rng, p, len(comps) * shots)
         for slots in blocks:
             site, shot = np.divmod(slots, shots)
-            if kind == "INJECT_Z":
-                injected[rids[site], shot] = True
             if len(terms) > 1:
                 ev, comp = np.divmod(np.flatnonzero(
                     terms[rng.integers(0, len(terms), slots.size)]), terms.shape[1])
@@ -246,34 +243,34 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
             else:
                 comp = np.zeros_like(site)
             np.bitwise_xor.at(sigs, shot, table.sigs[comps[site, comp]])
-    return sigs, injected
+    return sigs
 
 
 def sample(table: FaultTable, shots: int, seed: int,
            forced_injections: np.ndarray | None = None,
-           first_chunk: int = 0) -> ShotBatch:
+           first_chunk: int = 0, p_in: float = 0.0) -> ShotBatch:
     """Sample `shots` reference-relative shots from a circuit's fault table.
 
-    `forced_injections` (num_resources, shots) bool overrides the random
-    injection draws, enabling exhaustive pattern sweeps at the circuit level;
-    any other shape raises ValueError.
+    Each injection fires independently with probability `p_in` (ValueError
+    unless 0 <= p_in <= 1).  `forced_injections` (num_resources, shots) bool
+    overrides the random injection draws, enabling exhaustive pattern sweeps
+    at the circuit level; any other shape raises ValueError.
     Chunk k draws from the child seed `[seed, k]`, counting from
     `first_chunk`: with `shots <= CHUNK`, `sample(t, shots, seed, None, k)` is
     chunk k of a longer run.
     """
+    if not 0.0 <= p_in <= 1.0:
+        raise ValueError(f"p_in must be in [0, 1], not {p_in!r}")
     want = (len(table.circuit.injections), shots)
     if forced_injections is not None and np.shape(forced_injections) != want:
         raise ValueError(f"forced_injections has shape {np.shape(forced_injections)}, "
                          f"not (num_resources, shots) = {want}")
-    groups = list(_groups(table))
+    groups = list(_groups(table, p_in))
     chunks = []
     # At least one chunk, so zero shots still give arrays to join.
     for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
         n = min(CHUNK, shots - done)
         rng = np.random.default_rng([seed, chunk_id])
-        forced = None
-        if forced_injections is not None:
-            forced = forced_injections[:, done:done + n]
+        forced = None if forced_injections is None else forced_injections[:, done:done + n]
         chunks.append(_sample_chunk(table, groups, n, rng, forced))
-    sigs, injected = zip(*chunks)
-    return ShotBatch(np.concatenate(sigs), np.concatenate(injected, axis=1))
+    return ShotBatch(np.concatenate(chunks))

@@ -31,8 +31,9 @@ def _xor_prob(a: float, b: float) -> float:
 
 
 def forward_faults(circuit: Circuit) -> tuple[list[tuple], np.ndarray]:
-    """Every elementary fault with p > 0, in forward order, and its
-    measurement flips.
+    """Every elementary fault with p > 0 and every injection (rate 0 here:
+    the sampler sets it per run), in forward order, and their measurement
+    flips.
 
     Returns `(faults, meas_flips)`: each fault is `(instr index, prob, origin
     patch, [(qubit, dx, dz), ...], flipped measurement or None)`, listed per
@@ -59,7 +60,7 @@ def forward_faults(circuit: Circuit) -> tuple[list[tuple], np.ndarray]:
             ga, gb = index[(pa, qa)], index[(pb, qb)]
             for xa, za, xb, zb in _TWO_QUBIT_TERMS:
                 faults.append((ii, ins.p / 15, pa, [(ga, xa, za), (gb, xb, zb)], None))
-        elif ins.op == "INJECT_Z" and ins.p > 0:
+        elif ins.op == "INJECT_Z":
             patch = ins.targets[0][0]
             rows = [(index[a], 0, 1) for a in ins.targets]
             faults.append((ii, ins.p, patch, rows, None))
@@ -128,6 +129,8 @@ def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
 
     merged: dict[tuple, float] = {}
     for fi, (_, p, origin, _, _) in enumerate(faults):
+        if p == 0:
+            continue    # an injection: the sampler fires it, the DEM never sees it
         dets = np.flatnonzero(det_flips[fi])
         obs = np.flatnonzero(obs_flips[fi])
         chk = np.flatnonzero(check_flips[fi])

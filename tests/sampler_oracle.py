@@ -4,7 +4,8 @@ Every shot carries X/Z flip planes per qubit and the instruction stream is
 interpreted forward, one dense uniform per noise site per shot.  Slow, but
 each fault is simulated directly, so its output distribution is the one the
 sparse fault sampler must reproduce (the random streams differ, so the
-comparison is statistical).
+comparison is statistical).  Injections fire at the `p_in` passed in, as in
+the sampler.
 
 `planes` reads a batch's signature ints back into bool planes, bit by bit.
 """
@@ -22,16 +23,13 @@ _T2 = np.array([(xa, za, xb, zb)
 
 
 def _sample_chunk(circuit: Circuit, shots: int, rng: np.random.Generator,
-                  index: dict, forced: dict[int, np.ndarray] | None) -> tuple:
+                  index: dict, p_in: float) -> np.ndarray:
     nq = len(index)
     x = np.zeros((shots, nq), dtype=bool)
     z = np.zeros((shots, nq), dtype=bool)
     meas = np.zeros((circuit.num_measurements, shots), dtype=bool)
-    n_res = len(circuit.injections)
-    injected = np.zeros((n_res, shots), dtype=bool)
-    inj_rid = dict(circuit.injections)
     mi = 0
-    for ii, ins in enumerate(circuit.instructions):
+    for ins in circuit.instructions:
         op = ins.op
         if op == "TICK":
             continue
@@ -59,12 +57,7 @@ def _sample_chunk(circuit: Circuit, shots: int, rng: np.random.Generator,
             x[:, b] ^= hit & (term[:, 2] == 1)
             z[:, b] ^= hit & (term[:, 3] == 1)
         elif op == "INJECT_Z":
-            rid = inj_rid[ii]
-            if forced is not None:
-                fire = forced[rid]
-            else:
-                fire = rng.random(shots) < ins.p
-            injected[rid] = fire
+            fire = rng.random(shots) < p_in
             cols = [index[a] for a in ins.targets]
             z[:, cols] ^= fire[:, None]
         elif op in ("MX", "MZ"):
@@ -76,7 +69,7 @@ def _sample_chunk(circuit: Circuit, shots: int, rng: np.random.Generator,
             mi += 1
         else:
             raise AssertionError(op)
-    return meas, injected
+    return meas
 
 
 def _parities(meas: np.ndarray, sets) -> np.ndarray:
@@ -87,14 +80,15 @@ def _parities(meas: np.ndarray, sets) -> np.ndarray:
     return out
 
 
-def sample(circuit: Circuit, shots: int, seed: int) -> ShotBatch:
-    """`shots` reference-relative shots in one frame-simulated chunk."""
-    meas, injected = _sample_chunk(circuit, shots, np.random.default_rng(seed),
-                                   circuit.qubit_index(), None)
+def sample(circuit: Circuit, shots: int, seed: int, p_in: float = 0.0) -> ShotBatch:
+    """`shots` reference-relative shots in one frame-simulated chunk, each
+    injection firing with probability `p_in`."""
+    meas = _sample_chunk(circuit, shots, np.random.default_rng(seed),
+                         circuit.qubit_index(), p_in)
     sigs = np.zeros(shots, dtype=object)
     for c, row in enumerate(_parities(meas, signature_columns(circuit))):
         sigs[row] ^= 1 << c
-    return ShotBatch(sigs, injected)
+    return ShotBatch(sigs)
 
 
 def planes(batch: ShotBatch, circuit: Circuit) -> tuple[np.ndarray, ...]:

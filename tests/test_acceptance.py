@@ -50,12 +50,12 @@ PLATEAU_PINS = (1e-3, 3e-3)
 
 @pytest.fixture(scope="module")
 def zero_noise_runs():
-    """Criterion 4/6: d=3 surface pipeline with p_circuit=0, p_in sweep."""
+    """Criterion 4/6: d=3 surface pipeline with p_circuit=0, p_in sweep on
+    one pipeline."""
     spec = build_protocol(SEVEN_TO_ONE)
+    pipeline = DecodingPipeline.build(build_distillation_circuit(spec, 3, NoiseModel(0.0)))
     out = {}
     for p_in in LOGICAL_PINS:
-        circ = build_distillation_circuit(spec, 3, NoiseModel(0.0, p_in))
-        pipeline = DecodingPipeline.build(circ)
         cfg = ExperimentConfig(protocol=SEVEN_TO_ONE, d=3, p_circuit=0.0,
                                p_in=p_in, shots=100_000, seed=41)
         out[p_in] = run_distillation(cfg, pipeline)
@@ -64,13 +64,12 @@ def zero_noise_runs():
 
 @pytest.fixture(scope="module")
 def circuit_noise_runs():
-    """Criterion 5/6/10: d=3 surface pipeline at p_circuit=1e-3."""
+    """Criterion 5/6/10: d=3 surface pipeline at p_circuit=1e-3, p_in sweep
+    on one pipeline."""
     spec = build_protocol(SEVEN_TO_ONE)
+    pipeline = DecodingPipeline.build(build_distillation_circuit(spec, 3, NoiseModel(1e-3)))
     out = {}
-    pipelines = {}
     for p_in in CIRCUIT_PINS + PLATEAU_PINS:
-        circ = build_distillation_circuit(spec, 3, NoiseModel(1e-3, p_in))
-        pipeline = DecodingPipeline.build(circ)
         cfg = ExperimentConfig(protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3,
                                p_in=p_in, shots=100_000, seed=5)
         out[p_in] = run_distillation(cfg, pipeline)
@@ -149,7 +148,7 @@ def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
         rows.append(f"p_in={p_in}:z_out={z_out:.1f},z_disc={z_disc:.1f}")
 
     spec = build_protocol(SEVEN_TO_ONE)
-    circ = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.5))
+    circ = build_distillation_circuit(spec, 3, NoiseModel(0.0))
     pipeline = DecodingPipeline.build(circ)
     table = exhaustive_oracle(SEVEN_TO_ONE)
     n_pat = 1 << spec.num_resources
@@ -283,10 +282,9 @@ def test_criterion_09_cost_accounting():
 
 def test_criterion_10_reproducibility_and_throughput(circuit_noise_runs):
     """Fixed seeds give byte-identical outputs; 1e5 decoded shots < 5 min."""
-    circ = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
-                                      NoiseModel(1e-3, 0.01))
-    a = sample(fault_table(circ), 2000, seed=77)
-    b = sample(fault_table(circ), 2000, seed=77)
+    circ = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3))
+    a = sample(fault_table(circ), 2000, seed=77, p_in=0.01)
+    b = sample(fault_table(circ), 2000, seed=77, p_in=0.01)
     identical = np.array_equal(a.sigs, b.sigs)
     cfg = ExperimentConfig(protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3,
                            p_in=0.01, shots=2000, seed=9)

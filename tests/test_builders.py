@@ -16,7 +16,7 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
-            NoiseModel(0.001, 1.5)
+            NoiseModel(1.5)
 
 
 class TestMemoryCircuit:
@@ -81,7 +81,7 @@ class TestSD6Structure:
 class TestDistillationCircuit:
     def test_7to1_shape(self):
         spec = build_protocol(SEVEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.001, 0.1))
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.001))
         assert len(c.layouts) == 15
         assert len(c.checks) == 3
         assert len(c.observables) == 2
@@ -90,7 +90,7 @@ class TestDistillationCircuit:
 
     def test_15to1_shape(self):
         spec = build_protocol(FIFTEEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.001, 0.1))
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.001))
         assert len(c.layouts) == 31
         assert len(c.checks) == 4
         assert len(c.injections) == 15
@@ -98,9 +98,9 @@ class TestDistillationCircuit:
 
     def test_detector_counts_frozen(self):
         c7 = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
-                                        NoiseModel(0.001, 0.1))
+                                        NoiseModel(0.001))
         c15 = build_distillation_circuit(build_protocol(FIFTEEN_TO_ONE), 3,
-                                         NoiseModel(0.001, 0.1))
+                                         NoiseModel(0.001))
         assert len(c7.detectors) == 376
         assert len(c15.detectors) == 888
 

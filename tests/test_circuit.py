@@ -40,6 +40,16 @@ class TestCircuitIR:
         with pytest.raises(ValueError):
             c.emit("HADAMARD", ((0, 0),))
 
+    def test_inject_z_carries_no_rate(self):
+        """An INJECT_Z rate would be ignored, since the sampler sets the
+        input error rate, so `emit` rejects one; the builders emit none."""
+        c = Circuit(layouts={0: build_patch(3)})
+        with pytest.raises(ValueError, match="INJECT_Z"):
+            c.emit("INJECT_Z", ((0, 0),), 0.3)
+        c.emit("INJECT_Z", ((0, 0),))
+        built = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3))
+        assert {ins.p for ins in built.instructions if ins.op == "INJECT_Z"} == {0.0}
+
     def test_measurement_bookkeeping(self):
         c = Circuit(layouts={0: build_patch(3)})
         i0 = c.measure(0, 4, "Z", 0.0)

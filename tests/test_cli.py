@@ -79,6 +79,26 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--shots", "10")
         assert code == EXIT_CONFIG and out == "" and "error:" in err
 
+    def test_empty_p_in_list(self, tmp_path, capsys):
+        """A config file's `p_in =` with no value would give a header-only
+        table; it is a bad configuration instead."""
+        f = tmp_path / "run.cfg"
+        f.write_text("p_in =\n")
+        for command in ("analytic", "distill"):
+            code, out, err = run_cli(capsys, command, "--config", str(f), "--shots", "10")
+            assert code == EXIT_CONFIG and out == "" and "p_in" in err
+
+    @pytest.mark.parametrize("command", ["oracle", "cost"])
+    def test_csv_only_commands_reject_json(self, tmp_path, capsys, command):
+        """The oracle and cost tables have no JSON form, so asking for one,
+        by flag or config file, is a bad configuration, not CSV output."""
+        code, out, err = run_cli(capsys, command, "--format", "json")
+        assert code == EXIT_CONFIG and out == "" and "json" in err
+        f = tmp_path / "run.cfg"
+        f.write_text("format=json\n")
+        code, out, _ = run_cli(capsys, command, "--config", str(f))
+        assert code == EXIT_CONFIG and out == ""
+
     def test_oracle_consistency_passes(self, capsys, tmp_path):
         out_file = tmp_path / "table.csv"
         code, _, _ = run_cli(capsys, "oracle", "--p-in", "0.1",
@@ -145,8 +165,9 @@ class TestOutputs:
 
 class TestSweeps:
     def test_distill_sweep_equals_single_points(self, capsys):
-        """Each point of a multi-p_in sweep is built for its own p_in: the
-        sweep's rows equal the single-point runs row for row."""
+        """The points of a multi-p_in sweep share one pipeline, and each
+        run's shots are drawn at its own p_in: the sweep's rows equal the
+        single-point runs row for row."""
         def rows(*p_ins):
             argv = ["distill", "--shots", "1000", "--seed", "1", "--format", "json"]
             for p in p_ins:
@@ -159,6 +180,20 @@ class TestSweeps:
         sweep = rows("0.3", "0.01")
         assert sweep == rows("0.3") + rows("0.01")
         assert sweep[0]["accepted"] != sweep[1]["accepted"]
+
+    def test_distill_sweep_builds_one_pipeline(self, capsys, monkeypatch):
+        builds = []
+        build = msdsim.harness.DecodingPipeline.build
+
+        def spy(circuit):
+            builds.append(circuit)
+            return build(circuit)
+
+        monkeypatch.setattr(msdsim.harness.DecodingPipeline, "build", spy)
+        code, out, _ = run_cli(capsys, "distill", "--shots", "200", "--p-in", "0.3",
+                               "--p-in", "0.01")
+        assert code == EXIT_OK and len(out.splitlines()) == 3
+        assert len(builds) == 1
 
 
 class TestPinnedOutputs:

@@ -135,7 +135,7 @@ def _split(dec: IterativeDecoder, det: np.ndarray) -> dict:
 @pytest.fixture(scope="module")
 def pipeline():
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
-                                   NoiseModel(1e-3, 0.0))
+                                   NoiseModel(1e-3))
     return c, IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
 
 
@@ -197,19 +197,20 @@ class TestPredictOutcome:
 
 
 _WORKLOADS = {
-    "distill15-d3-noisy": (FIFTEEN_TO_ONE, NoiseModel(3e-3, 0.1)),
-    "distill7-d3": (SEVEN_TO_ONE, NoiseModel(1e-3, 0.01)),
+    # (protocol, circuit noise, p_in)
+    "distill15-d3-noisy": (FIFTEEN_TO_ONE, NoiseModel(3e-3), 0.1),
+    "distill7-d3": (SEVEN_TO_ONE, NoiseModel(1e-3), 0.01),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(_WORKLOADS))
 def sampled(request):
     """(decoder, per-shot syndromes) for 2000 sampled shots of a workload."""
-    protocol, noise = _WORKLOADS[request.param]
+    protocol, noise, p_in = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     table = fault_table(c)
     dec = IterativeDecoder(c, enumerate_error_mechanisms(table))
-    batch = sample(table, 2000, seed=41)
+    batch = sample(table, 2000, seed=41, p_in=p_in)
     det_mask = (1 << len(c.detectors)) - 1
     return dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
 
@@ -220,7 +221,7 @@ def test_edges_follow_mechanisms(workload):
     order: its ends are the local ids of its home detectors and its toggles
     the slot bits of its foreign detectors, both derived from the circuit's
     detectors rather than the decoder's tables."""
-    protocol, noise = _WORKLOADS[workload]
+    protocol, noise, _ = _WORKLOADS[workload]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     mechs = enumerate_error_mechanisms(fault_table(c))
     dec = IterativeDecoder(c, mechs)
@@ -415,7 +416,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     """Over a run of two chunks whose length is no multiple of 8, every
     shot's packed int splits into the masks the per-detector walk gives for
     the same shot of one whole `sample` call."""
-    protocol, noise = _WORKLOADS[workload]
+    protocol, noise, p_in = _WORKLOADS[workload]
     pipeline = harness.DecodingPipeline.build(
         build_distillation_circuit(build_protocol(protocol), 3, noise))
     dec = pipeline.decoder
@@ -430,9 +431,9 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     monkeypatch.setattr(dec, "syndrome_masks", split)
     monkeypatch.setattr(dec, "decode_shot", lambda raw, max_iters: None)
     cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
-                                   p_in=noise.p_in, shots=shots, seed=17)
+                                   p_in=p_in, shots=shots, seed=17)
     assert sum(1 for _ in harness._decoded_shots(pipeline, cfg)) == shots
-    batch = sample(pipeline.table, shots, cfg.seed, None, 0)
+    batch = sample(pipeline.table, shots, cfg.seed, None, 0, p_in)
     det = planes(batch, pipeline.circuit)[0]
     slots = det_slots(dec)
     assert len(got) == shots
@@ -444,7 +445,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
 _BUILDERS = {
     "memory-d3": lambda: build_memory_circuit(3, 3, NoiseModel(1e-3)),
     **{f"{protocol}-d{d}": lambda protocol=protocol, d=d: build_distillation_circuit(
-        build_protocol(protocol), d, NoiseModel(1e-3, 0.01))
+        build_protocol(protocol), d, NoiseModel(1e-3))
        for protocol in (SEVEN_TO_ONE, FIFTEEN_TO_ONE) for d in (3, 5)},
     **{f"cnot-{basis}": lambda basis=basis: build_cnot_subcircuit_experiment(
         build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), basis) for basis in "ZX"},
@@ -455,7 +456,7 @@ _ORACLE_CIRCUITS = {
     **{f"memory-d{d}": lambda d=d: build_memory_circuit(d, d, NoiseModel(1e-3))
        for d in (3, 5)},
     **{f"{protocol}-d{d}": lambda protocol=protocol, d=d: build_distillation_circuit(
-        build_protocol(protocol), d, NoiseModel(1e-3, 0.01))
+        build_protocol(protocol), d, NoiseModel(1e-3))
        for protocol, ds in ((SEVEN_TO_ONE, (3, 5, 7)), (FIFTEEN_TO_ONE, (3, 5)))
        for d in ds},
     **{f"cnot-{basis}-d3": lambda basis=basis: build_cnot_subcircuit_experiment(

@@ -39,8 +39,16 @@ class TestMemoryMechanisms:
                 assert c.detectors[d].basis == m.basis
 
     def test_noiseless_circuit_has_no_mechanisms(self):
+        """Also a distillation circuit at p_circuit 0, whatever the p_in of
+        the runs it serves: its table's only sites are the injections, which
+        carry no rate, so the merge never sees them."""
         c = build_memory_circuit(3, 3, NoiseModel(0.0))
         assert enumerate_error_mechanisms(fault_table(c)) == []
+        for protocol in (SEVEN_TO_ONE, FIFTEEN_TO_ONE):
+            c = build_distillation_circuit(build_protocol(protocol), 3, NoiseModel(0.0))
+            table = fault_table(c)
+            assert len(table.kind) == len(c.injections) > 0
+            assert enumerate_error_mechanisms(table) == []
 
     def test_observable_flips_need_x_plane(self, mechs):
         """The logical-Z readout is only flipped by X-type components."""
@@ -69,35 +77,6 @@ class TestDetectorRates:
         assert z.max() < 4.5
 
 
-class TestInjectionMechanisms:
-    def test_pure_injection_signature(self):
-        """With zero circuit noise the only mechanisms are the injected logical
-        Zs: one per resource, detector-silent, flipping exactly the checks whose
-        support contains that resource."""
-        spec = build_protocol(SEVEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.3))
-        mechs = enumerate_error_mechanisms(fault_table(c))
-        assert len(mechs) == spec.num_resources
-        by_patch = {m.origin_patch for m in mechs}
-        assert len(by_patch) == spec.num_resources
-        for m in mechs:
-            assert m.prob == pytest.approx(0.3)
-            assert m.home_dets == () and m.foreign_dets == ()
-            assert m.basis == "X"
-            assert m.check_mask != 0, "single injections must be detectable"
-
-    def test_injection_checks_match_protocol(self):
-        spec = build_protocol(SEVEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.25))
-        mechs = sorted(enumerate_error_mechanisms(fault_table(c)), key=lambda m: m.origin_patch)
-        # resource r is consumed into data qubit r+1; check supports are index
-        # sets over data qubits 1..k
-        masks = [sum(1 << ci for ci, chk in enumerate(spec.checks)
-                     if r + 1 in chk)
-                 for r in range(spec.num_resources)]
-        assert sorted(m.check_mask for m in mechs) == sorted(masks)
-
-
 class TestMerging:
     def test_signatures_unique(self):
         c = build_memory_circuit(3, 2, NoiseModel(0.005))
@@ -111,13 +90,14 @@ _ORACLE_CIRCUITS = {
     "memory-d3": lambda: build_memory_circuit(3, 5, NoiseModel(1e-3)),
     "memory-d5": lambda: build_memory_circuit(5, 5, NoiseModel(1e-3)),
     "7to1-d3": lambda: build_distillation_circuit(
-        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3, 0.01)),
+        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3)),
     "15to1-d3": lambda: build_distillation_circuit(
-        build_protocol(FIFTEEN_TO_ONE), 3, NoiseModel(3e-3, 0.1)),
+        build_protocol(FIFTEEN_TO_ONE), 3, NoiseModel(3e-3)),
     "noise-free": lambda: build_distillation_circuit(
         build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0)),
+    # 15-to-1 at p_circuit 0: its fault table's only sites are the injections.
     "injection-only": lambda: build_distillation_circuit(
-        build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0, 0.3)),
+        build_protocol(FIFTEEN_TO_ONE), 3, NoiseModel(0.0)),
     "cnot-block-Z": lambda: build_cnot_subcircuit_experiment(
         build_protocol(SEVEN_TO_ONE), 3, NoiseModel(1e-3), "Z"),
     "cnot-block-X": lambda: build_cnot_subcircuit_experiment(
@@ -203,7 +183,7 @@ def _random_circuits(draw):
             patch = draw(st.integers(0, n_patches - 1))
             qs = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
             c.injections.append((len(c.instructions), len(c.injections)))
-            c.emit(op, tuple((patch, q) for q in sorted(qs)), draw(_PROBS))
+            c.emit(op, tuple((patch, q) for q in sorted(qs)))
         else:
             patch, q = draw(addr)
             c.measure(patch, q, op[1], draw(_PROBS))

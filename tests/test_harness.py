@@ -126,6 +126,15 @@ class TestSurfaceDrivers:
         run_distillation(cfg, pipeline)
         assert len(calls) == 2
 
+    def test_one_pipeline_serves_a_p_in_sweep(self):
+        """The sampler draws the injections at each run's p_in, so one
+        pipeline gives, at seed 5, the counts a fresh pipeline per p_in gave
+        when p_in was the INJECT_Z instructions' rate."""
+        pipeline = harness.distillation_pipeline(ExperimentConfig())
+        for p_in, want in ((0.3, (694, 220)), (0.01, (4558, 21)), (0.1, (2379, 32))):
+            st = run_distillation(ExperimentConfig(p_in=p_in, shots=5000, seed=5), pipeline)
+            assert (st.accepted, st.errors) == want, p_in
+
     def test_subcircuit_keys_are_patches(self):
         cfg = ExperimentConfig(p_circuit=0.0, shots=20)
         out = run_subcircuit(cfg)
@@ -148,7 +157,7 @@ class TestCostModel:
         """Each patch of the built circuit measures its d^2 - 1 ancillas once
         per round and has d^2 data qubits; the data-qubit-rounds summed over
         patches are `qubit_cycles`."""
-        circ = build_distillation_circuit(build_protocol(kind), d, NoiseModel(1e-3, 0.01))
+        circ = build_distillation_circuit(build_protocol(kind), d, NoiseModel(1e-3))
         ancilla_meas: dict[int, int] = {}
         for patch, q, _ in circ.meas_addr:
             if q >= circ.layouts[patch].num_data:

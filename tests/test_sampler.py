@@ -27,9 +27,10 @@ from msdsim.sampler import (CHUNK, KINDS, TERMS, fault_table, sample,
                             signature_columns)
 
 
-# sha256 of repr(sample(fault_table(c), CHUNK + 37, 0).unpack()) on the
-# benchmark's two circuits, recorded from the bit-packed byte-plane sampler
-# that the int signatures replaced: the random stream and its shots are pinned.
+# sha256 of repr(sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()) on
+# the benchmark's two circuits, recorded from the bit-packed byte-plane sampler
+# that the int signatures replaced (when p_in was the INJECT_Z instructions'
+# rate): the random stream and its shots are pinned.
 _STREAM_DIGESTS = {
     "7to1-d3": (SEVEN_TO_ONE, 1e-3, 0.01,
                 "01b09cb228f8b03e7f1b710cb6d306a4cc25d81dcc451373d89d7ce85b796d70"),
@@ -42,9 +43,8 @@ class TestReproducibility:
     @pytest.mark.parametrize("name", sorted(_STREAM_DIGESTS))
     def test_stream_is_pinned(self, name):
         protocol, p_circuit, p_in, digest = _STREAM_DIGESTS[name]
-        c = build_distillation_circuit(build_protocol(protocol), 3,
-                                       NoiseModel(p_circuit, p_in))
-        sigs = sample(fault_table(c), CHUNK + 37, 0).unpack()
+        c = build_distillation_circuit(build_protocol(protocol), 3, NoiseModel(p_circuit))
+        sigs = sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()
         assert hashlib.sha256(repr(sigs).encode()).hexdigest() == digest
 
     def test_int64_rows_sample_like_python_ints(self):
@@ -91,19 +91,22 @@ class TestChunking:
 
     def test_chunk_by_chunk_equals_one_call(self):
         """Chunk k drawn alone (`first_chunk=k`) is the k-th slice of one
-        whole call: the chunks' signature rows join shot after shot."""
+        whole call: the chunks' signature rows join shot after shot.  Check 1
+        measures a qubit after an injection, so it carries the injection
+        draws."""
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         c.checks.append(ParitySet(meas=c.observables[0].meas, id=0))
         c.injections.append((len(c.instructions), 0))
-        c.emit("INJECT_Z", ((0, 0), (0, 1)), 0.3)
+        c.emit("INJECT_Z", ((0, 0), (0, 1)))
+        c.checks.append(ParitySet(meas=(c.measure(0, 0, "X", 0.0),), id=1))
         shots, table = 2 * CHUNK + 5, fault_table(c)
-        whole = sample(table, shots, 7)
-        parts = [sample(table, min(CHUNK, shots - done), 7, None, k)
+        whole = sample(table, shots, 7, p_in=0.3)
+        parts = [sample(table, min(CHUNK, shots - done), 7, None, k, 0.3)
                  for k, done in enumerate(range(0, shots, CHUNK))]
         assert np.array_equal(whole.sigs, np.concatenate([b.sigs for b in parts]))
-        assert np.array_equal(whole.injected,
-                              np.concatenate([b.injected for b in parts], axis=1))
-        assert planes(whole, c)[1].shape == (len(c.checks), shots)
+        chk = planes(whole, c)[1]
+        assert chk.shape == (len(c.checks), shots)
+        assert chk[1, :CHUNK].any() and chk[1, CHUNK:2 * CHUNK].any()
 
     def test_unpack_reads_each_shot_bit_by_bit(self):
         """Over two chunks, each shot's signature int, read as a binary
@@ -149,12 +152,27 @@ class TestStatistics:
         assert m_hi / m_lo == pytest.approx(10.0, rel=0.35)
 
 
+def _syndrome_sig(c: Circuit, spec, resources) -> int:
+    """The signature of injections on `resources` at zero circuit noise, from
+    `ProtocolSpec.syndrome_map`: no detector bits; check bits the XOR of the
+    resources' check masks; both observables (the output and the frame rule)
+    flip with the XOR of their output flips."""
+    check_masks, out_flips = spec.syndrome_map()
+    chk = out = 0
+    for r in resources:
+        chk ^= int(check_masks[r])
+        out ^= int(out_flips[r])
+    nd, no = len(c.detectors), len(c.observables)
+    return (chk << (nd + no)) | (out * 0b11) << nd
+
+
 class TestForcedInjections:
     def test_forced_pattern_reproduces_oracle(self):
-        """With zero circuit noise, forcing injection patterns makes the raw
-        check/observable flips equal the logical-level oracle exactly."""
+        """With zero circuit noise, forcing injection patterns makes each
+        shot's signature that of its resources' syndrome-map entries, and the
+        raw check/observable flips equal the logical-level oracle exactly."""
         spec = build_protocol(SEVEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.5))
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
         table = exhaustive_oracle(SEVEN_TO_ONE)
         patterns = [0, 1, 0b0000111, 0b1111111, 0b1010101]
         forced = np.zeros((spec.num_resources, len(patterns)), dtype=bool)
@@ -163,8 +181,8 @@ class TestForcedInjections:
                 forced[r, s] = bool((pat >> r) & 1)
         batch = sample(fault_table(c), len(patterns), seed=0, forced_injections=forced)
         _, chk, obs = planes(batch, c)
-        assert np.array_equal(batch.injected, forced)
         for s, pat in enumerate(patterns):
+            assert batch.unpack()[s] == _syndrome_sig(c, spec, np.flatnonzero(forced[:, s]))
             accepted = not chk[:, s].any()
             assert accepted == bool(table.accepted[pat])
             if accepted:
@@ -174,20 +192,43 @@ class TestForcedInjections:
         """A forced pattern of any shape but (num_resources, shots) is
         rejected, not read with its resources and shots misaligned."""
         spec = build_protocol(SEVEN_TO_ONE)
-        table = fault_table(build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.5)))
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
+        table = fault_table(c)
         for shape in ((7, 5), (7, 11), (6, 10), (70,)):
             with pytest.raises(ValueError, match="forced_injections"):
                 sample(table, 10, seed=0, forced_injections=np.zeros(shape, dtype=bool))
         forced = np.zeros((spec.num_resources, 10), dtype=bool)
         forced[2, 4] = True
-        assert np.array_equal(sample(table, 10, seed=0, forced_injections=forced).injected, forced)
+        want = [0] * 10
+        want[4] = _syndrome_sig(c, spec, [2])
+        assert sample(table, 10, seed=0, forced_injections=forced).unpack() == want
+
+    def test_forced_pattern_overrides_p_in(self):
+        spec = build_protocol(SEVEN_TO_ONE)
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
+        table = fault_table(c)
+        forced = np.zeros((spec.num_resources, 50), dtype=bool)
+        assert sample(table, 50, seed=0, forced_injections=forced, p_in=1.0).unpack() == [0] * 50
+        every = _syndrome_sig(c, spec, range(spec.num_resources))
+        assert sample(table, 50, seed=0, p_in=1.0).unpack() == [every] * 50
+
+    @pytest.mark.parametrize("p_in", [-0.1, 1.5, float("nan")])
+    def test_p_in_must_be_a_probability(self, p_in):
+        table = fault_table(build_distillation_circuit(
+            build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0)))
+        with pytest.raises(ValueError, match="p_in"):
+            sample(table, 10, seed=0, p_in=p_in)
 
     def test_random_injections_fire_at_rate(self):
+        """At p_circuit 0 and p_in 0.2 the accepted fraction (no check
+        flipped) is the oracle's p_accept(0.2), within 5 sigma."""
         spec = build_protocol(SEVEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.0, 0.2))
-        batch = sample(fault_table(c), 50_000, seed=8)
-        rate = batch.injected.mean()
-        assert rate == pytest.approx(0.2, abs=0.01)
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
+        shots = 50_000
+        chk = planes(sample(fault_table(c), shots, seed=8, p_in=0.2), c)[1]
+        want = exhaustive_oracle(SEVEN_TO_ONE).p_accept(0.2)
+        got = 1 - chk.any(axis=0).mean()
+        assert abs(got - want) < 5 * np.sqrt(want * (1 - want) / shots), (got, want)
 
     def test_unregistered_injection_names_instruction(self):
         """An INJECT_Z with no `injections` entry has no resource row to
@@ -196,7 +237,7 @@ class TestForcedInjections:
         given a table for it."""
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         ii = len(c.instructions)
-        c.emit("INJECT_Z", ((0, 0),), 0.3)
+        c.emit("INJECT_Z", ((0, 0),))
         for build in (fault_table, DecodingPipeline.build,
                       lambda c: enumerate_error_mechanisms(fault_table(c))):
             with pytest.raises(ValueError, match=f"instruction {ii} "):
@@ -204,14 +245,14 @@ class TestForcedInjections:
 
 
 def _assert_table_equals_oracle(circuit: Circuit) -> None:
-    """The signature rows of the table's p > 0 faults, in forward order (the
-    XOR of each term's component rows), equal `forward_faults`' measurement
-    flips projected onto `signature_columns`."""
+    """The signature rows of the table's p > 0 faults and injections, in
+    forward order (the XOR of each term's component rows), equal
+    `forward_faults`' measurement flips projected onto `signature_columns`."""
     table = fault_table(circuit)
     cols = signature_columns(circuit)
     ints = []
     for kind, p, first in zip(table.kind, table.p, table.first):
-        if p == 0:
+        if p == 0 and KINDS[kind] != "INJECT_Z":
             continue
         for term in TERMS[KINDS[kind]]:
             sig = 0
@@ -232,6 +273,24 @@ def _assert_table_equals_oracle(circuit: Circuit) -> None:
 class TestFaultTable:
     """Every elementary fault's signature, read off the backward sweep's
     component rows, equals forward propagation of that fault."""
+
+    @pytest.mark.parametrize("protocol", [SEVEN_TO_ONE, FIFTEEN_TO_ONE])
+    def test_injection_rows_carry_syndrome_map(self, protocol):
+        """One site per resource, on its own patch and at p = 0 (the sampler
+        sets the rate): its row has no detector bits, and its check and
+        observable bits are the resource's `syndrome_map` entries; every
+        single injection flips some check."""
+        spec = build_protocol(protocol)
+        c = build_distillation_circuit(spec, 3, NoiseModel(1e-3))
+        table = fault_table(c)
+        sites = np.flatnonzero(table.kind == KINDS.index("INJECT_Z"))
+        assert sorted(table.rid[sites]) == list(range(spec.num_resources))
+        for site in sites:
+            r = int(table.rid[site])
+            assert table.p[site] == 0 and table.origin[site] == spec.num_data + r
+            row = int(table.sigs[table.comp_row[table.first[site]]])
+            assert row == _syndrome_sig(c, spec, [r])
+            assert row >> (len(c.detectors) + len(c.observables)) != 0
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
     def test_builder_circuits_equal_oracle(self, name):
@@ -325,9 +384,9 @@ class TestAgainstFrameOracle:
     @pytest.fixture(scope="class", params=sorted(_STAT_CIRCUITS))
     def batches(self, request):
         protocol, p_circuit, p_in, shots = _STAT_CIRCUITS[request.param]
-        c = build_distillation_circuit(build_protocol(protocol), 3,
-                                       NoiseModel(p_circuit, p_in))
-        return c, sample(fault_table(c), shots, seed=31), frame_sample(c, shots, seed=32)
+        c = build_distillation_circuit(build_protocol(protocol), 3, NoiseModel(p_circuit))
+        return (c, sample(fault_table(c), shots, seed=31, p_in=p_in),
+                frame_sample(c, shots, seed=32, p_in=p_in))
 
     def test_row_rates(self, batches):
         c, a, b = batches
@@ -339,8 +398,6 @@ class TestAgainstFrameOracle:
             se = np.sqrt(pooled * (1 - pooled) * 2 / n)
             z = np.divide((ka - kb) / n, se, out=np.zeros(len(se)), where=se > 0)
             assert np.abs(z).max() < 5, (name, int(np.abs(z).argmax()))
-        assert abs(a.injected.mean() - b.injected.mean()) < 5 * np.sqrt(
-            2 * b.injected.mean() / b.injected.size)
 
     def test_check_observable_patterns(self, batches):
         c, *pair = batches
