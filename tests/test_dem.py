@@ -13,7 +13,7 @@ from msdsim.circuit import Circuit, Detector, ParitySet
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.layout import build_patch
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
-from msdsim.sampler import fault_table, sample
+from msdsim.sampler import fault_table, sample, signature_columns
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,49 @@ class TestDetectorRates:
         sigma = np.sqrt(want * (1 - want) / shots)
         z = np.abs(mean - want) / sigma
         assert z.max() < 4.5
+
+
+class TestInjectionMechanisms:
+    """Injections carry no rate in the circuit, so they never enter the merge;
+    their detector-silent rows are read off the fault table instead."""
+
+    @staticmethod
+    def _injection_rows(circuit):
+        table = fault_table(circuit)
+        sites = np.flatnonzero(table.rid >= 0)
+        return table, {int(table.rid[s]): (int(s), int(table.sigs[table.comp_row[table.first[s]]]))
+                       for s in sites}
+
+    def test_pure_injection_signature(self):
+        """With zero circuit noise the only sites are the injected logical Zs:
+        one per resource, on its own patch, at p = 0 (the sampler sets the
+        rate), detector-silent, flipping only X-basis columns and some check."""
+        spec = build_protocol(SEVEN_TO_ONE)
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
+        table, rows = self._injection_rows(c)
+        assert len(table.kind) == spec.num_resources
+        assert sorted(rows) == list(range(spec.num_resources))
+        assert len({int(table.origin[s]) for s, _ in rows.values()}) == spec.num_resources
+        nd, no = len(c.detectors), len(c.observables)
+        cols = signature_columns(c)
+        for site, row in rows.values():
+            assert table.p[site] == 0
+            assert row & ((1 << nd) - 1) == 0
+            assert all(c.meas_addr[cols[b].meas[0]][2] == "X"
+                       for b in range(nd, len(cols)) if row >> b & 1)
+            assert row >> (nd + no) != 0, "single injections must be detectable"
+
+    def test_injection_checks_match_protocol(self):
+        spec = build_protocol(SEVEN_TO_ONE)
+        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
+        _, rows = self._injection_rows(c)
+        nd, no = len(c.detectors), len(c.observables)
+        # resource r is consumed into data qubit r+1; check supports are index
+        # sets over data qubits 1..k
+        masks = [sum(1 << ci for ci, chk in enumerate(spec.checks)
+                     if r + 1 in chk)
+                 for r in range(spec.num_resources)]
+        assert [rows[r][1] >> (nd + no) for r in range(spec.num_resources)] == masks
 
 
 class TestMerging:
