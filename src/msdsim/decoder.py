@@ -16,10 +16,12 @@ one numpy Floyd–Warshall pass per graph at set-up.  A defect pair
 boundary; otherwise sending both to the boundary costs no more, so some
 optimal pairing uses only useful pairs.  `decode` therefore splits a syndrome
 into the connected components of the useful relation and matches each one on
-its own: subset dynamic programming, or the blossom fallback for a component
-with more than `_DP_LIMIT` defects.  Each component's correction (weight,
-path-edge bitmask and the masks those edges flip) is cached in a bounded
-per-graph cache, and a syndrome's correction is the XOR of its components'.
+its own by subset dynamic programming: unrolled in closed form for a
+component of 1-3 defects, memoised for 4 to `_DP_LIMIT`, and the blossom
+fallback above that.  Each component's correction (weight, path-edge bitmask
+and the masks those edges flip) is cached in a bounded per-graph cache, and
+a syndrome's correction is the XOR of its components'.  A component matched
+by one pair gets that path's cached correction itself, with no copy.
 Ties between equal-weight pairings go to the lexicographically smallest pair
 list (defects in ascending order, the boundary before any partner), so
 decoding is deterministic; the lowest edge id wins between parallel edges.
@@ -30,19 +32,22 @@ The subset DP is memoised per graph: `f(S)`, the optimal weight of a set S
 of nodes, and the lowest node's choice are kept under S's node bitmask, so
 clusters that reach the same subset share it.  `f(S)` and its tie rule do not
 depend on which cluster reaches S, so the memo changes no pairing.  A call
-that leaves the memo above `MEMO_CAP` entries empties it.
+that leaves the memo above `MEMO_CAP` entries empties it.  Only clusters of
+4 or more defects fill it: the closed forms for 1-3 defects form the same
+sums in the same order and need no memo.
 
 Each shot travels as bitsets in *slot order*, which is detector id order:
 the builders number detectors by (home patch, basis), so each graph's
 detectors are one contiguous range of ids, ascending, with the graphs in
 `graphs` order.  The low bits of a shot's sampled signature are therefore
-its slot-order int, and `syndrome_masks` cuts it into per-graph masks, one
-shift and mask per graph with a defect.
+its slot-order int, and `syndrome_masks` cuts it into per-graph masks from
+the top bit down: the highest set bit names its graph, whose mask is one
+shift, and one AND with the mask of the slots below that graph drops it.
 Each edge's foreign toggles are one slot-order int, set once at build, so a
 correction's toggles are the XOR of its edges'.  The cross-patch loop is
 incremental: after the first sweep it re-decodes only the graphs whose toggle
-range changed; a graph whose syndrome is zero gets the shared empty correction
-without a call.
+range changed, found from the top bit in the same way; a graph whose
+syndrome is zero gets the shared empty correction without a call.
 """
 from __future__ import annotations
 
@@ -106,6 +111,10 @@ class MatchingGraph:
     One cache, keyed by defect bitmask, holds the corrections of components;
     a syndrome that is one component is its own key, and one with several is
     rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
+    A component of 1-3 defects is matched in closed form, one of 4 to
+    `_DP_LIMIT` by the memoised subset DP, and a larger one by blossom; a
+    component matched by one pair is that pair's cached path correction, not
+    a copy, so no correction may be mutated.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
     `decode`, `component_hits`/`component_misses` those of components after a
     syndrome miss."""
@@ -225,28 +234,82 @@ class MatchingGraph:
             else:
                 self.component_hits += 1
             parts.append(part)
-        return parts[0] if len(parts) == 1 else _xor(parts)
+        if len(parts) == 1:
+            return parts[0]
+        if len(parts) == 2:
+            p, q = parts
+            return Correction(p.edge_mask ^ q.edge_mask, p.weight + q.weight,
+                              p.obs_mask ^ q.obs_mask, p.check_mask ^ q.check_mask,
+                              p.toggles ^ q.toggles)
+        return _xor(parts)
 
     def _solve_component(self, comp: int) -> Correction:
-        """One component's optimal correction: the XOR of its paths."""
+        """One component's optimal correction: the XOR of its paths, or the
+        cached path itself when the pairing is one pair."""
         n = self.n
-        return _xor([self._path(a, n if b == BOUNDARY else b)
-                     for a, b in self._match(list(_bits(comp)))])
+        pairs = self._match(list(_bits(comp)))
+        if len(pairs) == 1:
+            a, b = pairs[0]
+            return self._path(a, n if b == BOUNDARY else b)
+        return _xor([self._path(a, n if b == BOUNDARY else b) for a, b in pairs])
 
     def _match(self, defects: list[int]) -> list[tuple[int, int]]:
         """Optimal pairing of `defects` (ascending local ids) with each other
         and the boundary, as pairs sorted by their first elements.
 
-        Subset DP over the graph's memo: the lowest node of a set goes to the
-        boundary or to the first partner that beats every earlier choice by
-        more than 1e-12, so ties go to the lexicographically smallest pair
-        list."""
-        if len(defects) > _DP_LIMIT:
+        Subset DP: the lowest node of a set goes to the boundary or to the
+        first partner that beats every earlier choice by more than 1e-12, so
+        ties go to the lexicographically smallest pair list.  Up to 3
+        defects the DP is unrolled: the same sums in the same order, without
+        the memo.  From 4 to `_DP_LIMIT` defects it runs over the graph's
+        memo; above that, blossom."""
+        k = len(defects)
+        if k > _DP_LIMIT:
             return self._match_blossom(defects)
-        best, choice = self._best, self._choice
         n = self.n
         m = n + 1
         dist = memoryview(self._dist).cast("B").cast("d")  # row-major, m per row
+        if k <= 3:
+            # f(S) = f(S - {a}) + dist(a, B) or, if lighter by more than
+            # 1e-12, f(S - {a, j}) + dist(a, j), a the lowest node of S and
+            # j ascending.  f({}) = 0.0 drops out: 0.0 + d is d for every
+            # distance, all being >= 0.
+            a = defects[0]
+            row = a * m
+            if k == 1:
+                w = dist[row + n]
+                pairs = [(a, BOUNDARY)]
+            elif k == 2:
+                b = defects[1]
+                w = dist[b * m + n] + dist[row + n]
+                pairs = [(a, BOUNDARY), (b, BOUNDARY)]
+                cand = dist[row + b]
+                if cand < w - 1e-12:
+                    w = cand
+                    pairs = [(a, b)]
+            else:
+                b, c = defects[1], defects[2]
+                to_b, to_c = dist[b * m + n], dist[c * m + n]
+                w = to_c + to_b
+                tail = [(b, BOUNDARY), (c, BOUNDARY)]
+                cand = dist[b * m + c]
+                if cand < w - 1e-12:
+                    w = cand
+                    tail = [(b, c)]
+                w += dist[row + n]
+                pairs = [(a, BOUNDARY)] + tail
+                cand = to_c + dist[row + b]
+                if cand < w - 1e-12:
+                    w = cand
+                    pairs = [(a, b), (c, BOUNDARY)]
+                cand = to_b + dist[row + c]
+                if cand < w - 1e-12:
+                    w = cand
+                    pairs = [(a, c), (b, BOUNDARY)]
+            if not math.isfinite(w):
+                raise RuntimeError("decode failure: defect cannot reach the boundary")
+            return pairs
+        best, choice = self._best, self._choice
         get = best.get
 
         def solve(mask: int) -> float:
@@ -320,7 +383,7 @@ class MatchingGraph:
         return pairs
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeResult:
     corrections: dict[tuple[int, str], Correction]
     obs_mask: int
@@ -362,21 +425,23 @@ class IterativeDecoder:
                                    sum(1 << d for d in m.foreign_dets)))
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
         # Per slot, for the slot's graph: (key, graph, first slot, mask of
-        # its width, mask clearing every slot up to its last).
+        # its width, mask of the slots below its first).
         self._slot_span: list[tuple] = []
         for key, (lo, hi) in span.items():
             g = self.graphs[key] = MatchingGraph(hi - lo, edges[key])
-            self._slot_span += [(key, g, lo, (1 << (hi - lo)) - 1, -1 << hi)] * (hi - lo)
+            self._slot_span += [(key, g, lo, (1 << (hi - lo)) - 1, (1 << lo) - 1)] * (hi - lo)
 
     def syndrome_masks(self, shot: int) -> dict[tuple[int, str], int]:
         """Split one shot's detector bits, a slot-order int, into per-graph
-        bitmasks; graphs without a defect are left out."""
+        bitmasks, the last graph first; graphs without a defect are left
+        out."""
         out: dict[tuple[int, str], int] = {}
         spans = self._slot_span
         while shot:
-            key, _, lo, full, clear = spans[(shot & -shot).bit_length() - 1]
-            out[key] = shot >> lo & full
-            shot &= clear
+            # The top defect's graph holds every bit at and above its first slot.
+            key, _, lo, _, below = spans[shot.bit_length() - 1]
+            out[key] = shot >> lo
+            shot &= below
         return out
 
     def decode_shot(self, raw: dict[tuple[int, str], int],
@@ -407,8 +472,8 @@ class IterativeDecoder:
             iters += 1
             applied = toggles
             while changed:
-                key, g, lo, full, clear = spans[(changed & -changed).bit_length() - 1]
-                changed &= clear
+                key, g, lo, full, below = spans[changed.bit_length() - 1]
+                changed &= below
                 s = raw.get(key, 0) ^ (applied >> lo & full)
                 new = g.decode(s) if s else EMPTY
                 old = corrections.get(key, EMPTY)

@@ -1,6 +1,9 @@
 """Matching-graph decoding tests: optimality, determinism, iteration loop,
 and differential checks of the cluster-split matcher and the incremental loop
 against the whole-syndrome oracles in `matching_oracle`."""
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit)
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, EMPTY, Edge, IterativeDecoder,
                             MatchingGraph, predict_outcome)
-from msdsim.dem import enumerate_error_mechanisms
+from msdsim.dem import _bits, enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
 from msdsim.sampler import CHUNK, fault_table, sample
 
@@ -409,6 +412,93 @@ class TestMemoisedMatch:
                 assert len(tiny._best) <= 3 and len(tiny._choice) <= 3
             grew |= len(big._best) > 3
         assert grew
+
+
+def _assert_closed_form_is_the_dp(g: MatchingGraph, defects: list[int]):
+    """`_match` on a cluster of 1-3 defects gives the per-cluster DP's pair
+    list exactly, or the same failure, and leaves the memo alone.  Returns
+    the pair list, or None on the failure."""
+    try:
+        want = cluster_match(g, defects)
+    except RuntimeError as err:
+        with pytest.raises(RuntimeError, match=re.escape(str(err))):
+            g._match(defects)
+        want = None
+    else:
+        assert g._match(defects) == want, defects
+    assert g._best == {0: 0.0} and g._choice == {}
+    return want
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+    def test_every_small_subset_of_the_benchmark_graphs(self, workload):
+        """Every 1-, 2- and 3-defect subset of every graph of a benchmark
+        circuit at d=3."""
+        protocol, noise, _ = _WORKLOADS[workload]
+        c = build_distillation_circuit(build_protocol(protocol), 3, noise)
+        dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+        paired = 0
+        for g in dec.graphs.values():
+            for k in (1, 2, 3):
+                for defects in itertools.combinations(range(g.n), k):
+                    pairs = _assert_closed_form_is_the_dp(g, list(defects))
+                    paired += k == 3 and pairs[0][1] != BOUNDARY
+        assert paired > 1000
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_sampled_triples_above_d3(self, d):
+        """Seeded 3-defect subsets of every 7-to-1 graph at d=5 and d=7: half
+        uniform, half a node and two of its useful partners, so that pairs
+        form."""
+        c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), d, NoiseModel(1e-3))
+        dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+        rng = np.random.default_rng(d)
+        paired = 0
+        for g in dec.graphs.values():
+            for _ in range(200):
+                defects = sorted(rng.choice(g.n, size=3, replace=False).tolist())
+                _assert_closed_form_is_the_dp(g, defects)
+            for _ in range(200):
+                a = int(rng.integers(g.n))
+                partners = list(_bits(g._useful[a]))
+                if len(partners) < 2:
+                    continue
+                defects = sorted([a, *rng.choice(partners, size=2, replace=False).tolist()])
+                pairs = _assert_closed_form_is_the_dp(g, defects)
+                paired += pairs[0][1] != BOUNDARY
+        assert paired > 1000
+
+    def test_near_ties_keep_the_dp_margin(self):
+        """Pairs that beat the boundary by 0, 5e-13 or 2e-12: only the last
+        wins, since a choice must beat the earlier one by more than 1e-12."""
+        margins = (0.0, 5e-13, 2e-12)
+        g = MatchingGraph(2, [Edge(u=0, v=BOUNDARY, weight=1.0),
+                              Edge(u=1, v=BOUNDARY, weight=1.0),
+                              Edge(u=0, v=1, weight=2.0 - 5e-13)])
+        assert g._match([0, 1]) == [(0, BOUNDARY), (1, BOUNDARY)]
+        for eps in itertools.product(margins, repeat=3):
+            edges = [Edge(u=i, v=BOUNDARY, weight=1.0) for i in range(3)]
+            edges += [Edge(u=u, v=v, weight=2.0 - e)
+                      for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), eps)]
+            g = MatchingGraph(3, edges)
+            for k in (2, 3):
+                for defects in itertools.combinations(range(3), k):
+                    _assert_closed_form_is_the_dp(g, list(defects))
+
+    def test_three_defects_cut_off_from_the_boundary(self):
+        """Nodes 1-3 are joined to each other only: any two of them pair, so
+        the third cannot reach the boundary, as in the DP."""
+        g = MatchingGraph(4, [Edge(u=0, v=BOUNDARY, weight=1.0),
+                              Edge(u=1, v=2, weight=0.5),
+                              Edge(u=2, v=3, weight=0.5)])
+        with pytest.raises(RuntimeError, match="cannot reach the boundary"):
+            cluster_match(g, [1, 2, 3])
+        with pytest.raises(RuntimeError,
+                           match=r"^decode failure: defect cannot reach the boundary$"):
+            g._match([1, 2, 3])
+        assert g._best == {0: 0.0} and g._choice == {}
+        assert g._match([0, 1, 2]) == cluster_match(g, [0, 1, 2]) == [(0, BOUNDARY), (1, 2)]
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))

@@ -1,4 +1,5 @@
 """Experiment driver tests: statistics containers, drivers, cost model."""
+import copy
 import json
 
 import numpy as np
@@ -141,6 +142,41 @@ class TestSurfaceDrivers:
         assert sorted(out) == list(range(8))
         assert all(st.errors == 0 for st in out.values())
 
+
+# The benchmark's workloads at seed 0: (config, accepted, errors, iteration
+# histogram).  Any change to the sampler or the per-shot decode must leave
+# these counts exactly as they are.
+_PINNED = {
+    "distill7-d3": (ExperimentConfig(protocol=SEVEN_TO_ONE, p_circuit=1e-3,
+                                     p_in=0.01, shots=20_000, seed=0),
+                    18233, 89, {1: 10826, 2: 9052, 3: 122}),
+    "distill15-d3-noisy": (ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_circuit=3e-3,
+                                            p_in=0.1, shots=10_000, seed=0),
+                           1560, 220, {1: 126, 2: 8687, 3: 1187}),
+}
+
+
+class TestBenchmarkWorkloads:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_seed_zero_counts_are_pinned(self, name):
+        cfg, accepted, errors, hist = _PINNED[name]
+        st = run_distillation(cfg)
+        assert (st.shots, st.accepted, st.errors, st.iteration_hist) == \
+            (cfg.shots, accepted, errors, hist)
+
+    def test_deep_copied_pipeline_runs_like_the_original(self):
+        """A deep copy of a never-run pipeline, run cold, gives the
+        original's counts, so every attribute of a pipeline can be copied."""
+        cfg = ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_circuit=3e-3, p_in=0.1,
+                               shots=2000, seed=0)
+        pipeline = harness.distillation_pipeline(cfg)
+        twin = copy.deepcopy(pipeline)
+        want = run_distillation(cfg, pipeline)
+        got = run_distillation(cfg, twin)
+        assert (got.accepted, got.errors, got.iteration_hist) == \
+            (want.accepted, want.errors, want.iteration_hist)
+        for g, h in zip(pipeline.decoder.graphs.values(), twin.decoder.graphs.values()):
+            assert h is not g and h._cache is not g._cache
 
 class TestCostModel:
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
