@@ -17,24 +17,17 @@ boundary; otherwise sending both to the boundary costs no more, so some
 optimal pairing uses only useful pairs.  `decode` therefore splits a syndrome
 into the connected components of the useful relation and matches each one on
 its own by subset dynamic programming: unrolled in closed form for a
-component of 1-3 defects, memoised for 4 to `_DP_LIMIT`, and the blossom
-fallback above that.  Each component's correction (weight, path-edge bitmask
-and the masks those edges flip) is cached in a bounded per-graph cache, and
-a syndrome's correction is the XOR of its components'.  A component matched
-by one pair gets that path's cached correction itself, with no copy.
+component of 1-3 defects, over the component's subsets for 4 to `_DP_LIMIT`,
+whose states live for one call, and the blossom fallback above that.  Each
+component's correction (weight, path-edge bitmask and the masks those edges
+flip) is cached in a bounded per-graph cache, and a syndrome's correction is
+the XOR of its components'.  A component matched by one pair gets that
+path's cached correction itself, with no copy.
 Ties between equal-weight pairings go to the lexicographically smallest pair
 list (defects in ascending order, the boundary before any partner), so
 decoding is deterministic; the lowest edge id wins between parallel edges.
 Between equal-weight paths, the predecessor set by the lowest intermediate
 node k that strictly improves a distance wins.
-
-The subset DP is memoised per graph: `f(S)`, the optimal weight of a set S
-of nodes, and the lowest node's choice are kept under S's node bitmask, so
-clusters that reach the same subset share it.  `f(S)` and its tie rule do not
-depend on which cluster reaches S, so the memo changes no pairing.  A call
-that leaves the memo above `MEMO_CAP` entries empties it.  Only clusters of
-4 or more defects fill it: the closed forms for 1-3 defects form the same
-sums in the same order and need no memo.
 
 Each shot travels as bitsets in *slot order*, which is detector id order:
 the builders number detectors by (home patch, basis), so each graph's
@@ -62,7 +55,6 @@ from .dem import ErrorMechanism, _bits
 BOUNDARY = -1
 _DP_LIMIT = 14  # components with more defects use the blossom fallback
 CACHE_CAP = 2048  # component corrections kept per graph
-MEMO_CAP = 2048  # subset-DP states a graph keeps between calls
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,9 @@ class MatchingGraph:
     a syndrome that is one component is its own key, and one with several is
     rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
     A component of 1-3 defects is matched in closed form, one of 4 to
-    `_DP_LIMIT` by the memoised subset DP, and a larger one by blossom; a
-    component matched by one pair is that pair's cached path correction, not
-    a copy, so no correction may be mutated.
+    `_DP_LIMIT` by subset DP, and a larger one by blossom; a component
+    matched by one pair is that pair's cached path correction, not a copy,
+    so no correction may be mutated.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
     `decode`, `component_hits`/`component_misses` those of components after a
     syndrome miss."""
@@ -123,12 +115,7 @@ class MatchingGraph:
         self.n = num_nodes
         self.edges = list(edges)
         self.cache_cap = CACHE_CAP
-        self.memo_cap = MEMO_CAP
         self._cache: dict[int, Correction] = {}
-        # Subset-DP memo keyed by node bitmask: optimal weight, lowest node's
-        # partner (BOUNDARY: the boundary).
-        self._best: dict[int, float] = {0: 0.0}
-        self._choice: dict[int, int] = {}
         self._paths: dict[tuple[int, int], Correction] = {}
         self.syndrome_hits = self.syndrome_misses = 0
         self.component_hits = self.component_misses = 0
@@ -260,9 +247,9 @@ class MatchingGraph:
         Subset DP: the lowest node of a set goes to the boundary or to the
         first partner that beats every earlier choice by more than 1e-12, so
         ties go to the lexicographically smallest pair list.  Up to 3
-        defects the DP is unrolled: the same sums in the same order, without
-        the memo.  From 4 to `_DP_LIMIT` defects it runs over the graph's
-        memo; above that, blossom."""
+        defects the DP is unrolled: the same sums in the same order.  From 4
+        to `_DP_LIMIT` defects it keeps each subset's weight and lowest
+        node's partner for this call only; above that, blossom."""
         k = len(defects)
         if k > _DP_LIMIT:
             return self._match_blossom(defects)
@@ -309,11 +296,14 @@ class MatchingGraph:
             if not math.isfinite(w):
                 raise RuntimeError("decode failure: defect cannot reach the boundary")
             return pairs
-        best, choice = self._best, self._choice
+        # Per subset's node bitmask: optimal weight, and the lowest node's
+        # partner (BOUNDARY: the boundary).
+        best: dict[int, float] = {0: 0.0}
+        choice: dict[int, int] = {}
         get = best.get
 
         def solve(mask: int) -> float:
-            # `mask` is not in the memo; its subsets are looked up before
+            # `mask` is not solved yet; its subsets are looked up before
             # any call, since most of them are.
             low = mask & -mask
             i = low.bit_length() - 1
@@ -343,19 +333,13 @@ class MatchingGraph:
         mask = 0
         for a in defects:
             mask |= 1 << a
-        w = get(mask)
-        if w is None:
-            w = solve(mask)
+        w = solve(mask)
         pairs = []
         while mask:
             low = mask & -mask
             c = choice[mask]
             pairs.append((low.bit_length() - 1, c))
             mask ^= low if c == BOUNDARY else low | 1 << c
-        if len(best) > self.memo_cap:
-            best.clear()
-            choice.clear()
-            best[0] = 0.0
         if not math.isfinite(w):
             raise RuntimeError("decode failure: defect cannot reach the boundary")
         return pairs
@@ -487,13 +471,11 @@ class IterativeDecoder:
 
 
 def predict_outcome(result: DecodeResult, checks: int, observables: int
-                    ) -> tuple[bool, bool, bool]:
-    """(accepted, frame_offset, output_error) for a distillation shot.
+                    ) -> tuple[bool, bool]:
+    """(accepted, output_error) for a distillation shot.
 
     `checks` / `observables` are the shot's reference-relative raw parities
-    packed as integers (observable id 0 = output, id 1 = frame rule)."""
-    corrected_checks = checks ^ result.check_mask
-    corrected_obs = observables ^ result.obs_mask
-    return (corrected_checks == 0,
-            bool(corrected_obs >> 1 & 1),
-            bool(corrected_obs & 1))
+    packed as integers (observable id 0 = output; id 1, the frame rule, is
+    gauge and not read)."""
+    return (checks == result.check_mask,
+            bool((observables ^ result.obs_mask) & 1))

@@ -161,7 +161,7 @@ def run_distillation(config: ExperimentConfig,
         pipeline = distillation_pipeline(config)
     stats = ExperimentStats()
     for res, chk, obs in _decoded_shots(pipeline, config):
-        accepted, _, error = predict_outcome(res, chk, obs)
+        accepted, error = predict_outcome(res, chk, obs)
         stats.record(accepted, error, res.iterations_used)
     stats.seconds = time.perf_counter() - t0
     return stats
@@ -204,10 +204,9 @@ def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
 def run_logical(config: ExperimentConfig) -> ExperimentStats:
     """Logical-level (noise-free code) protocol Monte Carlo."""
     t0 = time.perf_counter()
-    acc, err = sample_logical_shots(config.protocol, config.p_in, config.shots,
-                                    np.random.default_rng(config.seed))
-    stats = ExperimentStats(shots=config.shots, accepted=int(acc.sum()),
-                            errors=int((acc & err).sum()),
+    accepted, errors = sample_logical_shots(config.protocol, config.p_in, config.shots,
+                                            np.random.default_rng(config.seed))
+    stats = ExperimentStats(shots=config.shots, accepted=accepted, errors=errors,
                             iteration_hist={1: config.shots})
     stats.seconds = time.perf_counter() - t0
     return stats

@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .sampler import CHUNK
+
 SEVEN_TO_ONE = "SevenToOne"
 FIFTEEN_TO_ONE = "FifteenToOne"
 
@@ -200,16 +202,24 @@ def discard_ratio(spec: ProtocolSpec, p: float) -> float:
 
 
 def sample_logical_shots(kind: str, p_in: float, shots: int,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised logical-level Monte Carlo: (accepted, output_error) planes.
+                         rng: np.random.Generator) -> tuple[int, int]:
+    """Vectorised logical-level Monte Carlo: the counts of accepted shots and
+    of accepted shots with an output error.
 
-    Error patterns are drawn i.i.d. per resource; outcomes are looked up in
-    the exhaustive oracle table (the exact syndrome-map semantics).
+    Error patterns are drawn i.i.d. per resource and looked up in the
+    exhaustive oracle table (the exact syndrome-map semantics).  One
+    generator draws `CHUNK` shots at a time, so memory does not grow with
+    `shots`; row by row, the chunks draw what one (shots, resources) draw
+    would.
     """
     table = exhaustive_oracle(kind)
-    k = table.num_resources
-    bits = np.random.default_rng(rng.integers(0, 2**63)).random((shots, k)) < p_in
-    pats = np.zeros(shots, dtype=np.int64)
-    for r in range(k):
-        pats |= bits[:, r].astype(np.int64) << r
-    return table.accepted[pats], table.output_error[pats]
+    weights = 1 << np.arange(table.num_resources, dtype=np.int64)
+    gen = np.random.default_rng(rng.integers(0, 2**63))
+    accepted = errors = 0
+    for done in range(0, shots, CHUNK):
+        bits = gen.random((min(CHUNK, shots - done), weights.size)) < p_in
+        pats = bits @ weights
+        acc = table.accepted[pats]
+        accepted += int(acc.sum())
+        errors += int((acc & table.output_error[pats]).sum())
+    return accepted, errors

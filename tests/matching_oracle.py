@@ -8,9 +8,10 @@
 - `whole_syndrome_decode`: the decoder before syndromes were split into
   clusters.  One subset DP runs over all of a syndrome's defects (blossom above
   `_DP_LIMIT`), and the correction is read by scanning every edge of the graph.
-- `cluster_match`: the subset DP that `MatchingGraph._match` ran before its
-  states were memoised per graph: one top-down DP per cluster, with its own
-  distance tables.
+- `cluster_match`: `MatchingGraph._match`'s subset DP written apart: its
+  subsets are keyed by the cluster's own defect indices over distance lists
+  built per call, where `_match` keys them by node bitmask over the graph's
+  distance table.
 - `det_slots` / `slot_order`: each detector's graph and node, and the
   detector in each slot, derived from the circuit's detectors rather than
   the decoder's tables.
@@ -169,7 +170,11 @@ def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, i
 
     Subset DP: the lowest defect of a set goes to the boundary or to the
     first partner that beats every earlier choice by more than 1e-12, so
-    ties go to the lexicographically smallest pair list."""
+    ties go to the lexicographically smallest pair list.  It forms
+    `_match`'s sums in `_match`'s order, but keys subsets by position in
+    `defects` and reads distances from lists built for this call, so it
+    shares neither the node-bitmask keys nor the closed forms for 1-3
+    defects."""
     k = len(defects)
     if k > _DP_LIMIT:
         return graph._match_blossom(defects)

@@ -165,7 +165,7 @@ def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
         res = dec.decode_shot(dec.syndrome_masks(0))
         chk_bits = sum(1 << i for i in range(chk.shape[0]) if chk[i, pat])
         obs_bits = sum(1 << i for i in range(obs.shape[0]) if obs[i, pat])
-        accepted, _, error = predict_outcome(res, chk_bits, obs_bits)
+        accepted, error = predict_outcome(res, chk_bits, obs_bits)
         exact &= accepted == bool(table.accepted[pat])
         if accepted:
             exact &= error == bool(table.output_error[pat])

@@ -191,12 +191,13 @@ class TestPredictOutcome:
         from msdsim.decoder import DecodeResult
         res = DecodeResult(corrections={}, obs_mask=0b10, check_mask=0b101,
                            iterations_used=1, converged=True)
-        accepted, frame, err = predict_outcome(res, checks=0b101, observables=0b01)
+        accepted, err = predict_outcome(res, checks=0b101, observables=0b01)
         assert accepted            # correction cancels the raw check bits
-        assert frame               # corrected frame bit = 1^0... bit1: 0^1
         assert err                 # corrected output bit = 1^0
-        accepted2, _, err2 = predict_outcome(res, checks=0b100, observables=0b10)
+        accepted2, err2 = predict_outcome(res, checks=0b100, observables=0b10)
         assert not accepted2 and not err2
+        # Bit 1, the frame rule, is gauge: it changes neither result.
+        assert predict_outcome(res, checks=0b101, observables=0b11) == (True, True)
 
 
 _WORKLOADS = {
@@ -342,15 +343,14 @@ class TestClusterSplit:
 
 
 def _fresh(g: MatchingGraph) -> MatchingGraph:
-    """A copy of `g` with empty caches and memo."""
+    """A copy of `g` with empty caches."""
     return MatchingGraph(g.n, g.edges)
 
 
 class TestMemoisedMatch:
     def test_sampled_clusters_match_per_cluster_dp(self, sampled, monkeypatch):
-        """Every cluster of 2000 sampled shots, matched on graphs whose memo
-        carries over from cluster to cluster, gets the per-cluster DP's pair
-        list exactly."""
+        """Every cluster of 2000 sampled shots, matched one after another on
+        the same graphs, gets the per-cluster DP's pair list exactly."""
         dec, shots = sampled
         decodes = sorted(_recorded_decodes(dec, shots))
         fresh = {key: _fresh(g) for key, g in dec.graphs.items()}
@@ -369,12 +369,11 @@ class TestMemoisedMatch:
         for g, defects, pairs in seen:
             assert pairs == cluster_match(g, defects), defects
         assert len(seen) > 500
-        shared = sum(len(g._best) for g in fresh.values())
-        print(f"{len(seen)} clusters; {shared} DP states kept over all graphs")
 
     def test_random_ties_match_per_cluster_dp(self):
-        """Integer weights make equal-weight pairings common: the memo keeps
-        the per-cluster DP's tie rule on every subset it is asked for."""
+        """Integer weights make equal-weight pairings common: `_match` keeps
+        the per-cluster DP's tie rule on every subset it is asked for, one
+        call after another on the same graph."""
         rng = np.random.default_rng(11)
         for trial in range(30):
             n = int(rng.integers(6, 16))
@@ -391,33 +390,11 @@ class TestMemoisedMatch:
                 defects = sorted(rng.choice(n, size=k, replace=False).tolist())
                 assert g._match(defects) == cluster_match(g, defects), (trial, defects)
 
-    def test_memo_cap_holds_and_changes_nothing(self, sampled):
-        """A memo capped at 3 states and an uncapped one give the same
-        corrections; with the cluster cache off every decode runs the DP."""
-        dec, shots = sampled
-        decodes = sorted(_recorded_decodes(dec, shots[:300]))
-        grew = False
-        for key, g in dec.graphs.items():
-            assert len(g._best) <= g.memo_cap and len(g._choice) <= g.memo_cap
-            tiny, big = _fresh(g), _fresh(g)
-            tiny.memo_cap, big.memo_cap = 3, 10**9
-            tiny.cache_cap = big.cache_cap = 0
-            for k, s in decodes:
-                if k != key:
-                    continue
-                a, b = tiny.decode(s), big.decode(s)
-                assert (a.edge_mask, a.weight, a.obs_mask, a.check_mask,
-                        a.toggles) == (b.edge_mask, b.weight, b.obs_mask,
-                                       b.check_mask, b.toggles)
-                assert len(tiny._best) <= 3 and len(tiny._choice) <= 3
-            grew |= len(big._best) > 3
-        assert grew
-
 
 def _assert_closed_form_is_the_dp(g: MatchingGraph, defects: list[int]):
     """`_match` on a cluster of 1-3 defects gives the per-cluster DP's pair
-    list exactly, or the same failure, and leaves the memo alone.  Returns
-    the pair list, or None on the failure."""
+    list exactly, or the same failure.  Returns the pair list, or None on
+    the failure."""
     try:
         want = cluster_match(g, defects)
     except RuntimeError as err:
@@ -426,7 +403,6 @@ def _assert_closed_form_is_the_dp(g: MatchingGraph, defects: list[int]):
         want = None
     else:
         assert g._match(defects) == want, defects
-    assert g._best == {0: 0.0} and g._choice == {}
     return want
 
 
@@ -497,7 +473,6 @@ class TestClosedForms:
         with pytest.raises(RuntimeError,
                            match=r"^decode failure: defect cannot reach the boundary$"):
             g._match([1, 2, 3])
-        assert g._best == {0: 0.0} and g._choice == {}
         assert g._match([0, 1, 2]) == cluster_match(g, [0, 1, 2]) == [(0, BOUNDARY), (1, 2)]
 
 

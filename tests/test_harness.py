@@ -1,6 +1,7 @@
 """Experiment driver tests: statistics containers, drivers, cost model."""
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestLogicalDriver:
         a, b = run_logical(cfg), run_logical(cfg)
         assert (a.accepted, a.errors) == (b.accepted, b.errors)
 
+    def test_memory_bounded_in_shots(self):
+        """15-to-1 shots are drawn and scored a chunk at a time: the peak
+        allocation at 8 chunks stays within 1.5x of the peak at one."""
+        # Warm up first, so the oracle table falls in no measured peak.
+        run_logical(ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_in=0.1, shots=8))
+        peaks = {}
+        for shots in (CHUNK, 8 * CHUNK):
+            tracemalloc.start()
+            try:
+                run_logical(ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_in=0.1,
+                                             shots=shots, seed=1))
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8 * CHUNK] <= 1.5 * peaks[CHUNK], peaks
+
 
 class TestSurfaceDrivers:
     def test_noiseless_distillation_perfect(self):
@@ -143,9 +160,9 @@ class TestSurfaceDrivers:
         assert all(st.errors == 0 for st in out.values())
 
 
-# The benchmark's workloads at seed 0: (config, accepted, errors, iteration
-# histogram).  Any change to the sampler or the per-shot decode must leave
-# these counts exactly as they are.
+# The benchmark's workloads and three runs above d=3, at seed 0: (config,
+# accepted, errors, iteration histogram).  Any change to the sampler or the
+# per-shot decode must leave these counts exactly as they are.
 _PINNED = {
     "distill7-d3": (ExperimentConfig(protocol=SEVEN_TO_ONE, p_circuit=1e-3,
                                      p_in=0.01, shots=20_000, seed=0),
@@ -153,6 +170,17 @@ _PINNED = {
     "distill15-d3-noisy": (ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_circuit=3e-3,
                                             p_in=0.1, shots=10_000, seed=0),
                            1560, 220, {1: 126, 2: 8687, 3: 1187}),
+    # Above d=3, at p_circuit = p_in = 1e-3: cluster sizes d=3 never
+    # reaches.  The d=7 run has a cluster of 15 defects, matched by blossom.
+    "7to1-d5": (ExperimentConfig(protocol=SEVEN_TO_ONE, d=5, p_circuit=1e-3,
+                                 p_in=1e-3, shots=2000, seed=0),
+                1968, 1, {1: 416, 2: 1510, 3: 74}),
+    "15to1-d5": (ExperimentConfig(protocol=FIFTEEN_TO_ONE, d=5, p_circuit=1e-3,
+                                  p_in=1e-3, shots=1000, seed=0),
+                 969, 0, {1: 19, 2: 900, 3: 81}),
+    "7to1-d7": (ExperimentConfig(protocol=SEVEN_TO_ONE, d=7, p_circuit=1e-3,
+                                 p_in=1e-3, shots=2000, seed=0),
+                1987, 0, {1: 104, 2: 1564, 3: 332}),
 }
 
 

@@ -154,16 +154,14 @@ class TestOracle:
 class TestSampling:
     def test_extremes(self):
         rng = np.random.default_rng(0)
-        acc, err = sample_logical_shots(SEVEN_TO_ONE, 0.0, 1000, rng)
-        assert acc.all() and not err.any()
-        acc1, err1 = sample_logical_shots(SEVEN_TO_ONE, 1.0, 1000, rng)
+        assert sample_logical_shots(SEVEN_TO_ONE, 0.0, 1000, rng) == (1000, 0)
         # all-ones pattern: accepted (a codeword) with a guaranteed output error
-        assert acc1.all() and err1.all()
+        assert sample_logical_shots(SEVEN_TO_ONE, 1.0, 1000, rng) == (1000, 1000)
 
     def test_statistics_track_formula(self):
         rng = np.random.default_rng(42)
         p = 0.1
         acc, err = sample_logical_shots(SEVEN_TO_ONE, p, 200_000, rng)
         table = exhaustive_oracle(SEVEN_TO_ONE)
-        assert acc.mean() == pytest.approx(table.p_accept(p), abs=0.005)
-        assert err[acc].mean() == pytest.approx(analytic_pout_7to1(p), abs=0.002)
+        assert acc / 200_000 == pytest.approx(table.p_accept(p), abs=0.005)
+        assert err / acc == pytest.approx(analytic_pout_7to1(p), abs=0.002)
