@@ -16,9 +16,9 @@ one numpy Floyd–Warshall pass per graph at set-up.  A defect pair
 boundary; otherwise sending both to the boundary costs no more, so some
 optimal pairing uses only useful pairs.  `decode` therefore splits a syndrome
 into the connected components of the useful relation and matches each one on
-its own by subset dynamic programming: unrolled in closed form for a
-component of 1-3 defects, over the component's subsets for 4 to `_DP_LIMIT`,
-whose states live for one call, and the blossom fallback above that.  Each
+its own by subset dynamic programming for 1 to `_DP_LIMIT` defects, and by
+the blossom fallback above that.  The DP walks a schedule of the subsets it
+reaches, built once per cluster size; its weights live for one call.  Each
 component's correction (weight, path-edge bitmask and the masks those edges
 flip) is cached in a bounded per-graph cache, and a syndrome's correction is
 the XOR of its components'.  A component matched by one pair gets that
@@ -97,16 +97,49 @@ def _xor(parts: list[Correction]) -> Correction:
     return Correction(edges, weight, obs, chk, toggles)
 
 
+# Per cluster size k: the subset DP's schedule, built on first use.
+_SCHEDULES: dict[int, tuple[tuple, tuple[int, ...]]] = {}
+
+
+def _schedule(k: int) -> tuple[tuple, tuple[int, ...]]:
+    """(states, masks) of the subset DP over k defects, indexed by local
+    defect index.  `masks` lists ascending, so children first, the subsets
+    that the DP reaches from the full set, the empty set at position 0.
+    `states[x - 1]` is masks[x]'s (i, r, pairs): its lowest index i, the
+    position r of the subset without i, and per j of that subset
+    ascending, (j, position of the subset without i and j).  States that
+    leave the same subset once i is gone share their `pairs`.  Stores the
+    schedule in `_SCHEDULES`."""
+    full = (1 << k) - 1
+    reached = {0, full}
+    for s in range(full, 0, -1):
+        if s in reached:
+            rest = s & (s - 1)
+            reached.add(rest)
+            reached.update([rest ^ 1 << j for j in _bits(rest)])
+    masks = tuple(sorted(reached))
+    at = {s: x for x, s in enumerate(masks)}
+    shared: dict[int, tuple] = {}
+    states = []
+    for s in masks[1:]:
+        rest = s & (s - 1)
+        pairs = shared.get(rest)
+        if pairs is None:
+            pairs = shared[rest] = tuple([(j, at[rest ^ 1 << j]) for j in _bits(rest)])
+        states.append(((s & -s).bit_length() - 1, at[rest], pairs))
+    sched = _SCHEDULES[k] = (tuple(states), masks)
+    return sched
+
+
 class MatchingGraph:
     """Matching graph over `num_nodes` nodes and the boundary.
 
     One cache, keyed by defect bitmask, holds the corrections of components;
     a syndrome that is one component is its own key, and one with several is
     rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
-    A component of 1-3 defects is matched in closed form, one of 4 to
-    `_DP_LIMIT` by subset DP, and a larger one by blossom; a component
-    matched by one pair is that pair's cached path correction, not a copy,
-    so no correction may be mutated.
+    A component of 1 to `_DP_LIMIT` defects is matched by subset DP and a
+    larger one by blossom; a component matched by one pair is that pair's
+    cached path correction, not a copy, so no correction may be mutated.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
     `decode`, `component_hits`/`component_misses` those of components after a
     syndrome miss."""
@@ -244,105 +277,45 @@ class MatchingGraph:
         """Optimal pairing of `defects` (ascending local ids) with each other
         and the boundary, as pairs sorted by their first elements.
 
-        Subset DP: the lowest node of a set goes to the boundary or to the
-        first partner that beats every earlier choice by more than 1e-12, so
-        ties go to the lexicographically smallest pair list.  Up to 3
-        defects the DP is unrolled: the same sums in the same order.  From 4
-        to `_DP_LIMIT` defects it keeps each subset's weight and lowest
-        node's partner for this call only; above that, blossom."""
+        Subset DP over `_schedule(k)`, children first, for 1 to `_DP_LIMIT`
+        defects; above that, blossom.  The lowest defect of a subset goes to
+        the boundary or to the first partner that beats every earlier choice
+        by more than 1e-12, so ties go to the lexicographically smallest
+        pair list.  The weights and choices live for this call only."""
         k = len(defects)
         if k > _DP_LIMIT:
             return self._match_blossom(defects)
         n = self.n
         m = n + 1
         dist = memoryview(self._dist).cast("B").cast("d")  # row-major, m per row
-        if k <= 3:
-            # f(S) = f(S - {a}) + dist(a, B) or, if lighter by more than
-            # 1e-12, f(S - {a, j}) + dist(a, j), a the lowest node of S and
-            # j ascending.  f({}) = 0.0 drops out: 0.0 + d is d for every
-            # distance, all being >= 0.
-            a = defects[0]
-            row = a * m
-            if k == 1:
-                w = dist[row + n]
-                pairs = [(a, BOUNDARY)]
-            elif k == 2:
-                b = defects[1]
-                w = dist[b * m + n] + dist[row + n]
-                pairs = [(a, BOUNDARY), (b, BOUNDARY)]
-                cand = dist[row + b]
+        states, masks = _SCHEDULES.get(k) or _schedule(k)
+        # Per schedule position: the subset's optimal weight, and the
+        # position of what is left once its lowest defect is matched.
+        f = [0.0]
+        choice = [0]
+        for i, r, pairs in states:
+            row = defects[i] * m
+            w = f[r] + dist[row + n]
+            c = r
+            for j, p in pairs:
+                cand = f[p] + dist[row + defects[j]]
                 if cand < w - 1e-12:
                     w = cand
-                    pairs = [(a, b)]
-            else:
-                b, c = defects[1], defects[2]
-                to_b, to_c = dist[b * m + n], dist[c * m + n]
-                w = to_c + to_b
-                tail = [(b, BOUNDARY), (c, BOUNDARY)]
-                cand = dist[b * m + c]
-                if cand < w - 1e-12:
-                    w = cand
-                    tail = [(b, c)]
-                w += dist[row + n]
-                pairs = [(a, BOUNDARY)] + tail
-                cand = to_c + dist[row + b]
-                if cand < w - 1e-12:
-                    w = cand
-                    pairs = [(a, b), (c, BOUNDARY)]
-                cand = to_b + dist[row + c]
-                if cand < w - 1e-12:
-                    w = cand
-                    pairs = [(a, c), (b, BOUNDARY)]
-            if not math.isfinite(w):
-                raise RuntimeError("decode failure: defect cannot reach the boundary")
-            return pairs
-        # Per subset's node bitmask: optimal weight, and the lowest node's
-        # partner (BOUNDARY: the boundary).
-        best: dict[int, float] = {0: 0.0}
-        choice: dict[int, int] = {}
-        get = best.get
-
-        def solve(mask: int) -> float:
-            # `mask` is not solved yet; its subsets are looked up before
-            # any call, since most of them are.
-            low = mask & -mask
-            i = low.bit_length() - 1
-            rest = mask ^ low
-            row = i * m
-            w = get(rest)
-            if w is None:
-                w = solve(rest)
-            w += dist[row + n]
-            c = BOUNDARY
-            r = rest
-            while r:
-                bit = r & -r
-                r ^= bit
-                j = bit.bit_length() - 1
-                cand = get(rest ^ bit)
-                if cand is None:
-                    cand = solve(rest ^ bit)
-                cand += dist[row + j]
-                if cand < w - 1e-12:
-                    w = cand
-                    c = j
-            best[mask] = w
-            choice[mask] = c
-            return w
-
-        mask = 0
-        for a in defects:
-            mask |= 1 << a
-        w = solve(mask)
-        pairs = []
-        while mask:
-            low = mask & -mask
-            c = choice[mask]
-            pairs.append((low.bit_length() - 1, c))
-            mask ^= low if c == BOUNDARY else low | 1 << c
+                    c = p
+            f.append(w)
+            choice.append(c)
         if not math.isfinite(w):
             raise RuntimeError("decode failure: defect cannot reach the boundary")
-        return pairs
+        out = []
+        x = len(masks) - 1
+        while x:
+            s = masks[x]
+            x = choice[x]
+            low = s & -s
+            partner = s ^ low ^ masks[x]  # zero: the boundary
+            out.append((defects[low.bit_length() - 1],
+                        defects[partner.bit_length() - 1] if partner else BOUNDARY))
+        return out
 
     def _match_blossom(self, defects: list[int]) -> list[tuple[int, int]]:
         import networkx as nx

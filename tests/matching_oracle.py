@@ -8,10 +8,10 @@
 - `whole_syndrome_decode`: the decoder before syndromes were split into
   clusters.  One subset DP runs over all of a syndrome's defects (blossom above
   `_DP_LIMIT`), and the correction is read by scanning every edge of the graph.
-- `cluster_match`: `MatchingGraph._match`'s subset DP written apart: its
-  subsets are keyed by the cluster's own defect indices over distance lists
-  built per call, where `_match` keys them by node bitmask over the graph's
-  distance table.
+- `cluster_match`: `MatchingGraph._match`'s subset DP written apart, by
+  recursion over distance lists built per call, where `_match` walks a
+  precomputed schedule over the graph's distance table; `cluster_dp` returns
+  its memo, so its subsets are the ones the schedule must list.
 - `det_slots` / `slot_order`: each detector's graph and node, and the
   detector in each slot, derived from the circuit's detectors rather than
   the decoder's tables.
@@ -164,20 +164,12 @@ def whole_syndrome_decode(graph: MatchingGraph, syndrome: int) -> Correction:
     return Correction(edge_set, total, obs, chk, toggles)
 
 
-def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, int]]:
-    """Optimal pairing of `defects` (ascending local ids) with each other
-    and the boundary, as pairs sorted by their first elements.
-
-    Subset DP: the lowest defect of a set goes to the boundary or to the
-    first partner that beats every earlier choice by more than 1e-12, so
-    ties go to the lexicographically smallest pair list.  It forms
-    `_match`'s sums in `_match`'s order, but keys subsets by position in
-    `defects` and reads distances from lists built for this call, so it
-    shares neither the node-bitmask keys nor the closed forms for 1-3
-    defects."""
-    k = len(defects)
-    if k > _DP_LIMIT:
-        return graph._match_blossom(defects)
+def cluster_dp(graph: MatchingGraph, defects: list[int]
+               ) -> tuple[dict[int, float], dict[int, int]]:
+    """`cluster_match`'s memo, (best, choice): per subset of positions in
+    `defects` that the recursion reaches from the full set, as a bitmask,
+    its optimal weight and its lowest defect's partner (a position, or
+    BOUNDARY); `best` also holds the empty set."""
     dist = graph._dist
     n = graph.n
     to_b = [dist.item(a, n) for a in defects]
@@ -208,8 +200,27 @@ def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, i
         choice[mask] = c
         return w
 
+    solve((1 << len(defects)) - 1)
+    return best, choice
+
+
+def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, int]]:
+    """Optimal pairing of `defects` (ascending local ids) with each other
+    and the boundary, as pairs sorted by their first elements.
+
+    Subset DP: the lowest defect of a set goes to the boundary or to the
+    first partner that beats every earlier choice by more than 1e-12, so
+    ties go to the lexicographically smallest pair list.  It forms
+    `_match`'s sums in `_match`'s order, but by recursion with memo dicts,
+    keyed by position in `defects`, over distance lists built for this
+    call, so it shares neither `_match`'s schedule nor its distance
+    reads."""
+    k = len(defects)
+    if k > _DP_LIMIT:
+        return graph._match_blossom(defects)
+    best, choice = cluster_dp(graph, defects)
     full = (1 << k) - 1
-    if not math.isfinite(solve(full)):
+    if not math.isfinite(best[full]):
         raise RuntimeError("decode failure: defect cannot reach the boundary")
     pairs = []
     mask = full
