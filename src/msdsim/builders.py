@@ -212,7 +212,8 @@ def _apply_protocol_layers(b: MultiPatchBuilder, spec: ProtocolSpec,
 def build_distillation_circuit(spec: ProtocolSpec, d: int, noise: NoiseModel) -> Circuit:
     """Full distillation run: protocol CNOT network, resource injection and
     consumption, one final SE round on every patch, transversal X readout,
-    check/frame/output annotations."""
+    the checks and one observable, the output (id 0): the patch-0 X chain
+    times the frame-rule chains, whose parity alone is gauge."""
     lay = build_patch(d)
     k = spec.num_resources
     all_patches = list(range(spec.num_data + k))
@@ -238,9 +239,6 @@ def build_distillation_circuit(spec: ProtocolSpec, d: int, noise: NoiseModel) ->
         c.checks.append(ParitySet(meas=terms, id=ci))
     frame = tuple(m for j in sorted(spec.frame_rule) for m in m_chain[j])
     c.observables.append(ParitySet(meas=m_chain[0] + frame, id=0))
-    # The frame parity alone is gauge (only its product with the patch-0
-    # chain is a stabilizer); tracked frame-relative for the consumer.
-    c.observables.append(ParitySet(meas=frame, id=1, deterministic=False))
     return b.finish()
 
 

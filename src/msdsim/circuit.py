@@ -43,7 +43,6 @@ class ParitySet:
     """A check or observable: measurement index set with an id."""
     meas: tuple[int, ...]
     id: int
-    deterministic: bool = True
 
 
 @dataclass

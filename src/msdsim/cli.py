@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
@@ -89,9 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DEFAULTS = {"protocol": "7to1", "d": 3, "p_circuit": 1e-3, "p_in": [0.01],
-             "shots": None, "seed": 0, "max_iters": 3, "rounds": 5,
-             "format": "csv"}
+_DEFAULTS = {**{f.name: f.default for f in fields(harness.ExperimentConfig)},
+             "p_in": [0.01], "shots": None, "format": "csv"}
 
 _CASTS = {"d": int, "shots": int, "seed": int, "max_iters": int, "rounds": int,
           "p_circuit": float}

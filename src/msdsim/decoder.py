@@ -318,6 +318,8 @@ class MatchingGraph:
         return out
 
     def _match_blossom(self, defects: list[int]) -> list[tuple[int, int]]:
+        """`_match` above `_DP_LIMIT`: its pairs sorted as the DP's, not
+        in the hash order of networkx's matching set."""
         import networkx as nx
         g = nx.Graph()
         n = self.n
@@ -336,8 +338,8 @@ class MatchingGraph:
                 di = u if u[0] == "d" else v
                 pairs.append((defects[di[1]], BOUNDARY))
             else:
-                pairs.append((defects[u[1]], defects[v[1]]))
-        return pairs
+                pairs.append((defects[min(u[1], v[1])], defects[max(u[1], v[1])]))
+        return sorted(pairs)
 
 
 @dataclass(slots=True)
@@ -448,7 +450,7 @@ def predict_outcome(result: DecodeResult, checks: int, observables: int
     """(accepted, output_error) for a distillation shot.
 
     `checks` / `observables` are the shot's reference-relative raw parities
-    packed as integers (observable id 0 = output; id 1, the frame rule, is
-    gauge and not read)."""
+    packed as integers; a distillation circuit has one observable, the
+    output."""
     return (checks == result.check_mask,
-            bool((observables ^ result.obs_mask) & 1))
+            observables != result.obs_mask)

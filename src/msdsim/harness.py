@@ -174,7 +174,7 @@ def run_memory_baseline(config: ExperimentConfig) -> ExperimentStats:
         build_memory_circuit(config.d, config.rounds, config.noise()))
     stats = ExperimentStats()
     for res, _, obs in _decoded_shots(pipeline, config):
-        stats.record(True, bool((res.obs_mask ^ obs) & 1), res.iterations_used)
+        stats.record(True, res.obs_mask != obs, res.iterations_used)
     stats.seconds = time.perf_counter() - t0
     return stats
 

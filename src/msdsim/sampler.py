@@ -185,9 +185,8 @@ def fault_table(circuit: Circuit) -> FaultTable:
 
 
 def validate_annotations(table: FaultTable) -> None:
-    """Assert every detector, check and deterministic observable of the
-    table's circuit has a deterministic parity on the noiseless circuit
-    (`FaultTable.random`)."""
+    """Assert every detector, check and observable of the table's circuit
+    has a deterministic parity on the noiseless circuit (`FaultTable.random`)."""
     circuit = table.circuit
     nd, no = len(circuit.detectors), len(circuit.observables)
     dets = [i for i in range(nd) if table.random >> i & 1]
@@ -196,7 +195,7 @@ def validate_annotations(table: FaultTable) -> None:
     if table.random >> (nd + no):
         raise AssertionError("non-deterministic check parity")
     for i, o in enumerate(circuit.observables):
-        if o.deterministic and table.random >> (nd + i) & 1:
+        if table.random >> (nd + i) & 1:
             raise AssertionError(f"non-deterministic observable {o.id}")
 
 

@@ -84,7 +84,7 @@ class TestDistillationCircuit:
         c = build_distillation_circuit(spec, 3, NoiseModel(0.001))
         assert len(c.layouts) == 15
         assert len(c.checks) == 3
-        assert len(c.observables) == 2
+        assert len(c.observables) == 1
         assert len(c.injections) == 7
         validate_annotations(fault_table(c))
 
@@ -93,6 +93,7 @@ class TestDistillationCircuit:
         c = build_distillation_circuit(spec, 3, NoiseModel(0.001))
         assert len(c.layouts) == 31
         assert len(c.checks) == 4
+        assert len(c.observables) == 1
         assert len(c.injections) == 15
         validate_annotations(fault_table(c))
 

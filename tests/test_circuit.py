@@ -124,20 +124,22 @@ class TestReferenceRun:
         assert rejected == varying
 
     def test_frame_observable_is_random(self):
-        """The distillation frame observable is annotated non-deterministic;
-        claiming otherwise must be caught."""
+        """The distillation circuit's one observable is the patch-0 chain
+        times the frame parity; the frame parity alone is gauge, so adding
+        it as an observable must be caught."""
         c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3, NoiseModel(0.0))
         validate_annotations(fault_table(c))
-        assert not all(o.deterministic for o in c.observables)
-        c.observables = [dataclasses.replace(o, deterministic=True) for o in c.observables]
-        with pytest.raises(AssertionError, match="non-deterministic observable"):
+        (out,) = c.observables
+        frame = tuple(m for m in out.meas if c.meas_addr[m][0] != 0)
+        assert 0 < len(frame) < len(out.meas)
+        c.observables = [out, ParitySet(meas=frame, id=1)]
+        with pytest.raises(AssertionError, match="non-deterministic observable 1"):
             validate_annotations(fault_table(c))
 
     def test_validate_names_the_random_column(self):
         """The mask's columns run detectors, observables, checks; each kind
         of random set raises its own message, detectors first, then checks,
-        then deterministic observables by id.  A random observable annotated
-        non-deterministic passes."""
+        then observables by id."""
         base = build_memory_circuit(3, 2, NoiseModel(0.0))
         # The first X-ancilla measurement follows the |0> start: random.
         m = next(i for i, (_, _, basis) in enumerate(base.meas_addr) if basis == "X")
@@ -156,9 +158,6 @@ class TestReferenceRun:
         for change, message in cases:
             with pytest.raises(AssertionError, match=re.escape(message)):
                 validate_annotations(fault_table(dataclasses.replace(base, **change)))
-        random_ok = dataclasses.replace(bad_obs, deterministic=False)
-        validate_annotations(fault_table(dataclasses.replace(
-            base, observables=[*base.observables, random_ok])))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import msdsim
+from msdsim import cli
 from msdsim.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, main,
                         read_config_file)
+from msdsim.harness import ExperimentConfig
+from msdsim.protocols import SEVEN_TO_ONE
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +51,21 @@ class TestConfigFile:
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["protocol"] == "FifteenToOne"   # from config
         assert float(row["p_in"]) == 0.01          # flag wins
+
+    def test_defaults_resolve_to_one_run(self, monkeypatch):
+        """With no option given, each run command resolves to 7-to-1 at
+        d=3, p_circuit 1e-3, p_in 0.01, seed 0, 3 sweeps and 5 memory
+        rounds, at its own shot count."""
+        got = []
+        for command, shots in (("distill", 20_000), ("memory", 20_000),
+                               ("subcircuit", 20_000), ("logical", 100_000)):
+            monkeypatch.setitem(cli._COMMANDS, command, (
+                lambda opts: got.append(opts["configs"]) or EXIT_OK,
+                cli._COMMANDS[command][1]))
+            assert main([command]) == EXIT_OK
+            assert got.pop() == [ExperimentConfig(
+                protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3, p_in=0.01, shots=shots,
+                seed=0, max_iters=3, rounds=5)]
 
 
 class TestExitCodes:

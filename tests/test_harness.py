@@ -146,10 +146,9 @@ class TestSurfaceDrivers:
 
     def test_one_pipeline_serves_a_p_in_sweep(self):
         """The sampler draws the injections at each run's p_in, so one
-        pipeline gives, at seed 5, the counts a fresh pipeline per p_in gave
-        when p_in was the INJECT_Z instructions' rate."""
+        pipeline serves a whole sweep; its seed-5 counts are pinned."""
         pipeline = harness.distillation_pipeline(ExperimentConfig())
-        for p_in, want in ((0.3, (694, 220)), (0.01, (4558, 21)), (0.1, (2379, 32))):
+        for p_in, want in ((0.3, (695, 220)), (0.01, (4558, 21)), (0.1, (2379, 32))):
             st = run_distillation(ExperimentConfig(p_in=p_in, shots=5000, seed=5), pipeline)
             assert (st.accepted, st.errors) == want, p_in
 
@@ -166,10 +165,10 @@ class TestSurfaceDrivers:
 _PINNED = {
     "distill7-d3": (ExperimentConfig(protocol=SEVEN_TO_ONE, p_circuit=1e-3,
                                      p_in=0.01, shots=20_000, seed=0),
-                    18233, 89, {1: 10826, 2: 9052, 3: 122}),
+                    18239, 89, {1: 10826, 2: 9050, 3: 124}),
     "distill15-d3-noisy": (ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_circuit=3e-3,
                                             p_in=0.1, shots=10_000, seed=0),
-                           1560, 220, {1: 126, 2: 8687, 3: 1187}),
+                           1562, 222, {1: 126, 2: 8669, 3: 1205}),
     # Above d=3, at p_circuit = p_in = 1e-3: cluster sizes d=3 never
     # reaches.  The d=7 run has a cluster of 15 defects, matched by blossom.
     "7to1-d5": (ExperimentConfig(protocol=SEVEN_TO_ONE, d=5, p_circuit=1e-3,
