@@ -2,8 +2,8 @@
 
 Each (patch, measurement-basis) pair gets its own matching graph built from
 the mechanisms originating on that patch; detector flips a mechanism causes on
-*other* patches ride along on its edge as foreign toggles.  A global decode
-sweeps all graphs, XORs the foreign toggles of the chosen corrections into the
+*other* patches ride along on its edge as foreign flips.  A global decode
+sweeps all graphs, XORs the foreign flips of the chosen corrections into the
 other patches' effective syndromes, and repeats to a fixpoint (or the
 iteration cap).  A `MatchingGraph` is nodes and edges only; the
 `IterativeDecoder` alone maps detectors to graphs, nodes and slots.
@@ -18,11 +18,15 @@ optimal pairing uses only useful pairs.  `decode` therefore splits a syndrome
 into the connected components of the useful relation and matches each one on
 its own by subset dynamic programming for 1 to `_DP_LIMIT` defects, and by
 the blossom fallback above that.  The DP walks a schedule of the subsets it
-reaches, built once per cluster size; its weights live for one call.  Each
-component's correction (weight, path-edge bitmask and the masks those edges
-flip) is cached in a bounded per-graph cache, and a syndrome's correction is
-the XOR of its components'.  A component matched by one pair gets that
-path's cached correction itself, with no copy.
+reaches, built once per cluster size; its weights live for one call.
+
+A correction is one int, laid out like a sampled signature
+(`sampler.signature_columns`): the foreign detectors it flips in slot order,
+then its observables, then its checks.  That is all the loop and the scorer
+read of it.  Each edge carries its flips in that layout, set once at build;
+a path's flips are the XOR of its edges', a component's the XOR of its
+paths', and a syndrome's the XOR of its components'.  Each component's flips
+are cached in a bounded per-graph cache.
 Ties between equal-weight pairings go to the lexicographically smallest pair
 list (defects in ascending order, the boundary before any partner), so
 decoding is deterministic; the lowest edge id wins between parallel edges.
@@ -36,11 +40,12 @@ detectors are one contiguous range of ids, ascending, with the graphs in
 its slot-order int, and `syndrome_masks` cuts it into per-graph masks from
 the top bit down: the highest set bit names its graph, whose mask is one
 shift, and one AND with the mask of the slots below that graph drops it.
-Each edge's foreign toggles are one slot-order int, set once at build, so a
-correction's toggles are the XOR of its edges'.  The cross-patch loop is
-incremental: after the first sweep it re-decodes only the graphs whose toggle
-range changed, found from the top bit in the same way; a graph whose
-syndrome is zero gets the shared empty correction without a call.
+Since a correction's low bits are its foreign detectors in that same order,
+the cross-patch loop reads them straight off the XOR of the current
+corrections.  It is incremental: after the first sweep it re-decodes only the
+graphs whose range of foreign flips changed, found from the top bit in the
+same way; a graph whose syndrome is zero gets the empty correction, 0,
+without a call.
 """
 from __future__ import annotations
 
@@ -63,38 +68,7 @@ class Edge:
     u: int                      # local node index
     v: int                      # local node index or BOUNDARY
     weight: float
-    obs_mask: int = 0
-    check_mask: int = 0
-    toggles: int = 0            # foreign detectors it flips, in slot order
-
-
-@dataclass(slots=True)
-class Correction:
-    edge_mask: int              # bit i set: edge i is in the correction
-    weight: float
-    obs_mask: int
-    check_mask: int
-    toggles: int                # foreign detectors it flips, in slot order
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return _bits(self.edge_mask)
-
-
-EMPTY = Correction(0, 0.0, 0, 0, 0)
-
-
-def _xor(parts: list[Correction]) -> Correction:
-    """The correction that applies all of `parts`: weights add, masks XOR."""
-    weight = 0.0
-    edges = obs = chk = toggles = 0
-    for p in parts:
-        weight += p.weight
-        edges ^= p.edge_mask
-        obs ^= p.obs_mask
-        chk ^= p.check_mask
-        toggles ^= p.toggles
-    return Correction(edges, weight, obs, chk, toggles)
+    flips: int = 0              # the columns it flips, in signature layout
 
 
 # Per cluster size k: the subset DP's schedule, built on first use.
@@ -134,12 +108,13 @@ def _schedule(k: int) -> tuple[tuple, tuple[int, ...]]:
 class MatchingGraph:
     """Matching graph over `num_nodes` nodes and the boundary.
 
-    One cache, keyed by defect bitmask, holds the corrections of components;
-    a syndrome that is one component is its own key, and one with several is
-    rebuilt from theirs.  The cache keeps its first `cache_cap` entries.
-    A component of 1 to `_DP_LIMIT` defects is matched by subset DP and a
-    larger one by blossom; a component matched by one pair is that pair's
-    cached path correction, not a copy, so no correction may be mutated.
+    A correction is the int of the columns its edges flip, in the layout
+    of the edges' `flips`.  One cache, keyed by defect bitmask, holds the
+    corrections of components; a syndrome that is one component is its own
+    key, and one with several is the XOR of theirs.  The cache keeps its
+    first `cache_cap` entries.  A component of 1 to `_DP_LIMIT` defects is
+    matched by subset DP and a larger one by blossom; its correction is the
+    XOR of its pairs' cached shortest paths.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
     `decode`, `component_hits`/`component_misses` those of components after a
     syndrome miss."""
@@ -148,8 +123,8 @@ class MatchingGraph:
         self.n = num_nodes
         self.edges = list(edges)
         self.cache_cap = CACHE_CAP
-        self._cache: dict[int, Correction] = {}
-        self._paths: dict[tuple[int, int], Correction] = {}
+        self._cache: dict[int, int] = {}
+        self._paths: dict[tuple[int, int], int] = {}
         self.syndrome_hits = self.syndrome_misses = 0
         self.component_hits = self.component_misses = 0
         self._prepare()
@@ -204,26 +179,21 @@ class MatchingGraph:
             cur = prev
         return tuple(out)
 
-    def _path(self, a: int, b: int) -> Correction:
-        """The shortest path from a to b (b = n: the boundary) as a
-        correction."""
-        part = self._paths.get((a, b))
-        if part is None:
-            edges = obs = chk = toggles = 0
+    def _path(self, a: int, b: int) -> int:
+        """The flips of the shortest path from a to b (b = n: the
+        boundary)."""
+        flips = self._paths.get((a, b))
+        if flips is None:
+            flips = 0
             for i in self._path_edges(a, b):
-                e = self.edges[i]
-                edges ^= 1 << i
-                obs ^= e.obs_mask
-                chk ^= e.check_mask
-                toggles ^= e.toggles
-            part = Correction(edges, float(self._dist[a, b]), obs, chk, toggles)
-            self._paths[(a, b)] = part
-        return part
+                flips ^= self.edges[i].flips
+            self._paths[(a, b)] = flips
+        return flips
 
-    def decode(self, syndrome: int) -> Correction:
+    def decode(self, syndrome: int) -> int:
         """Minimum-weight correction for a home-detector syndrome bitmask."""
         if not syndrome:
-            return EMPTY
+            return 0
         cache = self._cache
         hit = cache.get(syndrome)
         if hit is not None:
@@ -231,7 +201,7 @@ class MatchingGraph:
             return hit
         self.syndrome_misses += 1
         useful = self._useful
-        parts = []
+        flips = 0
         rest = syndrome
         while rest:
             # Grow the component of the lowest remaining defect.
@@ -253,25 +223,16 @@ class MatchingGraph:
                     cache[comp] = part
             else:
                 self.component_hits += 1
-            parts.append(part)
-        if len(parts) == 1:
-            return parts[0]
-        if len(parts) == 2:
-            p, q = parts
-            return Correction(p.edge_mask ^ q.edge_mask, p.weight + q.weight,
-                              p.obs_mask ^ q.obs_mask, p.check_mask ^ q.check_mask,
-                              p.toggles ^ q.toggles)
-        return _xor(parts)
+            flips ^= part
+        return flips
 
-    def _solve_component(self, comp: int) -> Correction:
-        """One component's optimal correction: the XOR of its paths, or the
-        cached path itself when the pairing is one pair."""
+    def _solve_component(self, comp: int) -> int:
+        """One component's optimal correction: the XOR of its paths."""
         n = self.n
-        pairs = self._match(list(_bits(comp)))
-        if len(pairs) == 1:
-            a, b = pairs[0]
-            return self._path(a, n if b == BOUNDARY else b)
-        return _xor([self._path(a, n if b == BOUNDARY else b) for a, b in pairs])
+        flips = 0
+        for a, b in self._match(list(_bits(comp))):
+            flips ^= self._path(a, n if b == BOUNDARY else b)
+        return flips
 
     def _match(self, defects: list[int]) -> list[tuple[int, int]]:
         """Optimal pairing of `defects` (ascending local ids) with each other
@@ -344,7 +305,7 @@ class MatchingGraph:
 
 @dataclass(slots=True)
 class DecodeResult:
-    corrections: dict[tuple[int, str], Correction]
+    corrections: dict[tuple[int, str], int]  # per graph, its correction's flips
     obs_mask: int
     check_mask: int
     iterations_used: int
@@ -356,14 +317,20 @@ class IterativeDecoder:
 
     The decoder alone maps detectors to graphs: graph (patch, basis) holds
     the detectors homed to that patch in that basis, one contiguous id
-    range, and its node i is the i-th of them.  Raises ValueError when the
-    circuit's detectors are not sorted by (home patch, basis)."""
+    range, and its node i is the i-th of them.  Each edge's `flips` are
+    packed once, here: a mechanism's foreign detectors, then `obs_mask`
+    above the `nd` detectors, then `check_mask` above the `no` observables,
+    as in a sampled signature.  Raises ValueError when the circuit's
+    detectors are not sorted by (home patch, basis)."""
 
     def __init__(self, circuit: Circuit, mechanisms: list[ErrorMechanism]):
         self.circuit = circuit
         keys = [(det.home_patch, det.basis) for det in circuit.detectors]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValueError("detectors are not in slot order")
+        nd, no = len(circuit.detectors), len(circuit.observables)
+        self._nd, self._no = nd, no
+        self._det_mask = (1 << nd) - 1
         # Each graph's slots [lo, hi), in slot order.
         span: dict[tuple[int, str], list[int]] = {}
         for s, key in enumerate(keys):
@@ -380,8 +347,10 @@ class IterativeDecoder:
             u = m.home_dets[0] - lo
             v = m.home_dets[1] - lo if len(m.home_dets) == 2 else BOUNDARY
             w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
-            edges[key].append(Edge(u, v, w, m.obs_mask, m.check_mask,
-                                   sum(1 << d for d in m.foreign_dets)))
+            flips = m.obs_mask << nd | m.check_mask << (nd + no)
+            for d in m.foreign_dets:
+                flips |= 1 << d
+            edges[key].append(Edge(u, v, w, flips))
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
         # Per slot, for the slot's graph: (key, graph, first slot, mask of
         # its width, mask of the slots below its first).
@@ -406,43 +375,41 @@ class IterativeDecoder:
     def decode_shot(self, raw: dict[tuple[int, str], int],
                     max_iters: int = 3) -> DecodeResult:
         """Decode one shot's per-graph syndromes, iterating the foreign
-        toggles to a fixpoint or to `max_iters` sweeps.  The result's
+        flips to a fixpoint or to `max_iters` sweeps.  The result's
         `corrections` hold the graphs the loop decoded; every other graph's
-        correction is `EMPTY`."""
-        corrections: dict[tuple[int, str], Correction] = {}
-        obs = chk = toggles = 0
+        correction is 0."""
+        corrections: dict[tuple[int, str], int] = {}
+        flips = 0
         for key, s in raw.items():
             if s:
                 new = corrections[key] = self.graphs[key].decode(s)
-                obs ^= new.obs_mask
-                chk ^= new.check_mask
-                toggles ^= new.toggles
-        # `toggles`: the foreign toggles of the current corrections;
-        # `applied`: those the last sweep's syndromes carried.  Both are
-        # slot-order ints, so a later sweep re-decodes the graphs whose
-        # range of `toggles ^ applied` is not zero.
+                flips ^= new
+        # `flips`: the XOR of the current corrections, whose detector bits
+        # are their foreign flips in slot order; `applied`: the flips the
+        # last sweep's syndromes carried.  A later sweep re-decodes the
+        # graphs whose range of `(flips ^ applied) & det_mask` is not zero.
         spans = self._slot_span
+        det_mask = self._det_mask
         applied = 0
         iters = 1
         while True:
-            changed = toggles ^ applied
+            changed = (flips ^ applied) & det_mask
             if not changed or iters >= max_iters:
                 break
             iters += 1
-            applied = toggles
+            applied = flips
             while changed:
                 key, g, lo, full, below = spans[changed.bit_length() - 1]
                 changed &= below
                 s = raw.get(key, 0) ^ (applied >> lo & full)
-                new = g.decode(s) if s else EMPTY
-                old = corrections.get(key, EMPTY)
+                new = g.decode(s) if s else 0
+                flips ^= corrections.get(key, 0) ^ new
                 corrections[key] = new
-                obs ^= old.obs_mask ^ new.obs_mask
-                chk ^= old.check_mask ^ new.check_mask
-                toggles ^= old.toggles ^ new.toggles
-        return DecodeResult(corrections=corrections, obs_mask=obs,
-                            check_mask=chk, iterations_used=iters,
-                            converged=not changed)
+        nd, no = self._nd, self._no
+        return DecodeResult(corrections=corrections,
+                            obs_mask=flips >> nd & (1 << no) - 1,
+                            check_mask=flips >> (nd + no),
+                            iterations_used=iters, converged=not changed)
 
 
 def predict_outcome(result: DecodeResult, checks: int, observables: int

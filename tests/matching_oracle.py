@@ -5,6 +5,10 @@
   `dijkstra_path` reads a path from them and `useful_rows` the useful pairs.
 - `brute_force_decode`: the minimum pairing weight by exhaustive search over
   the Dijkstra distances.
+- `Correction`: a correction's edge set and weight beside its flips, the one
+  int `MatchingGraph.decode` returns.
+- `cluster_correction`: the `Correction` that `decode` returns the flips of,
+  rebuilt from the useful-pair split and `MatchingGraph._match`'s pairs.
 - `whole_syndrome_decode`: the decoder before syndromes were split into
   clusters.  One subset DP runs over all of a syndrome's defects (blossom above
   `_DP_LIMIT`), and the correction is read by scanning every edge of the graph.
@@ -18,19 +22,37 @@
 - `walk_syndrome_masks`: the per-shot split of a full detector bit vector
   that the slot-order packing replaced, through a `det_slots` table.
 - `reference_decode_shot`: the cross-patch loop that re-decodes every graph
-  on every iteration and resolves foreign toggles through `det_slots`.
+  on every iteration and resolves foreign flips through `det_slots`.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Correction, DecodeResult,
-                            IterativeDecoder, MatchingGraph)
+from msdsim.decoder import _DP_LIMIT, BOUNDARY, DecodeResult, IterativeDecoder, MatchingGraph
 from msdsim.dem import _bits
+
+
+@dataclass(frozen=True)
+class Correction:
+    edge_mask: int              # bit i set: edge i is in the correction
+    weight: float
+    flips: int                  # XOR of its edges' `flips`
+
+    @property
+    def edges(self) -> tuple[int, ...]:
+        return _bits(self.edge_mask)
+
+
+def _edge_flips(graph: MatchingGraph, edge_mask: int) -> int:
+    flips = 0
+    for i in _bits(edge_mask):
+        flips ^= graph.edges[i].flips
+    return flips
 
 
 def dijkstra_tables(graph: MatchingGraph
@@ -105,6 +127,36 @@ def brute_force_decode(graph: MatchingGraph, syndrome: int) -> float:
     return rec(tuple(defects))
 
 
+def cluster_correction(graph: MatchingGraph, syndrome: int) -> Correction:
+    """The correction `graph.decode(syndrome)` stands for: the syndrome split
+    into the components of the useful relation (`useful_rows`), lowest
+    defect first, each paired by `graph._match`.  The edge set is the XOR of
+    the pairs' paths, and the weight their distances summed in pair order,
+    component by component, as the decoder once summed them."""
+    useful = useful_rows(graph._dist, graph.n)
+    edge_set = 0
+    total = 0.0
+    rest = syndrome
+    while rest:
+        comp = grow = rest & -rest
+        rest ^= comp
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            new = useful[low.bit_length() - 1] & rest
+            rest ^= new
+            comp |= new
+            grow |= new
+        weight = 0.0
+        for a, b in graph._match(list(_bits(comp))):
+            bb = graph.n if b == BOUNDARY else b
+            weight += float(graph._dist[a, bb])
+            for eid in graph._path_edges(a, bb):
+                edge_set ^= 1 << eid
+        total += weight
+    return Correction(edge_set, total, _edge_flips(graph, edge_set))
+
+
 def whole_syndrome_match(graph: MatchingGraph, defects: list[int]
                          ) -> list[tuple[int, int]]:
     """Optimal pairing of all `defects` at once; equal weights go to the
@@ -155,13 +207,7 @@ def whole_syndrome_decode(graph: MatchingGraph, syndrome: int) -> Correction:
         total += float(graph._dist[a, bb])
         for eid in graph._path_edges(a, bb):
             edge_set ^= 1 << eid
-    obs = chk = toggles = 0
-    for i, e in enumerate(graph.edges):
-        if edge_set >> i & 1:
-            obs ^= e.obs_mask
-            chk ^= e.check_mask
-            toggles ^= e.toggles
-    return Correction(edge_set, total, obs, chk, toggles)
+    return Correction(edge_set, total, _edge_flips(graph, edge_set))
 
 
 def cluster_dp(graph: MatchingGraph, defects: list[int]
@@ -276,11 +322,15 @@ def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
 def reference_decode_shot(decoder: IterativeDecoder,
                           raw: dict[tuple[int, str], int],
                           max_iters: int = 3) -> DecodeResult:
-    """The cross-patch loop, re-decoding every graph on every iteration."""
+    """The cross-patch loop, re-decoding every graph on every iteration.
+    A correction's flips are read in signature layout: the detectors, then
+    the observables, then the checks of the circuit."""
     slots = det_slots(decoder)
     by_slot = [slots[d] for d in slot_order(decoder)]
+    nd = len(decoder.circuit.detectors)
+    no = len(decoder.circuit.observables)
     toggles = {key: 0 for key in decoder.graphs}
-    corrections: dict[tuple[int, str], Correction] = {}
+    corrections: dict[tuple[int, str], int] = {}
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
@@ -288,7 +338,7 @@ def reference_decode_shot(decoder: IterativeDecoder,
             corrections[key] = g.decode(raw.get(key, 0) ^ toggles[key])
         new_toggles = {key: 0 for key in decoder.graphs}
         for corr in corrections.values():
-            for s in _bits(corr.toggles):
+            for s in _bits(corr & ((1 << nd) - 1)):
                 key, bit = by_slot[s]
                 new_toggles[key] ^= bit
         if new_toggles == toggles:
@@ -297,7 +347,7 @@ def reference_decode_shot(decoder: IterativeDecoder,
         toggles = new_toggles
     obs = chk = 0
     for corr in corrections.values():
-        obs ^= corr.obs_mask
-        chk ^= corr.check_mask
+        obs ^= corr >> nd & ((1 << no) - 1)
+        chk ^= corr >> (nd + no)
     return DecodeResult(corrections=corrections, obs_mask=obs, check_mask=chk,
                         iterations_used=iters, converged=converged)

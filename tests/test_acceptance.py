@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from matching_oracle import brute_force_decode
+from matching_oracle import brute_force_decode, cluster_correction
 from sampler_oracle import planes
 from msdsim.builders import NoiseModel, build_distillation_circuit
 from msdsim.decoder import BOUNDARY, Edge, MatchingGraph
@@ -250,26 +250,31 @@ def test_criterion_07_cnot_block_matches_memory(memory_baseline_1e3):
 
 def test_criterion_08_matching_equals_brute_force():
     """Matching weight equals the exhaustive pairing oracle on 500 random
-    graphs with <= 12 detectors."""
+    graphs with <= 12 detectors.  Edge i flips bit i alone, so the decoded
+    flips name the edge set whose weight is compared."""
     rng = np.random.default_rng(2024)
     worst = 0.0
+    mismatched = 0
     for _ in range(500):
         n = int(rng.integers(2, 13))
         edges = []
         for i in range(n):
             edges.append(Edge(u=i, v=BOUNDARY,
-                              weight=float(rng.uniform(0.5, 4.0))))
+                              weight=float(rng.uniform(0.5, 4.0)), flips=1 << len(edges)))
         for _ in range(2 * n):
             u, v = rng.integers(0, n, 2)
             if u != v:
                 edges.append(Edge(u=int(u), v=int(v),
-                                  weight=float(rng.uniform(0.2, 3.0))))
+                                  weight=float(rng.uniform(0.2, 3.0)),
+                                  flips=1 << len(edges)))
         g = MatchingGraph(n, edges)
         syndrome = int(rng.integers(0, 1 << n))
-        worst = max(worst, abs(g.decode(syndrome).weight
-                               - brute_force_decode(g, syndrome)))
-    ok = worst <= 1e-9
-    report(8, ok, f"500 graphs, max weight deviation {worst:.1e}")
+        corr = cluster_correction(g, syndrome)
+        mismatched += g.decode(syndrome) != corr.flips
+        worst = max(worst, abs(corr.weight - brute_force_decode(g, syndrome)))
+    ok = worst <= 1e-9 and mismatched == 0
+    report(8, ok, f"500 graphs, max weight deviation {worst:.1e}, "
+                  f"{mismatched} decodes off the matched edge set")
 
 
 def test_criterion_09_cost_accounting():

@@ -13,32 +13,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matching_oracle import (brute_force_decode, cluster_dp, cluster_match, det_slots,
-                             dijkstra_path, dijkstra_tables, reference_decode_shot,
-                             slot_order, useful_rows, walk_syndrome_masks,
-                             whole_syndrome_decode)
+from matching_oracle import (brute_force_decode, cluster_correction, cluster_dp,
+                             cluster_match, det_slots, dijkstra_path, dijkstra_tables,
+                             reference_decode_shot, slot_order, useful_rows,
+                             walk_syndrome_masks, whole_syndrome_decode)
 from sampler_oracle import planes
 from msdsim import decoder, harness
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit)
-from msdsim.decoder import (_DP_LIMIT, BOUNDARY, EMPTY, Edge, IterativeDecoder,
+from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Edge, IterativeDecoder,
                             MatchingGraph, predict_outcome)
 from msdsim.dem import _bits, enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
-from msdsim.sampler import CHUNK, fault_table, sample
+from msdsim.sampler import CHUNK, fault_table, sample, signature_columns
 
 
 def _random_graph(rng: np.random.Generator, n: int) -> MatchingGraph:
+    """Edge i flips bit i alone, so a correction's flips are its edge set."""
     edges = []
     for i in range(n):
         edges.append(Edge(u=i, v=BOUNDARY,
-                          weight=float(rng.uniform(0.5, 4.0))))
+                          weight=float(rng.uniform(0.5, 4.0)), flips=1 << len(edges)))
     for _ in range(2 * n):
         u, v = rng.integers(0, n, 2)
         if u == v:
             continue
         edges.append(Edge(u=int(u), v=int(v),
-                          weight=float(rng.uniform(0.2, 3.0))))
+                          weight=float(rng.uniform(0.2, 3.0)), flips=1 << len(edges)))
     return MatchingGraph(n, edges)
 
 
@@ -51,25 +52,28 @@ class TestMatchingOptimality:
             syndrome = int(rng.integers(0, 1 << n))
             if bin(syndrome).count("1") > 8:
                 continue
-            corr = g.decode(syndrome)
+            corr = cluster_correction(g, syndrome)
+            assert g.decode(syndrome) == corr.flips, trial
             want = brute_force_decode(g, syndrome)
             assert corr.weight == pytest.approx(want, abs=1e-9), trial
 
     def test_empty_syndrome(self):
         g = _random_graph(np.random.default_rng(1), 5)
-        corr = g.decode(0)
+        assert g.decode(0) == 0
+        corr = cluster_correction(g, 0)
         assert corr.edges == () and corr.weight == 0.0
 
     def test_deterministic_tie_breaking(self):
         """Two equal-weight boundary edges: the lower edge id must win, and
         repeated decodes must agree."""
-        edges = [Edge(u=0, v=BOUNDARY, weight=1.0, obs_mask=1),
-                 Edge(u=0, v=BOUNDARY, weight=1.0, obs_mask=0)]
+        edges = [Edge(u=0, v=BOUNDARY, weight=1.0, flips=0b01),
+                 Edge(u=0, v=BOUNDARY, weight=1.0, flips=0b10)]
         g = MatchingGraph(1, edges)
         first = g.decode(1)
-        assert first.edges == (0,)
+        assert first == 0b01
+        assert cluster_correction(g, 1).edges == (0,)
         for _ in range(5):
-            assert g.decode(1).edges == first.edges
+            assert g.decode(1) == first
 
     def test_rejects_high_degree_mechanism(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.001))
@@ -106,28 +110,31 @@ class TestMatchingOptimality:
         observables.  Node 2's path is found first from node 0 (its first
         edge is lighter), but node 1 is the lowest intermediate node that
         shortens 0->3, so the path goes through node 1."""
-        edges = [Edge(u=0, v=2, weight=0.5, obs_mask=0b10),
+        edges = [Edge(u=0, v=2, weight=0.5, flips=0b10),
                  Edge(u=2, v=3, weight=1.5),
-                 Edge(u=0, v=1, weight=1.5, obs_mask=0b01),
+                 Edge(u=0, v=1, weight=1.5, flips=0b01),
                  Edge(u=1, v=3, weight=0.5)]
         edges += [Edge(u=i, v=BOUNDARY, weight=5.0) for i in range(4)]
         g = MatchingGraph(4, edges)
         assert g._dist[0, 3] == 2.0
-        corr = g.decode(0b1001)
-        assert (corr.edges, corr.weight, corr.obs_mask) == ((2, 3), 2.0, 0b01)
+        assert g.decode(0b1001) == 0b01
+        corr = cluster_correction(g, 0b1001)
+        assert (corr.edges, corr.weight, corr.flips) == ((2, 3), 2.0, 0b01)
 
     def test_node_without_edges_cannot_reach_the_boundary(self):
-        g = MatchingGraph(2, [Edge(u=0, v=BOUNDARY, weight=1.0)])
-        assert g.decode(0b01).weight == 1.0
+        g = MatchingGraph(2, [Edge(u=0, v=BOUNDARY, weight=1.0, flips=1)])
+        assert g.decode(0b01) == 1
+        assert cluster_correction(g, 0b01).weight == 1.0
         with pytest.raises(RuntimeError, match="cannot reach the boundary"):
             g.decode(0b10)
 
     def test_pair_cut_off_from_the_boundary(self):
         """Nodes 1 and 2 are joined to each other only: together they match,
         but either alone cannot reach the boundary."""
-        g = MatchingGraph(3, [Edge(u=0, v=BOUNDARY, weight=1.0),
-                              Edge(u=1, v=2, weight=0.5)])
-        assert g.decode(0b110).weight == 0.5
+        g = MatchingGraph(3, [Edge(u=0, v=BOUNDARY, weight=1.0, flips=0b01),
+                              Edge(u=1, v=2, weight=0.5, flips=0b10)])
+        assert g.decode(0b110) == 0b10
+        assert cluster_correction(g, 0b110).weight == 0.5
         with pytest.raises(RuntimeError, match="cannot reach the boundary"):
             g.decode(0b010)
 
@@ -179,7 +186,8 @@ class TestIterativeLoop:
             det[i] = True
         res = dec.decode_shot(_split(dec, det))
         assert res.converged
-        if any(corr.toggles for corr in res.corrections.values()):
+        det_mask = (1 << len(c.detectors)) - 1
+        if any(corr & det_mask for corr in res.corrections.values()):
             assert res.iterations_used >= 2
 
     def test_iteration_cap_respected(self, pipeline):
@@ -224,13 +232,15 @@ def sampled(request):
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_edges_follow_mechanisms(workload):
     """Every mechanism with home detectors is one edge of its graph, in DEM
-    order: its ends are the local ids of its home detectors and its toggles
-    the slot bits of its foreign detectors, both derived from the circuit's
-    detectors rather than the decoder's tables."""
+    order: its ends are the local ids of its home detectors, and its flips
+    the slot bits of its foreign detectors with its observable and check
+    masks above them, derived from the circuit's detectors rather than the
+    decoder's tables."""
     protocol, noise, _ = _WORKLOADS[workload]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     mechs = enumerate_error_mechanisms(fault_table(c))
     dec = IterativeDecoder(c, mechs)
+    nd, no = len(c.detectors), len(c.observables)
     local = [(key, bit.bit_length() - 1) for key, bit in det_slots(dec)]
     slot_bit = {d: 1 << s for s, d in enumerate(slot_order(dec))}
     want = {key: [] for key in dec.graphs}
@@ -243,11 +253,72 @@ def test_edges_follow_mechanisms(workload):
         for d in m.foreign_dets:
             toggles ^= slot_bit[d]
         want[ends[0][0]].append((ends[0][1], ends[1][1] if len(ends) == 2 else BOUNDARY,
-                                 m.obs_mask, m.check_mask, toggles))
-    got = {key: [(e.u, e.v, e.obs_mask, e.check_mask, e.toggles) for e in g.edges]
-           for key, g in dec.graphs.items()}
+                                 toggles | m.obs_mask << nd | m.check_mask << (nd + no)))
+    got = {key: [(e.u, e.v, e.flips) for e in g.edges] for key, g in dec.graphs.items()}
     assert got == want
-    assert sum(e[4] != 0 for edges in want.values() for e in edges) > 10
+    det_mask = (1 << nd) - 1
+    assert sum(e[2] & det_mask != 0 for edges in want.values() for e in edges) > 10
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+def test_edge_flips_are_in_signature_layout(workload):
+    """Each mechanism's edge flips `foreign | obs_mask << nd | check_mask <<
+    (nd + no)`: the columns of `signature_columns` that are its foreign
+    detectors, its observables and its checks, in that order.  Its home
+    syndrome, decoded alone, gives back its own observable and check masks
+    wherever the matcher picks its edge alone; other mechanisms of the same
+    home detectors may weigh less, but that is so for under 15% of them."""
+    protocol, noise, _ = _WORKLOADS[workload]
+    c = build_distillation_circuit(build_protocol(protocol), 3, noise)
+    mechs = enumerate_error_mechanisms(fault_table(c))
+    dec = IterativeDecoder(c, mechs)
+    nd, no = len(c.detectors), len(c.observables)
+    cols = signature_columns(c)
+    local = {d: bit for d, (_, bit) in enumerate(det_slots(dec))}
+    next_edge = {key: 0 for key in dec.graphs}
+    own = 0
+    for m in mechs:
+        if not m.home_dets:
+            continue
+        key = (m.origin_patch, m.basis)
+        g, i = dec.graphs[key], next_edge[key]
+        next_edge[key] += 1
+        flips = g.edges[i].flips
+        assert flips == sum(1 << d for d in m.foreign_dets) | m.obs_mask << nd | \
+            m.check_mask << (nd + no)
+        assert [cols[col] for col in _bits(flips)] == \
+            [c.detectors[d] for d in m.foreign_dets] + \
+            [c.observables[j] for j in _bits(m.obs_mask)] + \
+            [c.checks[j] for j in _bits(m.check_mask)]
+        home = sum(local[d] for d in m.home_dets)
+        if cluster_correction(g, home).edges == (i,):
+            got = g.decode(home)
+            assert got == flips, m
+            assert (got >> nd & (1 << no) - 1, got >> (nd + no)) == \
+                (m.obs_mask, m.check_mask), m
+            own += 1
+    assert next_edge == {key: len(g.edges) for key, g in dec.graphs.items()}
+    assert own > 0.85 * sum(next_edge.values())
+
+
+def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
+    """Over a seeded 2000-shot `distill15-d3-noisy` run, no graph is asked
+    to decode a zero syndrome, in the first sweep or a later one: a zero
+    syndrome's correction is 0 without a call."""
+    seen = []
+    orig = MatchingGraph.decode
+
+    def recording(self, syndrome):
+        seen.append(syndrome)
+        return orig(self, syndrome)
+
+    monkeypatch.setattr(MatchingGraph, "decode", recording)
+    protocol, noise, p_in = _WORKLOADS["distill15-d3-noisy"]
+    stats = harness.run_distillation(harness.ExperimentConfig(
+        protocol=protocol, p_circuit=noise.p_circuit, p_in=p_in, shots=2000, seed=0))
+    assert stats.iteration_hist.get(2, 0) + stats.iteration_hist.get(3, 0) > 1000
+    assert len(seen) > 20000
+    assert 0 not in seen
 
 
 def _recorded_decodes(dec: IterativeDecoder, shots) -> set[tuple]:
@@ -292,16 +363,16 @@ class TestClusterSplit:
         ties = flips = 0
         for key, s in sorted(decodes):
             g = dec.graphs[key]
-            got, want = g.decode(s), whole_syndrome_decode(g, s)
+            got, want = cluster_correction(g, s), whole_syndrome_decode(g, s)
+            assert g.decode(s) == got.flips, (key, s)
             assert got.weight == pytest.approx(want.weight, abs=1e-9), (key, s)
             if got.edge_mask != want.edge_mask:
                 ties += 1
                 _check_correction(g, s, got)
                 _check_correction(g, s, want)
-                flips += (got.obs_mask, got.check_mask) != (want.obs_mask,
-                                                            want.check_mask)
+                flips += got.flips != want.flips
         print(f"{len(decodes)} distinct decodes; {ties} equal-weight ties "
-              f"chose other edges, {flips} of them other obs/check masks")
+              f"chose other edges, {flips} of them other flips")
         assert len(decodes) > 500
         assert ties <= len(decodes) // 100
 
@@ -324,13 +395,15 @@ class TestClusterSplit:
                 base = c * size
                 for i in range(size):
                     edges.append(Edge(u=base + i, v=BOUNDARY,
-                                      weight=float(rng.uniform(2.0, 3.0))))
+                                      weight=float(rng.uniform(2.0, 3.0)),
+                                      flips=1 << len(edges)))
                     for j in range(i + 1, size):
                         edges.append(Edge(u=base + i, v=base + j,
-                                          weight=float(rng.uniform(0.3, 1.0))))
+                                          weight=float(rng.uniform(0.3, 1.0)),
+                                          flips=1 << len(edges)))
                 if c:  # a long bridge to the previous cluster
                     edges.append(Edge(u=base, v=base - size,
-                                      weight=20.0))
+                                      weight=20.0, flips=1 << len(edges)))
             g = MatchingGraph(clusters * size, edges)
             k = int(rng.integers(20, 31))
             syndrome = sum(1 << int(i) for i in
@@ -339,9 +412,11 @@ class TestClusterSplit:
             got = g.decode(syndrome)
             monkeypatch.setattr(MatchingGraph, "_match_blossom", orig)
             assert blossoms == [], trial
+            corr = cluster_correction(g, syndrome)
+            assert got == corr.flips, trial
             want = whole_syndrome_decode(g, syndrome)
-            assert got.weight == pytest.approx(want.weight, abs=1e-9), trial
-            _check_correction(g, syndrome, got)
+            assert corr.weight == pytest.approx(want.weight, abs=1e-9), trial
+            _check_correction(g, syndrome, corr)
 
 
 def _fresh(g: MatchingGraph) -> MatchingGraph:
@@ -572,8 +647,11 @@ def _blossom_cluster_decode() -> tuple[list, str]:
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 5, NoiseModel(1e-3))
     g = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c))).graphs[(0, "X")]
     defects = _grown_cluster(np.random.default_rng(21), g, 16)
-    corr = g.decode(sum(1 << a for a in defects))
+    syndrome = sum(1 << a for a in defects)
+    flips = g.decode(syndrome)
     assert g.component_misses == 1 and len(defects) > _DP_LIMIT
+    corr = cluster_correction(g, syndrome)
+    assert flips == corr.flips
     return g._match(defects), corr.weight.hex()
 
 
@@ -723,22 +801,20 @@ def test_distances_and_paths_match_dijkstra(name):
                 if np.isinf(dist[a, b]):
                     continue
                 pairs += 1
-                got = g._path(a, b)
-                ends = obs = chk = toggles = 0
+                edge_mask = ends = flips = 0
                 weight = 0.0
-                for i in got.edges:
+                for i in g._path_edges(a, b):
                     e = g.edges[i]
+                    edge_mask ^= 1 << i
                     ends ^= 1 << e.u ^ 1 << (n if e.v == BOUNDARY else e.v)
                     weight += e.weight
-                    obs ^= e.obs_mask
-                    chk ^= e.check_mask
-                    toggles ^= e.toggles
-                assert (got.obs_mask, got.check_mask, got.toggles) == (obs, chk, toggles)
+                    flips ^= e.flips
+                assert g._path(a, b) == flips, (key, a, b)
                 assert ends == 1 << a | 1 << b, (key, a, b)
                 assert weight == pytest.approx(dist[a, b], abs=1e-9), (key, a, b)
                 if exact:
                     want = sum(1 << i for i in dijkstra_path(pred, pair_edge, a, b))
-                    assert got.edge_mask == want, (key, a, b)
+                    assert edge_mask == want, (key, a, b)
     assert pairs > 100
 
 
@@ -770,8 +846,8 @@ class TestIncrementalLoop:
             assert (got.obs_mask, got.check_mask, got.iterations_used,
                     got.converged) == (want.obs_mask, want.check_mask,
                                        want.iterations_used, want.converged), i
-            assert {k: got.corrections.get(k, EMPTY).edge_mask for k in dec.graphs} == \
-                {k: c.edge_mask for k, c in want.corrections.items()}, i
+            assert {k: got.corrections.get(k, 0) for k in dec.graphs} == \
+                want.corrections, i
 
 
 class TestCaches:
@@ -790,10 +866,8 @@ class TestCaches:
                     if k != key:
                         continue
                     calls += 1
-                    a, b = tiny.decode(s), big.decode(s)
-                    assert (a.edge_mask, a.weight, a.obs_mask, a.check_mask,
-                            a.toggles) == (b.edge_mask, b.weight, b.obs_mask,
-                                           b.check_mask, b.toggles)
+                    assert tiny.decode(s) == big.decode(s) == \
+                        cluster_correction(g, s).flips
                 misses.append(big.component_misses)
             assert len(tiny._cache) <= 3 and len(g._cache) <= g.cache_cap
             for h in (tiny, big):
@@ -802,11 +876,12 @@ class TestCaches:
             assert misses[0] == misses[1] == len(big._cache)
 
     def test_zero_syndrome_reads_shared_empty_correction(self, pipeline):
-        """A zero syndrome costs no decode call and no cache entry."""
+        """A zero syndrome costs no decode call and no cache entry; its
+        correction is 0."""
         c, dec = pipeline
         zero = _split(dec, np.zeros(len(c.detectors), bool))
         assert _recorded_decodes(dec, [zero]) == set()
         g = next(iter(dec.graphs.values()))
         before = (g.syndrome_hits, g.syndrome_misses, len(g._cache))
-        assert g.decode(0) is g.decode(0)
+        assert g.decode(0) == 0
         assert (g.syndrome_hits, g.syndrome_misses, len(g._cache)) == before
