@@ -413,11 +413,10 @@ class IterativeDecoder:
 
 
 def predict_outcome(result: DecodeResult, checks: int, observables: int
-                    ) -> tuple[bool, bool]:
-    """(accepted, output_error) for a distillation shot.
-
+                    ) -> tuple[bool, int]:
+    """(accepted, wrong): whether the decoded checks match the shot's, and
+    the int whose bit i is set when observable i was decoded wrong.
     `checks` / `observables` are the shot's reference-relative raw parities
-    packed as integers; a distillation circuit has one observable, the
-    output."""
+    packed as integers; a circuit without checks accepts every shot."""
     return (checks == result.check_mask,
-            observables != result.obs_mask)
+            observables ^ result.obs_mask)

@@ -1,11 +1,11 @@
 """Monte Carlo experiment drivers: distillation, memory, and CNOT-block runs.
 
-Each driver builds its circuit's decoding pipeline once, then scores the
-shots of one shared loop (`_decoded_shots`): sample a chunk, read each shot's
-signature as one int (`ShotBatch.unpack`), split it into detector,
-observable and check bits with shifts and masks, and decode each shot, so
-memory does not grow with the shot count.  Counts carry Wilson-score
-confidence intervals.
+Each driver builds its circuit's decoding pipeline once, then merges, in
+chunk order, the tallies of `decode_chunk`, the one loop over shots: it
+samples a chunk, reads each shot's signature as one int (`ShotBatch.unpack`),
+splits it into detector, observable and check bits with shifts and masks,
+decodes it and scores it with `predict_outcome`, so memory does not grow
+with the shot count.  Counts carry Wilson-score confidence intervals.
 Results serialize to CSV or JSON rows with the full parameter set and seed,
 so any row can be reproduced exactly.
 """
@@ -74,20 +74,20 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentStats:
-    """Accumulated counts with derived rates and 95% intervals."""
+    """Accumulated counts with derived rates and 95% intervals; `+=` merges."""
     shots: int = 0
     accepted: int = 0
     errors: int = 0          # output errors among accepted shots
     iteration_hist: dict[int, int] = field(default_factory=dict)
-    seconds: float = 0.0
+    seconds: float = 0.0     # the driver's wall time, which `+=` leaves alone
 
-    def record(self, accepted: bool, error: bool, iters: int) -> None:
-        self.shots += 1
-        self.iteration_hist[iters] = self.iteration_hist.get(iters, 0) + 1
-        if accepted:
-            self.accepted += 1
-            if error:
-                self.errors += 1
+    def __iadd__(self, other: "ExperimentStats") -> "ExperimentStats":
+        self.shots += other.shots
+        self.accepted += other.accepted
+        self.errors += other.errors
+        for iters, n in other.iteration_hist.items():
+            self.iteration_hist[iters] = self.iteration_hist.get(iters, 0) + n
+        return self
 
     @property
     def p_accept(self) -> float:
@@ -129,22 +129,42 @@ class DecodingPipeline:
         return cls(circuit, table, IterativeDecoder(circuit, mechanisms))
 
 
-def _decoded_shots(pipeline: DecodingPipeline, config: ExperimentConfig):
-    """Sample `config.shots` shots at `config.p_in`, a chunk at a time; decode each.
-
-    Yields `(DecodeResult, check bits, observable bits)` per shot, bit i of
-    the ints being check / observable i.  Chunk k is `sample`'s chunk k, so
-    the shots are those of one whole `sample` call; memory holds one chunk.
-    """
-    circ, table, dec = pipeline.circuit, pipeline.table, pipeline.decoder
+def decode_chunk(pipeline: DecodingPipeline, config: ExperimentConfig,
+                 k: int) -> list[ExperimentStats]:
+    """`sample`'s chunk k of `config`'s run, decoded and scored by
+    `predict_outcome`: one tally per observable, whose errors are the
+    accepted shots that observable was decoded wrong on.  No outcome depends
+    on the decoder's caches, so chunks decode apart and merge in order."""
+    circ, dec = pipeline.circuit, pipeline.decoder
     # A signature's bits run detectors (in slot order), observables, checks.
     nd, no = len(circ.detectors), len(circ.observables)
     det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
-    for k, done in enumerate(range(0, config.shots, CHUNK)):
-        batch = sample(table, min(CHUNK, config.shots - done), config.seed, None, k, config.p_in)
-        for sig in batch.unpack():
-            res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), config.max_iters)
-            yield res, sig >> (nd + no), sig >> nd & obs_mask
+    shots = min(CHUNK, config.shots - k * CHUNK)
+    accepted, iters = 0, [0] * (config.max_iters + 1)
+    wrong: dict[int, int] = {}   # accepted shots per nonzero wrong-observable int
+    for sig in sample(pipeline.table, shots, config.seed, None, k, config.p_in).unpack():
+        res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), config.max_iters)
+        iters[res.iterations_used] += 1
+        ok, flips = predict_outcome(res, sig >> (nd + no), sig >> nd & obs_mask)
+        if ok:
+            accepted += 1
+            if flips:
+                wrong[flips] = wrong.get(flips, 0) + 1
+    return [ExperimentStats(shots, accepted, sum(n for w, n in wrong.items() if w >> o & 1),
+                            {i: n for i, n in enumerate(iters) if n}) for o in range(no)]
+
+
+def _merged_chunks(pipeline: DecodingPipeline, config: ExperimentConfig,
+                   t0: float) -> list[ExperimentStats]:
+    """Every chunk's tallies merged in chunk order, timed from `t0`."""
+    total = decode_chunk(pipeline, config, 0)
+    for k in range(1, -(-config.shots // CHUNK)):
+        for st, chunk in zip(total, decode_chunk(pipeline, config, k)):
+            st += chunk
+    dt = time.perf_counter() - t0
+    for st in total:
+        st.seconds = dt
+    return total
 
 
 def distillation_pipeline(config: ExperimentConfig) -> DecodingPipeline:
@@ -157,26 +177,14 @@ def run_distillation(config: ExperimentConfig,
                      pipeline: DecodingPipeline | None = None) -> ExperimentStats:
     """Full surface-code distillation Monte Carlo at one parameter point."""
     t0 = time.perf_counter()
-    if pipeline is None:
-        pipeline = distillation_pipeline(config)
-    stats = ExperimentStats()
-    for res, chk, obs in _decoded_shots(pipeline, config):
-        accepted, error = predict_outcome(res, chk, obs)
-        stats.record(accepted, error, res.iterations_used)
-    stats.seconds = time.perf_counter() - t0
-    return stats
+    return _merged_chunks(pipeline or distillation_pipeline(config), config, t0)[0]
 
 
 def run_memory_baseline(config: ExperimentConfig) -> ExperimentStats:
     """Single-patch |0> memory logical error rate (every shot "accepted")."""
     t0 = time.perf_counter()
-    pipeline = DecodingPipeline.build(
-        build_memory_circuit(config.d, config.rounds, config.noise()))
-    stats = ExperimentStats()
-    for res, _, obs in _decoded_shots(pipeline, config):
-        stats.record(True, res.obs_mask != obs, res.iterations_used)
-    stats.seconds = time.perf_counter() - t0
-    return stats
+    circ = build_memory_circuit(config.d, config.rounds, config.noise())
+    return _merged_chunks(DecodingPipeline.build(circ), config, t0)[0]
 
 
 def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
@@ -189,15 +197,8 @@ def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
     for basis in ("Z", "X"):
         t0 = time.perf_counter()
         circ = build_cnot_subcircuit_experiment(spec, config.d, config.noise(), basis)
-        per_obs = [ExperimentStats() for _ in circ.observables]
-        for res, _, obs in _decoded_shots(DecodingPipeline.build(circ), config):
-            wrong = res.obs_mask ^ obs
-            for o, st in enumerate(per_obs):
-                st.record(True, bool(wrong >> o & 1), res.iterations_used)
-        dt = time.perf_counter() - t0
-        for ob, st in zip(circ.observables, per_obs):
-            st.seconds = dt
-            out[ob.id] = st
+        out.update(zip([ob.id for ob in circ.observables],
+                       _merged_chunks(DecodingPipeline.build(circ), config, t0)))
     return out
 
 

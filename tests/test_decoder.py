@@ -21,8 +21,8 @@ from sampler_oracle import planes
 from msdsim import decoder, harness
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit)
-from msdsim.decoder import (_DP_LIMIT, BOUNDARY, Edge, IterativeDecoder,
-                            MatchingGraph, predict_outcome)
+from msdsim.decoder import (_DP_LIMIT, BOUNDARY, DecodeResult, Edge,
+                            IterativeDecoder, MatchingGraph, predict_outcome)
 from msdsim.dem import _bits, enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
 from msdsim.sampler import CHUNK, fault_table, sample, signature_columns
@@ -200,7 +200,6 @@ class TestIterativeLoop:
 
 class TestPredictOutcome:
     def test_bit_positions(self):
-        from msdsim.decoder import DecodeResult
         res = DecodeResult(corrections={}, obs_mask=0b10, check_mask=0b101,
                            iterations_used=1, converged=True)
         accepted, err = predict_outcome(res, checks=0b101, observables=0b01)
@@ -208,6 +207,17 @@ class TestPredictOutcome:
         assert err                 # corrected output bit = 1^0
         accepted2, err2 = predict_outcome(res, checks=0b100, observables=0b10)
         assert not accepted2 and not err2
+
+    def test_two_observables_give_the_int_of_the_wrong_bits(self):
+        """The second value is the int of the observable bits decoded wrong,
+        and 0 when the decoder got both right."""
+        res = DecodeResult(corrections={}, obs_mask=0b10, check_mask=0,
+                           iterations_used=1, converged=True)
+        assert predict_outcome(res, checks=0, observables=0b10) == (True, 0)
+        assert predict_outcome(res, checks=0, observables=0b11) == (True, 0b01)
+        assert predict_outcome(res, checks=0, observables=0b00) == (True, 0b10)
+        assert predict_outcome(res, checks=0, observables=0b01) == (True, 0b11)
+        assert predict_outcome(res, checks=1, observables=0b01) == (False, 0b11)
 
 
 _WORKLOADS = {
@@ -724,7 +734,7 @@ class TestScheduledMatch:
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_packed_shots_split_like_the_walk(workload, monkeypatch):
-    """Over a run of two chunks whose length is no multiple of 8, every
+    """Over the two chunks of a run whose length is no multiple of 8, every
     shot's packed int splits into the masks the per-detector walk gives for
     the same shot of one whole `sample` call."""
     protocol, noise, p_in = _WORKLOADS[workload]
@@ -740,10 +750,13 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(dec, "syndrome_masks", split)
-    monkeypatch.setattr(dec, "decode_shot", lambda raw, max_iters: None)
+    fixed = DecodeResult(corrections={}, obs_mask=0, check_mask=0, iterations_used=1,
+                         converged=True)
+    monkeypatch.setattr(dec, "decode_shot", lambda raw, max_iters: fixed)
     cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
                                    p_in=p_in, shots=shots, seed=17)
-    assert sum(1 for _ in harness._decoded_shots(pipeline, cfg)) == shots
+    tallies = [harness.decode_chunk(pipeline, cfg, k) for k in (0, 1)]
+    assert [[t.shots for t in chunk] for chunk in tallies] == [[CHUNK], [13]]
     batch = sample(pipeline.table, shots, cfg.seed, None, 0, p_in)
     det = planes(batch, pipeline.circuit)[0]
     slots = det_slots(dec)

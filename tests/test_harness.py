@@ -2,6 +2,7 @@
 import copy
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,15 +52,26 @@ class TestConfig:
             ExperimentConfig(shots=0)
 
     def test_stats_accumulation(self):
-        st = ExperimentStats()
-        st.record(True, False, 1)
-        st.record(True, True, 2)
-        st.record(False, False, 1)
-        assert (st.shots, st.accepted, st.errors) == (3, 2, 1)
-        assert st.p_accept == pytest.approx(2 / 3)
-        assert st.discard_ratio == pytest.approx(1 / 3)
-        assert st.p_out == pytest.approx(0.5)
-        assert st.iteration_hist == {1: 2, 2: 1}
+        """`+=` adds counts and iteration histograms, over shared and
+        disjoint keys, leaves `seconds` and the other tally alone, and the
+        rates follow the merged counts."""
+        st = ExperimentStats(shots=3, accepted=2, errors=1,
+                             iteration_hist={1: 2, 2: 1}, seconds=0.5)
+        other = ExperimentStats(shots=5, accepted=4, errors=2,
+                                iteration_hist={2: 3, 3: 2}, seconds=9.0)
+        merged = st
+        merged += other
+        assert merged is st
+        assert (st.shots, st.accepted, st.errors, st.seconds) == (8, 6, 3, 0.5)
+        assert st.iteration_hist == {1: 2, 2: 4, 3: 2}
+        assert other == ExperimentStats(5, 4, 2, {2: 3, 3: 2}, 9.0)
+        assert st.p_accept == pytest.approx(6 / 8)
+        assert st.discard_ratio == pytest.approx(2 / 8)
+        assert st.p_out == pytest.approx(3 / 6)
+        assert st.p_out_interval() == wilson_interval(3, 6)
+        st += ExperimentStats()
+        assert (st.shots, st.accepted, st.errors) == (8, 6, 3)
+        assert st.iteration_hist == {1: 2, 2: 4, 3: 2}
 
 
 class TestLogicalDriver:
@@ -112,17 +124,24 @@ class TestSurfaceDrivers:
         pipeline = DecodingPipeline.build(
             build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
         dec = pipeline.decoder
-        want = ExperimentStats()
         batch = sample(fault_table(pipeline.circuit), cfg.shots, cfg.seed)
         det, _, obs = planes(batch, pipeline.circuit)
         slots = det_slots(dec)
+        errors, hist = 0, {}
         for s in range(cfg.shots):
             res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), cfg.max_iters)
-            want.record(True, bool((res.obs_mask & 1) != obs[0, s]), res.iterations_used)
+            errors += (res.obs_mask & 1) != obs[0, s]
+            hist[res.iterations_used] = hist.get(res.iterations_used, 0) + 1
         got = run_memory_baseline(cfg)
-        assert want.errors > 0
+        assert errors > 0
         assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
-            (want.shots, want.accepted, want.errors, want.iteration_hist)
+            (cfg.shots, cfg.shots, errors, hist)
+
+    def test_noisy_memory_baseline_is_pinned(self):
+        """Every memory shot is accepted; its error count is pinned."""
+        st = run_memory_baseline(ExperimentConfig(p_circuit=5e-3, rounds=3,
+                                                  shots=20_000, seed=1))
+        assert (st.shots, st.accepted, st.errors) == (20_000, 20_000, 649)
 
     def test_fault_table_built_once_per_pipeline(self, monkeypatch):
         """Over runs of two chunks, the fault table is built once per
@@ -157,6 +176,16 @@ class TestSurfaceDrivers:
         out = run_subcircuit(cfg)
         assert sorted(out) == list(range(8))
         assert all(st.errors == 0 for st in out.values())
+
+    def test_noisy_subcircuit_counts_are_pinned(self):
+        """Each patch's errors are the shots its own observable bit was
+        decoded wrong on; every shot is accepted, and the patches of one
+        basis run share one iteration histogram."""
+        out = run_subcircuit(ExperimentConfig(protocol=SEVEN_TO_ONE, p_circuit=3e-3,
+                                              shots=3000, seed=2))
+        assert [out[p].errors for p in range(8)] == [56, 102, 108, 69, 73, 111, 127, 83]
+        assert all((st.shots, st.accepted) == (3000, 3000) for st in out.values())
+        assert len({tuple(sorted(st.iteration_hist.items())) for st in out.values()}) == 2
 
 
 # The benchmark's workloads and three runs above d=3, at seed 0: (config,
@@ -204,6 +233,24 @@ class TestBenchmarkWorkloads:
             (want.accepted, want.errors, want.iteration_hist)
         for g, h in zip(pipeline.decoder.graphs.values(), twin.decoder.graphs.values()):
             assert h is not g and h._cache is not g._cache
+
+    @pytest.mark.parametrize("name", ["distill7-d3", "distill15-d3-noisy"])
+    def test_a_chunk_decodes_the_same_on_cold_caches(self, name):
+        """Chunk 1 decoded first, on a never-run copy of the pipeline, gives
+        the tally chunk 1 gives after chunk 0 in a serial run, and the serial
+        run's merged tallies are `run_distillation`'s."""
+        cfg = replace(_PINNED[name][0], shots=CHUNK + 300)
+        pipeline = harness.distillation_pipeline(cfg)
+        cold = copy.deepcopy(pipeline)
+        serial = [harness.decode_chunk(pipeline, cfg, k) for k in (0, 1)]
+        assert harness.decode_chunk(cold, cfg, 1) == serial[1]
+        chunk = serial[1][0]
+        assert chunk.shots == 300 and chunk.accepted < 300 and len(chunk.iteration_hist) > 1
+        merged = serial[0][0]
+        merged += serial[1][0]
+        got = run_distillation(cfg, cold)
+        assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
+            (merged.shots, merged.accepted, merged.errors, merged.iteration_hist)
 
 class TestCostModel:
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
