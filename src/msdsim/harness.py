@@ -1,13 +1,14 @@
 """Monte Carlo experiment drivers: distillation, memory, and CNOT-block runs.
 
 Each driver builds its circuit's decoding pipeline once, then merges, in
-chunk order, the tallies of `decode_chunk`, the one loop over shots: it
-samples a chunk, reads each shot's signature as one int (`ShotBatch.unpack`),
-splits it into detector, observable and check bits with shifts and masks,
-decodes it and scores it with `predict_outcome`, so memory does not grow
-with the shot count.  Counts carry Wilson-score confidence intervals.
-Results serialize to CSV or JSON rows with the full parameter set and seed,
-so any row can be reproduced exactly.
+chunk order, the tallies of `decode_chunk`: it samples a chunk, reads each
+shot's signature as one int (`ShotBatch.unpack`) and hands the ints to
+`tally`, the one loop over shots, which splits each into detector,
+observable and check bits with shifts and masks, decodes it and scores it
+with `predict_outcome`, so memory does not grow with the shot count.
+Counts carry Wilson-score confidence intervals.  Results serialize to CSV or
+JSON rows with the full parameter set and seed, so any row can be reproduced
+exactly.
 """
 from __future__ import annotations
 
@@ -129,29 +130,39 @@ class DecodingPipeline:
         return cls(circuit, table, IterativeDecoder(circuit, mechanisms))
 
 
-def decode_chunk(pipeline: DecodingPipeline, config: ExperimentConfig,
-                 k: int) -> list[ExperimentStats]:
-    """`sample`'s chunk k of `config`'s run, decoded and scored by
-    `predict_outcome`: one tally per observable, whose errors are the
-    accepted shots that observable was decoded wrong on.  No outcome depends
-    on the decoder's caches, so chunks decode apart and merge in order."""
+def tally(pipeline: DecodingPipeline, sigs: list[int],
+          max_iters: int) -> list[ExperimentStats]:
+    """Each signature int of `sigs` decoded and scored by `predict_outcome`:
+    one tally per observable, whose errors are the accepted shots that
+    observable was decoded wrong on.  Signatures are XOR-linear, so a sampled
+    chunk, table rows XORed by hand and an enumeration of faults are scored
+    alike; this is the one reader of their column layout."""
     circ, dec = pipeline.circuit, pipeline.decoder
     # A signature's bits run detectors (in slot order), observables, checks.
     nd, no = len(circ.detectors), len(circ.observables)
     det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
-    shots = min(CHUNK, config.shots - k * CHUNK)
-    accepted, iters = 0, [0] * (config.max_iters + 1)
+    accepted, iters = 0, {}      # shots per sweep count actually used
     wrong: dict[int, int] = {}   # accepted shots per nonzero wrong-observable int
-    for sig in sample(pipeline.table, shots, config.seed, None, k, config.p_in).unpack():
-        res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), config.max_iters)
-        iters[res.iterations_used] += 1
+    for sig in sigs:
+        res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), max_iters)
+        iters[res.iterations_used] = iters.get(res.iterations_used, 0) + 1
         ok, flips = predict_outcome(res, sig >> (nd + no), sig >> nd & obs_mask)
         if ok:
             accepted += 1
             if flips:
                 wrong[flips] = wrong.get(flips, 0) + 1
-    return [ExperimentStats(shots, accepted, sum(n for w, n in wrong.items() if w >> o & 1),
-                            {i: n for i, n in enumerate(iters) if n}) for o in range(no)]
+    return [ExperimentStats(len(sigs), accepted, sum(n for w, n in wrong.items() if w >> o & 1),
+                            {i: iters[i] for i in sorted(iters)}) for o in range(no)]
+
+
+def decode_chunk(pipeline: DecodingPipeline, config: ExperimentConfig,
+                 k: int) -> list[ExperimentStats]:
+    """`sample`'s chunk k of `config`'s run, scored by `tally`.  No outcome
+    depends on the decoder's caches, so chunks decode apart and merge in
+    order."""
+    shots = min(CHUNK, config.shots - k * CHUNK)
+    return tally(pipeline, sample(pipeline.table, shots, config.seed, k, config.p_in).unpack(),
+                 config.max_iters)
 
 
 def _merged_chunks(pipeline: DecodingPipeline, config: ExperimentConfig,

@@ -101,8 +101,9 @@ def fault_table(circuit: Circuit) -> FaultTable:
     Z sensitivity onto its target, pair by pair in reverse.
 
     Sites with p = 0 are left out, except injections (p = 0 here too), which
-    `sample` fires at its `p_in` or by a forced pattern.  Raises ValueError
-    on an INJECT_Z with no `circuit.injections` entry.
+    `sample` fires at its `p_in`; resource r's injection row is the XOR of
+    the rows of the sites whose `rid` is r.  Raises ValueError on an INJECT_Z
+    with no `circuit.injections` entry.
     """
     index = circuit.qubit_index()
     inj_rid = dict(circuit.injections)
@@ -201,14 +202,14 @@ def validate_annotations(table: FaultTable) -> None:
 
 def _groups(table: FaultTable, p_in: float):
     """Per (kind, p), in order of first occurrence: kind, the rate its sites
-    fire at (`p_in` for the injections), the component rows of its sites in
-    forward order (sites, components), and the sites' resource ids."""
+    fire at (`p_in` for the injections), and the component rows of its sites
+    in forward order (sites, components)."""
     by_key: dict[tuple[int, float], list[int]] = {}
     for site, key in enumerate(zip(table.kind.tolist(), table.p.tolist())):
         by_key.setdefault(key, []).append(site)
     for (k, p), sites in by_key.items():
         comps = table.comp_row[table.first[sites, None] + np.arange(TERMS[KINDS[k]].shape[1])]
-        yield KINDS[k], p_in if KINDS[k] == "INJECT_Z" else p, comps, table.rid[sites]
+        yield KINDS[k], p_in if KINDS[k] == "INJECT_Z" else p, comps
 
 
 def _fired(rng: np.random.Generator, p: float, n_slots: int):
@@ -224,16 +225,11 @@ def _fired(rng: np.random.Generator, p: float, n_slots: int):
 
 
 def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
-                  rng: np.random.Generator, forced: np.ndarray | None) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     sigs = np.zeros(shots, dtype=table.sigs.dtype)
-    for kind, p, comps, rids in groups:
+    for kind, p, comps in groups:
         terms = TERMS[kind]
-        if kind == "INJECT_Z" and forced is not None:
-            fired = np.flatnonzero(forced[rids])            # over (sites, shots)
-            blocks = [fired[i:i + _BLOCK] for i in range(0, fired.size, _BLOCK)]
-        else:
-            blocks = _fired(rng, p, len(comps) * shots)
-        for slots in blocks:
+        for slots in _fired(rng, p, len(comps) * shots):
             site, shot = np.divmod(slots, shots)
             if len(terms) > 1:
                 ev, comp = np.divmod(np.flatnonzero(
@@ -245,31 +241,22 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
     return sigs
 
 
-def sample(table: FaultTable, shots: int, seed: int,
-           forced_injections: np.ndarray | None = None,
-           first_chunk: int = 0, p_in: float = 0.0) -> ShotBatch:
+def sample(table: FaultTable, shots: int, seed: int, first_chunk: int = 0,
+           p_in: float = 0.0) -> ShotBatch:
     """Sample `shots` reference-relative shots from a circuit's fault table.
 
     Each injection fires independently with probability `p_in` (ValueError
-    unless 0 <= p_in <= 1).  `forced_injections` (num_resources, shots) bool
-    overrides the random injection draws, enabling exhaustive pattern sweeps
-    at the circuit level; any other shape raises ValueError.
-    Chunk k draws from the child seed `[seed, k]`, counting from
-    `first_chunk`: with `shots <= CHUNK`, `sample(t, shots, seed, None, k)` is
-    chunk k of a longer run.
+    unless 0 <= p_in <= 1).  Chunk k draws from the child seed `[seed, k]`,
+    counting from `first_chunk`: with `shots <= CHUNK`,
+    `sample(t, shots, seed, k)` is chunk k of a longer run.  A given
+    injection pattern is `sample(…, p_in=0)` XOR its resources' rows.
     """
     if not 0.0 <= p_in <= 1.0:
         raise ValueError(f"p_in must be in [0, 1], not {p_in!r}")
-    want = (len(table.circuit.injections), shots)
-    if forced_injections is not None and np.shape(forced_injections) != want:
-        raise ValueError(f"forced_injections has shape {np.shape(forced_injections)}, "
-                         f"not (num_resources, shots) = {want}")
     groups = list(_groups(table, p_in))
     chunks = []
     # At least one chunk, so zero shots still give arrays to join.
     for chunk_id, done in enumerate(range(0, max(shots, 1), CHUNK), first_chunk):
         n = min(CHUNK, shots - done)
-        rng = np.random.default_rng([seed, chunk_id])
-        forced = None if forced_injections is None else forced_injections[:, done:done + n]
-        chunks.append(_sample_chunk(table, groups, n, rng, forced))
+        chunks.append(_sample_chunk(table, groups, n, np.random.default_rng([seed, chunk_id])))
     return ShotBatch(np.concatenate(chunks))

@@ -8,13 +8,16 @@ comparison is statistical).  Injections fire at the `p_in` passed in, as in
 the sampler.
 
 `planes` reads a batch's signature ints back into bool planes, bit by bit.
+`fault_signatures` and `injection_rows` read single faults' and resources'
+signatures off a fault table's component rows, for producers of signatures
+other than the sampler.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from msdsim.circuit import Circuit
-from msdsim.sampler import ShotBatch, signature_columns
+from msdsim.sampler import KINDS, TERMS, FaultTable, ShotBatch, signature_columns
 
 # index -> (x_a, z_a, x_b, z_b), the 15 non-identity two-qubit Paulis.
 _T2 = np.array([(xa, za, xb, zb)
@@ -100,3 +103,29 @@ def planes(batch: ShotBatch, circuit: Circuit) -> tuple[np.ndarray, ...]:
     bits = np.array([batch.sigs >> c & 1 for c in range(cols)],
                     dtype=bool).reshape(cols, len(batch.sigs))
     return bits[:nd], bits[nd + no:], bits[nd:nd + no]
+
+
+def fault_signatures(table: FaultTable, injections: bool = False) -> list[int]:
+    """Per site with p > 0 (and per injection, with `injections`) in forward
+    order, per Pauli term of its kind: that fault's signature, the XOR of the
+    rows of the components the term applies."""
+    out = []
+    for kind, p, first in zip(table.kind, table.p, table.first):
+        if p == 0 and not (injections and KINDS[kind] == "INJECT_Z"):
+            continue
+        for term in TERMS[KINDS[kind]]:
+            sig = 0
+            for r in table.comp_row[first + np.flatnonzero(term)]:
+                sig ^= int(table.sigs[r])
+            out.append(sig)
+    return out
+
+
+def injection_rows(table: FaultTable) -> list[int]:
+    """Per resource r, its injection row: the XOR of the rows of the
+    injection sites whose `rid` is r.  A pattern of injections is the XOR of
+    its resources' rows into a shot sampled at p_in = 0."""
+    rows = [0] * len(table.circuit.injections)
+    for site in np.flatnonzero(table.rid >= 0):
+        rows[table.rid[site]] ^= int(table.sigs[table.comp_row[table.first[site]]])
+    return rows

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from matching_oracle import brute_force_decode, cluster_correction
-from sampler_oracle import planes
+from sampler_oracle import injection_rows
 from msdsim.builders import NoiseModel, build_distillation_circuit
 from msdsim.decoder import BOUNDARY, Edge, MatchingGraph
 from msdsim.harness import (ExperimentConfig, qubit_cycles, run_distillation,
                             run_logical, run_memory_baseline, run_subcircuit,
-                            DecodingPipeline)
+                            tally, DecodingPipeline)
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               build_protocol, discard_ratio, exhaustive_oracle)
 from msdsim.sampler import fault_table, sample
@@ -136,7 +136,8 @@ def test_criterion_03_logical_monte_carlo():
 
 def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
     """p_circuit=0 surface pipeline reproduces the logical-level targets, and
-    the forced-pattern decode table equals the oracle for all 2^7 patterns."""
+    each of the 2^7 injection patterns, the XOR of its resources' injection
+    rows, decodes and scores as the oracle says."""
     ok = True
     rows = []
     for p_in, st in zero_noise_runs.items():
@@ -148,27 +149,18 @@ def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
         rows.append(f"p_in={p_in}:z_out={z_out:.1f},z_disc={z_disc:.1f}")
 
     spec = build_protocol(SEVEN_TO_ONE)
-    circ = build_distillation_circuit(spec, 3, NoiseModel(0.0))
-    pipeline = DecodingPipeline.build(circ)
+    pipeline = DecodingPipeline.build(build_distillation_circuit(spec, 3, NoiseModel(0.0)))
     table = exhaustive_oracle(SEVEN_TO_ONE)
-    n_pat = 1 << spec.num_resources
-    forced = np.zeros((spec.num_resources, n_pat), dtype=bool)
-    for pat in range(n_pat):
-        for r in range(spec.num_resources):
-            forced[r, pat] = bool((pat >> r) & 1)
-    batch = sample(pipeline.table, n_pat, seed=0, forced_injections=forced)
-    _, chk, obs = planes(batch, circ)
-    from msdsim.decoder import predict_outcome
-    dec = pipeline.decoder
+    inj = injection_rows(pipeline.table)
     exact = True
-    for pat in range(n_pat):
-        res = dec.decode_shot(dec.syndrome_masks(0))
-        chk_bits = sum(1 << i for i in range(chk.shape[0]) if chk[i, pat])
-        obs_bits = sum(1 << i for i in range(obs.shape[0]) if obs[i, pat])
-        accepted, error = predict_outcome(res, chk_bits, obs_bits)
-        exact &= accepted == bool(table.accepted[pat])
-        if accepted:
-            exact &= error == bool(table.output_error[pat])
+    for pat in range(1 << spec.num_resources):
+        sig = 0
+        for r in range(spec.num_resources):
+            sig ^= inj[r] if pat >> r & 1 else 0
+        st = tally(pipeline, [sig], 3)[0]
+        exact &= bool(st.accepted) == bool(table.accepted[pat])
+        if st.accepted:
+            exact &= bool(st.errors) == bool(table.output_error[pat])
     ok &= exact
     report(4, ok, "; ".join(rows) + f"; pattern table exact: {exact}")
 

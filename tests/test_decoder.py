@@ -757,7 +757,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
                                    p_in=p_in, shots=shots, seed=17)
     tallies = [harness.decode_chunk(pipeline, cfg, k) for k in (0, 1)]
     assert [[t.shots for t in chunk] for chunk in tallies] == [[CHUNK], [13]]
-    batch = sample(pipeline.table, shots, cfg.seed, None, 0, p_in)
+    batch = sample(pipeline.table, shots, cfg.seed, 0, p_in)
     det = planes(batch, pipeline.circuit)[0]
     slots = det_slots(dec)
     assert len(got) == shots

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from matching_oracle import det_slots, walk_syndrome_masks
-from sampler_oracle import planes
+from sampler_oracle import fault_signatures, planes
 from msdsim import harness, sampler
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
 from msdsim.harness import (DecodingPipeline, ExperimentConfig,
                             ExperimentStats, emit_results, qubit_cycles,
                             result_row, run_distillation, run_logical,
-                            run_memory_baseline, run_subcircuit,
+                            run_memory_baseline, run_subcircuit, tally,
                             wilson_interval)
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               build_protocol, discard_ratio)
@@ -251,6 +251,47 @@ class TestBenchmarkWorkloads:
         got = run_distillation(cfg, cold)
         assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
             (merged.shots, merged.accepted, merged.errors, merged.iteration_hist)
+
+
+class TestTally:
+    @pytest.mark.parametrize("protocol, faults, distinct", [
+        (SEVEN_TO_ONE, 24133, 4041), (FIFTEEN_TO_ONE, 56877, 10052)])
+    def test_every_single_fault_is_corrected_at_d3(self, protocol, faults, distinct):
+        """Each (site, Pauli term) fault of the d=3 circuit at p_circuit 1e-3,
+        its signature the XOR of the term's component rows, is accepted and
+        decoded right: one fault never flips the output unnoticed, and none
+        is discarded.  Equal signatures are decoded once."""
+        pipeline = harness.distillation_pipeline(
+            ExperimentConfig(protocol=protocol, p_circuit=1e-3))
+        sigs = fault_signatures(pipeline.table)
+        unique = sorted(set(sigs) - {0})
+        assert (len(sigs), len(unique)) == (faults, distinct)
+        st = tally(pipeline, unique, 3)[0]
+        assert (st.shots, st.accepted, st.errors) == (distinct, distinct, 0)
+        assert list(st.iteration_hist) == [1, 2]
+
+    def test_iteration_cap_does_not_size_memory(self):
+        """The iteration histogram holds the sweep counts shots used, so a
+        run capped at 10^7 sweeps peaks within 1.5x of the same run capped at
+        3, with the same counts.  Each traced run starts from a never-run
+        copy of one pipeline, after a warm-up run on another."""
+        cfg = replace(_PINNED["distill7-d3"][0], shots=2000)
+        pipeline = harness.distillation_pipeline(cfg)
+        run_distillation(cfg, copy.deepcopy(pipeline))
+        peaks, counts = {}, {}
+        for cap in (3, 10**7):
+            twin = copy.deepcopy(pipeline)
+            tracemalloc.start()
+            try:
+                st = run_distillation(replace(cfg, max_iters=cap), twin)
+                peaks[cap] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            counts[cap] = (st.accepted, st.errors, st.iteration_hist)
+        assert counts[10**7] == counts[3]
+        assert list(counts[3][2]) == sorted(counts[3][2])
+        assert peaks[10**7] <= 1.5 * peaks[3], peaks
+
 
 class TestCostModel:
     @pytest.mark.parametrize("d", [3, 5, 7, 9])

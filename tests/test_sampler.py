@@ -1,6 +1,6 @@
-"""Shot sampler tests: reproducibility, chunking, forced patterns, the fault
-table against the forward-propagation oracle, and the output distribution
-against the Pauli-frame oracle."""
+"""Shot sampler tests: reproducibility, chunking, injection patterns as XORed
+table rows, the fault table against the forward-propagation oracle, and the
+output distribution against the Pauli-frame oracle."""
 import dataclasses
 import hashlib
 import tracemalloc
@@ -13,7 +13,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.stats import binom, chi2_contingency, chisquare
 
 from dem_oracle import forward_faults
-from sampler_oracle import planes, sample as frame_sample
+from sampler_oracle import (fault_signatures, injection_rows, planes,
+                            sample as frame_sample)
 from test_dem import _ORACLE_CIRCUITS, _random_circuits
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
@@ -23,8 +24,7 @@ from msdsim.harness import DecodingPipeline
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                               exhaustive_oracle)
-from msdsim.sampler import (CHUNK, KINDS, TERMS, fault_table, sample,
-                            signature_columns)
+from msdsim.sampler import CHUNK, KINDS, fault_table, sample, signature_columns
 
 
 # sha256 of repr(sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()) on
@@ -102,7 +102,7 @@ class TestChunking:
         c.checks.append(ParitySet(meas=(c.measure(0, 0, "X", 0.0),), id=1))
         shots, table = 2 * CHUNK + 5, fault_table(c)
         whole = sample(table, shots, 7, p_in=0.3)
-        parts = [sample(table, min(CHUNK, shots - done), 7, None, k, 0.3)
+        parts = [sample(table, min(CHUNK, shots - done), 7, k, 0.3)
                  for k, done in enumerate(range(0, shots, CHUNK))]
         assert np.array_equal(whole.sigs, np.concatenate([b.sigs for b in parts]))
         chk = planes(whole, c)[1]
@@ -169,47 +169,30 @@ def _syndrome_sig(c: Circuit, spec, resources) -> int:
 
 class TestForcedInjections:
     def test_forced_pattern_reproduces_oracle(self):
-        """With zero circuit noise, forcing injection patterns makes each
-        shot's signature that of its resources' syndrome-map entries, and the
-        raw check/observable flips equal the logical-level oracle exactly."""
+        """With zero circuit noise, every injection pattern's signature, the
+        XOR of its resources' injection rows, is that of their syndrome-map
+        entries, and its raw check/observable flips equal the logical-level
+        oracle exactly."""
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
         table = exhaustive_oracle(SEVEN_TO_ONE)
-        patterns = [0, 1, 0b0000111, 0b1111111, 0b1010101]
-        forced = np.zeros((spec.num_resources, len(patterns)), dtype=bool)
-        for s, pat in enumerate(patterns):
-            for r in range(spec.num_resources):
-                forced[r, s] = bool((pat >> r) & 1)
-        batch = sample(fault_table(c), len(patterns), seed=0, forced_injections=forced)
-        _, chk, obs = planes(batch, c)
-        for s, pat in enumerate(patterns):
-            assert batch.unpack()[s] == _syndrome_sig(c, spec, np.flatnonzero(forced[:, s]))
-            accepted = not chk[:, s].any()
+        rows = injection_rows(fault_table(c))
+        nd, no = len(c.detectors), len(c.observables)
+        for pat in range(1 << spec.num_resources):
+            resources = [r for r in range(spec.num_resources) if pat >> r & 1]
+            sig = 0
+            for r in resources:
+                sig ^= rows[r]
+            assert sig == _syndrome_sig(c, spec, resources)
+            accepted = sig >> (nd + no) == 0
             assert accepted == bool(table.accepted[pat])
             if accepted:
-                assert bool(obs[0, s]) == bool(table.output_error[pat])
+                assert bool(sig >> nd & 1) == bool(table.output_error[pat])
 
-    def test_forced_shape_is_checked(self):
-        """A forced pattern of any shape but (num_resources, shots) is
-        rejected, not read with its resources and shots misaligned."""
+    def test_p_in_one_fires_every_injection(self):
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
         table = fault_table(c)
-        for shape in ((7, 5), (7, 11), (6, 10), (70,)):
-            with pytest.raises(ValueError, match="forced_injections"):
-                sample(table, 10, seed=0, forced_injections=np.zeros(shape, dtype=bool))
-        forced = np.zeros((spec.num_resources, 10), dtype=bool)
-        forced[2, 4] = True
-        want = [0] * 10
-        want[4] = _syndrome_sig(c, spec, [2])
-        assert sample(table, 10, seed=0, forced_injections=forced).unpack() == want
-
-    def test_forced_pattern_overrides_p_in(self):
-        spec = build_protocol(SEVEN_TO_ONE)
-        c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
-        table = fault_table(c)
-        forced = np.zeros((spec.num_resources, 50), dtype=bool)
-        assert sample(table, 50, seed=0, forced_injections=forced, p_in=1.0).unpack() == [0] * 50
         every = _syndrome_sig(c, spec, range(spec.num_resources))
         assert sample(table, 50, seed=0, p_in=1.0).unpack() == [every] * 50
 
@@ -249,17 +232,8 @@ def _assert_table_equals_oracle(circuit: Circuit) -> None:
     """The signature rows of the table's p > 0 faults and injections, in
     forward order (the XOR of each term's component rows), equal
     `forward_faults`' measurement flips projected onto `signature_columns`."""
-    table = fault_table(circuit)
     cols = signature_columns(circuit)
-    ints = []
-    for kind, p, first in zip(table.kind, table.p, table.first):
-        if p == 0 and KINDS[kind] != "INJECT_Z":
-            continue
-        for term in TERMS[KINDS[kind]]:
-            sig = 0
-            for r in table.comp_row[first + np.flatnonzero(term)]:
-                sig ^= table.sigs[r]
-            ints.append(sig)
+    ints = fault_signatures(fault_table(circuit), injections=True)
     _, flips = forward_faults(circuit)
     # member[m, c]: how often measurement m is in column c (a repeat cancels).
     member = coo_matrix((np.ones(sum(len(s.meas) for s in cols), dtype=np.int64),
