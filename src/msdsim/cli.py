@@ -1,9 +1,11 @@
 """Command-line front end for the distillation simulation stack.
 
 Subcommands map one-to-one onto the experiment drivers in `harness` plus the
-logical-level analytic/oracle utilities.  All numeric options can come from a
-plain key=value config file (--config); explicit flags win.  Exit codes:
-0 success, 2 bad configuration, 3 oracle/acceptance mismatch.
+logical-level analytic/oracle utilities.  Each subcommand takes the options
+it reads (`_COMMANDS`) and --config and --out, no other.  The same options
+can come from a plain key=value config file (--config); explicit flags win.
+Exit codes: 0 success, 2 bad configuration (an option the subcommand does
+not take, as a flag or a config key, included), 3 oracle/acceptance mismatch.
 """
 from __future__ import annotations
 
@@ -37,6 +39,29 @@ def _protocol(name: str) -> str:
     return _PROTOCOL_ALIASES[key]
 
 
+# Every option: the argparse keywords of its flag.  A config-file key is an
+# option's name, and its value is converted by the flag's `type` (an
+# "append" option's value is a list split on commas and blanks).
+_OPTIONS = {
+    "config": {"help": "key=value config file (flags override)"},
+    "out": {"help": "output path (default stdout)"},
+    "protocol": {"type": _protocol, "help": "7to1 or 15to1"},
+    "d": {"type": int, "help": "code distance"},
+    "p_circuit": {"type": float, "help": "physical circuit noise strength"},
+    "p_in": {"type": float, "action": "append",
+             "help": "injected input error rate (repeatable for sweeps)"},
+    "shots": {"type": int},
+    "seed": {"type": int},
+    "max_iters": {"type": int, "help": "global decoding iteration cap"},
+    "rounds": {"type": int, "help": "memory experiment round count"},
+    "format": {"choices": ("csv", "json")},
+}
+
+_DEFAULTS = {"p_in": [0.01], "shots": 20_000, "format": "csv"}
+
+_CONFIG_FIELDS = {f.name for f in fields(harness.ExperimentConfig)} - {"p_in"}
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Plain key=value lines; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
@@ -60,86 +85,51 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="msdsim",
         description="Magic-state distillation simulation and decoding toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key=value config file (flags override)")
-        p.add_argument("--protocol", default=None, help="7to1 or 15to1")
-        p.add_argument("--d", type=int, default=None, help="code distance")
-        p.add_argument("--p-circuit", type=float, default=None,
-                       help="physical circuit noise strength")
-        p.add_argument("--p-in", type=float, action="append", default=None,
-                       help="injected input error rate (repeatable for sweeps)")
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-iters", type=int, default=None,
-                       help="global decoding iteration cap")
-        p.add_argument("--rounds", type=int, default=None,
-                       help="memory experiment round count")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        return p
-
-    common(sub.add_parser("analytic", help="closed-form output error tables"))
-    common(sub.add_parser("oracle", help="exhaustive pattern table and formula check"))
-    common(sub.add_parser("logical", help="logical-level protocol Monte Carlo"))
-    common(sub.add_parser("distill", help="surface-code distillation Monte Carlo"))
-    common(sub.add_parser("memory", help="single-patch memory baseline"))
-    common(sub.add_parser("subcircuit", help="CNOT-block Pauli-web benchmark"))
-    common(sub.add_parser("cost", help="qubit-cycle spacetime cost table"))
+    for command, (_, help_, reads) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name in ("config", "out", *reads):
+            p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
     return ap
 
 
-_DEFAULTS = {**{f.name: f.default for f in fields(harness.ExperimentConfig)},
-             "p_in": [0.01], "shots": None, "format": "csv"}
-
-_CASTS = {"d": int, "shots": int, "seed": int, "max_iters": int, "rounds": int,
-          "p_circuit": float}
+def _config_value(name: str, text: str):
+    """A config file's `text` for option `name`, converted as its flag's."""
+    spec = _OPTIONS[name]
+    many = spec.get("action") == "append"
+    try:
+        values = [spec.get("type", str)(w)
+                  for w in (text.replace(",", " ").split() if many else [text])]
+    except ValueError as e:
+        raise ConfigError(f"bad value for {name}: {text!r}") from e
+    choices = spec.get("choices")
+    if choices and any(v not in choices for v in values):
+        raise ConfigError(f"bad value for {name}: {text!r}")
+    return values if many else values[0]
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags.  `opts["given"]` names the
-    options a config file or a flag set."""
-    opts = dict(_DEFAULTS)
-    opts["shots"] = args.shots_default
-    given = set()
+    """Defaults < config file < explicit flags, for the options the command
+    reads; a config key it does not read is a bad configuration, as its
+    flag is.  `opts["configs"]` holds one range-checked `ExperimentConfig`
+    per p_in (one with p_in 0 for a command that reads none); an option the
+    command does not read keeps the config's default."""
+    reads = _COMMANDS[args.command][2]
+    opts = {k: _DEFAULTS[k] for k in reads if k in _DEFAULTS}
+    if args.command == "logical":   # no code to decode: shots are cheap
+        opts["shots"] = 100_000
     if args.config:
         for k, v in read_config_file(args.config).items():
-            given.add(k)
-            if k == "p_in":
-                try:
-                    opts["p_in"] = [float(x) for x in v.replace(",", " ").split()]
-                except ValueError as e:
-                    raise ConfigError(f"bad p_in value {v!r}") from e
-            elif k in _CASTS:
-                try:
-                    opts[k] = _CASTS[k](v)
-                except ValueError as e:
-                    raise ConfigError(f"bad value for {k}: {v!r}") from e
-            elif k in ("protocol", "format", "out"):
-                opts[k] = v
-            else:
-                raise ConfigError(f"unknown config key {k!r}")
-    for k in ("protocol", "d", "p_circuit", "shots", "seed", "max_iters",
-              "rounds", "out", "format"):
-        v = getattr(args, k, None)
-        if v is not None:
-            opts[k] = v
-            given.add(k)
-    if args.p_in is not None:
-        opts["p_in"] = list(args.p_in)
-        given.add("p_in")
-    opts["given"] = given
-    opts["protocol"] = _protocol(str(opts["protocol"]))
-    formats = ("csv",) if args.command in ("oracle", "cost") else ("csv", "json")
-    if opts["format"] not in formats:   # oracle and cost tables are not result rows
-        raise ConfigError(f"{args.command} cannot write format {opts['format']!r}")
-    if not opts["p_in"]:
+            if k not in reads and k != "out":
+                raise ConfigError(f"{args.command} takes no option {k!r}")
+            opts[k] = _config_value(k, v)
+    opts.update((k, v) for k, v in vars(args).items()
+                if v is not None and k not in ("command", "config"))
+    if opts.get("p_in") == []:
         raise ConfigError("p_in needs at least one value")
-    try:    # one config per p_in: range checks for every command
-        opts["configs"] = [harness.ExperimentConfig(
-            protocol=opts["protocol"], d=opts["d"], p_circuit=opts["p_circuit"],
-            p_in=p, shots=opts["shots"], seed=opts["seed"],
-            max_iters=opts["max_iters"], rounds=opts["rounds"]) for p in opts["p_in"]]
+    fixed = {k: v for k, v in opts.items() if k in _CONFIG_FIELDS}
+    try:
+        opts["configs"] = [harness.ExperimentConfig(**fixed, p_in=p)
+                           for p in opts.get("p_in", [0.0])]
     except ValueError as e:
         raise ConfigError(str(e)) from e
     if opts.get("out"):
@@ -168,14 +158,14 @@ def _write(opts: dict, text: str) -> None:
 
 def cmd_analytic(opts: dict) -> int:
     rows = []
-    spec = build_protocol(opts["protocol"])
-    for p in opts["p_in"]:
-        discard = discard_ratio(spec, p)
+    spec = build_protocol(opts["configs"][0].protocol)
+    for cfg in opts["configs"]:
+        discard = discard_ratio(spec, cfg.p_in)
         rows.append({
-            "experiment": "analytic", "protocol": opts["protocol"], "d": 0,
-            "p_circuit": 0.0, "p_in": p, "shots": 0, "accepted": 0, "errors": 0,
-            "p_accept": round(1 - discard, 10),
-            "p_out": round(analytic_pout(opts["protocol"], p), 10),
+            "experiment": "analytic", "protocol": cfg.protocol, "d": 0,
+            "p_circuit": 0.0, "p_in": cfg.p_in, "shots": 0, "accepted": 0,
+            "errors": 0, "p_accept": round(1 - discard, 10),
+            "p_out": round(analytic_pout(cfg.protocol, cfg.p_in), 10),
             "ci_lo": 0.0, "ci_hi": 0.0,
             "discard_ratio": round(discard, 10),
             "seed": 0, "seconds": 0.0,
@@ -185,21 +175,22 @@ def cmd_analytic(opts: dict) -> int:
 
 
 def cmd_oracle(opts: dict) -> int:
-    table = exhaustive_oracle(opts["protocol"])
+    table = exhaustive_oracle(opts["configs"][0].protocol)
     _write(opts, table.to_csv())
-    for p in opts["p_in"]:
-        want = analytic_pout(opts["protocol"], p)
-        got = table.p_out(p)
+    for cfg in opts["configs"]:
+        want = analytic_pout(cfg.protocol, cfg.p_in)
+        got = table.p_out(cfg.p_in)
         if abs(want - got) > 1e-9:
             sys.stderr.write(
-                f"oracle mismatch at p_in={p}: table {got!r} vs formula {want!r}\n")
+                f"oracle mismatch at p_in={cfg.p_in}: table {got!r} vs formula {want!r}\n")
             return EXIT_ORACLE
     return EXIT_OK
 
 
 def cmd_logical(opts: dict) -> int:
-    rows = [harness.result_row("logical", cfg, harness.run_logical(cfg))
-            for cfg in opts["configs"]]
+    # The logical level has no code and no circuit noise.
+    rows = [{**harness.result_row("logical", cfg, harness.run_logical(cfg)),
+             "d": 0, "p_circuit": 0.0} for cfg in opts["configs"]]
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
@@ -214,51 +205,59 @@ def cmd_distill(opts: dict) -> int:
 
 
 def cmd_memory(opts: dict) -> int:
-    cfg = replace(opts["configs"][0], p_in=0.0)
+    cfg = opts["configs"][0]
     rows = [harness.result_row("memory", cfg, harness.run_memory_baseline(cfg))]
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
 
 def cmd_subcircuit(opts: dict) -> int:
-    cfg = replace(opts["configs"][0], p_in=0.0)
+    """The CNOT block's patches against a memory baseline of as many rounds."""
+    cfg = opts["configs"][0]
     per_patch = harness.run_subcircuit(cfg)
-    baseline = harness.run_memory_baseline(cfg)
-    rows = [harness.result_row("memory-baseline", cfg, baseline)]
+    base = replace(cfg, rounds=build_protocol(cfg.protocol).num_barriers)
+    rows = [harness.result_row("memory-baseline", base, harness.run_memory_baseline(base))]
     for patch in sorted(per_patch):
-        row = harness.result_row(f"subcircuit-patch-{patch}", cfg, per_patch[patch])
-        rows.append(row)
+        rows.append(harness.result_row(f"subcircuit-patch-{patch}", cfg, per_patch[patch]))
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
 
 def cmd_cost(opts: dict) -> int:
+    protocol = opts["configs"][0].protocol
     lines = ["protocol,d,qubit_cycles"]
-    for d in (opts["d"],) if "d" in opts["given"] else (3, 5, 7, 9):
-        lines.append(f"{opts['protocol']},{d},{harness.qubit_cycles(opts['protocol'], d)}")
+    for d in (opts["d"],) if "d" in opts else (3, 5, 7, 9):
+        lines.append(f"{protocol},{d},{harness.qubit_cycles(protocol, d)}")
     _write(opts, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
+# Per subcommand: its driver, its help line and the options it reads, which
+# with --config and --out are the only ones it takes.
 _COMMANDS = {
-    "analytic": (cmd_analytic, 0),
-    "oracle": (cmd_oracle, 0),
-    "logical": (cmd_logical, 100_000),
-    "distill": (cmd_distill, 20_000),
-    "memory": (cmd_memory, 20_000),
-    "subcircuit": (cmd_subcircuit, 20_000),
-    "cost": (cmd_cost, 0),
+    "analytic": (cmd_analytic, "closed-form output error tables",
+                 ("protocol", "p_in", "format")),
+    "oracle": (cmd_oracle, "exhaustive pattern table and formula check",
+               ("protocol", "p_in")),
+    "logical": (cmd_logical, "logical-level protocol Monte Carlo",
+                ("protocol", "p_in", "shots", "seed", "format")),
+    "distill": (cmd_distill, "surface-code distillation Monte Carlo",
+                ("protocol", "d", "p_circuit", "p_in", "shots", "seed", "max_iters",
+                 "format")),
+    "memory": (cmd_memory, "single-patch memory baseline",
+               ("d", "p_circuit", "shots", "seed", "max_iters", "rounds", "format")),
+    "subcircuit": (cmd_subcircuit, "CNOT-block Pauli-web benchmark",
+                   ("protocol", "d", "p_circuit", "shots", "seed", "max_iters", "format")),
+    "cost": (cmd_cost, "qubit-cycle spacetime cost table", ("protocol", "d")),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    fn, shots_default = _COMMANDS[args.command]
-    args.shots_default = shots_default or 1
+    """Run one subcommand.  A flag the subcommand does not take is argparse's
+    usage error (SystemExit 2); every other bad configuration returns 2."""
     try:
-        opts = resolve_options(args)
-        return fn(opts)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](resolve_options(args))
     except ConfigError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_CONFIG

@@ -373,7 +373,7 @@ class IterativeDecoder:
         return out
 
     def decode_shot(self, raw: dict[tuple[int, str], int],
-                    max_iters: int = 3) -> DecodeResult:
+                    max_iters: int) -> DecodeResult:
         """Decode one shot's per-graph syndromes, iterating the foreign
         flips to a fixpoint or to `max_iters` sweeps.  The result's
         `corrections` hold the graphs the loop decoded; every other graph's

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,17 @@ import msdsim
 from msdsim import cli
 from msdsim.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, main,
                         read_config_file)
-from msdsim.harness import ExperimentConfig
+from msdsim.harness import ExperimentConfig, result_row, run_memory_baseline
 from msdsim.protocols import SEVEN_TO_ONE
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of `msdsim argv`; a flag the command does
+    not take ends in argparse's SystemExit, whose code is the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -54,17 +60,18 @@ class TestConfigFile:
 
     def test_defaults_resolve_to_one_run(self, monkeypatch):
         """With no option given, each run command resolves to 7-to-1 at
-        d=3, p_circuit 1e-3, p_in 0.01, seed 0, 3 sweeps and 5 memory
-        rounds, at its own shot count."""
+        d=3, p_circuit 1e-3, seed 0, 3 sweeps and 5 memory rounds, at its
+        own shot count and p_in (0.01; 0 where the command reads none)."""
         got = []
-        for command, shots in (("distill", 20_000), ("memory", 20_000),
-                               ("subcircuit", 20_000), ("logical", 100_000)):
+        for command, shots, p_in in (("distill", 20_000, 0.01), ("memory", 20_000, 0.0),
+                                     ("subcircuit", 20_000, 0.0),
+                                     ("logical", 100_000, 0.01)):
             monkeypatch.setitem(cli._COMMANDS, command, (
                 lambda opts: got.append(opts["configs"]) or EXIT_OK,
-                cli._COMMANDS[command][1]))
+                *cli._COMMANDS[command][1:]))
             assert main([command]) == EXIT_OK
             assert got.pop() == [ExperimentConfig(
-                protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3, p_in=0.01, shots=shots,
+                protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3, p_in=p_in, shots=shots,
                 seed=0, max_iters=3, rounds=5)]
 
 
@@ -85,31 +92,32 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "analytic", "--config", str(f))
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("argv", [("logical", "--p-in", "1.5"),
-                                      ("logical", "--p-in", "-0.1"),
-                                      ("distill", "--p-circuit", "2"),
-                                      ("logical", "--max-iters", "0"),
-                                      ("memory", "--rounds", "0"),
+    @pytest.mark.parametrize("argv", [("logical", "--p-in", "1.5", "--shots", "10"),
+                                      ("logical", "--p-in", "-0.1", "--shots", "10"),
+                                      ("distill", "--p-circuit", "2", "--shots", "10"),
+                                      ("distill", "--max-iters", "0", "--shots", "10"),
+                                      ("memory", "--rounds", "0", "--shots", "10"),
                                       ("analytic", "--p-in", "1.5"),
                                       ("cost", "--d", "4"),
-                                      ("distill", "--seed", "-1")])
+                                      ("distill", "--seed", "-1", "--shots", "10")])
     def test_out_of_range_values(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv, "--shots", "10")
-        assert code == EXIT_CONFIG and out == "" and "error:" in err
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == "" and err.startswith("error:")
 
     def test_empty_p_in_list(self, tmp_path, capsys):
         """A config file's `p_in =` with no value would give a header-only
         table; it is a bad configuration instead."""
         f = tmp_path / "run.cfg"
         f.write_text("p_in =\n")
-        for command in ("analytic", "distill"):
-            code, out, err = run_cli(capsys, command, "--config", str(f), "--shots", "10")
+        for argv in (["analytic"], ["distill", "--shots", "10"]):
+            code, out, err = run_cli(capsys, *argv, "--config", str(f))
             assert code == EXIT_CONFIG and out == "" and "p_in" in err
 
     @pytest.mark.parametrize("command", ["oracle", "cost"])
     def test_csv_only_commands_reject_json(self, tmp_path, capsys, command):
-        """The oracle and cost tables have no JSON form, so asking for one,
-        by flag or config file, is a bad configuration, not CSV output."""
+        """The oracle and cost tables have no JSON form, so these commands
+        take no format: asking for one, by flag or config file, is a bad
+        configuration, not CSV output."""
         code, out, err = run_cli(capsys, command, "--format", "json")
         assert code == EXIT_CONFIG and out == "" and "json" in err
         f = tmp_path / "run.cfg"
@@ -143,6 +151,7 @@ class TestOutputs:
         assert code == EXIT_OK
         (row,) = json.loads(out)
         assert row["experiment"] == "logical" and row["shots"] == 2000
+        assert (row["d"], row["p_circuit"]) == (0, 0.0)   # no code, no circuit noise
 
     def test_cost_table(self, capsys):
         code, out, _ = run_cli(capsys, "cost", "--protocol", "15to1")
@@ -175,10 +184,85 @@ class TestOutputs:
             raise AssertionError("a shot was sampled")
         monkeypatch.setattr(msdsim.harness, "run_distillation", no_shots)
         path = tmp_path / "missing" / "x.csv"
-        code, out, err = run_cli(capsys, command, "--shots", "10", "--out", str(path))
+        code, out, err = run_cli(capsys, command, "--out", str(path))
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("protocol,rounds,other", [("7to1", 5, 6), ("15to1", 6, 5)])
+    def test_subcircuit_baseline_runs_the_blocks_rounds(self, capsys, monkeypatch,
+                                                        protocol, rounds, other):
+        """The memory baseline runs as many rounds as the CNOT block: 5 for
+        7-to-1, 6 for 15-to-1.  The block itself is stubbed out here."""
+        monkeypatch.setattr(msdsim.harness, "run_subcircuit", lambda cfg: {})
+        code, out, _ = run_cli(capsys, "subcircuit", "--protocol", protocol,
+                               "--p-circuit", "0.01", "--shots", "400", "--seed", "2",
+                               "--format", "json")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)
+        cfg = ExperimentConfig(protocol=cli._protocol(protocol), p_circuit=0.01,
+                               shots=400, seed=2)
+
+        def baseline(r):
+            want = result_row("memory-baseline", cfg,
+                              run_memory_baseline(replace(cfg, rounds=r)))
+            return {k: v for k, v in want.items() if k != "seconds"}
+
+        row.pop("seconds")
+        assert row == baseline(rounds)
+        assert row != baseline(other)
+
+
+# The options each subcommand reads, as the README lists them; every
+# subcommand also takes --config and --out.
+READS = {
+    "analytic": {"protocol", "p_in", "format"},
+    "oracle": {"protocol", "p_in"},
+    "logical": {"protocol", "p_in", "shots", "seed", "format"},
+    "distill": {"protocol", "d", "p_circuit", "p_in", "shots", "seed", "max_iters", "format"},
+    "memory": {"d", "p_circuit", "shots", "seed", "max_iters", "rounds", "format"},
+    "subcircuit": {"protocol", "d", "p_circuit", "shots", "seed", "max_iters", "format"},
+    "cost": {"protocol", "d"},
+}
+# A valid value per option; config and out name files in the test's tmp_path.
+VALUES = {"config": "run.cfg", "out": "res.csv", "protocol": "15to1", "d": "5",
+          "p_circuit": "0.002", "p_in": "0.1", "shots": "10", "seed": "1",
+          "max_iters": "2", "rounds": "2", "format": "json"}
+PAIRS = [(command, option) for command in READS for option in VALUES]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command,option", PAIRS)
+    def test_option_pair(self, tmp_path, capsys, monkeypatch, command, option):
+        """A (subcommand, option) pair in the table parses, by flag and by
+        config key, to the same value; any other exits 2 before a shot is
+        sampled, by flag (argparse's usage error) and by config key."""
+        def no_shots(*args, **kwargs):
+            raise AssertionError("a shot was sampled")
+        monkeypatch.setattr(msdsim.harness, "sample", no_shots)
+        monkeypatch.setattr(msdsim.harness, "sample_logical_shots", no_shots)
+        value = VALUES[option]
+        if option in ("config", "out"):
+            value = str(tmp_path / value)
+        (tmp_path / "run.cfg").write_text("")
+        argv = [command, "--" + option.replace("_", "-"), value]
+        key_file = tmp_path / "key.cfg"
+        key_file.write_text(f"{option} = {value}\n")
+        if option in READS[command] | {"config", "out"}:
+            opts = cli.resolve_options(cli._build_parser().parse_args(argv))
+            if option != "config":
+                assert opts[option] is not None
+                from_key = cli.resolve_options(cli._build_parser().parse_args(
+                    [command, "--config", str(key_file)]))
+                assert from_key[option] == opts[option]
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, command, "--config", str(key_file))
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"error: {command} takes no option {option!r}\n"
 
 
 class TestSweeps:
@@ -238,8 +322,8 @@ class TestPinnedOutputs:
         "15to1": "ad1abce1e077b803b4d3e6c8fad291fc1393795b8a5163814ef6f7a3cf294a9f",
     }
     LOGICAL_SHA256 = {
-        "7to1": "6b0fcd94183dad7a02fb0a483089757590830fd8c19f5806320cadd7929ca44d",
-        "15to1": "7d37dea0e57ca52d9a7d15eeacffe405fb27898e3f84fa34d009c5e178fe4453",
+        "7to1": "e8eef317f52d8c77da3bdfc48d547e87f1717210b50c9d74d23c1a947eca455c",
+        "15to1": "880ead3bffd3d712863f20925dfca5ffa6ad53151bcb69e99451f349ce4fac52",
     }
     LOGICAL_COUNTS = {"7to1": (9571, 96), "15to1": (4349, 180)}
 

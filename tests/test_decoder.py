@@ -75,6 +75,15 @@ class TestMatchingOptimality:
         for _ in range(5):
             assert g.decode(1) == first
 
+    def test_lowest_id_wins_between_parallel_edges(self):
+        """Two equally light edges join nodes 0 and 1: syndrome 0b11 decodes
+        to the flips of whichever is listed first, in either order."""
+        a = Edge(u=0, v=1, weight=1.0, flips=1 << 0)
+        b = Edge(u=0, v=1, weight=1.0, flips=1 << 1)
+        far = [Edge(u=i, v=BOUNDARY, weight=5.0, flips=1 << (2 + i)) for i in range(2)]
+        assert MatchingGraph(2, [a, b] + far).decode(0b11) == a.flips
+        assert MatchingGraph(2, [b, a] + far).decode(0b11) == b.flips
+
     def test_rejects_high_degree_mechanism(self):
         c = build_memory_circuit(3, 3, NoiseModel(0.001))
         mechs = enumerate_error_mechanisms(fault_table(c))
@@ -158,7 +167,7 @@ def pipeline():
 class TestIterativeLoop:
     def test_trivial_shot_converges_in_one(self, pipeline):
         c, dec = pipeline
-        res = dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool)))
+        res = dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool)), 3)
         assert res.converged and res.iterations_used == 1
         assert res.obs_mask == 0 and res.check_mask == 0
 
@@ -172,7 +181,7 @@ class TestIterativeLoop:
             det = np.zeros(nd, dtype=bool)
             for i in m.home_dets + m.foreign_dets:
                 det[i] = True
-            res = dec.decode_shot(_split(dec, det))
+            res = dec.decode_shot(_split(dec, det), 3)
             assert res.check_mask == m.check_mask
             assert res.obs_mask == m.obs_mask
 
@@ -184,7 +193,7 @@ class TestIterativeLoop:
         det = np.zeros(len(c.detectors), dtype=bool)
         for i in m.home_dets:
             det[i] = True
-        res = dec.decode_shot(_split(dec, det))
+        res = dec.decode_shot(_split(dec, det), 3)
         assert res.converged
         det_mask = (1 << len(c.detectors)) - 1
         if any(corr & det_mask for corr in res.corrections.values()):
@@ -341,7 +350,7 @@ def _recorded_decodes(dec: IterativeDecoder, shots) -> set[tuple]:
         g.decode = recorder
     try:
         for raw in shots:
-            dec.decode_shot(raw)
+            dec.decode_shot(raw, 3)
     finally:
         for g in dec.graphs.values():
             del g.decode
