@@ -55,11 +55,10 @@ class MultiPatchBuilder:
         if noisy and self.noise.p_circuit > 0:
             self.circuit.emit("DEPOL1", addrs, self.noise.p_circuit)
 
-    def inject_logical_z(self, patch: int, resource_id: int) -> None:
+    def inject_logical_z(self, patch: int) -> None:
         lay = self.circuit.layouts[patch]
         addrs = tuple((patch, q) for q in lay.logical_z_support)
         self.circuit.emit("INJECT_Z", addrs)
-        self.circuit.injections.append((len(self.circuit.instructions) - 1, resource_id))
 
     def transversal_cnot(self, cp: int, tp: int) -> None:
         lc, lt = self.circuit.layouts[cp], self.circuit.layouts[tp]
@@ -224,7 +223,7 @@ def build_distillation_circuit(spec: ProtocolSpec, d: int, noise: NoiseModel) ->
     for j, r in spec.consumption:
         rp = spec.num_data + r
         b.init_patch(rp, "-", noisy=False)
-        b.inject_logical_z(rp, r)
+        b.inject_logical_z(rp)
     for j, r in spec.consumption:
         b.transversal_cnot(j, spec.num_data + r)
     b.se_round(all_patches)

@@ -53,7 +53,6 @@ class Circuit:
     detectors: list[Detector] = field(default_factory=list)
     checks: list[ParitySet] = field(default_factory=list)
     observables: list[ParitySet] = field(default_factory=list)
-    injections: list[tuple[int, int]] = field(default_factory=list)  # (instr index, resource id)
 
     @property
     def num_measurements(self) -> int:

@@ -80,7 +80,9 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The subcommand and its flags.  A flag the subcommand does not take is
+    that subcommand's usage error (SystemExit 2), naming the ones it takes."""
     ap = argparse.ArgumentParser(
         prog="msdsim",
         description="Magic-state distillation simulation and decoding toolkit")
@@ -89,7 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_)
         for name in ("config", "out", *reads):
             p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
-    return ap
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _config_value(name: str, text: str):
@@ -205,8 +210,10 @@ def cmd_distill(opts: dict) -> int:
 
 
 def cmd_memory(opts: dict) -> int:
+    # A memory run has no protocol.
     cfg = opts["configs"][0]
-    rows = [harness.result_row("memory", cfg, harness.run_memory_baseline(cfg))]
+    rows = [{**harness.result_row("memory", cfg, harness.run_memory_baseline(cfg)),
+             "protocol": ""}]
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 
@@ -253,15 +260,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  A flag the subcommand does not take is argparse's
-    usage error (SystemExit 2); every other bad configuration returns 2."""
+    """Run one subcommand.  A flag the subcommand does not take is its usage
+    error (SystemExit 2); every other bad configuration returns 2."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command][0](resolve_options(args))
     except ConfigError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

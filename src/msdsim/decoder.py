@@ -112,7 +112,7 @@ class MatchingGraph:
     of the edges' `flips`.  One cache, keyed by defect bitmask, holds the
     corrections of components; a syndrome that is one component is its own
     key, and one with several is the XOR of theirs.  The cache keeps its
-    first `cache_cap` entries.  A component of 1 to `_DP_LIMIT` defects is
+    first `CACHE_CAP` entries.  A component of 1 to `_DP_LIMIT` defects is
     matched by subset DP and a larger one by blossom; its correction is the
     XOR of its pairs' cached shortest paths.
     `syndrome_hits`/`syndrome_misses` count the lookups of whole syndromes in
@@ -122,7 +122,6 @@ class MatchingGraph:
     def __init__(self, num_nodes: int, edges: list[Edge]):
         self.n = num_nodes
         self.edges = list(edges)
-        self.cache_cap = CACHE_CAP
         self._cache: dict[int, int] = {}
         self._paths: dict[tuple[int, int], int] = {}
         self.syndrome_hits = self.syndrome_misses = 0
@@ -219,7 +218,7 @@ class MatchingGraph:
             if part is None:
                 self.component_misses += 1
                 part = self._solve_component(comp)
-                if len(cache) < self.cache_cap:
+                if len(cache) < CACHE_CAP:
                     cache[comp] = part
             else:
                 self.component_hits += 1
@@ -324,7 +323,6 @@ class IterativeDecoder:
     detectors are not sorted by (home patch, basis)."""
 
     def __init__(self, circuit: Circuit, mechanisms: list[ErrorMechanism]):
-        self.circuit = circuit
         keys = [(det.home_patch, det.basis) for det in circuit.detectors]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValueError("detectors are not in slot order")

@@ -1,9 +1,10 @@
 """Error mechanisms: a merge over the circuit's fault table.
 
 `enumerate_error_mechanisms` reads the fault table (`sampler.fault_table`,
-the one reader of noise channels).  Each distinct row is split once into its
-X-column part and its Z-column part, by column basis; a Pauli term's part in
-one basis is the XOR of its components' parts in that basis.  Per noise site
+the one reader of noise channels), and only the table.  Each distinct row is
+split once into its X-column part and its Z-column part, by the table's
+X-basis columns (`FaultTable.x_cols`); a Pauli term's part in one basis is
+the XOR of its components' parts in that basis.  Per noise site
 with p > 0, in forward order, and per basis, the site's pattern of components
 with a nonzero part picks the distinct component subsets its kind's terms
 reach (`TERMS`), each with how many terms reach it: a DEPOL2 site whose rows
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import KINDS, TERMS, FaultTable, signature_columns
+from .sampler import KINDS, TERMS, FaultTable
 
 @dataclass(frozen=True)
 class ErrorMechanism:
@@ -60,7 +61,7 @@ def _reached(terms: np.ndarray) -> list[list[tuple[tuple[int, ...], int]]]:
     return out
 
 
-def _fold(table: FaultTable, x_cols: int) -> dict[tuple[int, str, int], float]:
+def _fold(table: FaultTable) -> dict[tuple[int, str, int], float]:
     """Per (origin, basis, signature part), the probability that an odd
     number of the table's terms with that part fire: each term's q folded
     into a running probability, sites in forward order.  A site's components
@@ -76,7 +77,7 @@ def _fold(table: FaultTable, x_cols: int) -> dict[tuple[int, str, int], float]:
     # Bit c of local[i]: component i is component c of its site.
     local = np.left_shift(1, np.arange(len(table.comp_row)) - np.repeat(table.first, ncomp))
     rows = table.sigs.tolist()
-    for basis, cols in (("X", x_cols), ("Z", ~x_cols)):
+    for basis, cols in (("X", table.x_cols), ("Z", ~table.x_cols)):
         part_rows = np.array([r & cols for r in rows], dtype=object)
         parts = part_rows[table.comp_row].tolist()
         nonzero = (part_rows != 0)[table.comp_row]
@@ -97,21 +98,13 @@ def _fold(table: FaultTable, x_cols: int) -> dict[tuple[int, str, int], float]:
 
 def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:
     """Merge the table's faults into per-basis error mechanisms."""
-    circuit = table.circuit
-    nd, no = len(circuit.detectors), len(circuit.observables)
-    x_cols = 0                                 # columns of X-basis measurements
-    for col, s in enumerate(signature_columns(circuit)):
-        basis = s.basis if col < nd else circuit.meas_addr[s.meas[0]][2]
-        if basis == "X":
-            x_cols |= 1 << col
-    probs = _fold(table, x_cols)
-
+    nd, no = len(table.detectors), len(table.observables)
     det_cols = (1 << nd) - 1
     home = {}                   # per patch, the detectors homed to it
-    for i, d in enumerate(circuit.detectors):
+    for i, d in enumerate(table.detectors):
         home[d.home_patch] = home.get(d.home_patch, 0) | 1 << i
     out = []
-    for (origin, basis, part), p in probs.items():
+    for (origin, basis, part), p in _fold(table).items():
         dets = part & det_cols
         mine = dets & home.get(origin, 0)
         out.append(ErrorMechanism(

@@ -108,17 +108,16 @@ class ExperimentStats:
 
 @dataclass
 class DecodingPipeline:
-    """Circuit, fault table and decoder for one circuit: `build` builds the
-    circuit's fault table (the one backward sweep), checks the annotations
-    exactly off its random-parity mask, merges the error mechanisms from it
-    and builds the matching graphs.  Every later stage reads the table: the
-    merge reads its signature rows, and every shot the pipeline decodes is
-    sampled from them, so no chunk sweeps the circuit again.
+    """Fault table and decoder for one circuit: `build` builds the circuit's
+    fault table (the one backward sweep), checks the annotations exactly off
+    its random-parity mask, merges the error mechanisms from it and builds
+    the matching graphs.  Every later stage reads the table, not the circuit:
+    the merge reads its rows, and every shot is sampled from them and scored
+    by the annotations the table carries, so no pipeline keeps the circuit.
 
     A pipeline is valid only for the `p_circuit` it was built with, but the
     sampler draws the injections at each run's `p_in`, so one pipeline serves
     a whole `p_in` sweep."""
-    circuit: Circuit
     table: FaultTable
     decoder: IterativeDecoder
 
@@ -127,7 +126,7 @@ class DecodingPipeline:
         table = fault_table(circuit)
         validate_annotations(table)
         mechanisms = enumerate_error_mechanisms(table)
-        return cls(circuit, table, IterativeDecoder(circuit, mechanisms))
+        return cls(table, IterativeDecoder(circuit, mechanisms))
 
 
 def tally(pipeline: DecodingPipeline, sigs: list[int],
@@ -137,9 +136,9 @@ def tally(pipeline: DecodingPipeline, sigs: list[int],
     observable was decoded wrong on.  Signatures are XOR-linear, so a sampled
     chunk, table rows XORed by hand and an enumeration of faults are scored
     alike; this is the one reader of their column layout."""
-    circ, dec = pipeline.circuit, pipeline.decoder
+    table, dec = pipeline.table, pipeline.decoder
     # A signature's bits run detectors (in slot order), observables, checks.
-    nd, no = len(circ.detectors), len(circ.observables)
+    nd, no = len(table.detectors), len(table.observables)
     det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
     accepted, iters = 0, {}      # shots per sweep count actually used
     wrong: dict[int, int] = {}   # accepted shots per nonzero wrong-observable int
@@ -194,8 +193,8 @@ def run_distillation(config: ExperimentConfig,
 def run_memory_baseline(config: ExperimentConfig) -> ExperimentStats:
     """Single-patch |0> memory logical error rate (every shot "accepted")."""
     t0 = time.perf_counter()
-    circ = build_memory_circuit(config.d, config.rounds, config.noise())
-    return _merged_chunks(DecodingPipeline.build(circ), config, t0)[0]
+    return _merged_chunks(DecodingPipeline.build(build_memory_circuit(
+        config.d, config.rounds, config.noise())), config, t0)[0]
 
 
 def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
@@ -207,9 +206,10 @@ def run_subcircuit(config: ExperimentConfig) -> dict[int, ExperimentStats]:
     out: dict[int, ExperimentStats] = {}
     for basis in ("Z", "X"):
         t0 = time.perf_counter()
-        circ = build_cnot_subcircuit_experiment(spec, config.d, config.noise(), basis)
-        out.update(zip([ob.id for ob in circ.observables],
-                       _merged_chunks(DecodingPipeline.build(circ), config, t0)))
+        pipeline = DecodingPipeline.build(
+            build_cnot_subcircuit_experiment(spec, config.d, config.noise(), basis))
+        out.update(zip([ob.id for ob in pipeline.table.observables],
+                       _merged_chunks(pipeline, config, t0)))
     return out
 
 

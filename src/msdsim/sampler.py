@@ -8,13 +8,15 @@ observables, checks; `signature_columns`) an X or a Z error at that point
 would flip.  Each noise site reads its components off the sets at its site:
 the X and Z parts of every depolarized qubit, a measurement's own classical
 flip, an injection's joint Z.  A component's row is its signature; the
-sampler and the error-mechanism merge (`dem`) read the same rows.  Sites
-sharing a kind and a probability form a group; injections carry no rate, and
-`sample` fires them at its `p_in`.  The same sweep runs the exact
-annotation check (`validate_annotations`), the gauge check of Stim's error
-analyser: a column is random on the noiseless circuit iff it is sensitive to
-an error that leaves the state unchanged, a Z just after a Z-basis reset or
-measurement or at the all-|0> start, or an X just after an X-basis one.
+sampler and the error-mechanism merge (`dem`) read the same rows.  The table
+carries the annotations that name the columns and the mask of X-basis ones,
+so later stages read it and never the circuit.  Sites sharing a kind and a
+probability form a group; injections carry no rate, and `sample` fires them
+at its `p_in`.  The same sweep runs the exact annotation check
+(`validate_annotations`), the gauge check of Stim's error analyser: a column
+is random on the noiseless circuit iff it is sensitive to an error that
+leaves the state unchanged, a Z just after a Z-basis reset or measurement or
+at the all-|0> start, or an X just after an X-basis one.
 
 Per chunk, each group's (site, shot) slots fire independently with
 probability p, drawn as geometric skips in bounded blocks (exact i.i.d.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import OPS_MEASURE, OPS_RESET, Circuit
+from .circuit import OPS_MEASURE, OPS_RESET, Circuit, Detector, ParitySet
 
 CHUNK = 1 << 14
 # Geometric draws per block: bounds the event arrays a chunk allocates at any
@@ -74,19 +76,21 @@ class ShotBatch:
 class FaultTable:
     """Noise sites in forward order and their components' rows.  A row is a
     signature: an int whose bit c is set when the row flips column c of
-    `signature_columns`."""
-    circuit: Circuit
+    `signature_columns`, which the circuit's annotations name."""
+    detectors: tuple[Detector, ...]
+    observables: tuple[ParitySet, ...]
+    checks: tuple[ParitySet, ...]
+    x_cols: int                 # bit c set: column c is measured in the X basis
     kind: np.ndarray            # (sites,) int8 index into KINDS
     p: np.ndarray               # (sites,) float64
     origin: np.ndarray          # (sites,) int32 origin patch
-    rid: np.ndarray             # (sites,) int32 resource id of an INJECT_Z, else -1
     first: np.ndarray           # (sites,) int32: component c is comp_row[first + c]
     comp_row: np.ndarray        # int32 row id of each component; sites share rows
     sigs: np.ndarray            # (rows,) int64 or object: row r's signature
     random: int                 # bit c set: column c is random when noiseless
 
 
-def signature_columns(circuit: Circuit) -> list:
+def signature_columns(circuit: Circuit | FaultTable) -> list:
     """The parity sets whose bits a signature holds, in bit order."""
     return [*circuit.detectors, *circuit.observables, *circuit.checks]
 
@@ -101,30 +105,30 @@ def fault_table(circuit: Circuit) -> FaultTable:
     Z sensitivity onto its target, pair by pair in reverse.
 
     Sites with p = 0 are left out, except injections (p = 0 here too), which
-    `sample` fires at its `p_in`; resource r's injection row is the XOR of
-    the rows of the sites whose `rid` is r.  Raises ValueError on an INJECT_Z
-    with no `circuit.injections` entry.
+    `sample` fires at its `p_in`.
     """
     index = circuit.qubit_index()
-    inj_rid = dict(circuit.injections)
     cols = signature_columns(circuit)
+    nd = len(circuit.detectors)
     col_row = [0] * circuit.num_measurements    # per measurement, its columns
+    x_cols = 0
     for c, s in enumerate(cols):
         for m in s.meas:
             col_row[m] ^= 1 << c
-    # Per site its kind, p, origin and rid, and per component its row id,
-    # built in reverse: the sweep visits sites backwards.  Components with
-    # equal bitsets (most sites between two gates on a qubit) share one row.
+        basis = s.basis if c < nd else circuit.meas_addr[s.meas[0]][2]
+        if basis == "X":
+            x_cols |= 1 << c
+    # Per site its kind, p and origin, and per component its row id, built
+    # in reverse: the sweep visits sites backwards.  Components with equal
+    # bitsets (most sites between two gates on a qubit) share one row.
     kinds: list[int] = []
     ps: list[float] = []
     origins: list[int] = []
-    rids: list[int] = []
     comp_row: list[int] = []
     row_id: dict[int, int] = {}
     sx, sz = [0] * len(index), [0] * len(index)
     random, mi = 0, circuit.num_measurements
-    for ii in range(len(circuit.instructions) - 1, -1, -1):
-        ins = circuit.instructions[ii]
+    for ins in reversed(circuit.instructions):
         op = ins.op
         qs = [index[a] for a in ins.targets]
         if op == "CNOT":
@@ -148,9 +152,6 @@ def fault_table(circuit: Circuit) -> FaultTable:
                 sz[q] ^= col_row[mi]
             op, new = "FLIP", [(ins.targets[0][0], (col_row[mi],))]
         elif op == "INJECT_Z":
-            if ii not in inj_rid:
-                raise ValueError(f"INJECT_Z at instruction {ii} has no entry in "
-                                 "circuit.injections")
             row = 0
             for q in qs:
                 row ^= sz[q]
@@ -164,38 +165,38 @@ def fault_table(circuit: Circuit) -> FaultTable:
             continue
         if ins.p == 0 and op != "INJECT_Z":
             continue
-        code, resource = KINDS.index(op), inj_rid.get(ii, -1)
+        code = KINDS.index(op)
         for patch, comps in reversed(new):
             kinds.append(code)
             ps.append(ins.p)
             origins.append(patch)
-            rids.append(resource)
             comp_row.extend(row_id.setdefault(r, len(row_id)) for r in reversed(comps))
     assert mi == 0
     for q in range(len(index)):
         random |= sz[q]     # the all-|0> start
-    kind, p, origin, rid, comp_row = (np.array(col[::-1], dtype=dt) for col, dt in zip(
-        (kinds, ps, origins, rids, comp_row), (np.int8, np.float64, np.int32, np.int32, np.int32)))
+    kind, p, origin, comp_row = (np.array(col[::-1], dtype=dt) for col, dt in zip(
+        (kinds, ps, origins, comp_row), (np.int8, np.float64, np.int32, np.int32)))
     ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
     first = (np.cumsum(ncomp) - ncomp).astype(np.int32)
     # A signature of fewer than 64 columns fits an int64; wider ones are
     # Python ints.  Shots take the rows' dtype, so a narrow circuit's shots
     # cost 8 bytes each however many of them are nonzero.
     sigs = np.array(list(row_id), dtype=np.int64 if len(cols) < 64 else object)
-    return FaultTable(circuit, kind, p, origin, rid, first, comp_row, sigs, random)
+    return FaultTable(tuple(circuit.detectors), tuple(circuit.observables),
+                      tuple(circuit.checks), x_cols, kind, p, origin, first, comp_row,
+                      sigs, random)
 
 
 def validate_annotations(table: FaultTable) -> None:
-    """Assert every detector, check and observable of the table's circuit
-    has a deterministic parity on the noiseless circuit (`FaultTable.random`)."""
-    circuit = table.circuit
-    nd, no = len(circuit.detectors), len(circuit.observables)
+    """Assert every detector, check and observable of the table has a
+    deterministic parity on the noiseless circuit (`FaultTable.random`)."""
+    nd, no = len(table.detectors), len(table.observables)
     dets = [i for i in range(nd) if table.random >> i & 1]
     if dets:
         raise AssertionError(f"non-deterministic detectors: {dets}")
     if table.random >> (nd + no):
         raise AssertionError("non-deterministic check parity")
-    for i, o in enumerate(circuit.observables):
+    for i, o in enumerate(table.observables):
         if table.random >> (nd + i) & 1:
             raise AssertionError(f"non-deterministic observable {o.id}")
 

@@ -283,29 +283,30 @@ def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, i
     return pairs
 
 
-def _groups(decoder: IterativeDecoder) -> dict[tuple[int, str], list[int]]:
-    """The circuit's detector ids grouped by (home patch, basis), keys
-    sorted and ids ascending: one group per graph, in slot order."""
+def _groups(circuit) -> dict[tuple[int, str], list[int]]:
+    """The detector ids of `circuit` (or of its fault table) grouped by
+    (home patch, basis), keys sorted and ids ascending: one group per graph,
+    in slot order."""
     groups: dict[tuple[int, str], list[int]] = {}
-    for d, det in enumerate(decoder.circuit.detectors):
+    for d, det in enumerate(circuit.detectors):
         groups.setdefault((det.home_patch, det.basis), []).append(d)
     return dict(sorted(groups.items()))
 
 
-def det_slots(decoder: IterativeDecoder) -> list[tuple[tuple[int, str], int]]:
+def det_slots(circuit) -> list[tuple[tuple[int, str], int]]:
     """Per global detector: its graph's key and its bit in that graph's
     syndrome, derived from the circuit's detectors."""
-    slots = [None] * len(decoder.circuit.detectors)
-    for key, dets in _groups(decoder).items():
+    slots = [None] * len(circuit.detectors)
+    for key, dets in _groups(circuit).items():
         for li, d in enumerate(dets):
             slots[d] = (key, 1 << li)
     return slots
 
 
-def slot_order(decoder: IterativeDecoder) -> list[int]:
+def slot_order(circuit) -> list[int]:
     """The global detector in each slot: the graphs' groups laid end to
     end."""
-    return [d for dets in _groups(decoder).values() for d in dets]
+    return [d for dets in _groups(circuit).values() for d in dets]
 
 
 def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
@@ -319,16 +320,16 @@ def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
     return out
 
 
-def reference_decode_shot(decoder: IterativeDecoder,
+def reference_decode_shot(circuit, decoder: IterativeDecoder,
                           raw: dict[tuple[int, str], int],
                           max_iters: int = 3) -> DecodeResult:
-    """The cross-patch loop, re-decoding every graph on every iteration.
-    A correction's flips are read in signature layout: the detectors, then
-    the observables, then the checks of the circuit."""
-    slots = det_slots(decoder)
-    by_slot = [slots[d] for d in slot_order(decoder)]
-    nd = len(decoder.circuit.detectors)
-    no = len(decoder.circuit.observables)
+    """The cross-patch loop of `circuit`'s decoder, re-decoding every graph
+    on every iteration.  A correction's flips are read in signature layout:
+    the detectors, then the observables, then the checks of the circuit."""
+    slots = det_slots(circuit)
+    by_slot = [slots[d] for d in slot_order(circuit)]
+    nd = len(circuit.detectors)
+    no = len(circuit.observables)
     toggles = {key: 0 for key in decoder.graphs}
     corrections: dict[tuple[int, str], int] = {}
     converged = False

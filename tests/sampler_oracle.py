@@ -94,10 +94,10 @@ def sample(circuit: Circuit, shots: int, seed: int, p_in: float = 0.0) -> ShotBa
     return ShotBatch(sigs)
 
 
-def planes(batch: ShotBatch, circuit: Circuit) -> tuple[np.ndarray, ...]:
+def planes(batch: ShotBatch, circuit: Circuit | FaultTable) -> tuple[np.ndarray, ...]:
     """(detectors, checks, observables) of a batch as bool planes, each
     (rows, shots): column c of shot s is bit c of `batch.sigs[s]`, the
-    columns in `signature_columns` order."""
+    columns in the `signature_columns` order of a circuit or its table."""
     nd, no = len(circuit.detectors), len(circuit.observables)
     cols = len(signature_columns(circuit))
     bits = np.array([batch.sigs >> c & 1 for c in range(cols)],
@@ -121,11 +121,13 @@ def fault_signatures(table: FaultTable, injections: bool = False) -> list[int]:
     return out
 
 
-def injection_rows(table: FaultTable) -> list[int]:
+def injection_rows(table: FaultTable, first_patch: int) -> list[int]:
     """Per resource r, its injection row: the XOR of the rows of the
-    injection sites whose `rid` is r.  A pattern of injections is the XOR of
-    its resources' rows into a shot sampled at p_in = 0."""
-    rows = [0] * len(table.circuit.injections)
-    for site in np.flatnonzero(table.rid >= 0):
-        rows[table.rid[site]] ^= int(table.sigs[table.comp_row[table.first[site]]])
-    return rows
+    injection sites on patch `first_patch + r` (resource r of a distillation
+    circuit lives on patch `num_data + r`).  A pattern of injections is the
+    XOR of its resources' rows into a shot sampled at p_in = 0."""
+    rows: dict[int, int] = {}
+    for site in np.flatnonzero(table.kind == KINDS.index("INJECT_Z")):
+        r = int(table.origin[site]) - first_patch
+        rows[r] = rows.get(r, 0) ^ int(table.sigs[table.comp_row[table.first[site]]])
+    return [rows[r] for r in range(len(rows))]

@@ -151,7 +151,7 @@ def test_criterion_04_surface_matches_logical_at_zero_noise(zero_noise_runs):
     spec = build_protocol(SEVEN_TO_ONE)
     pipeline = DecodingPipeline.build(build_distillation_circuit(spec, 3, NoiseModel(0.0)))
     table = exhaustive_oracle(SEVEN_TO_ONE)
-    inj = injection_rows(pipeline.table)
+    inj = injection_rows(pipeline.table, spec.num_data)
     exact = True
     for pat in range(1 << spec.num_resources):
         sig = 0

@@ -78,6 +78,11 @@ class TestSD6Structure:
         assert not any(i.op.startswith("DEPOL") for i in b.circuit.instructions)
 
 
+def _injected_patches(c):
+    """The patches of the circuit's INJECT_Z instructions, sorted."""
+    return sorted(i.targets[0][0] for i in c.instructions if i.op == "INJECT_Z")
+
+
 class TestDistillationCircuit:
     def test_7to1_shape(self):
         spec = build_protocol(SEVEN_TO_ONE)
@@ -85,7 +90,7 @@ class TestDistillationCircuit:
         assert len(c.layouts) == 15
         assert len(c.checks) == 3
         assert len(c.observables) == 1
-        assert len(c.injections) == 7
+        assert _injected_patches(c) == list(range(spec.num_data, spec.num_data + 7))
         validate_annotations(fault_table(c))
 
     def test_15to1_shape(self):
@@ -94,7 +99,7 @@ class TestDistillationCircuit:
         assert len(c.layouts) == 31
         assert len(c.checks) == 4
         assert len(c.observables) == 1
-        assert len(c.injections) == 15
+        assert _injected_patches(c) == list(range(spec.num_data, spec.num_data + 15))
         validate_annotations(fault_table(c))
 
     def test_detector_counts_frozen(self):

@@ -153,6 +153,21 @@ class TestOutputs:
         assert row["experiment"] == "logical" and row["shots"] == 2000
         assert (row["d"], row["p_circuit"]) == (0, 0.0)   # no code, no circuit noise
 
+    def test_memory_row_has_no_protocol(self, capsys):
+        """`memory` takes no protocol and prints none; every other field is
+        the one pinned while its rows printed the config's default
+        protocol."""
+        code, out, _ = run_cli(capsys, "memory", "--shots", "400", "--seed", "2",
+                               "--p-circuit", "0.01", "--rounds", "2", "--format", "json")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)
+        row.pop("seconds")
+        assert row == {
+            "experiment": "memory", "protocol": "", "d": 3, "p_circuit": 0.01,
+            "p_in": 0.0, "shots": 400, "accepted": 400, "errors": 36, "p_accept": 1.0,
+            "p_out": 0.09, "ci_lo": 0.065716913, "ci_hi": 0.1220834523,
+            "discard_ratio": 0.0, "seed": 2}
+
     def test_cost_table(self, capsys):
         code, out, _ = run_cli(capsys, "cost", "--protocol", "15to1")
         assert code == EXIT_OK
@@ -236,7 +251,8 @@ class TestOptionTable:
     def test_option_pair(self, tmp_path, capsys, monkeypatch, command, option):
         """A (subcommand, option) pair in the table parses, by flag and by
         config key, to the same value; any other exits 2 before a shot is
-        sampled, by flag (argparse's usage error) and by config key."""
+        sampled, by flag (the subcommand's own usage error) and by config
+        key."""
         def no_shots(*args, **kwargs):
             raise AssertionError("a shot was sampled")
         monkeypatch.setattr(msdsim.harness, "sample", no_shots)
@@ -249,17 +265,20 @@ class TestOptionTable:
         key_file = tmp_path / "key.cfg"
         key_file.write_text(f"{option} = {value}\n")
         if option in READS[command] | {"config", "out"}:
-            opts = cli.resolve_options(cli._build_parser().parse_args(argv))
+            opts = cli.resolve_options(cli._parse_args(argv))
             if option != "config":
                 assert opts[option] is not None
-                from_key = cli.resolve_options(cli._build_parser().parse_args(
+                from_key = cli.resolve_options(cli._parse_args(
                     [command, "--config", str(key_file)]))
                 assert from_key[option] == opts[option]
             return
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
-        assert "unrecognized arguments" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: msdsim {command} ")
+        assert err.endswith(f"msdsim {command}: error: unrecognized arguments: "
+                            f"{' '.join(argv[1:])}\n")
         code, out, err = run_cli(capsys, command, "--config", str(key_file))
         assert code == EXIT_CONFIG and out == ""
         assert err == f"error: {command} takes no option {option!r}\n"
@@ -351,6 +370,17 @@ class TestPinnedOutputs:
         assert (row["accepted"], row["errors"]) == self.LOGICAL_COUNTS[protocol]
         masked = re.sub(r'"seconds": [0-9.e+-]+', '"seconds": null', out)
         assert hashlib.sha256(masked.encode()).hexdigest() == self.LOGICAL_SHA256[protocol]
+
+
+def test_python_m_msdsim_runs_the_cli():
+    """`python -m msdsim` from a source tree runs the command line."""
+    src = str(Path(msdsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "msdsim", "cost", "--protocol", "7to1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == ("protocol,d,qubit_cycles\nSevenToOne,3,423\nSevenToOne,5,1175\n"
+                           "SevenToOne,7,2303\nSevenToOne,9,3807\n")
 
 
 def test_distill_run_imports_neither_scipy_nor_networkx():

@@ -238,14 +238,15 @@ _WORKLOADS = {
 
 @pytest.fixture(scope="module", params=sorted(_WORKLOADS))
 def sampled(request):
-    """(decoder, per-shot syndromes) for 2000 sampled shots of a workload."""
+    """(circuit, decoder, per-shot syndromes) for 2000 sampled shots of a
+    workload."""
     protocol, noise, p_in = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     table = fault_table(c)
     dec = IterativeDecoder(c, enumerate_error_mechanisms(table))
     batch = sample(table, 2000, seed=41, p_in=p_in)
     det_mask = (1 << len(c.detectors)) - 1
-    return dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
+    return c, dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -260,8 +261,8 @@ def test_edges_follow_mechanisms(workload):
     mechs = enumerate_error_mechanisms(fault_table(c))
     dec = IterativeDecoder(c, mechs)
     nd, no = len(c.detectors), len(c.observables)
-    local = [(key, bit.bit_length() - 1) for key, bit in det_slots(dec)]
-    slot_bit = {d: 1 << s for s, d in enumerate(slot_order(dec))}
+    local = [(key, bit.bit_length() - 1) for key, bit in det_slots(c)]
+    slot_bit = {d: 1 << s for s, d in enumerate(slot_order(c))}
     want = {key: [] for key in dec.graphs}
     for m in mechs:
         if not m.home_dets:
@@ -293,7 +294,7 @@ def test_edge_flips_are_in_signature_layout(workload):
     dec = IterativeDecoder(c, mechs)
     nd, no = len(c.detectors), len(c.observables)
     cols = signature_columns(c)
-    local = {d: bit for d, (_, bit) in enumerate(det_slots(dec))}
+    local = {d: bit for d, (_, bit) in enumerate(det_slots(c))}
     next_edge = {key: 0 for key in dec.graphs}
     own = 0
     for m in mechs:
@@ -377,7 +378,7 @@ class TestClusterSplit:
         """Every per-graph decode of 2000 sampled shots has the oracle's
         weight; a different correction is allowed only on an equal-weight
         tie, and the ties are counted."""
-        dec, shots = sampled
+        _, dec, shots = sampled
         decodes = _recorded_decodes(dec, shots)
         ties = flips = 0
         for key, s in sorted(decodes):
@@ -447,7 +448,7 @@ class TestMemoisedMatch:
     def test_sampled_clusters_match_per_cluster_dp(self, sampled, monkeypatch):
         """Every cluster of 2000 sampled shots, matched one after another on
         the same graphs, gets the per-cluster DP's pair list exactly."""
-        dec, shots = sampled
+        _, dec, shots = sampled
         decodes = sorted(_recorded_decodes(dec, shots))
         fresh = {key: _fresh(g) for key, g in dec.graphs.items()}
         seen = []
@@ -767,8 +768,8 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     tallies = [harness.decode_chunk(pipeline, cfg, k) for k in (0, 1)]
     assert [[t.shots for t in chunk] for chunk in tallies] == [[CHUNK], [13]]
     batch = sample(pipeline.table, shots, cfg.seed, 0, p_in)
-    det = planes(batch, pipeline.circuit)[0]
-    slots = det_slots(dec)
+    det = planes(batch, pipeline.table)[0]
+    slots = det_slots(pipeline.table)
     assert len(got) == shots
     for s in range(shots):
         assert got[s] == walk_syndrome_masks(slots, det[:, s]), s
@@ -846,7 +847,7 @@ class TestSlotOrder:
         """Detector s is in slot s: the slot order the oracle derives from
         the circuit's detectors is the identity."""
         c = _BUILDERS[name]()
-        assert slot_order(IterativeDecoder(c, [])) == list(range(len(c.detectors)))
+        assert slot_order(c) == list(range(len(c.detectors)))
 
     def test_unsorted_detectors_are_rejected(self):
         c = _BUILDERS["SevenToOne-d3"]()
@@ -861,10 +862,10 @@ class TestIncrementalLoop:
     def test_matches_reference_loop(self, sampled, max_iters):
         """Re-decoding only the graphs whose syndrome changed gives the same
         result as re-decoding every graph on every iteration."""
-        dec, shots = sampled
+        c, dec, shots = sampled
         for i, raw in enumerate(shots[:1000]):
             got = dec.decode_shot(raw, max_iters)
-            want = reference_decode_shot(dec, raw, max_iters)
+            want = reference_decode_shot(c, dec, raw, max_iters)
             assert (got.obs_mask, got.check_mask, got.iterations_used,
                     got.converged) == (want.obs_mask, want.check_mask,
                                        want.iterations_used, want.converged), i
@@ -873,29 +874,28 @@ class TestIncrementalLoop:
 
 
 class TestCaches:
-    def test_caps_hold_and_tiny_caps_change_nothing(self, sampled):
-        dec, shots = sampled
+    def test_caps_hold_and_tiny_caps_change_nothing(self, sampled, monkeypatch):
+        """Two passes over the recorded decodes, on one fresh graph per cap,
+        with `CACHE_CAP` set to that cap."""
+        _, dec, shots = sampled
         decodes = sorted(_recorded_decodes(dec, shots[:500]))
+        default_cap = decoder.CACHE_CAP
         for key, g in dec.graphs.items():
-            tiny = _fresh(g)
-            tiny.cache_cap = 3
-            big = _fresh(g)
-            big.cache_cap = 10**9
-            calls = 0
-            misses = []
-            for _ in range(2):
-                for k, s in decodes:
-                    if k != key:
-                        continue
-                    calls += 1
-                    assert tiny.decode(s) == big.decode(s) == \
-                        cluster_correction(g, s).flips
-                misses.append(big.component_misses)
-            assert len(tiny._cache) <= 3 and len(g._cache) <= g.cache_cap
-            for h in (tiny, big):
-                assert h.syndrome_hits + h.syndrome_misses == calls
+            assert len(g._cache) <= default_cap
+            syndromes = [s for k, s in decodes if k == key]
+            want = [cluster_correction(g, s).flips for s in syndromes]
+            passes, misses = {}, {}
+            for cap in (3, 10**9):
+                monkeypatch.setattr(decoder, "CACHE_CAP", cap)
+                h = passes[cap] = _fresh(g)
+                misses[cap] = []
+                for _ in range(2):
+                    assert [h.decode(s) for s in syndromes] == want
+                    misses[cap].append(h.component_misses)
+                assert h.syndrome_hits + h.syndrome_misses == 2 * len(syndromes)
+            assert len(passes[3]._cache) <= 3
             # Uncapped, the second pass finds every component in the cache.
-            assert misses[0] == misses[1] == len(big._cache)
+            assert misses[10**9][0] == misses[10**9][1] == len(passes[10**9]._cache)
 
     def test_zero_syndrome_reads_shared_empty_correction(self, pipeline):
         """A zero syndrome costs no decode call and no cache entry; its

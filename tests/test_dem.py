@@ -13,7 +13,7 @@ from msdsim.circuit import Circuit, Detector, ParitySet
 from msdsim.dem import enumerate_error_mechanisms
 from msdsim.layout import build_patch
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
-from msdsim.sampler import fault_table, sample, signature_columns
+from msdsim.sampler import KINDS, fault_table, sample, signature_columns
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestMemoryMechanisms:
         for protocol in (SEVEN_TO_ONE, FIFTEEN_TO_ONE):
             c = build_distillation_circuit(build_protocol(protocol), 3, NoiseModel(0.0))
             table = fault_table(c)
-            assert len(table.kind) == len(c.injections) > 0
+            assert len(table.kind) == build_protocol(protocol).num_resources
             assert enumerate_error_mechanisms(table) == []
 
     def test_observable_flips_need_x_plane(self, mechs):
@@ -82,11 +82,13 @@ class TestInjectionMechanisms:
     their detector-silent rows are read off the fault table instead."""
 
     @staticmethod
-    def _injection_rows(circuit):
+    def _injection_rows(circuit, spec):
+        """The table, and per resource r the site and row of its injection,
+        the one on patch `spec.num_data + r`."""
         table = fault_table(circuit)
-        sites = np.flatnonzero(table.rid >= 0)
-        return table, {int(table.rid[s]): (int(s), int(table.sigs[table.comp_row[table.first[s]]]))
-                       for s in sites}
+        sites = np.flatnonzero(table.kind == KINDS.index("INJECT_Z"))
+        return table, {int(table.origin[s]) - spec.num_data:
+                       (int(s), int(table.sigs[table.comp_row[table.first[s]]])) for s in sites}
 
     def test_pure_injection_signature(self):
         """With zero circuit noise the only sites are the injected logical Zs:
@@ -94,10 +96,9 @@ class TestInjectionMechanisms:
         rate), detector-silent, flipping only X-basis columns and some check."""
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
-        table, rows = self._injection_rows(c)
+        table, rows = self._injection_rows(c, spec)
         assert len(table.kind) == spec.num_resources
         assert sorted(rows) == list(range(spec.num_resources))
-        assert len({int(table.origin[s]) for s, _ in rows.values()}) == spec.num_resources
         nd, no = len(c.detectors), len(c.observables)
         cols = signature_columns(c)
         for site, row in rows.values():
@@ -110,7 +111,7 @@ class TestInjectionMechanisms:
     def test_injection_checks_match_protocol(self):
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
-        _, rows = self._injection_rows(c)
+        _, rows = self._injection_rows(c, spec)
         nd, no = len(c.detectors), len(c.observables)
         # resource r is consumed into data qubit r+1; check supports are index
         # sets over data qubits 1..k
@@ -202,9 +203,8 @@ _PROBS = st.sampled_from([0.0, 0.01, 0.1, 0.3])
 @st.composite
 def _random_circuits(draw):
     """Small multi-patch circuits: resets mid-circuit, noisy MX/MZ,
-    multi-qubit INJECT_Z (each registered as a resource), CNOT instructions
-    whose pairs share qubits, and parity sets mixing both bases and several
-    home patches."""
+    multi-qubit INJECT_Z, CNOT instructions whose pairs share qubits, and
+    parity sets mixing both bases and several home patches."""
     n_patches = draw(st.integers(1, 3))
     c = Circuit(layouts={p: build_patch(3) for p in range(n_patches)})
     addr = st.tuples(st.integers(0, n_patches - 1), st.integers(0, 2))
@@ -225,7 +225,6 @@ def _random_circuits(draw):
         elif op == "INJECT_Z":
             patch = draw(st.integers(0, n_patches - 1))
             qs = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
-            c.injections.append((len(c.instructions), len(c.injections)))
             c.emit(op, tuple((patch, q) for q in sorted(qs)))
         else:
             patch, q = draw(addr)

@@ -1,7 +1,9 @@
 """Experiment driver tests: statistics containers, drivers, cost model."""
 import copy
+import gc
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -124,9 +126,9 @@ class TestSurfaceDrivers:
         pipeline = DecodingPipeline.build(
             build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
         dec = pipeline.decoder
-        batch = sample(fault_table(pipeline.circuit), cfg.shots, cfg.seed)
-        det, _, obs = planes(batch, pipeline.circuit)
-        slots = det_slots(dec)
+        batch = sample(pipeline.table, cfg.shots, cfg.seed)
+        det, _, obs = planes(batch, pipeline.table)
+        slots = det_slots(pipeline.table)
         errors, hist = 0, {}
         for s in range(cfg.shots):
             res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), cfg.max_iters)
@@ -220,6 +222,21 @@ class TestBenchmarkWorkloads:
         assert (st.shots, st.accepted, st.errors, st.iteration_hist) == \
             (cfg.shots, accepted, errors, hist)
 
+    def test_pipeline_keeps_no_circuit(self):
+        """Nothing holds a circuit once its pipeline is built: the table
+        names the signature columns, so a 300-shot run on the pipeline alone
+        gives the counts pinned while pipelines still kept the circuit."""
+        cfg = replace(_PINNED["distill7-d3"][0], shots=300)
+        circuit = build_distillation_circuit(build_protocol(cfg.protocol), cfg.d, cfg.noise())
+        ref = weakref.ref(circuit)
+        pipeline = DecodingPipeline.build(circuit)
+        del circuit
+        gc.collect()
+        assert ref() is None
+        st = run_distillation(cfg, pipeline)
+        assert (st.shots, st.accepted, st.errors, st.iteration_hist) == \
+            (300, 269, 2, {1: 177, 2: 120, 3: 3})
+
     def test_deep_copied_pipeline_runs_like_the_original(self):
         """A deep copy of a never-run pipeline, run cold, gives the
         original's counts, so every attribute of a pipeline can be copied."""
@@ -254,21 +271,24 @@ class TestBenchmarkWorkloads:
 
 
 class TestTally:
-    @pytest.mark.parametrize("protocol, faults, distinct", [
-        (SEVEN_TO_ONE, 24133, 4041), (FIFTEEN_TO_ONE, 56877, 10052)])
-    def test_every_single_fault_is_corrected_at_d3(self, protocol, faults, distinct):
-        """Each (site, Pauli term) fault of the d=3 circuit at p_circuit 1e-3,
+    @pytest.mark.parametrize("protocol, d, faults, distinct, iters", [
+        pytest.param(SEVEN_TO_ONE, 3, 24133, 4041, [1, 2], id="SevenToOne-d3"),
+        pytest.param(FIFTEEN_TO_ONE, 3, 56877, 10052, [1, 2], id="FifteenToOne-d3"),
+        pytest.param(SEVEN_TO_ONE, 5, 74013, 14895, [1, 2, 3], id="SevenToOne-d5"),
+        pytest.param(FIFTEEN_TO_ONE, 5, 174469, 36848, [1, 2, 3], id="FifteenToOne-d5")])
+    def test_every_single_fault_is_corrected(self, protocol, d, faults, distinct, iters):
+        """Each (site, Pauli term) fault of the circuit at p_circuit 1e-3,
         its signature the XOR of the term's component rows, is accepted and
         decoded right: one fault never flips the output unnoticed, and none
         is discarded.  Equal signatures are decoded once."""
         pipeline = harness.distillation_pipeline(
-            ExperimentConfig(protocol=protocol, p_circuit=1e-3))
+            ExperimentConfig(protocol=protocol, d=d, p_circuit=1e-3))
         sigs = fault_signatures(pipeline.table)
         unique = sorted(set(sigs) - {0})
         assert (len(sigs), len(unique)) == (faults, distinct)
         st = tally(pipeline, unique, 3)[0]
         assert (st.shots, st.accepted, st.errors) == (distinct, distinct, 0)
-        assert list(st.iteration_hist) == [1, 2]
+        assert list(st.iteration_hist) == iters
 
     def test_iteration_cap_does_not_size_memory(self):
         """The iteration histogram holds the sweep counts shots used, so a

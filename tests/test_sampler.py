@@ -19,8 +19,6 @@ from test_dem import _ORACLE_CIRCUITS, _random_circuits
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
 from msdsim.circuit import Circuit, ParitySet
-from msdsim.dem import enumerate_error_mechanisms
-from msdsim.harness import DecodingPipeline
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                               exhaustive_oracle)
@@ -97,7 +95,6 @@ class TestChunking:
         draws."""
         c = build_memory_circuit(3, 1, NoiseModel(0.01))
         c.checks.append(ParitySet(meas=c.observables[0].meas, id=0))
-        c.injections.append((len(c.instructions), 0))
         c.emit("INJECT_Z", ((0, 0), (0, 1)))
         c.checks.append(ParitySet(meas=(c.measure(0, 0, "X", 0.0),), id=1))
         shots, table = 2 * CHUNK + 5, fault_table(c)
@@ -176,7 +173,7 @@ class TestForcedInjections:
         spec = build_protocol(SEVEN_TO_ONE)
         c = build_distillation_circuit(spec, 3, NoiseModel(0.0))
         table = exhaustive_oracle(SEVEN_TO_ONE)
-        rows = injection_rows(fault_table(c))
+        rows = injection_rows(fault_table(c), spec.num_data)
         nd, no = len(c.detectors), len(c.observables)
         for pat in range(1 << spec.num_resources):
             resources = [r for r in range(spec.num_resources) if pat >> r & 1]
@@ -214,26 +211,16 @@ class TestForcedInjections:
         got = 1 - chk.any(axis=0).mean()
         assert abs(got - want) < 5 * np.sqrt(want * (1 - want) / shots), (got, want)
 
-    def test_unregistered_injection_names_instruction(self):
-        """An INJECT_Z with no `injections` entry has no resource row to
-        record.  The fault table rejects it, so the DEM (which is merged from
-        the table) and the pipeline build raise too, and no sampler can be
-        given a table for it."""
-        c = build_memory_circuit(3, 1, NoiseModel(0.01))
-        ii = len(c.instructions)
-        c.emit("INJECT_Z", ((0, 0),))
-        for build in (fault_table, DecodingPipeline.build,
-                      lambda c: enumerate_error_mechanisms(fault_table(c))):
-            with pytest.raises(ValueError, match=f"instruction {ii} "):
-                build(c)
-
 
 def _assert_table_equals_oracle(circuit: Circuit) -> None:
     """The signature rows of the table's p > 0 faults and injections, in
     forward order (the XOR of each term's component rows), equal
-    `forward_faults`' measurement flips projected onto `signature_columns`."""
+    `forward_faults`' measurement flips projected onto `signature_columns`,
+    which the table names as the circuit does."""
     cols = signature_columns(circuit)
-    ints = fault_signatures(fault_table(circuit), injections=True)
+    table = fault_table(circuit)
+    assert signature_columns(table) == cols
+    ints = fault_signatures(table, injections=True)
     _, flips = forward_faults(circuit)
     # member[m, c]: how often measurement m is in column c (a repeat cancels).
     member = coo_matrix((np.ones(sum(len(s.meas) for s in cols), dtype=np.int64),
@@ -251,18 +238,18 @@ class TestFaultTable:
 
     @pytest.mark.parametrize("protocol", [SEVEN_TO_ONE, FIFTEEN_TO_ONE])
     def test_injection_rows_carry_syndrome_map(self, protocol):
-        """One site per resource, on its own patch and at p = 0 (the sampler
-        sets the rate): its row has no detector bits, and its check and
+        """One site per resource r, on patch `num_data + r` and at p = 0 (the
+        sampler sets the rate): its row has no detector bits, and its check and
         observable bits are the resource's `syndrome_map` entries; every
         single injection flips some check."""
         spec = build_protocol(protocol)
         c = build_distillation_circuit(spec, 3, NoiseModel(1e-3))
         table = fault_table(c)
         sites = np.flatnonzero(table.kind == KINDS.index("INJECT_Z"))
-        assert sorted(table.rid[sites]) == list(range(spec.num_resources))
+        assert sorted(table.origin[sites] - spec.num_data) == list(range(spec.num_resources))
         for site in sites:
-            r = int(table.rid[site])
-            assert table.p[site] == 0 and table.origin[site] == spec.num_data + r
+            r = int(table.origin[site]) - spec.num_data
+            assert table.p[site] == 0
             row = int(table.sigs[table.comp_row[table.first[site]]])
             assert row == _syndrome_sig(c, spec, [r])
             assert row >> (len(c.detectors) + len(c.observables)) != 0
