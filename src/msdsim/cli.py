@@ -82,7 +82,9 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The subcommand and its flags.  A flag the subcommand does not take is
-    that subcommand's usage error (SystemExit 2), naming the ones it takes."""
+    that subcommand's usage error (SystemExit 2), naming the ones it takes;
+    a flag before the subcommand is the top-level one, naming the flag."""
+    argv = sys.argv[1:] if argv is None else argv
     ap = argparse.ArgumentParser(
         prog="msdsim",
         description="Magic-state distillation simulation and decoding toolkit")
@@ -91,6 +93,11 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         p = sub.add_parser(command, help=help_)
         for name in ("config", "out", *reads):
             p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        flag = argv[0].split("=", 1)[0]
+        command = next((a for a in argv if a in _COMMANDS), "COMMAND")
+        ap.error(f"option {flag} comes before the subcommand: options go after it, "
+                 f"as in: msdsim {command} {flag} ...")
     args, extra = ap.parse_known_args(argv)
     if extra:
         sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")

@@ -20,18 +20,21 @@ its own by subset dynamic programming for 1 to `_DP_LIMIT` defects, and by
 the blossom fallback above that.  The DP walks a schedule of the subsets it
 reaches, built once per cluster size; its weights live for one call.
 
-A correction is one int, laid out like a sampled signature
-(`sampler.signature_columns`): the foreign detectors it flips in slot order,
-then its observables, then its checks.  That is all the loop and the scorer
-read of it.  Each edge carries its flips in that layout, set once at build;
-a path's flips are the XOR of its edges', a component's the XOR of its
+A mechanism and a correction are each one int, laid out like a sampled
+signature (`sampler.signature_columns`).  An edge's flips are its
+mechanism's signature without the edge's own home detectors; the decoder
+reads nothing else of it, and never where its observables or checks sit.  A
+path's flips are the XOR of its edges', a component's the XOR of its
 paths', and a syndrome's the XOR of its components'.  Each component's flips
 are cached in a bounded per-graph cache.
 Ties between equal-weight pairings go to the lexicographically smallest pair
 list (defects in ascending order, the boundary before any partner), so
-decoding is deterministic; the lowest edge id wins between parallel edges.
-Between equal-weight paths, the predecessor set by the lowest intermediate
-node k that strictly improves a distance wins.
+decoding is deterministic.  Between equally light parallel edges, the one
+with the smallest `flips` int wins: a graph keeps the lowest edge id, and
+its edges come in the order of `enumerate_error_mechanisms`, by signature,
+which for one node pair, whose home bits are equal, is the order of their
+flips.  Between equal-weight paths, the predecessor set by the lowest
+intermediate node k that strictly improves a distance wins.
 
 Each shot travels as bitsets in *slot order*, which is detector id order:
 the builders number detectors by (home patch, basis), so each graph's
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Detector
 from .dem import ErrorMechanism, _bits
 
 BOUNDARY = -1
@@ -305,8 +308,7 @@ class MatchingGraph:
 @dataclass(slots=True)
 class DecodeResult:
     corrections: dict[tuple[int, str], int]  # per graph, its correction's flips
-    obs_mask: int
-    check_mask: int
+    flips: int                               # the XOR of the corrections
     iterations_used: int
     converged: bool
 
@@ -316,39 +318,34 @@ class IterativeDecoder:
 
     The decoder alone maps detectors to graphs: graph (patch, basis) holds
     the detectors homed to that patch in that basis, one contiguous id
-    range, and its node i is the i-th of them.  Each edge's `flips` are
-    packed once, here: a mechanism's foreign detectors, then `obs_mask`
-    above the `nd` detectors, then `check_mask` above the `no` observables,
-    as in a sampled signature.  Raises ValueError when the circuit's
-    detectors are not sorted by (home patch, basis)."""
+    range, and its node i is the i-th of them.  A mechanism's home bits are
+    its signature's bits in its graph's range, and its edge's `flips` the
+    rest of its signature.  Raises ValueError when the detectors are not
+    sorted by (home patch, basis), or when a mechanism has more than two
+    home detectors."""
 
-    def __init__(self, circuit: Circuit, mechanisms: list[ErrorMechanism]):
-        keys = [(det.home_patch, det.basis) for det in circuit.detectors]
+    def __init__(self, detectors: tuple[Detector, ...], mechanisms: list[ErrorMechanism]):
+        keys = [(det.home_patch, det.basis) for det in detectors]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValueError("detectors are not in slot order")
-        nd, no = len(circuit.detectors), len(circuit.observables)
-        self._nd, self._no = nd, no
-        self._det_mask = (1 << nd) - 1
+        self._det_mask = (1 << len(detectors)) - 1
         # Each graph's slots [lo, hi), in slot order.
         span: dict[tuple[int, str], list[int]] = {}
         for s, key in enumerate(keys):
             span.setdefault(key, [s, s])[1] = s + 1
         edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in span}
         for m in mechanisms:
-            if not m.home_dets:
-                continue
-            if len(m.home_dets) > 2:
-                raise ValueError(
-                    f"mechanism with {len(m.home_dets)} home detectors is unmatchable")
             key = (m.origin_patch, m.basis)
-            lo = span[key][0]
-            u = m.home_dets[0] - lo
-            v = m.home_dets[1] - lo if len(m.home_dets) == 2 else BOUNDARY
+            lo, hi = span.get(key, (0, 0))
+            home = m.sig >> lo & (1 << (hi - lo)) - 1
+            if not home:
+                continue
+            ends = _bits(home)
+            if len(ends) > 2:
+                raise ValueError(f"mechanism with {len(ends)} home detectors is unmatchable")
             w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
-            flips = m.obs_mask << nd | m.check_mask << (nd + no)
-            for d in m.foreign_dets:
-                flips |= 1 << d
-            edges[key].append(Edge(u, v, w, flips))
+            edges[key].append(Edge(ends[0], ends[1] if len(ends) == 2 else BOUNDARY, w,
+                                   m.sig ^ home << lo))
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
         # Per slot, for the slot's graph: (key, graph, first slot, mask of
         # its width, mask of the slots below its first).
@@ -403,18 +400,4 @@ class IterativeDecoder:
                 new = g.decode(s) if s else 0
                 flips ^= corrections.get(key, 0) ^ new
                 corrections[key] = new
-        nd, no = self._nd, self._no
-        return DecodeResult(corrections=corrections,
-                            obs_mask=flips >> nd & (1 << no) - 1,
-                            check_mask=flips >> (nd + no),
-                            iterations_used=iters, converged=not changed)
-
-
-def predict_outcome(result: DecodeResult, checks: int, observables: int
-                    ) -> tuple[bool, int]:
-    """(accepted, wrong): whether the decoded checks match the shot's, and
-    the int whose bit i is set when observable i was decoded wrong.
-    `checks` / `observables` are the shot's reference-relative raw parities
-    packed as integers; a circuit without checks accepts every shot."""
-    return (checks == result.check_mask,
-            observables ^ result.obs_mask)
+        return DecodeResult(corrections, flips, iters, not changed)

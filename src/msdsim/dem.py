@@ -12,9 +12,10 @@ keep to one basis each adds 3 X parts and 3 Z parts, 4 terms each, not 15
 terms twice.  Parts are merged by identical signature per origin and basis,
 each term's probability XOR-folded into a running probability in forward
 order, so every probability is bit for bit the one of the forward oracle that
-folds term by term.  The per-basis part restricted to the fault's own patch is
-what becomes a matching-graph edge.  This is the detector-error-model
-construction of Gidney, arXiv:2103.02202.
+folds term by term.  A mechanism is its part: the signature int of the
+columns it flips, never split here; the decoder reads its home detectors off
+it.  This is the detector-error-model construction of Gidney,
+arXiv:2103.02202.
 """
 from __future__ import annotations
 
@@ -29,11 +30,8 @@ class ErrorMechanism:
     """One merged per-basis fault component."""
     prob: float
     origin_patch: int
-    basis: str                      # measurement basis of every flipped item
-    home_dets: tuple[int, ...]      # detector ids homed to origin_patch
-    foreign_dets: tuple[int, ...]   # detector ids homed to other patches
-    obs_mask: int                   # bit i set -> observable id i flips
-    check_mask: int
+    basis: str                      # measurement basis of every flipped column
+    sig: int                        # bit c set: it flips column c of the table
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -97,21 +95,7 @@ def _fold(table: FaultTable) -> dict[tuple[int, str, int], float]:
 
 
 def enumerate_error_mechanisms(table: FaultTable) -> list[ErrorMechanism]:
-    """Merge the table's faults into per-basis error mechanisms."""
-    nd, no = len(table.detectors), len(table.observables)
-    det_cols = (1 << nd) - 1
-    home = {}                   # per patch, the detectors homed to it
-    for i, d in enumerate(table.detectors):
-        home[d.home_patch] = home.get(d.home_patch, 0) | 1 << i
-    out = []
-    for (origin, basis, part), p in _fold(table).items():
-        dets = part & det_cols
-        mine = dets & home.get(origin, 0)
-        out.append(ErrorMechanism(
-            prob=p, origin_patch=origin, basis=basis,
-            home_dets=_bits(mine), foreign_dets=_bits(dets ^ mine),
-            obs_mask=(part >> nd) & ((1 << no) - 1),
-            check_mask=part >> (nd + no)))
-    out.sort(key=lambda m: (m.origin_patch, m.basis, m.home_dets,
-                            m.foreign_dets, m.obs_mask, m.check_mask))
-    return out
+    """Merge the table's faults into per-basis error mechanisms, sorted by
+    (origin patch, basis, signature)."""
+    return [ErrorMechanism(p, origin, basis, sig)
+            for (origin, basis, sig), p in sorted(_fold(table).items())]

@@ -3,9 +3,10 @@
 Each driver builds its circuit's decoding pipeline once, then merges, in
 chunk order, the tallies of `decode_chunk`: it samples a chunk, reads each
 shot's signature as one int (`ShotBatch.unpack`) and hands the ints to
-`tally`, the one loop over shots, which splits each into detector,
-observable and check bits with shifts and masks, decodes it and scores it
-with `predict_outcome`, so memory does not grow with the shot count.
+`tally`, the one loop over shots, which decodes each shot's detector bits
+and scores it with `predict_outcome`, the one reader of where the
+observable and check columns sit, so memory does not grow with the shot
+count.
 Counts carry Wilson-score confidence intervals.  Results serialize to CSV or
 JSON rows with the full parameter set and seed, so any row can be reproduced
 exactly.
@@ -24,7 +25,7 @@ import numpy as np
 from .builders import (NoiseModel, build_cnot_subcircuit_experiment,
                        build_distillation_circuit, build_memory_circuit)
 from .circuit import Circuit
-from .decoder import IterativeDecoder, predict_outcome
+from .decoder import DecodeResult, IterativeDecoder
 from .dem import enumerate_error_mechanisms
 from .protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                         sample_logical_shots)
@@ -126,7 +127,18 @@ class DecodingPipeline:
         table = fault_table(circuit)
         validate_annotations(table)
         mechanisms = enumerate_error_mechanisms(table)
-        return cls(table, IterativeDecoder(circuit, mechanisms))
+        return cls(table, IterativeDecoder(table.detectors, mechanisms))
+
+
+def predict_outcome(result: DecodeResult, sig: int, nd: int, no: int
+                    ) -> tuple[bool, int]:
+    """(accepted, wrong) of one shot's signature `sig` and its decoding,
+    in a layout of `nd` detectors, then `no` observables, then the checks:
+    whether the correction cancels every check the shot flipped, and the int
+    whose bit i is set when observable i was decoded wrong.  A circuit
+    without checks accepts every shot."""
+    left = (sig ^ result.flips) >> nd
+    return not left >> no, left & (1 << no) - 1
 
 
 def tally(pipeline: DecodingPipeline, sigs: list[int],
@@ -135,17 +147,17 @@ def tally(pipeline: DecodingPipeline, sigs: list[int],
     one tally per observable, whose errors are the accepted shots that
     observable was decoded wrong on.  Signatures are XOR-linear, so a sampled
     chunk, table rows XORed by hand and an enumeration of faults are scored
-    alike; this is the one reader of their column layout."""
+    alike."""
     table, dec = pipeline.table, pipeline.decoder
     # A signature's bits run detectors (in slot order), observables, checks.
     nd, no = len(table.detectors), len(table.observables)
-    det_mask, obs_mask = (1 << nd) - 1, (1 << no) - 1
+    det_mask = (1 << nd) - 1
     accepted, iters = 0, {}      # shots per sweep count actually used
     wrong: dict[int, int] = {}   # accepted shots per nonzero wrong-observable int
     for sig in sigs:
         res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), max_iters)
         iters[res.iterations_used] = iters.get(res.iterations_used, 0) + 1
-        ok, flips = predict_outcome(res, sig >> (nd + no), sig >> nd & obs_mask)
+        ok, flips = predict_outcome(res, sig, nd, no)
         if ok:
             accepted += 1
             if flips:

@@ -121,7 +121,7 @@ def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
     obs_flips = set_flips(circuit.observables)
     check_flips = set_flips(circuit.checks)
     det_basis = np.array([d.basis == "X" for d in circuit.detectors])
-    det_home = np.array([d.home_patch for d in circuit.detectors])
+    nd, no = len(circuit.detectors), len(circuit.observables)
     obs_basis = np.array([circuit.meas_addr[o.meas[0]][2] == "X"
                           for o in circuit.observables])
     check_basis = np.array([circuit.meas_addr[c.meas[0]][2] == "X"
@@ -140,15 +140,11 @@ def enumerate_error_mechanisms(circuit: Circuit) -> list[ErrorMechanism]:
             bc = chk[check_basis[chk] == is_x]
             if not (bd.size or bo.size or bc.size):
                 continue
-            home = tuple(int(d) for d in bd if det_home[d] == origin)
-            foreign = tuple(int(d) for d in bd if det_home[d] != origin)
-            obs_mask = sum(1 << int(o) for o in bo)
-            check_mask = sum(1 << int(c) for c in bc)
-            key = (origin, basis, home, foreign, obs_mask, check_mask)
+            # Its signature: detectors, then observables, then checks.
+            sig = sum(1 << int(d) for d in bd) | sum(1 << int(o) for o in bo) << nd \
+                | sum(1 << int(c) for c in bc) << (nd + no)
+            key = (origin, basis, sig)
             merged[key] = _xor_prob(merged.get(key, 0.0), p)
 
-    return [
-        ErrorMechanism(prob=p, origin_patch=k[0], basis=k[1], home_dets=k[2],
-                       foreign_dets=k[3], obs_mask=k[4], check_mask=k[5])
-        for k, p in sorted(merged.items())
-    ]
+    return [ErrorMechanism(prob=p, origin_patch=k[0], basis=k[1], sig=k[2])
+            for k, p in sorted(merged.items())]

@@ -324,12 +324,12 @@ def reference_decode_shot(circuit, decoder: IterativeDecoder,
                           raw: dict[tuple[int, str], int],
                           max_iters: int = 3) -> DecodeResult:
     """The cross-patch loop of `circuit`'s decoder, re-decoding every graph
-    on every iteration.  A correction's flips are read in signature layout:
-    the detectors, then the observables, then the checks of the circuit."""
+    on every iteration.  A correction's flips are read in signature layout,
+    its detectors in slot order below the circuit's observables and
+    checks."""
     slots = det_slots(circuit)
     by_slot = [slots[d] for d in slot_order(circuit)]
     nd = len(circuit.detectors)
-    no = len(circuit.observables)
     toggles = {key: 0 for key in decoder.graphs}
     corrections: dict[tuple[int, str], int] = {}
     converged = False
@@ -346,9 +346,8 @@ def reference_decode_shot(circuit, decoder: IterativeDecoder,
             converged = True
             break
         toggles = new_toggles
-    obs = chk = 0
+    flips = 0
     for corr in corrections.values():
-        obs ^= corr >> nd & ((1 << no) - 1)
-        chk ^= corr >> (nd + no)
-    return DecodeResult(corrections=corrections, obs_mask=obs, check_mask=chk,
+        flips ^= corr
+    return DecodeResult(corrections=corrections, flips=flips,
                         iterations_used=iters, converged=converged)

@@ -92,6 +92,18 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "analytic", "--config", str(f))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [("--shots", "5", "cost"), ("--d", "3", "cost"),
+                                      ("--format", "json", "analytic")])
+    def test_flag_before_the_subcommand(self, capsys, argv):
+        """A flag given before the subcommand is named in a top-level usage
+        error that says options go after the subcommand; nothing runs."""
+        code, out, err = run_cli(capsys, *argv)
+        flag, command = argv[0], argv[2]
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("usage: msdsim [-h]")
+        assert err.endswith(f"msdsim: error: option {flag} comes before the subcommand: "
+                            f"options go after it, as in: msdsim {command} {flag} ...\n")
+
     @pytest.mark.parametrize("argv", [("logical", "--p-in", "1.5", "--shots", "10"),
                                       ("logical", "--p-in", "-0.1", "--shots", "10"),
                                       ("distill", "--p-circuit", "2", "--shots", "10"),

@@ -22,8 +22,8 @@ from msdsim import decoder, harness
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit)
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, DecodeResult, Edge,
-                            IterativeDecoder, MatchingGraph, predict_outcome)
-from msdsim.dem import _bits, enumerate_error_mechanisms
+                            IterativeDecoder, MatchingGraph)
+from msdsim.dem import ErrorMechanism, _bits, enumerate_error_mechanisms
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
 from msdsim.sampler import CHUNK, fault_table, sample, signature_columns
 
@@ -85,14 +85,15 @@ class TestMatchingOptimality:
         assert MatchingGraph(2, [b, a] + far).decode(0b11) == b.flips
 
     def test_rejects_high_degree_mechanism(self):
+        """A mechanism whose signature flips three detectors of its own
+        graph has no edge."""
         c = build_memory_circuit(3, 3, NoiseModel(0.001))
         mechs = enumerate_error_mechanisms(fault_table(c))
-        from msdsim.dem import ErrorMechanism
+        home = [i for i, d in enumerate(c.detectors) if (d.home_patch, d.basis) == (0, "Z")]
         bad = mechs + [ErrorMechanism(prob=0.001, origin_patch=0, basis="Z",
-                                      home_dets=(0, 1, 2), foreign_dets=(),
-                                      obs_mask=0, check_mask=0)]
-        with pytest.raises(ValueError):
-            IterativeDecoder(c, bad)
+                                      sig=sum(1 << i for i in home[:3]))]
+        with pytest.raises(ValueError, match="3 home detectors"):
+            IterativeDecoder(c.detectors, bad)
 
     def test_blossom_fallback_agrees_with_dp(self):
         rng = np.random.default_rng(13)
@@ -157,11 +158,19 @@ def _split(dec: IterativeDecoder, det: np.ndarray) -> dict:
     return dec.syndrome_masks(sum(1 << d for d in np.flatnonzero(det).tolist()))
 
 
+def _home_foreign(c, m: ErrorMechanism) -> tuple[list[int], list[int]]:
+    """The detectors a mechanism flips, split by whether they are homed to
+    its origin patch, read off the circuit's detectors."""
+    dets = _bits(m.sig & (1 << len(c.detectors)) - 1)
+    home = [d for d in dets if c.detectors[d].home_patch == m.origin_patch]
+    return home, [d for d in dets if d not in home]
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
                                    NoiseModel(1e-3))
-    return c, IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+    return c, IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
 
 
 class TestIterativeLoop:
@@ -169,7 +178,7 @@ class TestIterativeLoop:
         c, dec = pipeline
         res = dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool)), 3)
         assert res.converged and res.iterations_used == 1
-        assert res.obs_mask == 0 and res.check_mask == 0
+        assert res.flips == 0
 
     def test_single_mechanisms_decode_exactly(self, pipeline):
         """Every single fault must be corrected: acceptance checks and the
@@ -178,22 +187,15 @@ class TestIterativeLoop:
         mechs = enumerate_error_mechanisms(fault_table(c))
         nd = len(c.detectors)
         for m in mechs:
-            det = np.zeros(nd, dtype=bool)
-            for i in m.home_dets + m.foreign_dets:
-                det[i] = True
-            res = dec.decode_shot(_split(dec, det), 3)
-            assert res.check_mask == m.check_mask
-            assert res.obs_mask == m.obs_mask
+            res = dec.decode_shot(dec.syndrome_masks(m.sig & (1 << nd) - 1), 3)
+            assert res.flips >> nd == m.sig >> nd
 
     def test_foreign_toggle_changes_neighbour_syndrome(self, pipeline):
         """A fault with a foreign signature must drive a second iteration."""
         c, dec = pipeline
         mechs = enumerate_error_mechanisms(fault_table(c))
-        m = next(m for m in mechs if m.foreign_dets and m.home_dets)
-        det = np.zeros(len(c.detectors), dtype=bool)
-        for i in m.home_dets:
-            det[i] = True
-        res = dec.decode_shot(_split(dec, det), 3)
+        home = next(h for h, f in (_home_foreign(c, m) for m in mechs) if h and f)
+        res = dec.decode_shot(dec.syndrome_masks(sum(1 << d for d in home)), 3)
         assert res.converged
         det_mask = (1 << len(c.detectors)) - 1
         if any(corr & det_mask for corr in res.corrections.values()):
@@ -205,28 +207,6 @@ class TestIterativeLoop:
         det = rng.random(len(c.detectors)) < 0.05
         res = dec.decode_shot(_split(dec, det), 1)
         assert res.iterations_used == 1
-
-
-class TestPredictOutcome:
-    def test_bit_positions(self):
-        res = DecodeResult(corrections={}, obs_mask=0b10, check_mask=0b101,
-                           iterations_used=1, converged=True)
-        accepted, err = predict_outcome(res, checks=0b101, observables=0b01)
-        assert accepted            # correction cancels the raw check bits
-        assert err                 # corrected output bit = 1^0
-        accepted2, err2 = predict_outcome(res, checks=0b100, observables=0b10)
-        assert not accepted2 and not err2
-
-    def test_two_observables_give_the_int_of_the_wrong_bits(self):
-        """The second value is the int of the observable bits decoded wrong,
-        and 0 when the decoder got both right."""
-        res = DecodeResult(corrections={}, obs_mask=0b10, check_mask=0,
-                           iterations_used=1, converged=True)
-        assert predict_outcome(res, checks=0, observables=0b10) == (True, 0)
-        assert predict_outcome(res, checks=0, observables=0b11) == (True, 0b01)
-        assert predict_outcome(res, checks=0, observables=0b00) == (True, 0b10)
-        assert predict_outcome(res, checks=0, observables=0b01) == (True, 0b11)
-        assert predict_outcome(res, checks=1, observables=0b01) == (False, 0b11)
 
 
 _WORKLOADS = {
@@ -243,7 +223,7 @@ def sampled(request):
     protocol, noise, p_in = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     table = fault_table(c)
-    dec = IterativeDecoder(c, enumerate_error_mechanisms(table))
+    dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(table))
     batch = sample(table, 2000, seed=41, p_in=p_in)
     det_mask = (1 << len(c.detectors)) - 1
     return c, dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
@@ -253,27 +233,28 @@ def sampled(request):
 def test_edges_follow_mechanisms(workload):
     """Every mechanism with home detectors is one edge of its graph, in DEM
     order: its ends are the local ids of its home detectors, and its flips
-    the slot bits of its foreign detectors with its observable and check
-    masks above them, derived from the circuit's detectors rather than the
-    decoder's tables."""
+    the slot bits of its foreign detectors with its signature's columns
+    above the detectors, derived from the circuit's detectors rather than
+    the decoder's tables."""
     protocol, noise, _ = _WORKLOADS[workload]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     mechs = enumerate_error_mechanisms(fault_table(c))
-    dec = IterativeDecoder(c, mechs)
-    nd, no = len(c.detectors), len(c.observables)
+    dec = IterativeDecoder(c.detectors, mechs)
+    nd = len(c.detectors)
     local = [(key, bit.bit_length() - 1) for key, bit in det_slots(c)]
     slot_bit = {d: 1 << s for s, d in enumerate(slot_order(c))}
     want = {key: [] for key in dec.graphs}
     for m in mechs:
-        if not m.home_dets:
+        home, foreign = _home_foreign(c, m)
+        if not home:
             continue
-        ends = [local[d] for d in m.home_dets]
+        ends = [local[d] for d in home]
         assert {key for key, _ in ends} == {(m.origin_patch, m.basis)}
         toggles = 0
-        for d in m.foreign_dets:
+        for d in foreign:
             toggles ^= slot_bit[d]
         want[ends[0][0]].append((ends[0][1], ends[1][1] if len(ends) == 2 else BOUNDARY,
-                                 toggles | m.obs_mask << nd | m.check_mask << (nd + no)))
+                                 toggles | m.sig >> nd << nd))
     got = {key: [(e.u, e.v, e.flips) for e in g.edges] for key, g in dec.graphs.items()}
     assert got == want
     det_mask = (1 << nd) - 1
@@ -282,43 +263,75 @@ def test_edges_follow_mechanisms(workload):
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_edge_flips_are_in_signature_layout(workload):
-    """Each mechanism's edge flips `foreign | obs_mask << nd | check_mask <<
-    (nd + no)`: the columns of `signature_columns` that are its foreign
-    detectors, its observables and its checks, in that order.  Its home
-    syndrome, decoded alone, gives back its own observable and check masks
-    wherever the matcher picks its edge alone; other mechanisms of the same
-    home detectors may weigh less, but that is so for under 15% of them."""
+    """Each mechanism's edge flips the columns of `signature_columns` that
+    its signature flips, but for its home detectors: its foreign detectors,
+    its observables and its checks, in that order.  Its home syndrome,
+    decoded alone, gives back its own observable and check columns wherever
+    the matcher picks its edge alone; other mechanisms of the same home
+    detectors may weigh less, but that is so for under 15% of them."""
     protocol, noise, _ = _WORKLOADS[workload]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     mechs = enumerate_error_mechanisms(fault_table(c))
-    dec = IterativeDecoder(c, mechs)
+    dec = IterativeDecoder(c.detectors, mechs)
     nd, no = len(c.detectors), len(c.observables)
     cols = signature_columns(c)
     local = {d: bit for d, (_, bit) in enumerate(det_slots(c))}
     next_edge = {key: 0 for key in dec.graphs}
     own = 0
     for m in mechs:
-        if not m.home_dets:
+        home, foreign = _home_foreign(c, m)
+        if not home:
             continue
         key = (m.origin_patch, m.basis)
         g, i = dec.graphs[key], next_edge[key]
         next_edge[key] += 1
         flips = g.edges[i].flips
-        assert flips == sum(1 << d for d in m.foreign_dets) | m.obs_mask << nd | \
-            m.check_mask << (nd + no)
+        assert flips == m.sig ^ sum(1 << d for d in home)
+        obs = [j for j in range(no) if m.sig >> nd + j & 1]
+        chk = [j for j in range(len(c.checks)) if m.sig >> nd + no + j & 1]
         assert [cols[col] for col in _bits(flips)] == \
-            [c.detectors[d] for d in m.foreign_dets] + \
-            [c.observables[j] for j in _bits(m.obs_mask)] + \
-            [c.checks[j] for j in _bits(m.check_mask)]
-        home = sum(local[d] for d in m.home_dets)
-        if cluster_correction(g, home).edges == (i,):
-            got = g.decode(home)
+            [c.detectors[d] for d in foreign] + [c.observables[j] for j in obs] + \
+            [c.checks[j] for j in chk]
+        syndrome = sum(local[d] for d in home)
+        if cluster_correction(g, syndrome).edges == (i,):
+            got = g.decode(syndrome)
             assert got == flips, m
-            assert (got >> nd & (1 << no) - 1, got >> (nd + no)) == \
-                (m.obs_mask, m.check_mask), m
+            assert got >> nd == m.sig >> nd, m
             own += 1
     assert next_edge == {key: len(g.edges) for key, g in dec.graphs.items()}
     assert own > 0.85 * sum(next_edge.values())
+
+
+@pytest.mark.parametrize("protocol,d", [(p, d) for p in (SEVEN_TO_ONE, FIFTEEN_TO_ONE)
+                                        for d in (3, 5)])
+def test_parallel_edge_ties_go_to_the_smallest_flips(protocol, d):
+    """Per node pair, a graph keeps the lightest edge, and between equally
+    light ones the edge with the smallest `flips` int.  That is the edge the
+    mechanisms' order by (home detectors, foreign detectors, observable
+    mask, check mask) picked first, recomputed here from each signature."""
+    c = build_distillation_circuit(build_protocol(protocol), d, NoiseModel(1e-3))
+    mechs = enumerate_error_mechanisms(fault_table(c))
+    dec = IterativeDecoder(c.detectors, mechs)
+    nd, no = len(c.detectors), len(c.observables)
+    ties = 0
+    for key, g in dec.graphs.items():
+        mine = [m for m in mechs
+                if (m.origin_patch, m.basis) == key and _home_foreign(c, m)[0]]
+        assert len(mine) == len(g.edges)
+        by_pair: dict[tuple[int, int], list] = {}
+        for i, (m, e) in enumerate(zip(mine, g.edges)):
+            home, foreign = _home_foreign(c, m)
+            by_pair.setdefault((e.u, g.n if e.v == BOUNDARY else e.v), []).append(
+                (e.weight, tuple(home), tuple(foreign), m.sig >> nd & (1 << no) - 1,
+                 m.sig >> (nd + no), e.flips, i))
+        assert by_pair.keys() == g._pair_edge.keys()
+        for pair, cands in by_pair.items():
+            lightest = min(w for w, *_ in cands)
+            ties += sum(w == lightest for w, *_ in cands) > 1
+            assert g._pair_edge[pair] == min(cands)[-1], (key, pair)
+            assert g.edges[g._pair_edge[pair]].flips == min(
+                (w, flips) for w, *_, flips, _ in cands)[1], (key, pair)
+    assert ties > 0
 
 
 def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
@@ -509,7 +522,7 @@ class TestClosedForms:
         circuit at d=3."""
         protocol, noise, _ = _WORKLOADS[workload]
         c = build_distillation_circuit(build_protocol(protocol), 3, noise)
-        dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         paired = 0
         for g in dec.graphs.values():
             for k in (1, 2, 3):
@@ -524,7 +537,7 @@ class TestClosedForms:
         uniform, half a node and two of its useful partners, so that pairs
         form."""
         c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), d, NoiseModel(1e-3))
-        dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         rng = np.random.default_rng(d)
         paired = 0
         for g in dec.graphs.values():
@@ -665,7 +678,7 @@ def _blossom_cluster_decode() -> tuple[list, str]:
     16 defects of a 7-to-1 d=5 graph, grown through useful pairs, so that
     `decode` matches it as one cluster, by blossom."""
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 5, NoiseModel(1e-3))
-    g = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c))).graphs[(0, "X")]
+    g = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c))).graphs[(0, "X")]
     defects = _grown_cluster(np.random.default_rng(21), g, 16)
     syndrome = sum(1 << a for a in defects)
     flips = g.decode(syndrome)
@@ -697,7 +710,7 @@ class TestScheduledMatch:
         """Seeded clusters of every size from 4 to `_DP_LIMIT` on every
         7-to-1 graph: half uniform, half grown through useful pairs."""
         c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), d, NoiseModel(1e-3))
-        dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         rng = np.random.default_rng(100 + d)
         paired = 0
         for g in dec.graphs.values():
@@ -760,8 +773,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(dec, "syndrome_masks", split)
-    fixed = DecodeResult(corrections={}, obs_mask=0, check_mask=0, iterations_used=1,
-                         converged=True)
+    fixed = DecodeResult(corrections={}, flips=0, iterations_used=1, converged=True)
     monkeypatch.setattr(dec, "decode_shot", lambda raw, max_iters: fixed)
     cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
                                    p_in=p_in, shots=shots, seed=17)
@@ -807,7 +819,7 @@ def test_distances_and_paths_match_dijkstra(name):
     of graph edges from a to b that weighs the Dijkstra distance and flips
     the XOR of its edges' masks."""
     c = _ORACLE_CIRCUITS[name]()
-    dec = IterativeDecoder(c, enumerate_error_mechanisms(fault_table(c)))
+    dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
     exact = name.endswith("-d3")
     pairs = 0
     for key, g in dec.graphs.items():
@@ -854,7 +866,7 @@ class TestSlotOrder:
         mechs = enumerate_error_mechanisms(fault_table(c))
         c.detectors[0], c.detectors[-1] = c.detectors[-1], c.detectors[0]
         with pytest.raises(ValueError, match="detectors are not in slot order"):
-            IterativeDecoder(c, mechs)
+            IterativeDecoder(c.detectors, mechs)
 
 
 class TestIncrementalLoop:
@@ -866,9 +878,8 @@ class TestIncrementalLoop:
         for i, raw in enumerate(shots[:1000]):
             got = dec.decode_shot(raw, max_iters)
             want = reference_decode_shot(c, dec, raw, max_iters)
-            assert (got.obs_mask, got.check_mask, got.iterations_used,
-                    got.converged) == (want.obs_mask, want.check_mask,
-                                       want.iterations_used, want.converged), i
+            assert (got.flips, got.iterations_used, got.converged) == \
+                (want.flips, want.iterations_used, want.converged), i
             assert {k: got.corrections.get(k, 0) for k in dec.graphs} == \
                 want.corrections, i
 

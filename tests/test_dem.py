@@ -10,32 +10,37 @@ from sampler_oracle import planes
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit)
 from msdsim.circuit import Circuit, Detector, ParitySet
-from msdsim.dem import enumerate_error_mechanisms
+from msdsim.dem import _bits, enumerate_error_mechanisms
 from msdsim.layout import build_patch
 from msdsim.protocols import FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol
 from msdsim.sampler import KINDS, fault_table, sample, signature_columns
 
 
 @pytest.fixture(scope="module")
-def mechs():
-    return enumerate_error_mechanisms(fault_table(build_memory_circuit(3, 3, NoiseModel(0.01))))
+def memory():
+    """A memory circuit, the detector count of its signatures, and its
+    mechanisms."""
+    c = build_memory_circuit(3, 3, NoiseModel(0.01))
+    return c, len(c.detectors), enumerate_error_mechanisms(fault_table(c))
 
 
 class TestMemoryMechanisms:
-    def test_home_detector_count_bounded(self, mechs):
-        assert mechs
+    def test_home_detector_count_bounded(self, memory):
+        """One patch homes every detector; a mechanism flips at most two of
+        them, and the one observable above them, never a check."""
+        c, nd, mechs = memory
+        assert mechs and not c.checks and len(c.observables) == 1
+        assert all(d.home_patch == 0 for d in c.detectors)
         for m in mechs:
-            assert len(m.home_dets) <= 2
-            assert m.foreign_dets == ()
+            assert len(_bits(m.sig & (1 << nd) - 1)) <= 2
             assert m.origin_patch == 0
-            assert m.check_mask == 0
-            assert m.obs_mask in (0, 1)
+            assert m.sig >> nd in (0, 1)
             assert 0.0 < m.prob < 0.5
 
-    def test_basis_matches_detectors(self, mechs):
-        c = build_memory_circuit(3, 3, NoiseModel(0.01))
+    def test_basis_matches_detectors(self, memory):
+        c, nd, mechs = memory
         for m in mechs:
-            for d in m.home_dets:
+            for d in _bits(m.sig & (1 << nd) - 1):
                 assert c.detectors[d].basis == m.basis
 
     def test_noiseless_circuit_has_no_mechanisms(self):
@@ -50,10 +55,11 @@ class TestMemoryMechanisms:
             assert len(table.kind) == build_protocol(protocol).num_resources
             assert enumerate_error_mechanisms(table) == []
 
-    def test_observable_flips_need_x_plane(self, mechs):
+    def test_observable_flips_need_x_plane(self, memory):
         """The logical-Z readout is only flipped by X-type components."""
+        _, nd, mechs = memory
         for m in mechs:
-            if m.obs_mask:
+            if m.sig >> nd:
                 assert m.basis == "Z"
 
 
@@ -64,9 +70,10 @@ class TestDetectorRates:
         c = build_memory_circuit(3, 3, NoiseModel(0.01))
         table = fault_table(c)
         mechs = enumerate_error_mechanisms(table)
-        pred = np.ones(len(c.detectors))
+        nd = len(c.detectors)
+        pred = np.ones(nd)
         for m in mechs:
-            for d in m.home_dets:
+            for d in _bits(m.sig & (1 << nd) - 1):
                 pred[d] *= 1 - 2 * m.prob
         shots = 200_000
         batch = sample(table, shots, seed=11)
@@ -125,8 +132,7 @@ class TestMerging:
     def test_signatures_unique(self):
         c = build_memory_circuit(3, 2, NoiseModel(0.005))
         mechs = enumerate_error_mechanisms(fault_table(c))
-        keys = [(m.origin_patch, m.basis, m.home_dets, m.foreign_dets,
-                 m.obs_mask, m.check_mask) for m in mechs]
+        keys = [(m.origin_patch, m.basis, m.sig) for m in mechs]
         assert len(keys) == len(set(keys))
 
 
@@ -170,7 +176,7 @@ class TestOracle:
         mechs = enumerate_error_mechanisms(fault_table(c))
         assert mechs == oracle_mechanisms(c)
         q = 0.1 / 3  # the X and Y terms both flip it
-        assert [(m.home_dets, m.prob) for m in mechs] == [((0,), pytest.approx(2 * q * (1 - q)))]
+        assert [(m.sig, m.prob) for m in mechs] == [(1, pytest.approx(2 * q * (1 - q)))]
 
     def test_parity_set_mixing_bases(self):
         """One parity set over an MX and an MZ: a Z error on the MX qubit and
@@ -188,7 +194,8 @@ class TestOracle:
         c.observables.append(ParitySet(meas=(mz,), id=1))
         mechs = enumerate_error_mechanisms(fault_table(c))
         assert mechs == oracle_mechanisms(c)
-        assert [(m.basis, m.obs_mask) for m in mechs] == [("X", 1), ("Z", 2)]
+        # No detectors or checks: a signature is its observables.
+        assert [(m.basis, m.sig) for m in mechs] == [("X", 1), ("Z", 2)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -14,11 +14,12 @@ from sampler_oracle import fault_signatures, planes
 from msdsim import harness, sampler
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
+from msdsim.decoder import DecodeResult
 from msdsim.harness import (DecodingPipeline, ExperimentConfig,
-                            ExperimentStats, emit_results, qubit_cycles,
-                            result_row, run_distillation, run_logical,
-                            run_memory_baseline, run_subcircuit, tally,
-                            wilson_interval)
+                            ExperimentStats, emit_results, predict_outcome,
+                            qubit_cycles, result_row, run_distillation,
+                            run_logical, run_memory_baseline, run_subcircuit,
+                            tally, wilson_interval)
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, analytic_pout,
                               build_protocol, discard_ratio)
 from msdsim.sampler import CHUNK, fault_table, sample
@@ -129,10 +130,11 @@ class TestSurfaceDrivers:
         batch = sample(pipeline.table, cfg.shots, cfg.seed)
         det, _, obs = planes(batch, pipeline.table)
         slots = det_slots(pipeline.table)
+        nd = len(pipeline.table.detectors)
         errors, hist = 0, {}
         for s in range(cfg.shots):
             res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), cfg.max_iters)
-            errors += (res.obs_mask & 1) != obs[0, s]
+            errors += (res.flips >> nd & 1) != obs[0, s]
             hist[res.iterations_used] = hist.get(res.iterations_used, 0) + 1
         got = run_memory_baseline(cfg)
         assert errors > 0
@@ -268,6 +270,35 @@ class TestBenchmarkWorkloads:
         got = run_distillation(cfg, cold)
         assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
             (merged.shots, merged.accepted, merged.errors, merged.iteration_hist)
+
+
+class TestPredictOutcome:
+    """Signatures of 3 detectors, then 2 observables, then the checks; the
+    detector bits of a shot or a correction never count."""
+
+    @staticmethod
+    def _sig(dets: int, obs: int, checks: int) -> int:
+        return dets | obs << 3 | checks << 5
+
+    def _res(self, obs: int, checks: int) -> DecodeResult:
+        return DecodeResult(corrections={}, flips=self._sig(0b110, obs, checks),
+                            iterations_used=1, converged=True)
+
+    def test_bit_positions(self):
+        res = self._res(0b10, 0b101)
+        # The correction cancels the shot's check bits; both outputs are wrong.
+        assert predict_outcome(res, self._sig(0b011, 0b01, 0b101), 3, 2) == (True, 0b11)
+        assert predict_outcome(res, self._sig(0, 0b10, 0b100), 3, 2) == (False, 0)
+
+    def test_two_observables_give_the_int_of_the_wrong_bits(self):
+        """The second value is the int of the observable bits decoded wrong,
+        and 0 when the decoder got both right."""
+        res = self._res(0b10, 0)
+        assert predict_outcome(res, self._sig(0, 0b10, 0), 3, 2) == (True, 0)
+        assert predict_outcome(res, self._sig(0, 0b11, 0), 3, 2) == (True, 0b01)
+        assert predict_outcome(res, self._sig(0, 0b00, 0), 3, 2) == (True, 0b10)
+        assert predict_outcome(res, self._sig(0, 0b01, 0), 3, 2) == (True, 0b11)
+        assert predict_outcome(res, self._sig(0, 0b01, 1), 3, 2) == (False, 0b11)
 
 
 class TestTally:
