@@ -52,7 +52,6 @@ _OPTIONS = {
              "help": "injected input error rate (repeatable for sweeps)"},
     "shots": {"type": int},
     "seed": {"type": int},
-    "max_iters": {"type": int, "help": "global decoding iteration cap"},
     "rounds": {"type": int, "help": "memory experiment round count"},
     "format": {"choices": ("csv", "json")},
 }
@@ -256,12 +255,11 @@ _COMMANDS = {
     "logical": (cmd_logical, "logical-level protocol Monte Carlo",
                 ("protocol", "p_in", "shots", "seed", "format")),
     "distill": (cmd_distill, "surface-code distillation Monte Carlo",
-                ("protocol", "d", "p_circuit", "p_in", "shots", "seed", "max_iters",
-                 "format")),
+                ("protocol", "d", "p_circuit", "p_in", "shots", "seed", "format")),
     "memory": (cmd_memory, "single-patch memory baseline",
-               ("d", "p_circuit", "shots", "seed", "max_iters", "rounds", "format")),
+               ("d", "p_circuit", "shots", "seed", "rounds", "format")),
     "subcircuit": (cmd_subcircuit, "CNOT-block Pauli-web benchmark",
-                   ("protocol", "d", "p_circuit", "shots", "seed", "max_iters", "format")),
+                   ("protocol", "d", "p_circuit", "shots", "seed", "format")),
     "cost": (cmd_cost, "qubit-cycle spacetime cost table", ("protocol", "d")),
 }
 

@@ -1,12 +1,13 @@
-"""Per-patch minimum-weight matching and the iterative cross-patch loop.
+"""Per-patch minimum-weight matching and the ordered cross-patch walk.
 
 Each (patch, measurement-basis) pair gets its own matching graph built from
 the mechanisms originating on that patch; detector flips a mechanism causes on
-*other* patches ride along on its edge as foreign flips.  A global decode
-sweeps all graphs, XORs the foreign flips of the chosen corrections into the
-other patches' effective syndromes, and repeats to a fixpoint (or the
-iteration cap).  A `MatchingGraph` is nodes and edges only; the
-`IterativeDecoder` alone maps detectors to graphs, nodes and slots.
+*other* patches ride along on its edge as foreign flips.  A shot is decoded
+in one walk per basis: each graph is decoded once, on its raw syndrome XOR
+the foreign flips of the graphs decoded before it, so no graph waits for a
+later one and the result is the fixpoint of iterating the corrections.  A
+`MatchingGraph` is nodes and edges only; the `IterativeDecoder` alone maps
+detectors to graphs, nodes and slots.
 
 Matching is exact, and its cost follows the defects rather than the graph,
 as in sparse blossom (Higgott & Gidney, arXiv:2303.15933), with no graph
@@ -40,20 +41,22 @@ Each shot travels as bitsets in *slot order*, which is detector id order:
 the builders number detectors by (home patch, basis), so each graph's
 detectors are one contiguous range of ids, ascending, with the graphs in
 `graphs` order.  The low bits of a shot's sampled signature are therefore
-its slot-order int, and `syndrome_masks` cuts it into per-graph masks from
-the top bit down: the highest set bit names its graph, whose mask is one
-shift, and one AND with the mask of the slots below that graph drops it.
-Since a correction's low bits are its foreign detectors in that same order,
-the cross-patch loop reads them straight off the XOR of the current
-corrections.  It is incremental: after the first sweep it re-decodes only the
-graphs whose range of foreign flips changed, found from the top bit in the
-same way; a graph whose syndrome is zero gets the empty correction, 0,
-without a call.
+its slot-order int, and a correction's low bits are its foreign detectors in
+that same order.  The builders also keep a *walk direction*: an X graph's
+edges flip detectors of X graphs at lower slots only, and a Z graph's
+detectors of Z graphs at higher slots only (the decoder raises ValueError
+on any other foreign flip).  So the X walk, from the top set bit down, and
+the Z walk, from the lowest set bit up, each reach a graph only after every
+graph that feeds it.  At each step the bit names its graph, whose syndrome
+is one shift (and for Z one AND), and the walk goes on with the bits ahead
+of that graph XOR the foreign flips of its correction.  A graph without a
+defect is never decoded.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -307,33 +310,39 @@ class MatchingGraph:
 
 @dataclass(slots=True)
 class DecodeResult:
-    corrections: dict[tuple[int, str], int]  # per graph, its correction's flips
-    flips: int                               # the XOR of the corrections
-    iterations_used: int
-    converged: bool
+    flips: int                          # the XOR of the graphs' corrections
+    # Every shot is decoded in one pass to the fixpoint; the benchmark's
+    # tracer still reads these two.
+    iterations_used: ClassVar[int] = 1
+    converged: ClassVar[bool] = True
 
 
 class IterativeDecoder:
-    """All per-patch graphs plus the cross-patch syndrome-toggle loop.
+    """All per-patch graphs plus the ordered cross-patch walk.
 
     The decoder alone maps detectors to graphs: graph (patch, basis) holds
     the detectors homed to that patch in that basis, one contiguous id
     range, and its node i is the i-th of them.  A mechanism's home bits are
     its signature's bits in its graph's range, and its edge's `flips` the
     rest of its signature.  Raises ValueError when the detectors are not
-    sorted by (home patch, basis), or when a mechanism has more than two
-    home detectors."""
+    sorted by (home patch, basis), when a mechanism has more than two home
+    detectors, or when a graph's edges flip a detector against the walk
+    direction (the module docstring)."""
 
     def __init__(self, detectors: tuple[Detector, ...], mechanisms: list[ErrorMechanism]):
         keys = [(det.home_patch, det.basis) for det in detectors]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValueError("detectors are not in slot order")
-        self._det_mask = (1 << len(detectors)) - 1
-        # Each graph's slots [lo, hi), in slot order.
+        self._det_mask = det_mask = (1 << len(detectors)) - 1
+        # Each graph's slots [lo, hi), in slot order, and each basis's slots.
         span: dict[tuple[int, str], list[int]] = {}
+        basis_slots = {"X": 0, "Z": 0}
         for s, key in enumerate(keys):
             span.setdefault(key, [s, s])[1] = s + 1
+            basis_slots[key[1]] |= 1 << s
+        self._x_slots, self._z_slots = basis_slots["X"], basis_slots["Z"]
         edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in span}
+        reach = dict.fromkeys(span, 0)       # per graph, the OR of its edges' flips
         for m in mechanisms:
             key = (m.origin_patch, m.basis)
             lo, hi = span.get(key, (0, 0))
@@ -344,60 +353,46 @@ class IterativeDecoder:
             if len(ends) > 2:
                 raise ValueError(f"mechanism with {len(ends)} home detectors is unmatchable")
             w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
-            edges[key].append(Edge(ends[0], ends[1] if len(ends) == 2 else BOUNDARY, w,
-                                   m.sig ^ home << lo))
+            flips = m.sig ^ home << lo
+            edges[key].append(Edge(ends[0], ends[1] if len(ends) == 2 else BOUNDARY, w, flips))
+            reach[key] |= flips
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
-        # Per slot, for the slot's graph: (key, graph, first slot, mask of
-        # its width, mask of the slots below its first).
+        # Per slot, for the slot's graph: (graph, first slot, mask of its
+        # width, the slots its walk visits after it).
         self._slot_span: list[tuple] = []
         for key, (lo, hi) in span.items():
+            if key[1] == "X":
+                ahead = self._x_slots & (1 << lo) - 1
+            else:
+                ahead = self._z_slots >> hi << hi
+            if reach[key] & det_mask & ~ahead:
+                raise ValueError(f"graph {key} flips a detector outside its walk's "
+                                 f"later {key[1]} graphs")
             g = self.graphs[key] = MatchingGraph(hi - lo, edges[key])
-            self._slot_span += [(key, g, lo, (1 << (hi - lo)) - 1, (1 << lo) - 1)] * (hi - lo)
+            self._slot_span += [(g, lo, (1 << (hi - lo)) - 1, ahead)] * (hi - lo)
 
-    def syndrome_masks(self, shot: int) -> dict[tuple[int, str], int]:
-        """Split one shot's detector bits, a slot-order int, into per-graph
-        bitmasks, the last graph first; graphs without a defect are left
-        out."""
-        out: dict[tuple[int, str], int] = {}
-        spans = self._slot_span
-        while shot:
-            # The top defect's graph holds every bit at and above its first slot.
-            key, _, lo, _, below = spans[shot.bit_length() - 1]
-            out[key] = shot >> lo
-            shot &= below
-        return out
+    def syndrome_masks(self, shot: int) -> dict[str, int]:
+        """Split one shot's detector bits, a slot-order int, by basis: the
+        inputs of the two walks of `decode_shot`."""
+        return {"X": shot & self._x_slots, "Z": shot & self._z_slots}
 
-    def decode_shot(self, raw: dict[tuple[int, str], int],
-                    max_iters: int) -> DecodeResult:
-        """Decode one shot's per-graph syndromes, iterating the foreign
-        flips to a fixpoint or to `max_iters` sweeps.  The result's
-        `corrections` hold the graphs the loop decoded; every other graph's
-        correction is 0."""
-        corrections: dict[tuple[int, str], int] = {}
+    def decode_shot(self, masks: dict[str, int]) -> DecodeResult:
+        """Decode one shot's per-basis syndromes, each graph once, on its
+        raw syndrome XOR the foreign flips of the graphs its walk decoded
+        before it: X from the top set bit down, Z from the lowest up."""
+        spans, det_mask = self._slot_span, self._det_mask
         flips = 0
-        for key, s in raw.items():
-            if s:
-                new = corrections[key] = self.graphs[key].decode(s)
-                flips ^= new
-        # `flips`: the XOR of the current corrections, whose detector bits
-        # are their foreign flips in slot order; `applied`: the flips the
-        # last sweep's syndromes carried.  A later sweep re-decodes the
-        # graphs whose range of `(flips ^ applied) & det_mask` is not zero.
-        spans = self._slot_span
-        det_mask = self._det_mask
-        applied = 0
-        iters = 1
-        while True:
-            changed = (flips ^ applied) & det_mask
-            if not changed or iters >= max_iters:
-                break
-            iters += 1
-            applied = flips
-            while changed:
-                key, g, lo, full, below = spans[changed.bit_length() - 1]
-                changed &= below
-                s = raw.get(key, 0) ^ (applied >> lo & full)
-                new = g.decode(s) if s else 0
-                flips ^= corrections.get(key, 0) ^ new
-                corrections[key] = new
-        return DecodeResult(corrections, flips, iters, not changed)
+        todo = masks["X"]
+        while todo:
+            # The top defect's graph holds every bit at and above its first slot.
+            g, lo, _, ahead = spans[todo.bit_length() - 1]
+            new = g.decode(todo >> lo)
+            flips ^= new
+            todo = (todo & ahead) ^ (new & det_mask)
+        todo = masks["Z"]
+        while todo:
+            g, lo, width, ahead = spans[(todo & -todo).bit_length() - 1]
+            new = g.decode(todo >> lo & width)
+            flips ^= new
+            todo = (todo & ahead) ^ (new & det_mask)
+        return DecodeResult(flips)

@@ -52,7 +52,6 @@ class ExperimentConfig:
     p_in: float = 0.0
     shots: int = 10_000
     seed: int = 0
-    max_iters: int = 3
     rounds: int = 5          # memory baseline only
 
     def __post_init__(self):
@@ -67,8 +66,8 @@ class ExperimentConfig:
         for name in ("p_circuit", "p_in"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.max_iters < 1 or self.rounds < 1:
-            raise ValueError("max_iters and rounds must be >= 1")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
 
     def noise(self) -> NoiseModel:
         return NoiseModel(self.p_circuit)
@@ -141,29 +140,28 @@ def predict_outcome(result: DecodeResult, sig: int, nd: int, no: int
     return not left >> no, left & (1 << no) - 1
 
 
-def tally(pipeline: DecodingPipeline, sigs: list[int],
-          max_iters: int) -> list[ExperimentStats]:
+def tally(pipeline: DecodingPipeline, sigs: list[int]) -> list[ExperimentStats]:
     """Each signature int of `sigs` decoded and scored by `predict_outcome`:
     one tally per observable, whose errors are the accepted shots that
     observable was decoded wrong on.  Signatures are XOR-linear, so a sampled
     chunk, table rows XORed by hand and an enumeration of faults are scored
-    alike."""
+    alike.  Every shot is decoded in one pass, so each tally's iteration
+    histogram is `{1: len(sigs)}`."""
     table, dec = pipeline.table, pipeline.decoder
     # A signature's bits run detectors (in slot order), observables, checks.
     nd, no = len(table.detectors), len(table.observables)
     det_mask = (1 << nd) - 1
-    accepted, iters = 0, {}      # shots per sweep count actually used
+    accepted = 0
     wrong: dict[int, int] = {}   # accepted shots per nonzero wrong-observable int
     for sig in sigs:
-        res = dec.decode_shot(dec.syndrome_masks(sig & det_mask), max_iters)
-        iters[res.iterations_used] = iters.get(res.iterations_used, 0) + 1
+        res = dec.decode_shot(dec.syndrome_masks(sig & det_mask))
         ok, flips = predict_outcome(res, sig, nd, no)
         if ok:
             accepted += 1
             if flips:
                 wrong[flips] = wrong.get(flips, 0) + 1
     return [ExperimentStats(len(sigs), accepted, sum(n for w, n in wrong.items() if w >> o & 1),
-                            {i: iters[i] for i in sorted(iters)}) for o in range(no)]
+                            {1: len(sigs)}) for o in range(no)]
 
 
 def decode_chunk(pipeline: DecodingPipeline, config: ExperimentConfig,
@@ -172,8 +170,7 @@ def decode_chunk(pipeline: DecodingPipeline, config: ExperimentConfig,
     depends on the decoder's caches, so chunks decode apart and merge in
     order."""
     shots = min(CHUNK, config.shots - k * CHUNK)
-    return tally(pipeline, sample(pipeline.table, shots, config.seed, k, config.p_in).unpack(),
-                 config.max_iters)
+    return tally(pipeline, sample(pipeline.table, shots, config.seed, k, config.p_in).unpack())
 
 
 def _merged_chunks(pipeline: DecodingPipeline, config: ExperimentConfig,

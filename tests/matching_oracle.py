@@ -19,10 +19,12 @@
 - `det_slots` / `slot_order`: each detector's graph and node, and the
   detector in each slot, derived from the circuit's detectors rather than
   the decoder's tables.
-- `walk_syndrome_masks`: the per-shot split of a full detector bit vector
-  that the slot-order packing replaced, through a `det_slots` table.
-- `reference_decode_shot`: the cross-patch loop that re-decodes every graph
-  on every iteration and resolves foreign flips through `det_slots`.
+- `basis_masks`: the per-basis split of each shot of a detector bool plane
+  into slot-order ints, bit by bit, that `syndrome_masks` makes with two
+  ANDs.
+- `reference_decode_shot`: the cross-patch loop that the ordered walk
+  replaced: Jacobi sweeps that re-decode every graph on every iteration and
+  resolve foreign flips through `det_slots`.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from msdsim.decoder import _DP_LIMIT, BOUNDARY, DecodeResult, IterativeDecoder, MatchingGraph
+from msdsim.decoder import _DP_LIMIT, BOUNDARY, IterativeDecoder, MatchingGraph
 from msdsim.dem import _bits
 
 
@@ -309,34 +311,49 @@ def slot_order(circuit) -> list[int]:
     return [d for dets in _groups(circuit).values() for d in dets]
 
 
-def walk_syndrome_masks(slots: list[tuple[tuple[int, str], int]],
-                        det_bits: np.ndarray) -> dict[tuple[int, str], int]:
-    """Split a full detector bit vector into per-graph bitmasks through a
-    `det_slots` table; graphs without a defect are left out."""
-    out: dict[tuple[int, str], int] = {}
-    for d in np.flatnonzero(det_bits).tolist():
-        key, bit = slots[d]
-        out[key] = out.get(key, 0) | bit
+def basis_masks(circuit, det: np.ndarray) -> list[dict[str, int]]:
+    """Per shot (column) of a detector bool plane, its detector bits split
+    by basis into slot-order ints, bit by bit through `slot_order`."""
+    where = [(s, d, circuit.detectors[d].basis) for s, d in enumerate(slot_order(circuit))]
+    out = []
+    for col in det.T.tolist():
+        masks = {"X": 0, "Z": 0}
+        for s, d, basis in where:
+            if col[d]:
+                masks[basis] |= 1 << s
+        out.append(masks)
     return out
 
 
-def reference_decode_shot(circuit, decoder: IterativeDecoder,
-                          raw: dict[tuple[int, str], int],
-                          max_iters: int = 3) -> DecodeResult:
-    """The cross-patch loop of `circuit`'s decoder, re-decoding every graph
-    on every iteration.  A correction's flips are read in signature layout,
-    its detectors in slot order below the circuit's observables and
-    checks."""
+@dataclass(frozen=True)
+class LoopResult:
+    flips: int                  # the XOR of the graphs' corrections
+    iterations_used: int
+    converged: bool
+
+
+def reference_decode_shot(circuit, decoder: IterativeDecoder, shot: int,
+                          max_iters: int) -> LoopResult:
+    """The cross-patch loop of `circuit`'s decoder on one shot's detector
+    bits, a slot-order int: Jacobi sweeps that re-decode every graph on
+    every iteration, to a fixpoint or `max_iters` sweeps.  A correction's
+    flips are read in signature layout, its detectors in slot order below
+    the circuit's observables and checks, and resolved through
+    `det_slots`."""
     slots = det_slots(circuit)
     by_slot = [slots[d] for d in slot_order(circuit)]
     nd = len(circuit.detectors)
+    raw = {key: 0 for key in decoder.graphs}
+    for s in _bits(shot):
+        key, bit = by_slot[s]
+        raw[key] ^= bit
     toggles = {key: 0 for key in decoder.graphs}
     corrections: dict[tuple[int, str], int] = {}
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
         for key, g in decoder.graphs.items():
-            corrections[key] = g.decode(raw.get(key, 0) ^ toggles[key])
+            corrections[key] = g.decode(raw[key] ^ toggles[key])
         new_toggles = {key: 0 for key in decoder.graphs}
         for corr in corrections.values():
             for s in _bits(corr & ((1 << nd) - 1)):
@@ -349,5 +366,4 @@ def reference_decode_shot(circuit, decoder: IterativeDecoder,
     flips = 0
     for corr in corrections.values():
         flips ^= corr
-    return DecodeResult(corrections=corrections, flips=flips,
-                        iterations_used=iters, converged=converged)
+    return LoopResult(flips, iters, converged)

@@ -60,7 +60,7 @@ class TestConfigFile:
 
     def test_defaults_resolve_to_one_run(self, monkeypatch):
         """With no option given, each run command resolves to 7-to-1 at
-        d=3, p_circuit 1e-3, seed 0, 3 sweeps and 5 memory rounds, at its
+        d=3, p_circuit 1e-3, seed 0 and 5 memory rounds, at its
         own shot count and p_in (0.01; 0 where the command reads none)."""
         got = []
         for command, shots, p_in in (("distill", 20_000, 0.01), ("memory", 20_000, 0.0),
@@ -72,7 +72,7 @@ class TestConfigFile:
             assert main([command]) == EXIT_OK
             assert got.pop() == [ExperimentConfig(
                 protocol=SEVEN_TO_ONE, d=3, p_circuit=1e-3, p_in=p_in, shots=shots,
-                seed=0, max_iters=3, rounds=5)]
+                seed=0, rounds=5)]
 
 
 class TestExitCodes:
@@ -107,7 +107,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [("logical", "--p-in", "1.5", "--shots", "10"),
                                       ("logical", "--p-in", "-0.1", "--shots", "10"),
                                       ("distill", "--p-circuit", "2", "--shots", "10"),
-                                      ("distill", "--max-iters", "0", "--shots", "10"),
+                                      ("subcircuit", "--d", "4", "--shots", "10"),
                                       ("memory", "--rounds", "0", "--shots", "10"),
                                       ("analytic", "--p-in", "1.5"),
                                       ("cost", "--d", "4"),
@@ -246,12 +246,13 @@ READS = {
     "analytic": {"protocol", "p_in", "format"},
     "oracle": {"protocol", "p_in"},
     "logical": {"protocol", "p_in", "shots", "seed", "format"},
-    "distill": {"protocol", "d", "p_circuit", "p_in", "shots", "seed", "max_iters", "format"},
-    "memory": {"d", "p_circuit", "shots", "seed", "max_iters", "rounds", "format"},
-    "subcircuit": {"protocol", "d", "p_circuit", "shots", "seed", "max_iters", "format"},
+    "distill": {"protocol", "d", "p_circuit", "p_in", "shots", "seed", "format"},
+    "memory": {"d", "p_circuit", "shots", "seed", "rounds", "format"},
+    "subcircuit": {"protocol", "d", "p_circuit", "shots", "seed", "format"},
     "cost": {"protocol", "d"},
 }
 # A valid value per option; config and out name files in the test's tmp_path.
+# No subcommand takes max_iters: decoding has no sweep cap.
 VALUES = {"config": "run.cfg", "out": "res.csv", "protocol": "15to1", "d": "5",
           "p_circuit": "0.002", "p_in": "0.1", "shots": "10", "seed": "1",
           "max_iters": "2", "rounds": "2", "format": "json"}

@@ -1,6 +1,7 @@
-"""Matching-graph decoding tests: optimality, determinism, iteration loop,
-and differential checks of the cluster-split matcher and the incremental loop
-against the whole-syndrome oracles in `matching_oracle`."""
+"""Matching-graph decoding tests: optimality, determinism, the ordered
+cross-patch walk, and differential checks of the cluster-split matcher and
+of the walk against the whole-syndrome oracles and the reference loop in
+`matching_oracle`."""
 import gc
 import itertools
 import os
@@ -13,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matching_oracle import (brute_force_decode, cluster_correction, cluster_dp,
-                             cluster_match, det_slots, dijkstra_path, dijkstra_tables,
-                             reference_decode_shot, slot_order, useful_rows,
-                             walk_syndrome_masks, whole_syndrome_decode)
+from matching_oracle import (basis_masks, brute_force_decode, cluster_correction,
+                             cluster_dp, cluster_match, det_slots, dijkstra_path,
+                             dijkstra_tables, reference_decode_shot, slot_order,
+                             useful_rows, whole_syndrome_decode)
 from sampler_oracle import planes
 from msdsim import decoder, harness
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
                              build_distillation_circuit, build_memory_circuit)
+from msdsim.circuit import Detector
 from msdsim.decoder import (_DP_LIMIT, BOUNDARY, DecodeResult, Edge,
                             IterativeDecoder, MatchingGraph)
 from msdsim.dem import ErrorMechanism, _bits, enumerate_error_mechanisms
@@ -176,9 +178,7 @@ def pipeline():
 class TestIterativeLoop:
     def test_trivial_shot_converges_in_one(self, pipeline):
         c, dec = pipeline
-        res = dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool)), 3)
-        assert res.converged and res.iterations_used == 1
-        assert res.flips == 0
+        assert dec.decode_shot(_split(dec, np.zeros(len(c.detectors), bool))).flips == 0
 
     def test_single_mechanisms_decode_exactly(self, pipeline):
         """Every single fault must be corrected: acceptance checks and the
@@ -187,26 +187,34 @@ class TestIterativeLoop:
         mechs = enumerate_error_mechanisms(fault_table(c))
         nd = len(c.detectors)
         for m in mechs:
-            res = dec.decode_shot(dec.syndrome_masks(m.sig & (1 << nd) - 1), 3)
+            res = dec.decode_shot(dec.syndrome_masks(m.sig & (1 << nd) - 1))
             assert res.flips >> nd == m.sig >> nd
 
     def test_foreign_toggle_changes_neighbour_syndrome(self, pipeline):
-        """A fault with a foreign signature must drive a second iteration."""
+        """A fault's home syndrome alone: the walk decodes its home graph
+        first, then every graph whose detectors that correction flips, on
+        those flips, in the walk's direction.  Graphs and slots are read
+        off the circuit's detectors."""
         c, dec = pipeline
-        mechs = enumerate_error_mechanisms(fault_table(c))
-        home = next(h for h, f in (_home_foreign(c, m) for m in mechs) if h and f)
-        res = dec.decode_shot(dec.syndrome_masks(sum(1 << d for d in home)), 3)
-        assert res.converged
-        det_mask = (1 << len(c.detectors)) - 1
-        if any(corr & det_mask for corr in res.corrections.values()):
-            assert res.iterations_used >= 2
-
-    def test_iteration_cap_respected(self, pipeline):
-        c, dec = pipeline
-        rng = np.random.default_rng(3)
-        det = rng.random(len(c.detectors)) < 0.05
-        res = dec.decode_shot(_split(dec, det), 1)
-        assert res.iterations_used == 1
+        nd = len(c.detectors)
+        slots = det_slots(c)
+        fed = 0
+        for m in enumerate_error_mechanisms(fault_table(c)):
+            home, foreign = _home_foreign(c, m)
+            if not (home and foreign):
+                continue
+            key = (m.origin_patch, m.basis)
+            seen = _recorded_decodes(dec, [sum(1 << d for d in home)])
+            assert seen[0][0] == key
+            toggles: dict[tuple[int, str], int] = {}
+            for d in _bits(dec.graphs[key].decode(seen[0][1]) & (1 << nd) - 1):
+                fed_key, bit = slots[d]
+                toggles[fed_key] = toggles.get(fed_key, 0) ^ bit
+            for fed_key, bit in toggles.items():
+                assert fed_key[1] == key[1] and (fed_key < key) == (key[1] == "X")
+                assert (fed_key, bit) in seen[1:], m
+                fed += 1
+        assert fed > 100
 
 
 _WORKLOADS = {
@@ -218,15 +226,15 @@ _WORKLOADS = {
 
 @pytest.fixture(scope="module", params=sorted(_WORKLOADS))
 def sampled(request):
-    """(circuit, decoder, per-shot syndromes) for 2000 sampled shots of a
-    workload."""
+    """(circuit, decoder, per-shot detector bits) for 2000 sampled shots of
+    a workload."""
     protocol, noise, p_in = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     table = fault_table(c)
     dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(table))
     batch = sample(table, 2000, seed=41, p_in=p_in)
     det_mask = (1 << len(c.detectors)) - 1
-    return c, dec, [dec.syndrome_masks(sig & det_mask) for sig in batch.unpack()]
+    return c, dec, [sig & det_mask for sig in batch.unpack()]
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -335,36 +343,49 @@ def test_parallel_edge_ties_go_to_the_smallest_flips(protocol, d):
 
 
 def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
-    """Over a seeded 2000-shot `distill15-d3-noisy` run, no graph is asked
-    to decode a zero syndrome, in the first sweep or a later one: a zero
-    syndrome's correction is 0 without a call."""
-    seen = []
+    """Over the seed-0 runs of both benchmark workloads, every shot asks
+    each graph to decode at most once, and never a zero syndrome: a graph
+    without a defect gets the empty correction, 0, without a call."""
+    calls = []
     orig = MatchingGraph.decode
 
     def recording(self, syndrome):
-        seen.append(syndrome)
+        calls.append((id(self), syndrome))
         return orig(self, syndrome)
 
+    def per_shot(self, masks):
+        calls.clear()
+        res = decode_shot(self, masks)
+        graphs = [g for g, _ in calls]
+        assert len(set(graphs)) == len(graphs)
+        assert all(syndrome for _, syndrome in calls)
+        per_shot_calls.append(len(calls))
+        return res
+
+    per_shot_calls: list[int] = []
+    decode_shot = IterativeDecoder.decode_shot
     monkeypatch.setattr(MatchingGraph, "decode", recording)
-    protocol, noise, p_in = _WORKLOADS["distill15-d3-noisy"]
-    stats = harness.run_distillation(harness.ExperimentConfig(
-        protocol=protocol, p_circuit=noise.p_circuit, p_in=p_in, shots=2000, seed=0))
-    assert stats.iteration_hist.get(2, 0) + stats.iteration_hist.get(3, 0) > 1000
-    assert len(seen) > 20000
-    assert 0 not in seen
+    monkeypatch.setattr(IterativeDecoder, "decode_shot", per_shot)
+    for name, shots in (("distill7-d3", 20_000), ("distill15-d3-noisy", 10_000)):
+        protocol, noise, p_in = _WORKLOADS[name]
+        per_shot_calls.clear()
+        harness.run_distillation(harness.ExperimentConfig(
+            protocol=protocol, p_circuit=noise.p_circuit, p_in=p_in, shots=shots, seed=0))
+        assert len(per_shot_calls) == shots and sum(per_shot_calls) > shots, name
 
 
-def _recorded_decodes(dec: IterativeDecoder, shots) -> set[tuple]:
-    """Every (graph key, syndrome) that decoding `shots` asks a graph for."""
-    seen: set[tuple] = set()
+def _recorded_decodes(dec: IterativeDecoder, shots) -> list[tuple]:
+    """Every (graph key, syndrome) that decoding `shots`, each a slot-order
+    int, asks a graph for, in the order asked."""
+    seen: list[tuple] = []
     for key, g in dec.graphs.items():
         def recorder(s, key=key, orig=g.decode):
-            seen.add((key, s))
+            seen.append((key, s))
             return orig(s)
         g.decode = recorder
     try:
-        for raw in shots:
-            dec.decode_shot(raw, 3)
+        for shot in shots:
+            dec.decode_shot(dec.syndrome_masks(shot))
     finally:
         for g in dec.graphs.values():
             del g.decode
@@ -392,7 +413,7 @@ class TestClusterSplit:
         weight; a different correction is allowed only on an equal-weight
         tie, and the ties are counted."""
         _, dec, shots = sampled
-        decodes = _recorded_decodes(dec, shots)
+        decodes = set(_recorded_decodes(dec, shots))
         ties = flips = 0
         for key, s in sorted(decodes):
             g = dec.graphs[key]
@@ -462,7 +483,7 @@ class TestMemoisedMatch:
         """Every cluster of 2000 sampled shots, matched one after another on
         the same graphs, gets the per-cluster DP's pair list exactly."""
         _, dec, shots = sampled
-        decodes = sorted(_recorded_decodes(dec, shots))
+        decodes = sorted(set(_recorded_decodes(dec, shots)))
         fresh = {key: _fresh(g) for key, g in dec.graphs.items()}
         seen = []
         orig = MatchingGraph._match
@@ -758,8 +779,8 @@ class TestScheduledMatch:
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     """Over the two chunks of a run whose length is no multiple of 8, every
-    shot's packed int splits into the masks the per-detector walk gives for
-    the same shot of one whole `sample` call."""
+    shot's packed int splits into the per-basis masks that the bit-by-bit
+    split gives for the same shot of one whole `sample` call."""
     protocol, noise, p_in = _WORKLOADS[workload]
     pipeline = harness.DecodingPipeline.build(
         build_distillation_circuit(build_protocol(protocol), 3, noise))
@@ -773,19 +794,18 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(dec, "syndrome_masks", split)
-    fixed = DecodeResult(corrections={}, flips=0, iterations_used=1, converged=True)
-    monkeypatch.setattr(dec, "decode_shot", lambda raw, max_iters: fixed)
+    fixed = DecodeResult(0)
+    monkeypatch.setattr(dec, "decode_shot", lambda masks: fixed)
     cfg = harness.ExperimentConfig(protocol=protocol, p_circuit=noise.p_circuit,
                                    p_in=p_in, shots=shots, seed=17)
     tallies = [harness.decode_chunk(pipeline, cfg, k) for k in (0, 1)]
     assert [[t.shots for t in chunk] for chunk in tallies] == [[CHUNK], [13]]
     batch = sample(pipeline.table, shots, cfg.seed, 0, p_in)
     det = planes(batch, pipeline.table)[0]
-    slots = det_slots(pipeline.table)
     assert len(got) == shots
-    for s in range(shots):
-        assert got[s] == walk_syndrome_masks(slots, det[:, s]), s
-    assert sum(map(bool, got)) > shots // 2
+    for s, want in enumerate(basis_masks(pipeline.table, det)):
+        assert got[s] == want, s
+    assert sum(any(m.values()) for m in got) > shots // 2
 
 
 _BUILDERS = {
@@ -869,19 +889,88 @@ class TestSlotOrder:
             IterativeDecoder(c.detectors, mechs)
 
 
-class TestIncrementalLoop:
-    @pytest.mark.parametrize("max_iters", [1, 2, 3])
-    def test_matches_reference_loop(self, sampled, max_iters):
-        """Re-decoding only the graphs whose syndrome changed gives the same
-        result as re-decoding every graph on every iteration."""
-        c, dec, shots = sampled
-        for i, raw in enumerate(shots[:1000]):
-            got = dec.decode_shot(raw, max_iters)
-            want = reference_decode_shot(c, dec, raw, max_iters)
-            assert (got.flips, got.iterations_used, got.converged) == \
-                (want.flips, want.iterations_used, want.converged), i
-            assert {k: got.corrections.get(k, 0) for k in dec.graphs} == \
-                want.corrections, i
+class TestWalkDirection:
+    # Two patches, each with two X and two Z detectors: slots 0-1 (0, X),
+    # 2-3 (0, Z), 4-5 (1, X), 6-7 (1, Z).  Each detector has a boundary
+    # edge; `_mechanisms` adds a lighter one from `home` flipping `foreign`.
+    _DETECTORS = tuple(Detector((s,), s // 4, "XZ"[s // 2 % 2]) for s in range(8))
+
+    def _mechanisms(self, home: int, foreign: int) -> list[ErrorMechanism]:
+        det = self._DETECTORS
+        mechs = [ErrorMechanism(1e-3, d.home_patch, d.basis, 1 << s) for s, d in enumerate(det)]
+        return mechs + [ErrorMechanism(1e-2, det[home].home_patch, det[home].basis,
+                                       1 << home | 1 << foreign)]
+
+    @pytest.mark.parametrize("home,foreign,graph", [
+        (0, 4, r"\(0, 'X'\)"),    # an X graph feeds a higher X graph
+        (6, 2, r"\(1, 'Z'\)"),    # a Z graph feeds a lower Z graph
+        (4, 2, r"\(1, 'X'\)"),    # an X graph feeds a Z graph
+        (2, 0, r"\(0, 'Z'\)")])   # a Z graph feeds an X graph
+    def test_feeds_against_the_walk_are_rejected(self, home, foreign, graph):
+        with pytest.raises(ValueError, match=f"^graph {graph} flips a detector outside"):
+            IterativeDecoder(self._DETECTORS, self._mechanisms(home, foreign))
+
+    @pytest.mark.parametrize("home,foreign", [(4, 0), (2, 6)])
+    def test_feeds_along_the_walk_decode_after_their_feeder(self, home, foreign):
+        """An X graph feeds a lower X graph, a Z graph a higher Z graph: a
+        defect on the feeder alone takes the lighter, feeding edge, and the
+        fed graph is decoded next, on the detector that edge flips."""
+        det = self._DETECTORS
+        dec = IterativeDecoder(det, self._mechanisms(home, foreign))
+        seen = _recorded_decodes(dec, [1 << home])
+        assert seen == [((det[home].home_patch, det[home].basis), 1 << home % 2),
+                        ((det[foreign].home_patch, det[foreign].basis), 1 << foreign % 2)]
+        assert dec.decode_shot(dec.syndrome_masks(1 << home)).flips == 1 << foreign
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_builders_keep_the_walk_direction(self, name):
+        """Every builder's circuit builds a decoder, and every foreign
+        detector of every edge, read off the circuit's detectors, is of its
+        graph's basis and ahead of it: below it for X, above it for Z."""
+        c = _BUILDERS[name]()
+        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
+        nd = len(c.detectors)
+        slots = det_slots(c)
+        feeds = set()
+        for key, g in dec.graphs.items():
+            for e in g.edges:
+                for d in _bits(e.flips & (1 << nd) - 1):
+                    fed = slots[d][0]
+                    assert fed[1] == key[1] and (fed < key) == (key[1] == "X"), (key, d)
+                    feeds.add((key, fed))
+        assert bool(feeds) == (not name.startswith("memory")), feeds
+
+
+# Both benchmark workloads, every shot of their seed-0 runs, and 2000 shots
+# of 7-to-1 at d=5: (protocol, d, circuit noise, p_in, shots).
+_WALK_RUNS = {
+    "distill15-d3-noisy": (FIFTEEN_TO_ONE, 3, NoiseModel(3e-3), 0.1, 10_000),
+    "distill7-d3": (SEVEN_TO_ONE, 3, NoiseModel(1e-3), 0.01, 20_000),
+    "7to1-d5": (SEVEN_TO_ONE, 5, NoiseModel(1e-3), 1e-3, 2000),
+}
+
+
+class TestOrderedWalk:
+    @pytest.mark.parametrize("name", sorted(_WALK_RUNS))
+    def test_matches_reference_fixpoint(self, name):
+        """Every shot decodes to the flips of the reference loop's fixpoint.
+        The loop's cap of 10 sweeps is above every circuit's depth + 1 (at
+        most 5), and every shot converges under it.  On over a quarter of
+        the shots the loop needs a second sweep: a correction's foreign
+        flips change another graph's syndrome."""
+        protocol, d, noise, p_in, shots = _WALK_RUNS[name]
+        c = build_distillation_circuit(build_protocol(protocol), d, noise)
+        table = fault_table(c)
+        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(table))
+        det_mask = (1 << len(c.detectors)) - 1
+        toggled = 0
+        for i, sig in enumerate(sample(table, shots, 0, 0, p_in).unpack()):
+            shot = sig & det_mask
+            want = reference_decode_shot(c, dec, shot, max_iters=10)
+            assert want.converged, i
+            assert dec.decode_shot(dec.syndrome_masks(shot)).flips == want.flips, i
+            toggled += want.iterations_used > 1
+        assert toggled > shots // 4
 
 
 class TestCaches:
@@ -889,7 +978,7 @@ class TestCaches:
         """Two passes over the recorded decodes, on one fresh graph per cap,
         with `CACHE_CAP` set to that cap."""
         _, dec, shots = sampled
-        decodes = sorted(_recorded_decodes(dec, shots[:500]))
+        decodes = sorted(set(_recorded_decodes(dec, shots[:500])))
         default_cap = decoder.CACHE_CAP
         for key, g in dec.graphs.items():
             assert len(g._cache) <= default_cap
@@ -912,8 +1001,7 @@ class TestCaches:
         """A zero syndrome costs no decode call and no cache entry; its
         correction is 0."""
         c, dec = pipeline
-        zero = _split(dec, np.zeros(len(c.detectors), bool))
-        assert _recorded_decodes(dec, [zero]) == set()
+        assert _recorded_decodes(dec, [0]) == []
         g = next(iter(dec.graphs.values()))
         before = (g.syndrome_hits, g.syndrome_misses, len(g._cache))
         assert g.decode(0) == 0

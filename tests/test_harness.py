@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from matching_oracle import det_slots, walk_syndrome_masks
+from matching_oracle import basis_masks
 from sampler_oracle import fault_signatures, planes
 from msdsim import harness, sampler
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
@@ -53,6 +53,8 @@ class TestConfig:
             ExperimentConfig(d=4)
         with pytest.raises(ValueError):
             ExperimentConfig(shots=0)
+        with pytest.raises(ValueError, match="^rounds must be >= 1$"):
+            ExperimentConfig(rounds=0)
 
     def test_stats_accumulation(self):
         """`+=` adds counts and iteration histograms, over shared and
@@ -129,17 +131,15 @@ class TestSurfaceDrivers:
         dec = pipeline.decoder
         batch = sample(pipeline.table, cfg.shots, cfg.seed)
         det, _, obs = planes(batch, pipeline.table)
-        slots = det_slots(pipeline.table)
         nd = len(pipeline.table.detectors)
-        errors, hist = 0, {}
-        for s in range(cfg.shots):
-            res = dec.decode_shot(walk_syndrome_masks(slots, det[:, s]), cfg.max_iters)
+        errors = 0
+        for s, masks in enumerate(basis_masks(pipeline.table, det)):
+            res = dec.decode_shot(masks)
             errors += (res.flips >> nd & 1) != obs[0, s]
-            hist[res.iterations_used] = hist.get(res.iterations_used, 0) + 1
         got = run_memory_baseline(cfg)
         assert errors > 0
         assert (got.shots, got.accepted, got.errors, got.iteration_hist) == \
-            (cfg.shots, cfg.shots, errors, hist)
+            (cfg.shots, cfg.shots, errors, {1: cfg.shots})
 
     def test_noisy_memory_baseline_is_pinned(self):
         """Every memory shot is accepted; its error count is pinned."""
@@ -183,46 +183,45 @@ class TestSurfaceDrivers:
 
     def test_noisy_subcircuit_counts_are_pinned(self):
         """Each patch's errors are the shots its own observable bit was
-        decoded wrong on; every shot is accepted, and the patches of one
-        basis run share one iteration histogram."""
+        decoded wrong on; every shot is accepted and decoded in one pass."""
         out = run_subcircuit(ExperimentConfig(protocol=SEVEN_TO_ONE, p_circuit=3e-3,
                                               shots=3000, seed=2))
         assert [out[p].errors for p in range(8)] == [56, 102, 108, 69, 73, 111, 127, 83]
-        assert all((st.shots, st.accepted) == (3000, 3000) for st in out.values())
-        assert len({tuple(sorted(st.iteration_hist.items())) for st in out.values()}) == 2
+        assert all((st.shots, st.accepted, st.iteration_hist) == (3000, 3000, {1: 3000})
+                   for st in out.values())
 
 
 # The benchmark's workloads and three runs above d=3, at seed 0: (config,
-# accepted, errors, iteration histogram).  Any change to the sampler or the
+# accepted, errors); every shot is decoded in one pass.  Any change to the sampler or the
 # per-shot decode must leave these counts exactly as they are.
 _PINNED = {
     "distill7-d3": (ExperimentConfig(protocol=SEVEN_TO_ONE, p_circuit=1e-3,
                                      p_in=0.01, shots=20_000, seed=0),
-                    18239, 89, {1: 10826, 2: 9050, 3: 124}),
+                    18239, 89),
     "distill15-d3-noisy": (ExperimentConfig(protocol=FIFTEEN_TO_ONE, p_circuit=3e-3,
                                             p_in=0.1, shots=10_000, seed=0),
-                           1562, 222, {1: 126, 2: 8669, 3: 1205}),
+                           1562, 221),
     # Above d=3, at p_circuit = p_in = 1e-3: cluster sizes d=3 never
     # reaches.  The d=7 run has a cluster of 15 defects, matched by blossom.
     "7to1-d5": (ExperimentConfig(protocol=SEVEN_TO_ONE, d=5, p_circuit=1e-3,
                                  p_in=1e-3, shots=2000, seed=0),
-                1968, 1, {1: 416, 2: 1510, 3: 74}),
+                1968, 1),
     "15to1-d5": (ExperimentConfig(protocol=FIFTEEN_TO_ONE, d=5, p_circuit=1e-3,
                                   p_in=1e-3, shots=1000, seed=0),
-                 969, 0, {1: 19, 2: 900, 3: 81}),
+                 969, 0),
     "7to1-d7": (ExperimentConfig(protocol=SEVEN_TO_ONE, d=7, p_circuit=1e-3,
                                  p_in=1e-3, shots=2000, seed=0),
-                1987, 0, {1: 104, 2: 1564, 3: 332}),
+                1987, 0),
 }
 
 
 class TestBenchmarkWorkloads:
     @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_seed_zero_counts_are_pinned(self, name):
-        cfg, accepted, errors, hist = _PINNED[name]
+        cfg, accepted, errors = _PINNED[name]
         st = run_distillation(cfg)
         assert (st.shots, st.accepted, st.errors, st.iteration_hist) == \
-            (cfg.shots, accepted, errors, hist)
+            (cfg.shots, accepted, errors, {1: cfg.shots})
 
     def test_pipeline_keeps_no_circuit(self):
         """Nothing holds a circuit once its pipeline is built: the table
@@ -237,7 +236,7 @@ class TestBenchmarkWorkloads:
         assert ref() is None
         st = run_distillation(cfg, pipeline)
         assert (st.shots, st.accepted, st.errors, st.iteration_hist) == \
-            (300, 269, 2, {1: 177, 2: 120, 3: 3})
+            (300, 269, 2, {1: 300})
 
     def test_deep_copied_pipeline_runs_like_the_original(self):
         """A deep copy of a never-run pipeline, run cold, gives the
@@ -264,7 +263,7 @@ class TestBenchmarkWorkloads:
         serial = [harness.decode_chunk(pipeline, cfg, k) for k in (0, 1)]
         assert harness.decode_chunk(cold, cfg, 1) == serial[1]
         chunk = serial[1][0]
-        assert chunk.shots == 300 and chunk.accepted < 300 and len(chunk.iteration_hist) > 1
+        assert (chunk.shots, chunk.iteration_hist) == (300, {1: 300}) and chunk.accepted < 300
         merged = serial[0][0]
         merged += serial[1][0]
         got = run_distillation(cfg, cold)
@@ -281,8 +280,7 @@ class TestPredictOutcome:
         return dets | obs << 3 | checks << 5
 
     def _res(self, obs: int, checks: int) -> DecodeResult:
-        return DecodeResult(corrections={}, flips=self._sig(0b110, obs, checks),
-                            iterations_used=1, converged=True)
+        return DecodeResult(self._sig(0b110, obs, checks))
 
     def test_bit_positions(self):
         res = self._res(0b10, 0b101)
@@ -302,12 +300,12 @@ class TestPredictOutcome:
 
 
 class TestTally:
-    @pytest.mark.parametrize("protocol, d, faults, distinct, iters", [
-        pytest.param(SEVEN_TO_ONE, 3, 24133, 4041, [1, 2], id="SevenToOne-d3"),
-        pytest.param(FIFTEEN_TO_ONE, 3, 56877, 10052, [1, 2], id="FifteenToOne-d3"),
-        pytest.param(SEVEN_TO_ONE, 5, 74013, 14895, [1, 2, 3], id="SevenToOne-d5"),
-        pytest.param(FIFTEEN_TO_ONE, 5, 174469, 36848, [1, 2, 3], id="FifteenToOne-d5")])
-    def test_every_single_fault_is_corrected(self, protocol, d, faults, distinct, iters):
+    @pytest.mark.parametrize("protocol, d, faults, distinct", [
+        pytest.param(SEVEN_TO_ONE, 3, 24133, 4041, id="SevenToOne-d3"),
+        pytest.param(FIFTEEN_TO_ONE, 3, 56877, 10052, id="FifteenToOne-d3"),
+        pytest.param(SEVEN_TO_ONE, 5, 74013, 14895, id="SevenToOne-d5"),
+        pytest.param(FIFTEEN_TO_ONE, 5, 174469, 36848, id="FifteenToOne-d5")])
+    def test_every_single_fault_is_corrected(self, protocol, d, faults, distinct):
         """Each (site, Pauli term) fault of the circuit at p_circuit 1e-3,
         its signature the XOR of the term's component rows, is accepted and
         decoded right: one fault never flips the output unnoticed, and none
@@ -317,31 +315,9 @@ class TestTally:
         sigs = fault_signatures(pipeline.table)
         unique = sorted(set(sigs) - {0})
         assert (len(sigs), len(unique)) == (faults, distinct)
-        st = tally(pipeline, unique, 3)[0]
+        st = tally(pipeline, unique)[0]
         assert (st.shots, st.accepted, st.errors) == (distinct, distinct, 0)
-        assert list(st.iteration_hist) == iters
-
-    def test_iteration_cap_does_not_size_memory(self):
-        """The iteration histogram holds the sweep counts shots used, so a
-        run capped at 10^7 sweeps peaks within 1.5x of the same run capped at
-        3, with the same counts.  Each traced run starts from a never-run
-        copy of one pipeline, after a warm-up run on another."""
-        cfg = replace(_PINNED["distill7-d3"][0], shots=2000)
-        pipeline = harness.distillation_pipeline(cfg)
-        run_distillation(cfg, copy.deepcopy(pipeline))
-        peaks, counts = {}, {}
-        for cap in (3, 10**7):
-            twin = copy.deepcopy(pipeline)
-            tracemalloc.start()
-            try:
-                st = run_distillation(replace(cfg, max_iters=cap), twin)
-                peaks[cap] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            counts[cap] = (st.accepted, st.errors, st.iteration_hist)
-        assert counts[10**7] == counts[3]
-        assert list(counts[3][2]) == sorted(counts[3][2])
-        assert peaks[10**7] <= 1.5 * peaks[3], peaks
+        assert st.iteration_hist == {1: distinct}
 
 
 class TestCostModel:
