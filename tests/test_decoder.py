@@ -973,6 +973,23 @@ class TestOrderedWalk:
         assert toggled > shots // 4
 
 
+class TestIncrementalLoop:
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_matches_reference_loop(self, sampled, max_iters):
+        """Every shot on which the reference loop, re-decoding every graph
+        on every sweep, settles within `max_iters` sweeps decodes to the
+        same flips under the ordered walk, which decodes each graph once."""
+        c, dec, shots = sampled
+        settled = 0
+        for i, raw in enumerate(shots[:1000]):
+            want = reference_decode_shot(c, dec, raw, max_iters)
+            if want.converged:
+                settled += 1
+                assert dec.decode_shot(dec.syndrome_masks(raw)).flips == \
+                    want.flips, i
+        assert settled > 0
+
+
 class TestCaches:
     def test_caps_hold_and_tiny_caps_change_nothing(self, sampled, monkeypatch):
         """Two passes over the recorded decodes, on one fresh graph per cap,
