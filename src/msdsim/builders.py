@@ -126,20 +126,11 @@ class MultiPatchBuilder:
         self.prev_meas.update(new_meas)
         self.pending = []
 
-    def _backpropagated_patches(self, patch: int, kind: str) -> set[int]:
-        """Patches whose same-cell plaquette enters the operator after pulling
-        it backwards through the pending transversal CNOTs."""
-        s = {patch}
-        for cp, tp in reversed(self.pending):
-            if kind == "X" and cp in s:
-                s ^= {tp}
-            elif kind == "Z" and tp in s:
-                s ^= {cp}
-        return s
-
     def _emit_round_detector(self, patch: int, pi: int, plq: Plaquette, m_new: int) -> None:
         terms = [m_new]
-        for pk in self._backpropagated_patches(patch, plq.kind):
+        # Patches whose same-cell plaquette enters the pulled-back operator.
+        mask = _pull_back(1 << patch, self.pending, plq.kind)
+        for pk in (q for q in range(mask.bit_length()) if mask >> q & 1):
             prev = self.prev_meas.get((pk, pi))
             if prev is not None:
                 terms.append(prev)
@@ -241,16 +232,24 @@ def build_distillation_circuit(spec: ProtocolSpec, d: int, noise: NoiseModel) ->
     return b.finish()
 
 
+def _pull_back(mask: int, pairs, basis: str) -> int:
+    """A patch-support mask of an X or Z operator pulled backwards through
+    the (control, target) CNOT `pairs`, last first: X on a control spreads to
+    its target, Z on a target to its control."""
+    for c, t in reversed(pairs):
+        if basis == "X" and mask >> c & 1:
+            mask ^= 1 << t
+        elif basis == "Z" and mask >> t & 1:
+            mask ^= 1 << c
+    return mask
+
+
 def _web_backprop(mask: int, layers, basis: str) -> list[int]:
     """Patch-support masks of a final logical product, pulled backwards through
     the CNOT layers; index 0 is the pre-network support, index -1 the final."""
     segs = [mask]
     for layer in reversed(layers):
-        for c, t in reversed(layer):
-            if basis == "Z" and (mask >> t) & 1:
-                mask ^= 1 << c
-            elif basis == "X" and (mask >> c) & 1:
-                mask ^= 1 << t
+        mask = _pull_back(mask, layer, basis)
         segs.append(mask)
     return segs[::-1]
 

@@ -1,7 +1,8 @@
 """Error mechanisms: a merge over the circuit's fault table.
 
 `enumerate_error_mechanisms` reads the fault table (`sampler.fault_table`,
-the one reader of noise channels), and only the table.  Each distinct row is
+the one reader of noise channels), and only the table: per site its four
+component rows, an unused one row 0, whose part is zero.  Each distinct row is
 split once into its X-column part and its Z-column part, by the table's
 X-basis columns (`FaultTable.x_cols`); a Pauli term's part in one basis is
 the XOR of its components' parts in that basis.  Per noise site
@@ -68,19 +69,17 @@ def _fold(table: FaultTable) -> dict[tuple[int, str, int], float]:
     probs: dict[tuple[int, str, int], float] = {}
     reached = [_reached(TERMS[k]) for k in KINDS]
     live = np.flatnonzero(table.p)
-    kinds, origins, firsts = (col[live].tolist() for col in (
-        table.kind, table.origin, table.first))
+    kinds, origins = (col[live].tolist() for col in (table.kind, table.origin))
     qs = (table.p / np.array([len(TERMS[k]) for k in KINDS])[table.kind])[live].tolist()
-    ncomp = np.array([TERMS[k].shape[1] for k in KINDS])[table.kind]
-    # Bit c of local[i]: component i is component c of its site.
-    local = np.left_shift(1, np.arange(len(table.comp_row)) - np.repeat(table.first, ncomp))
+    comp = table.comp[live]
     rows = table.sigs.tolist()
     for basis, cols in (("X", table.x_cols), ("Z", ~table.x_cols)):
         part_rows = np.array([r & cols for r in rows], dtype=object)
-        parts = part_rows[table.comp_row].tolist()
-        nonzero = (part_rows != 0)[table.comp_row]
-        patterns = np.add.reduceat(np.where(nonzero, local, 0), table.first)[live].tolist()
-        for kind, q, origin, first, pattern in zip(kinds, qs, origins, firsts, patterns):
+        # Component c of live site i has part parts[4 * i + c].
+        parts = part_rows[comp].ravel().tolist()
+        patterns = ((part_rows != 0)[comp] @ (1 << np.arange(4))).tolist()
+        for kind, q, origin, first, pattern in zip(kinds, qs, origins,
+                                                   range(0, len(parts), 4), patterns):
             for comps, n in reached[kind][pattern]:
                 part = 0
                 for c in comps:

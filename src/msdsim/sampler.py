@@ -7,7 +7,9 @@ sensitivity sweep carries, per qubit, the signature columns (detectors,
 observables, checks; `signature_columns`) an X or a Z error at that point
 would flip.  Each noise site reads its components off the sets at its site:
 the X and Z parts of every depolarized qubit, a measurement's own classical
-flip, an injection's joint Z.  A component's row is its signature; the
+flip, an injection's joint Z.  Every site has four component slots, and a
+slot its kind does not use holds row 0, the zero signature, so the table is
+one (sites, 4) matrix of row ids.  A component's row is its signature; the
 sampler and the error-mechanism merge (`dem`) read the same rows.  The table
 carries the annotations that name the columns and the mask of X-basis ones,
 so later stages read it and never the circuit.  Sites sharing a kind and a
@@ -46,19 +48,20 @@ CHUNK = 1 << 14
 # noise strength.
 _BLOCK = 1024
 
-# Per kind, the components each Pauli term applies, one row per term; a site
-# of probability p fires each term with probability p / len(terms).  DEPOL1
-# components are (X, Z): terms X, Y, Z.  DEPOL2 components are (X_a, Z_a, X_b,
-# Z_b): the 15 non-identity two-qubit Paulis.  A measurement FLIP (MX/MZ) and
-# an INJECT_Z have one component and one term.
+# Per kind, which of a site's four components each Pauli term applies, one
+# row of 4 per term; a site of probability p fires each term with probability
+# p / len(terms).  DEPOL1 components are (X, Z, -, -): terms X, Y, Z.  DEPOL2
+# components are (X_a, Z_a, X_b, Z_b): the 15 non-identity two-qubit Paulis.
+# A measurement FLIP (MX/MZ) and an INJECT_Z have one component and one term.
+# No term applies a column its kind leaves unused (`-`, row 0).
 KINDS = ("DEPOL1", "DEPOL2", "FLIP", "INJECT_Z")
 TERMS = {
-    "DEPOL1": np.array([(1, 0), (1, 1), (0, 1)], dtype=bool),
+    "DEPOL1": np.array([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)], dtype=bool),
     "DEPOL2": np.array([(xa, za, xb, zb)
                         for xa in (0, 1) for za in (0, 1) for xb in (0, 1) for zb in (0, 1)
                         if (xa, za, xb, zb) != (0, 0, 0, 0)], dtype=bool),
-    "FLIP": np.ones((1, 1), dtype=bool),
-    "INJECT_Z": np.ones((1, 1), dtype=bool),
+    "FLIP": np.array([(1, 0, 0, 0)], dtype=bool),
+    "INJECT_Z": np.array([(1, 0, 0, 0)], dtype=bool),
 }
 
 
@@ -84,9 +87,8 @@ class FaultTable:
     kind: np.ndarray            # (sites,) int8 index into KINDS
     p: np.ndarray               # (sites,) float64
     origin: np.ndarray          # (sites,) int32 origin patch
-    first: np.ndarray           # (sites,) int32: component c is comp_row[first + c]
-    comp_row: np.ndarray        # int32 row id of each component; sites share rows
-    sigs: np.ndarray            # (rows,) int64 or object: row r's signature
+    comp: np.ndarray            # (sites, 4) int32 row of each component, 0 if unused
+    sigs: np.ndarray            # (rows,) int64 or object: row r's signature; row 0 is 0
     random: int                 # bit c set: column c is random when noiseless
 
 
@@ -118,14 +120,15 @@ def fault_table(circuit: Circuit) -> FaultTable:
         basis = s.basis if c < nd else circuit.meas_addr[s.meas[0]][2]
         if basis == "X":
             x_cols |= 1 << c
-    # Per site its kind, p and origin, and per component its row id, built
+    # Per site its kind, p and origin, and its four components' row ids, built
     # in reverse: the sweep visits sites backwards.  Components with equal
-    # bitsets (most sites between two gates on a qubit) share one row.
+    # bitsets (most sites between two gates on a qubit) share one row; row 0
+    # is the zero signature, which unused components point at.
     kinds: list[int] = []
     ps: list[float] = []
     origins: list[int] = []
-    comp_row: list[int] = []
-    row_id: dict[int, int] = {}
+    comps: list[int] = []
+    row_id: dict[int, int] = {0: 0}
     sx, sz = [0] * len(index), [0] * len(index)
     random, mi = 0, circuit.num_measurements
     for ins in reversed(circuit.instructions):
@@ -150,14 +153,14 @@ def fault_table(circuit: Circuit) -> FaultTable:
             else:
                 random |= sx[q]
                 sz[q] ^= col_row[mi]
-            op, new = "FLIP", [(ins.targets[0][0], (col_row[mi],))]
+            op, new = "FLIP", [(ins.targets[0][0], (col_row[mi], 0, 0, 0))]
         elif op == "INJECT_Z":
             row = 0
             for q in qs:
                 row ^= sz[q]
-            new = [(ins.targets[0][0], (row,))]
+            new = [(ins.targets[0][0], (row, 0, 0, 0))]
         elif op == "DEPOL1":
-            new = [(a[0], (sx[q], sz[q])) for a, q in zip(ins.targets, qs)]
+            new = [(a[0], (sx[q], sz[q], 0, 0)) for a, q in zip(ins.targets, qs)]
         elif op == "DEPOL2":
             a, b = qs
             new = [(ins.targets[0][0], (sx[a], sz[a], sx[b], sz[b]))]
@@ -166,25 +169,23 @@ def fault_table(circuit: Circuit) -> FaultTable:
         if ins.p == 0 and op != "INJECT_Z":
             continue
         code = KINDS.index(op)
-        for patch, comps in reversed(new):
+        for patch, rows in reversed(new):
             kinds.append(code)
             ps.append(ins.p)
             origins.append(patch)
-            comp_row.extend(row_id.setdefault(r, len(row_id)) for r in reversed(comps))
+            comps.extend(row_id.setdefault(r, len(row_id)) for r in reversed(rows))
     assert mi == 0
     for q in range(len(index)):
         random |= sz[q]     # the all-|0> start
-    kind, p, origin, comp_row = (np.array(col[::-1], dtype=dt) for col, dt in zip(
-        (kinds, ps, origins, comp_row), (np.int8, np.float64, np.int32, np.int32)))
-    ncomp = np.array([TERMS[k].shape[1] for k in KINDS], dtype=np.int32)[kind]
-    first = (np.cumsum(ncomp) - ncomp).astype(np.int32)
+    kind, p, origin, comp = (np.array(col[::-1], dtype=dt) for col, dt in zip(
+        (kinds, ps, origins, comps), (np.int8, np.float64, np.int32, np.int32)))
     # A signature of fewer than 64 columns fits an int64; wider ones are
     # Python ints.  Shots take the rows' dtype, so a narrow circuit's shots
     # cost 8 bytes each however many of them are nonzero.
     sigs = np.array(list(row_id), dtype=np.int64 if len(cols) < 64 else object)
     return FaultTable(tuple(circuit.detectors), tuple(circuit.observables),
-                      tuple(circuit.checks), x_cols, kind, p, origin, first, comp_row,
-                      sigs, random)
+                      tuple(circuit.checks), x_cols, kind, p, origin,
+                      comp.reshape(-1, 4), sigs, random)
 
 
 def validate_annotations(table: FaultTable) -> None:
@@ -204,13 +205,12 @@ def validate_annotations(table: FaultTable) -> None:
 def _groups(table: FaultTable, p_in: float):
     """Per (kind, p), in order of first occurrence: kind, the rate its sites
     fire at (`p_in` for the injections), and the component rows of its sites
-    in forward order (sites, components)."""
+    in forward order (sites, 4)."""
     by_key: dict[tuple[int, float], list[int]] = {}
     for site, key in enumerate(zip(table.kind.tolist(), table.p.tolist())):
         by_key.setdefault(key, []).append(site)
     for (k, p), sites in by_key.items():
-        comps = table.comp_row[table.first[sites, None] + np.arange(TERMS[KINDS[k]].shape[1])]
-        yield KINDS[k], p_in if KINDS[k] == "INJECT_Z" else p, comps
+        yield KINDS[k], p_in if KINDS[k] == "INJECT_Z" else p, table.comp[sites]
 
 
 def _fired(rng: np.random.Generator, p: float, n_slots: int):
@@ -232,13 +232,9 @@ def _sample_chunk(table: FaultTable, groups: list[tuple], shots: int,
         terms = TERMS[kind]
         for slots in _fired(rng, p, len(comps) * shots):
             site, shot = np.divmod(slots, shots)
-            if len(terms) > 1:
-                ev, comp = np.divmod(np.flatnonzero(
-                    terms[rng.integers(0, len(terms), slots.size)]), terms.shape[1])
-                site, shot = site[ev], shot[ev]
-            else:
-                comp = np.zeros_like(site)
-            np.bitwise_xor.at(sigs, shot, table.sigs[comps[site, comp]])
+            ev, comp = np.divmod(np.flatnonzero(
+                terms[rng.integers(0, len(terms), slots.size)]), 4)
+            np.bitwise_xor.at(sigs, shot[ev], table.sigs[comps[site[ev], comp]])
     return sigs
 
 

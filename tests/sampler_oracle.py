@@ -9,8 +9,8 @@ the sampler.
 
 `planes` reads a batch's signature ints back into bool planes, bit by bit.
 `fault_signatures` and `injection_rows` read single faults' and resources'
-signatures off a fault table's component rows, for producers of signatures
-other than the sampler.
+signatures off a fault table's component rows (`comp[site, c]`, four per
+site), for producers of signatures other than the sampler.
 """
 from __future__ import annotations
 
@@ -110,12 +110,12 @@ def fault_signatures(table: FaultTable, injections: bool = False) -> list[int]:
     order, per Pauli term of its kind: that fault's signature, the XOR of the
     rows of the components the term applies."""
     out = []
-    for kind, p, first in zip(table.kind, table.p, table.first):
+    for kind, p, comp in zip(table.kind, table.p, table.comp):
         if p == 0 and not (injections and KINDS[kind] == "INJECT_Z"):
             continue
         for term in TERMS[KINDS[kind]]:
             sig = 0
-            for r in table.comp_row[first + np.flatnonzero(term)]:
+            for r in comp[term]:
                 sig ^= int(table.sigs[r])
             out.append(sig)
     return out
@@ -129,5 +129,5 @@ def injection_rows(table: FaultTable, first_patch: int) -> list[int]:
     rows: dict[int, int] = {}
     for site in np.flatnonzero(table.kind == KINDS.index("INJECT_Z")):
         r = int(table.origin[site]) - first_patch
-        rows[r] = rows.get(r, 0) ^ int(table.sigs[table.comp_row[table.first[site]]])
+        rows[r] = rows.get(r, 0) ^ int(table.sigs[table.comp[site, 0]])
     return [rows[r] for r in range(len(rows))]

@@ -95,7 +95,7 @@ class TestInjectionMechanisms:
         table = fault_table(circuit)
         sites = np.flatnonzero(table.kind == KINDS.index("INJECT_Z"))
         return table, {int(table.origin[s]) - spec.num_data:
-                       (int(s), int(table.sigs[table.comp_row[table.first[s]]])) for s in sites}
+                       (int(s), int(table.sigs[table.comp[s, 0]])) for s in sites}
 
     def test_pure_injection_signature(self):
         """With zero circuit noise the only sites are the injected logical Zs:

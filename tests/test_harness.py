@@ -57,26 +57,21 @@ class TestConfig:
             ExperimentConfig(rounds=0)
 
     def test_stats_accumulation(self):
-        """`+=` adds counts and iteration histograms, over shared and
-        disjoint keys, leaves `seconds` and the other tally alone, and the
-        rates follow the merged counts."""
-        st = ExperimentStats(shots=3, accepted=2, errors=1,
-                             iteration_hist={1: 2, 2: 1}, seconds=0.5)
-        other = ExperimentStats(shots=5, accepted=4, errors=2,
-                                iteration_hist={2: 3, 3: 2}, seconds=9.0)
+        """`+=` adds counts, leaves `seconds` and the other tally alone,
+        and the rates follow the merged counts."""
+        st = ExperimentStats(shots=3, accepted=2, errors=1, seconds=0.5)
+        other = ExperimentStats(shots=5, accepted=4, errors=2, seconds=9.0)
         merged = st
         merged += other
         assert merged is st
         assert (st.shots, st.accepted, st.errors, st.seconds) == (8, 6, 3, 0.5)
-        assert st.iteration_hist == {1: 2, 2: 4, 3: 2}
-        assert other == ExperimentStats(5, 4, 2, {2: 3, 3: 2}, 9.0)
+        assert other == ExperimentStats(5, 4, 2, 9.0)
         assert st.p_accept == pytest.approx(6 / 8)
         assert st.discard_ratio == pytest.approx(2 / 8)
         assert st.p_out == pytest.approx(3 / 6)
         assert st.p_out_interval() == wilson_interval(3, 6)
         st += ExperimentStats()
         assert (st.shots, st.accepted, st.errors) == (8, 6, 3)
-        assert st.iteration_hist == {1: 2, 2: 4, 3: 2}
 
 
 class TestLogicalDriver:

@@ -22,7 +22,7 @@ from msdsim.circuit import Circuit, ParitySet
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                               exhaustive_oracle)
-from msdsim.sampler import CHUNK, KINDS, fault_table, sample, signature_columns
+from msdsim.sampler import CHUNK, KINDS, TERMS, fault_table, sample, signature_columns
 
 
 # sha256 of repr(sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()) on
@@ -216,10 +216,15 @@ def _assert_table_equals_oracle(circuit: Circuit) -> None:
     """The signature rows of the table's p > 0 faults and injections, in
     forward order (the XOR of each term's component rows), equal
     `forward_faults`' measurement flips projected onto `signature_columns`,
-    which the table names as the circuit does."""
+    which the table names as the circuit does.  Row 0 is the zero signature,
+    and every component a site's kind leaves unused (no term applies it)
+    points at it."""
     cols = signature_columns(circuit)
     table = fault_table(circuit)
     assert signature_columns(table) == cols
+    assert table.sigs[0] == 0
+    for k, kind in enumerate(KINDS):
+        assert not table.comp[table.kind == k][:, ~TERMS[kind].any(axis=0)].any(), kind
     ints = fault_signatures(table, injections=True)
     _, flips = forward_faults(circuit)
     # member[m, c]: how often measurement m is in column c (a repeat cancels).
@@ -250,7 +255,7 @@ class TestFaultTable:
         for site in sites:
             r = int(table.origin[site]) - spec.num_data
             assert table.p[site] == 0
-            row = int(table.sigs[table.comp_row[table.first[site]]])
+            row = int(table.sigs[table.comp[site, 0]])
             assert row == _syndrome_sig(c, spec, [r])
             assert row >> (len(c.detectors) + len(c.observables)) != 0
 
