@@ -2,10 +2,13 @@
 
 Each (patch, measurement-basis) pair gets its own matching graph built from
 the mechanisms originating on that patch; detector flips a mechanism causes on
-*other* patches ride along on its edge as foreign flips.  A shot is decoded
-in one walk per basis: each graph is decoded once, on its raw syndrome XOR
-the foreign flips of the graphs decoded before it, so no graph waits for a
-later one and the result is the fixpoint of iterating the corrections.  A
+*other* patches ride along on its edge as foreign flips.  A graph is *live*
+when its edges flip an observable, a check, or a detector of a live graph;
+only a live graph's correction can reach a shot's score.  A shot is decoded
+in one walk per basis over the live graphs: each is decoded once, on its raw
+syndrome XOR the foreign flips of the graphs decoded before it, so no graph
+waits for a later one and the result is, off the dead graphs' detectors,
+the fixpoint of iterating the corrections of every graph.  A
 `MatchingGraph` is nodes and edges only; the `IterativeDecoder` alone maps
 detectors to graphs, nodes and slots.
 
@@ -49,8 +52,10 @@ on any other foreign flip).  So the X walk, from the top set bit down, and
 the Z walk, from the lowest set bit up, each reach a graph only after every
 graph that feeds it.  At each step the bit names its graph, whose syndrome
 is one shift (and for Z one AND), and the walk goes on with the bits ahead
-of that graph XOR the foreign flips of its correction.  A graph without a
-defect is never decoded.
+of that graph XOR the live foreign flips of its correction.  The same
+direction lets one pass, X graphs upward and then Z graphs downward, decide
+every graph's liveness after the graphs it feeds.  A graph without a defect
+is never decoded, nor is a dead graph.
 """
 from __future__ import annotations
 
@@ -310,7 +315,7 @@ class MatchingGraph:
 
 @dataclass(slots=True)
 class DecodeResult:
-    flips: int                          # the XOR of the graphs' corrections
+    flips: int                          # the XOR of the live graphs' corrections
     # Every shot is decoded in one pass to the fixpoint; the benchmark's
     # tracer still reads these two.
     iterations_used: ClassVar[int] = 1
@@ -324,23 +329,26 @@ class IterativeDecoder:
     the detectors homed to that patch in that basis, one contiguous id
     range, and its node i is the i-th of them.  A mechanism's home bits are
     its signature's bits in its graph's range, and its edge's `flips` the
-    rest of its signature.  Raises ValueError when the detectors are not
+    rest of its signature.  `live_slots` holds the slots of the live graphs
+    (the module docstring): those whose edges flip an observable or check
+    column, above the detectors, or a live graph's detector.  Every graph
+    is built, live or dead.  Raises ValueError when the detectors are not
     sorted by (home patch, basis), when a mechanism has more than two home
-    detectors, or when a graph's edges flip a detector against the walk
-    direction (the module docstring)."""
+    detectors, or when any graph's edges flip a detector against the walk
+    direction."""
 
     def __init__(self, detectors: tuple[Detector, ...], mechanisms: list[ErrorMechanism]):
         keys = [(det.home_patch, det.basis) for det in detectors]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValueError("detectors are not in slot order")
-        self._det_mask = det_mask = (1 << len(detectors)) - 1
+        nd = len(detectors)
         # Each graph's slots [lo, hi), in slot order, and each basis's slots.
         span: dict[tuple[int, str], list[int]] = {}
         basis_slots = {"X": 0, "Z": 0}
         for s, key in enumerate(keys):
             span.setdefault(key, [s, s])[1] = s + 1
             basis_slots[key[1]] |= 1 << s
-        self._x_slots, self._z_slots = basis_slots["X"], basis_slots["Z"]
+        x_slots, z_slots = basis_slots["X"], basis_slots["Z"]
         edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in span}
         reach = dict.fromkeys(span, 0)       # per graph, the OR of its edges' flips
         for m in mechanisms:
@@ -362,25 +370,41 @@ class IterativeDecoder:
         self._slot_span: list[tuple] = []
         for key, (lo, hi) in span.items():
             if key[1] == "X":
-                ahead = self._x_slots & (1 << lo) - 1
+                ahead = x_slots & (1 << lo) - 1
             else:
-                ahead = self._z_slots >> hi << hi
-            if reach[key] & det_mask & ~ahead:
+                ahead = z_slots >> hi << hi
+            if reach[key] & (1 << nd) - 1 & ~ahead:
                 raise ValueError(f"graph {key} flips a detector outside its walk's "
                                  f"later {key[1]} graphs")
             g = self.graphs[key] = MatchingGraph(hi - lo, edges[key])
             self._slot_span += [(g, lo, (1 << (hi - lo)) - 1, ahead)] * (hi - lo)
+        # A graph is live when its edges flip an observable, a check or a
+        # live graph's detector.  A graph feeds only graphs that its walk
+        # visits after it, so X graphs ascending, then Z graphs descending,
+        # decide every fed graph before its feeders.
+        live = 0
+        for key in [k for k in span if k[1] == "X"] + [k for k in reversed(span) if k[1] == "Z"]:
+            if reach[key] >> nd or reach[key] & live:
+                lo, hi = span[key]
+                live |= (1 << hi) - (1 << lo)
+        self.live_slots = live
+        self._x_slots, self._z_slots = x_slots & live, z_slots & live
 
     def syndrome_masks(self, shot: int) -> dict[str, int]:
-        """Split one shot's detector bits, a slot-order int, by basis: the
-        inputs of the two walks of `decode_shot`."""
+        """Split one shot's detector bits, a slot-order int, by basis and
+        keep the live graphs' slots: the inputs of the two walks of
+        `decode_shot`."""
         return {"X": shot & self._x_slots, "Z": shot & self._z_slots}
 
     def decode_shot(self, masks: dict[str, int]) -> DecodeResult:
-        """Decode one shot's per-basis syndromes, each graph once, on its
-        raw syndrome XOR the foreign flips of the graphs its walk decoded
-        before it: X from the top set bit down, Z from the lowest up."""
-        spans, det_mask = self._slot_span, self._det_mask
+        """Decode one shot's per-basis syndromes, each live graph once, on
+        its raw syndrome XOR the foreign flips of the graphs its walk
+        decoded before it: X from the top set bit down, Z from the lowest
+        up.  `flips` is the XOR of the live graphs' corrections: every
+        observable and check column, and every live detector, equals the
+        fixpoint of all graphs' corrections; a dead graph's detectors may
+        differ."""
+        spans, live = self._slot_span, self.live_slots
         flips = 0
         todo = masks["X"]
         while todo:
@@ -388,11 +412,11 @@ class IterativeDecoder:
             g, lo, _, ahead = spans[todo.bit_length() - 1]
             new = g.decode(todo >> lo)
             flips ^= new
-            todo = (todo & ahead) ^ (new & det_mask)
+            todo = (todo & ahead) ^ (new & live)
         todo = masks["Z"]
         while todo:
             g, lo, width, ahead = spans[(todo & -todo).bit_length() - 1]
             new = g.decode(todo >> lo & width)
             flips ^= new
-            todo = (todo & ahead) ^ (new & det_mask)
+            todo = (todo & ahead) ^ (new & live)
         return DecodeResult(flips)

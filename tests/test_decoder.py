@@ -168,6 +168,22 @@ def _home_foreign(c, m: ErrorMechanism) -> tuple[list[int], list[int]]:
     return home, [d for d in dets if d not in home]
 
 
+def _live_keys(c, dec: IterativeDecoder) -> set[tuple[int, str]]:
+    """The graphs, read off the circuit's detectors, that hold a slot of
+    the decoder's live set."""
+    return {key for s, (key, _) in enumerate(det_slots(c)) if dec.live_slots >> s & 1}
+
+
+def _assert_same_score(c, dec: IterativeDecoder, sig: int, got, want, i: int) -> None:
+    """Two decodings of one shot's signature `sig` agree on every column
+    but the dead graphs' detectors, and `predict_outcome` scores them alike."""
+    nd, no = len(c.detectors), len(c.observables)
+    assert (got.flips ^ want.flips) & dec.live_slots == 0, i
+    assert got.flips >> nd == want.flips >> nd, i
+    assert harness.predict_outcome(got, sig, nd, no) == \
+        harness.predict_outcome(want, sig, nd, no), i
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), 3,
@@ -191,30 +207,43 @@ class TestIterativeLoop:
             assert res.flips >> nd == m.sig >> nd
 
     def test_foreign_toggle_changes_neighbour_syndrome(self, pipeline):
-        """A fault's home syndrome alone: the walk decodes its home graph
-        first, then every graph whose detectors that correction flips, on
-        those flips, in the walk's direction.  Graphs and slots are read
-        off the circuit's detectors."""
+        """A fault's home syndrome alone: on a live graph, the walk decodes
+        its home graph first, then every graph whose detectors that
+        correction flips, on those flips, in the walk's direction.  On a
+        dead graph it decodes nothing, and that graph's correction of the
+        syndrome flips dead graphs only.  Graphs and slots are read off the
+        circuit's detectors."""
         c, dec = pipeline
         nd = len(c.detectors)
         slots = det_slots(c)
-        fed = 0
+        live = _live_keys(c, dec)
+        fed = dead = 0
         for m in enumerate_error_mechanisms(fault_table(c)):
             home, foreign = _home_foreign(c, m)
             if not (home and foreign):
                 continue
             key = (m.origin_patch, m.basis)
             seen = _recorded_decodes(dec, [sum(1 << d for d in home)])
-            assert seen[0][0] == key
+            if key in live:
+                assert seen[0][0] == key
+                syndrome = seen[0][1]
+            else:
+                assert seen == [], m
+                assert {slots[d][0] for d in home} == {key}, m
+                syndrome = sum(slots[d][1] for d in home)
+                dead += 1
             toggles: dict[tuple[int, str], int] = {}
-            for d in _bits(dec.graphs[key].decode(seen[0][1]) & (1 << nd) - 1):
+            for d in _bits(dec.graphs[key].decode(syndrome) & (1 << nd) - 1):
                 fed_key, bit = slots[d]
                 toggles[fed_key] = toggles.get(fed_key, 0) ^ bit
             for fed_key, bit in toggles.items():
                 assert fed_key[1] == key[1] and (fed_key < key) == (key[1] == "X")
-                assert (fed_key, bit) in seen[1:], m
+                if key in live:
+                    assert (fed_key, bit) in seen[1:], m
+                else:
+                    assert fed_key not in live, m
                 fed += 1
-        assert fed > 100
+        assert fed > 100 and dead > 0
 
 
 _WORKLOADS = {
@@ -226,15 +255,16 @@ _WORKLOADS = {
 
 @pytest.fixture(scope="module", params=sorted(_WORKLOADS))
 def sampled(request):
-    """(circuit, decoder, per-shot detector bits) for 2000 sampled shots of
-    a workload."""
+    """(circuit, decoder, per-shot detector bits, per-shot signatures) for
+    2000 sampled shots of a workload."""
     protocol, noise, p_in = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     table = fault_table(c)
     dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(table))
     batch = sample(table, 2000, seed=41, p_in=p_in)
     det_mask = (1 << len(c.detectors)) - 1
-    return c, dec, [sig & det_mask for sig in batch.unpack()]
+    sigs = batch.unpack()
+    return c, dec, [sig & det_mask for sig in sigs], sigs
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -344,8 +374,9 @@ def test_parallel_edge_ties_go_to_the_smallest_flips(protocol, d):
 
 def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
     """Over the seed-0 runs of both benchmark workloads, every shot asks
-    each graph to decode at most once, and never a zero syndrome: a graph
-    without a defect gets the empty correction, 0, without a call."""
+    each live graph to decode at most once, and never a zero syndrome: a
+    graph without a defect gets the empty correction, 0, without a call.
+    No dead graph is asked at all."""
     calls = []
     orig = MatchingGraph.decode
 
@@ -358,6 +389,7 @@ def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
         res = decode_shot(self, masks)
         graphs = [g for g, _ in calls]
         assert len(set(graphs)) == len(graphs)
+        assert set(graphs) <= _live_graph_ids(self)
         assert all(syndrome for _, syndrome in calls)
         per_shot_calls.append(len(calls))
         return res
@@ -372,6 +404,17 @@ def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
         harness.run_distillation(harness.ExperimentConfig(
             protocol=protocol, p_circuit=noise.p_circuit, p_in=p_in, shots=shots, seed=0))
         assert len(per_shot_calls) == shots and sum(per_shot_calls) > shots, name
+
+
+def _live_graph_ids(dec: IterativeDecoder) -> set[int]:
+    """The ids of the decoder's live graphs: `graphs` holds one graph per
+    slot range, in slot order, `n` slots wide."""
+    ids, lo = set(), 0
+    for g in dec.graphs.values():
+        if dec.live_slots >> lo & 1:
+            ids.add(id(g))
+        lo += g.n
+    return ids
 
 
 def _recorded_decodes(dec: IterativeDecoder, shots) -> list[tuple]:
@@ -412,7 +455,7 @@ class TestClusterSplit:
         """Every per-graph decode of 2000 sampled shots has the oracle's
         weight; a different correction is allowed only on an equal-weight
         tie, and the ties are counted."""
-        _, dec, shots = sampled
+        _, dec, shots, _ = sampled
         decodes = set(_recorded_decodes(dec, shots))
         ties = flips = 0
         for key, s in sorted(decodes):
@@ -482,7 +525,7 @@ class TestMemoisedMatch:
     def test_sampled_clusters_match_per_cluster_dp(self, sampled, monkeypatch):
         """Every cluster of 2000 sampled shots, matched one after another on
         the same graphs, gets the per-cluster DP's pair list exactly."""
-        _, dec, shots = sampled
+        _, dec, shots, _ = sampled
         decodes = sorted(set(_recorded_decodes(dec, shots)))
         fresh = {key: _fresh(g) for key, g in dec.graphs.items()}
         seen = []
@@ -780,7 +823,8 @@ class TestScheduledMatch:
 def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     """Over the two chunks of a run whose length is no multiple of 8, every
     shot's packed int splits into the per-basis masks that the bit-by-bit
-    split gives for the same shot of one whole `sample` call."""
+    split gives for the same shot of one whole `sample` call, on the live
+    graphs' slots."""
     protocol, noise, p_in = _WORKLOADS[workload]
     pipeline = harness.DecodingPipeline.build(
         build_distillation_circuit(build_protocol(protocol), 3, noise))
@@ -804,7 +848,7 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     det = planes(batch, pipeline.table)[0]
     assert len(got) == shots
     for s, want in enumerate(basis_masks(pipeline.table, det)):
-        assert got[s] == want, s
+        assert got[s] == {b: m & dec.live_slots for b, m in want.items()}, s
     assert sum(any(m.values()) for m in got) > shots // 2
 
 
@@ -892,12 +936,16 @@ class TestSlotOrder:
 class TestWalkDirection:
     # Two patches, each with two X and two Z detectors: slots 0-1 (0, X),
     # 2-3 (0, Z), 4-5 (1, X), 6-7 (1, Z).  Each detector has a boundary
-    # edge; `_mechanisms` adds a lighter one from `home` flipping `foreign`.
+    # edge, `foreign`'s flipping the columns `logical`; `_mechanisms` adds
+    # a lighter one from `home` flipping `foreign`.
     _DETECTORS = tuple(Detector((s,), s // 4, "XZ"[s // 2 % 2]) for s in range(8))
 
-    def _mechanisms(self, home: int, foreign: int) -> list[ErrorMechanism]:
+    def _mechanisms(self, home: int, foreign: int, logical: int = 1 << 8
+                    ) -> list[ErrorMechanism]:
         det = self._DETECTORS
-        mechs = [ErrorMechanism(1e-3, d.home_patch, d.basis, 1 << s) for s, d in enumerate(det)]
+        mechs = [ErrorMechanism(1e-3, d.home_patch, d.basis,
+                                1 << s | (logical if s == foreign else 0))
+                 for s, d in enumerate(det)]
         return mechs + [ErrorMechanism(1e-2, det[home].home_patch, det[home].basis,
                                        1 << home | 1 << foreign)]
 
@@ -914,13 +962,25 @@ class TestWalkDirection:
     def test_feeds_along_the_walk_decode_after_their_feeder(self, home, foreign):
         """An X graph feeds a lower X graph, a Z graph a higher Z graph: a
         defect on the feeder alone takes the lighter, feeding edge, and the
-        fed graph is decoded next, on the detector that edge flips."""
+        fed graph is decoded next, on the detector that edge flips, to the
+        boundary edge that flips observable bit 8.  Both graphs are live."""
         det = self._DETECTORS
         dec = IterativeDecoder(det, self._mechanisms(home, foreign))
         seen = _recorded_decodes(dec, [1 << home])
         assert seen == [((det[home].home_patch, det[home].basis), 1 << home % 2),
                         ((det[foreign].home_patch, det[foreign].basis), 1 << foreign % 2)]
-        assert dec.decode_shot(dec.syndrome_masks(1 << home)).flips == 1 << foreign
+        assert dec.decode_shot(dec.syndrome_masks(1 << home)).flips == \
+            1 << foreign | 1 << 8
+        assert dec.live_slots == 3 << home // 2 * 2 | 3 << foreign // 2 * 2
+
+    @pytest.mark.parametrize("home,foreign", [(4, 0), (2, 6)])
+    def test_graphs_without_a_logical_column_are_not_decoded(self, home, foreign):
+        """The same decoder with no observable or check column has no live
+        graph: it decodes nothing, and its flips are 0."""
+        dec = IterativeDecoder(self._DETECTORS, self._mechanisms(home, foreign, logical=0))
+        assert dec.live_slots == 0
+        assert _recorded_decodes(dec, [1 << home, 0xFF]) == []
+        assert dec.decode_shot(dec.syndrome_masks(1 << home)).flips == 0
 
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_builders_keep_the_walk_direction(self, name):
@@ -941,6 +1001,57 @@ class TestWalkDirection:
         assert bool(feeds) == (not name.startswith("memory")), feeds
 
 
+def _oracle_live_keys(c, mechs: list[ErrorMechanism]) -> set[tuple[int, str]]:
+    """The live graphs, recomputed from the circuit's detectors and its
+    mechanisms until no more turn live: a graph is live when a mechanism
+    homed on it flips an observable, a check or a live graph's detector."""
+    nd = len(c.detectors)
+    slots = det_slots(c)
+    feeds = []                  # per edge: (its graph, logical?, graphs it flips)
+    for m in mechs:
+        key = (m.origin_patch, m.basis)
+        dets = _bits(m.sig & (1 << nd) - 1)
+        if any(slots[d][0] == key for d in dets):
+            feeds.append((key, m.sig >> nd != 0,
+                          {slots[d][0] for d in dets if slots[d][0] != key}))
+    live: set[tuple[int, str]] = set()
+    while True:
+        more = {key for key, logical, fed in feeds if logical or fed & live} - live
+        if not more:
+            return live
+        live |= more
+
+
+# Per builder circuit: (live graphs, all graphs, basis of the live graphs).
+_LIVE_COUNTS = {
+    "memory-d3": (1, 2, "Z"),
+    "SevenToOne-d3": (8, 23, "X"), "SevenToOne-d5": (8, 23, "X"),
+    "FifteenToOne-d3": (16, 47, "X"), "FifteenToOne-d5": (16, 47, "X"),
+    "cnot-Z": (4, 16, "Z"), "cnot-X": (4, 16, "X"),
+}
+
+
+class TestLiveGraphs:
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_live_slots_match_the_fixpoint_oracle(self, name):
+        """The decoder's live slots are the whole slot ranges of the graphs
+        the oracle finds live, and no edge of a dead graph flips an
+        observable, a check or a live detector.  Their counts are pinned."""
+        c = _BUILDERS[name]()
+        mechs = enumerate_error_mechanisms(fault_table(c))
+        dec = IterativeDecoder(c.detectors, mechs)
+        nd = len(c.detectors)
+        live = _oracle_live_keys(c, mechs)
+        assert dec.live_slots == sum(1 << s for s, (key, _) in enumerate(det_slots(c))
+                                     if key in live)
+        for key, g in dec.graphs.items():
+            if key not in live:
+                assert all(e.flips >> nd == 0 and not e.flips & dec.live_slots
+                           for e in g.edges), key
+        assert (len(live), len(dec.graphs), {basis for _, basis in live}) == \
+            (*_LIVE_COUNTS[name][:2], {_LIVE_COUNTS[name][2]})
+
+
 # Both benchmark workloads, every shot of their seed-0 runs, and 2000 shots
 # of 7-to-1 at d=5: (protocol, d, circuit noise, p_in, shots).
 _WALK_RUNS = {
@@ -957,7 +1068,9 @@ class TestOrderedWalk:
         The loop's cap of 10 sweeps is above every circuit's depth + 1 (at
         most 5), and every shot converges under it.  On over a quarter of
         the shots the loop needs a second sweep: a correction's foreign
-        flips change another graph's syndrome."""
+        flips change another graph's syndrome.  The walk decodes live graphs
+        only, so its flips are compared off the dead graphs' detectors, and
+        by each shot's score."""
         protocol, d, noise, p_in, shots = _WALK_RUNS[name]
         c = build_distillation_circuit(build_protocol(protocol), d, noise)
         table = fault_table(c)
@@ -968,7 +1081,7 @@ class TestOrderedWalk:
             shot = sig & det_mask
             want = reference_decode_shot(c, dec, shot, max_iters=10)
             assert want.converged, i
-            assert dec.decode_shot(dec.syndrome_masks(shot)).flips == want.flips, i
+            _assert_same_score(c, dec, sig, dec.decode_shot(dec.syndrome_masks(shot)), want, i)
             toggled += want.iterations_used > 1
         assert toggled > shots // 4
 
@@ -978,15 +1091,16 @@ class TestIncrementalLoop:
     def test_matches_reference_loop(self, sampled, max_iters):
         """Every shot on which the reference loop, re-decoding every graph
         on every sweep, settles within `max_iters` sweeps decodes to the
-        same flips under the ordered walk, which decodes each graph once."""
-        c, dec, shots = sampled
+        same flips under the ordered walk, which decodes each live graph
+        once, off the dead graphs' detectors, and to the same score."""
+        c, dec, shots, sigs = sampled
         settled = 0
         for i, raw in enumerate(shots[:1000]):
             want = reference_decode_shot(c, dec, raw, max_iters)
             if want.converged:
                 settled += 1
-                assert dec.decode_shot(dec.syndrome_masks(raw)).flips == \
-                    want.flips, i
+                _assert_same_score(c, dec, sigs[i],
+                                   dec.decode_shot(dec.syndrome_masks(raw)), want, i)
         assert settled > 0
 
 
@@ -994,7 +1108,7 @@ class TestCaches:
     def test_caps_hold_and_tiny_caps_change_nothing(self, sampled, monkeypatch):
         """Two passes over the recorded decodes, on one fresh graph per cap,
         with `CACHE_CAP` set to that cap."""
-        _, dec, shots = sampled
+        _, dec, shots, _ = sampled
         decodes = sorted(set(_recorded_decodes(dec, shots[:500])))
         default_cap = decoder.CACHE_CAP
         for key, g in dec.graphs.items():
