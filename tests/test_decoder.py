@@ -168,10 +168,15 @@ def _home_foreign(c, m: ErrorMechanism) -> tuple[list[int], list[int]]:
     return home, [d for d in dets if d not in home]
 
 
-def _live_keys(c, dec: IterativeDecoder) -> set[tuple[int, str]]:
-    """The graphs, read off the circuit's detectors, that hold a slot of
-    the decoder's live set."""
-    return {key for s, (key, _) in enumerate(det_slots(c)) if dec.live_slots >> s & 1}
+def _live_keys(dec: IterativeDecoder) -> set[tuple[int, str]]:
+    """The decoder's live graphs: `graphs` holds one graph per slot range,
+    in slot order, `n` slots wide."""
+    keys, lo = set(), 0
+    for key, g in dec.graphs.items():
+        if dec.live_slots >> lo & 1:
+            keys.add(key)
+        lo += g.n
+    return keys
 
 
 def _assert_same_score(c, dec: IterativeDecoder, sig: int, got, want, i: int) -> None:
@@ -216,7 +221,7 @@ class TestIterativeLoop:
         c, dec = pipeline
         nd = len(c.detectors)
         slots = det_slots(c)
-        live = _live_keys(c, dec)
+        live = _live_keys(dec)
         fed = dead = 0
         for m in enumerate_error_mechanisms(fault_table(c)):
             home, foreign = _home_foreign(c, m)
@@ -389,7 +394,7 @@ def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
         res = decode_shot(self, masks)
         graphs = [g for g, _ in calls]
         assert len(set(graphs)) == len(graphs)
-        assert set(graphs) <= _live_graph_ids(self)
+        assert set(graphs) <= {id(self.graphs[key]) for key in _live_keys(self)}
         assert all(syndrome for _, syndrome in calls)
         per_shot_calls.append(len(calls))
         return res
@@ -404,17 +409,6 @@ def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
         harness.run_distillation(harness.ExperimentConfig(
             protocol=protocol, p_circuit=noise.p_circuit, p_in=p_in, shots=shots, seed=0))
         assert len(per_shot_calls) == shots and sum(per_shot_calls) > shots, name
-
-
-def _live_graph_ids(dec: IterativeDecoder) -> set[int]:
-    """The ids of the decoder's live graphs: `graphs` holds one graph per
-    slot range, in slot order, `n` slots wide."""
-    ids, lo = set(), 0
-    for g in dec.graphs.values():
-        if dec.live_slots >> lo & 1:
-            ids.add(id(g))
-        lo += g.n
-    return ids
 
 
 def _recorded_decodes(dec: IterativeDecoder, shots) -> list[tuple]:
