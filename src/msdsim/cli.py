@@ -172,15 +172,11 @@ def cmd_analytic(opts: dict) -> int:
     spec = build_protocol(opts["configs"][0].protocol)
     for cfg in opts["configs"]:
         discard = discard_ratio(spec, cfg.p_in)
-        rows.append({
-            "experiment": "analytic", "protocol": cfg.protocol, "d": 0,
-            "p_circuit": 0.0, "p_in": cfg.p_in, "shots": 0, "accepted": 0,
-            "errors": 0, "p_accept": round(1 - discard, 10),
-            "p_out": round(analytic_pout(cfg.protocol, cfg.p_in), 10),
-            "ci_lo": 0.0, "ci_hi": 0.0,
-            "discard_ratio": round(discard, 10),
-            "seed": 0, "seconds": 0.0,
-        })
+        # No code, no circuit noise and no shots: the rates are exact.
+        rows.append({**harness.result_row("analytic", cfg, harness.ExperimentStats()),
+                     "d": 0, "p_circuit": 0.0, "p_accept": round(1 - discard, 10),
+                     "p_out": round(analytic_pout(cfg.protocol, cfg.p_in), 10),
+                     "ci_hi": 0.0, "discard_ratio": round(discard, 10)})
     _write(opts, harness.emit_results(rows, opts["format"]))
     return EXIT_OK
 

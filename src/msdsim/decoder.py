@@ -43,7 +43,7 @@ intermediate node k that strictly improves a distance wins.
 Each shot travels as bitsets in *slot order*, which is detector id order:
 the builders number detectors by (home patch, basis), so each graph's
 detectors are one contiguous range of ids, ascending, with the graphs in
-`graphs` order.  The low bits of a shot's sampled signature are therefore
+(patch, basis) order.  The low bits of a shot's sampled signature are therefore
 its slot-order int, and a correction's low bits are its foreign detectors in
 that same order.  The builders also keep a *walk direction*: an X graph's
 edges flip detectors of X graphs at lower slots only, and a Z graph's
@@ -54,8 +54,8 @@ graph that feeds it.  At each step the bit names its graph, whose syndrome
 is one shift (and for Z one AND), and the walk goes on with the bits ahead
 of that graph XOR the live foreign flips of its correction.  The same
 direction lets one pass, X graphs upward and then Z graphs downward, decide
-every graph's liveness after the graphs it feeds.  A graph without a defect
-is never decoded, nor is a dead graph.
+every graph's liveness after the graphs it feeds.  A dead graph is never
+built, and a graph without a defect is never decoded.
 """
 from __future__ import annotations
 
@@ -323,7 +323,7 @@ class DecodeResult:
 
 
 class IterativeDecoder:
-    """All per-patch graphs plus the ordered cross-patch walk.
+    """The live per-patch graphs plus the ordered cross-patch walk.
 
     The decoder alone maps detectors to graphs: graph (patch, basis) holds
     the detectors homed to that patch in that basis, one contiguous id
@@ -331,11 +331,11 @@ class IterativeDecoder:
     its signature's bits in its graph's range, and its edge's `flips` the
     rest of its signature.  `live_slots` holds the slots of the live graphs
     (the module docstring): those whose edges flip an observable or check
-    column, above the detectors, or a live graph's detector.  Every graph
-    is built, live or dead.  Raises ValueError when the detectors are not
+    column, above the detectors, or a live graph's detector; `graphs` holds
+    the live graphs alone.  Raises ValueError when the detectors are not
     sorted by (home patch, basis), when a mechanism has more than two home
-    detectors, or when any graph's edges flip a detector against the walk
-    direction."""
+    detectors, or when any graph's edges, live or dead, flip a detector
+    against the walk direction."""
 
     def __init__(self, detectors: tuple[Detector, ...], mechanisms: list[ErrorMechanism]):
         keys = [(det.home_patch, det.basis) for det in detectors]
@@ -349,7 +349,7 @@ class IterativeDecoder:
             span.setdefault(key, [s, s])[1] = s + 1
             basis_slots[key[1]] |= 1 << s
         x_slots, z_slots = basis_slots["X"], basis_slots["Z"]
-        edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in span}
+        found = {key: [] for key in span}    # per graph, its edges' fields
         reach = dict.fromkeys(span, 0)       # per graph, the OR of its edges' flips
         for m in mechanisms:
             key = (m.origin_patch, m.basis)
@@ -362,22 +362,15 @@ class IterativeDecoder:
                 raise ValueError(f"mechanism with {len(ends)} home detectors is unmatchable")
             w = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
             flips = m.sig ^ home << lo
-            edges[key].append(Edge(ends[0], ends[1] if len(ends) == 2 else BOUNDARY, w, flips))
+            found[key].append((ends[0], ends[1] if len(ends) == 2 else BOUNDARY, w, flips))
             reach[key] |= flips
-        self.graphs: dict[tuple[int, str], MatchingGraph] = {}
-        # Per slot, for the slot's graph: (graph, first slot, mask of its
-        # width, the slots its walk visits after it).
-        self._slot_span: list[tuple] = []
-        for key, (lo, hi) in span.items():
-            if key[1] == "X":
-                ahead = x_slots & (1 << lo) - 1
-            else:
-                ahead = z_slots >> hi << hi
-            if reach[key] & (1 << nd) - 1 & ~ahead:
+        # Per graph, the slots its walk visits after it.
+        ahead = {key: x_slots & (1 << lo) - 1 if key[1] == "X" else z_slots >> hi << hi
+                 for key, (lo, hi) in span.items()}
+        for key in span:
+            if reach[key] & (1 << nd) - 1 & ~ahead[key]:
                 raise ValueError(f"graph {key} flips a detector outside its walk's "
                                  f"later {key[1]} graphs")
-            g = self.graphs[key] = MatchingGraph(hi - lo, edges[key])
-            self._slot_span += [(g, lo, (1 << (hi - lo)) - 1, ahead)] * (hi - lo)
         # A graph is live when its edges flip an observable, a check or a
         # live graph's detector.  A graph feeds only graphs that its walk
         # visits after it, so X graphs ascending, then Z graphs descending,
@@ -389,6 +382,14 @@ class IterativeDecoder:
                 live |= (1 << hi) - (1 << lo)
         self.live_slots = live
         self._x_slots, self._z_slots = x_slots & live, z_slots & live
+        self.graphs: dict[tuple[int, str], MatchingGraph] = {}
+        # Per live slot, for the slot's graph: (graph, first slot, mask of
+        # its width, the slots its walk visits after it); None elsewhere.
+        self._slot_span: list[tuple | None] = [None] * nd
+        for key, (lo, hi) in span.items():
+            if live >> lo & 1:
+                g = self.graphs[key] = MatchingGraph(hi - lo, [Edge(*f) for f in found[key]])
+                self._slot_span[lo:hi] = [(g, lo, (1 << (hi - lo)) - 1, ahead[key])] * (hi - lo)
 
     def syndrome_masks(self, shot: int) -> dict[str, int]:
         """Split one shot's detector bits, a slot-order int, by basis and
@@ -400,10 +401,11 @@ class IterativeDecoder:
         """Decode one shot's per-basis syndromes, each live graph once, on
         its raw syndrome XOR the foreign flips of the graphs its walk
         decoded before it: X from the top set bit down, Z from the lowest
-        up.  `flips` is the XOR of the live graphs' corrections: every
-        observable and check column, and every live detector, equals the
-        fixpoint of all graphs' corrections; a dead graph's detectors may
-        differ."""
+        up.  `masks` must be `syndrome_masks`' output, which holds live
+        slots only: a dead slot has no graph to decode it.  `flips` is the
+        XOR of the live graphs' corrections: every observable and check
+        column, and every live detector, equals the fixpoint of all graphs'
+        corrections; a dead graph's detectors may differ."""
         spans, live = self._slot_span, self.live_slots
         flips = 0
         todo = masks["X"]

@@ -151,14 +151,16 @@ class OracleTable:
         self.error_by_weight = np.bincount(
             weights[self.accepted & self.output_error], minlength=k + 1)
 
-    def p_accept(self, p: float) -> float:
+    def _by_weight(self, counts: np.ndarray, p: float):
+        """The probability, at input error rate p, of `counts`' patterns."""
         k = self.num_resources
-        terms = [self.accepted_by_weight[w] * p**w * (1 - p) ** (k - w) for w in range(k + 1)]
-        return float(sum(terms))
+        return sum(counts[w] * p**w * (1 - p) ** (k - w) for w in range(k + 1))
+
+    def p_accept(self, p: float) -> float:
+        return float(self._by_weight(self.accepted_by_weight, p))
 
     def p_out(self, p: float) -> float:
-        k = self.num_resources
-        err = sum(self.error_by_weight[w] * p**w * (1 - p) ** (k - w) for w in range(k + 1))
+        err = self._by_weight(self.error_by_weight, p)
         acc = self.p_accept(p)
         return float(err / acc) if acc > 0 else 0.0
 

@@ -19,12 +19,17 @@
 - `det_slots` / `slot_order`: each detector's graph and node, and the
   detector in each slot, derived from the circuit's detectors rather than
   the decoder's tables.
+- `oracle_graphs`: every graph of a circuit, live or dead, built through
+  `det_slots` and the public `MatchingGraph(num_nodes, edges)`; the decoder
+  builds the live ones alone.
+- `graph_syndromes`: every graph's raw syndrome in one shot, through
+  `det_slots`.
 - `basis_masks`: the per-basis split of each shot of a detector bool plane
   into slot-order ints, bit by bit, that `syndrome_masks` makes with two
   ANDs.
 - `reference_decode_shot`: the cross-patch loop that the ordered walk
-  replaced: Jacobi sweeps that re-decode every graph on every iteration and
-  resolve foreign flips through `det_slots`.
+  replaced: Jacobi sweeps that re-decode every graph of `oracle_graphs` on
+  every iteration and resolve foreign flips through `det_slots`.
 """
 from __future__ import annotations
 
@@ -35,8 +40,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from msdsim.decoder import _DP_LIMIT, BOUNDARY, IterativeDecoder, MatchingGraph
-from msdsim.dem import _bits
+from msdsim.decoder import _DP_LIMIT, BOUNDARY, Edge, MatchingGraph
+from msdsim.dem import ErrorMechanism, _bits
 
 
 @dataclass(frozen=True)
@@ -311,6 +316,43 @@ def slot_order(circuit) -> list[int]:
     return [d for dets in _groups(circuit).values() for d in dets]
 
 
+def oracle_graphs(circuit, mechanisms: list[ErrorMechanism]
+                  ) -> dict[tuple[int, str], MatchingGraph]:
+    """Every graph of `circuit`, live or dead, keyed and ordered as
+    `det_slots`' groups.  Each mechanism that flips a detector of its own
+    (origin patch, basis) graph is one edge of it, in mechanism order: it
+    joins those one or two detectors' nodes (one: and the boundary), weighs
+    -log(p / (1 - p)) for 0 < p < 0.5 and 0 otherwise, and flips the
+    mechanism's signature without those detectors."""
+    slots = det_slots(circuit)
+    nd = len(circuit.detectors)
+    groups = _groups(circuit)
+    edges: dict[tuple[int, str], list[Edge]] = {key: [] for key in groups}
+    for m in mechanisms:
+        key = (m.origin_patch, m.basis)
+        home = [d for d in _bits(m.sig & (1 << nd) - 1) if slots[d][0] == key]
+        if not home:
+            continue
+        assert len(home) <= 2, m
+        ends = [slots[d][1].bit_length() - 1 for d in home] + [BOUNDARY]
+        weight = -math.log(m.prob / (1 - m.prob)) if 0 < m.prob < 0.5 else 0.0
+        edges[key].append(Edge(ends[0], ends[1], weight,
+                               m.sig ^ sum(1 << d for d in home)))
+    return {key: MatchingGraph(len(dets), edges[key]) for key, dets in groups.items()}
+
+
+def graph_syndromes(circuit, shot: int) -> dict[tuple[int, str], int]:
+    """Per graph of `circuit`, live or dead, its raw syndrome in one shot's
+    detector bits, a slot-order int, resolved through `det_slots`."""
+    slots = det_slots(circuit)
+    order = slot_order(circuit)
+    raw = {key: 0 for key in _groups(circuit)}
+    for s in _bits(shot):
+        key, bit = slots[order[s]]
+        raw[key] ^= bit
+    return raw
+
+
 def basis_masks(circuit, det: np.ndarray) -> list[dict[str, int]]:
     """Per shot (column) of a detector bool plane, its detector bits split
     by basis into slot-order ints, bit by bit through `slot_order`."""
@@ -332,29 +374,29 @@ class LoopResult:
     converged: bool
 
 
-def reference_decode_shot(circuit, decoder: IterativeDecoder, shot: int,
-                          max_iters: int) -> LoopResult:
-    """The cross-patch loop of `circuit`'s decoder on one shot's detector
-    bits, a slot-order int: Jacobi sweeps that re-decode every graph on
-    every iteration, to a fixpoint or `max_iters` sweeps.  A correction's
-    flips are read in signature layout, its detectors in slot order below
-    the circuit's observables and checks, and resolved through
+def reference_decode_shot(circuit, graphs: dict[tuple[int, str], MatchingGraph],
+                          shot: int, max_iters: int) -> LoopResult:
+    """The cross-patch loop over `graphs`, `circuit`'s `oracle_graphs`, on
+    one shot's detector bits, a slot-order int: Jacobi sweeps that re-decode
+    every graph on every iteration, to a fixpoint or `max_iters` sweeps.  A
+    correction's flips are read in signature layout, its detectors in slot
+    order below the circuit's observables and checks, and resolved through
     `det_slots`."""
     slots = det_slots(circuit)
     by_slot = [slots[d] for d in slot_order(circuit)]
     nd = len(circuit.detectors)
-    raw = {key: 0 for key in decoder.graphs}
+    raw = {key: 0 for key in graphs}
     for s in _bits(shot):
         key, bit = by_slot[s]
         raw[key] ^= bit
-    toggles = {key: 0 for key in decoder.graphs}
+    toggles = {key: 0 for key in graphs}
     corrections: dict[tuple[int, str], int] = {}
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        for key, g in decoder.graphs.items():
+        for key, g in graphs.items():
             corrections[key] = g.decode(raw[key] ^ toggles[key])
-        new_toggles = {key: 0 for key in decoder.graphs}
+        new_toggles = {key: 0 for key in graphs}
         for corr in corrections.values():
             for s in _bits(corr & ((1 << nd) - 1)):
                 key, bit = by_slot[s]

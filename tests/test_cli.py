@@ -367,11 +367,21 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("protocol", ["7to1", "15to1"])
     def test_analytic_rows(self, capsys, protocol):
+        """The CSV rows, and the JSON row at one p_in: the CSV row's fields,
+        each of the type its CSV text reads as."""
         code, out, _ = run_cli(capsys, "analytic", "--protocol", protocol,
                                "--p-in", "0.001", "--p-in", "0.01",
                                "--p-in", "0.1", "--p-in", "0.3")
         assert code == EXIT_OK
         assert out == self.ANALYTIC[protocol]
+        code, out, _ = run_cli(capsys, "analytic", "--protocol", protocol,
+                               "--p-in", "0.01", "--format", "json")
+        assert code == EXIT_OK
+        row = next(r for r in csv.DictReader(io.StringIO(self.ANALYTIC[protocol]))
+                   if r["p_in"] == "0.01")
+        row = {k: v if k in ("experiment", "protocol") else json.loads(v)
+               for k, v in row.items()}
+        assert out == json.dumps([row], indent=2) + "\n"
 
     @pytest.mark.parametrize("protocol", ["7to1", "15to1"])
     def test_logical_json(self, capsys, protocol):

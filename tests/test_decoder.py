@@ -16,8 +16,9 @@ import pytest
 
 from matching_oracle import (basis_masks, brute_force_decode, cluster_correction,
                              cluster_dp, cluster_match, det_slots, dijkstra_path,
-                             dijkstra_tables, reference_decode_shot, slot_order,
-                             useful_rows, whole_syndrome_decode)
+                             dijkstra_tables, graph_syndromes, oracle_graphs,
+                             reference_decode_shot, slot_order, useful_rows,
+                             whole_syndrome_decode)
 from sampler_oracle import planes
 from msdsim import decoder, harness
 from msdsim.builders import (NoiseModel, build_cnot_subcircuit_experiment,
@@ -168,15 +169,11 @@ def _home_foreign(c, m: ErrorMechanism) -> tuple[list[int], list[int]]:
     return home, [d for d in dets if d not in home]
 
 
-def _live_keys(dec: IterativeDecoder) -> set[tuple[int, str]]:
-    """The decoder's live graphs: `graphs` holds one graph per slot range,
-    in slot order, `n` slots wide."""
-    keys, lo = set(), 0
-    for key, g in dec.graphs.items():
-        if dec.live_slots >> lo & 1:
-            keys.add(key)
-        lo += g.n
-    return keys
+def _every_graph(dec: IterativeDecoder, oracle: dict) -> dict[tuple[int, str], MatchingGraph]:
+    """Every graph of a circuit, live or dead, in slot order: the decoder's
+    where it built one, `oracle_graphs`' elsewhere."""
+    assert dec.graphs.keys() <= oracle.keys()
+    return {key: dec.graphs.get(key, g) for key, g in oracle.items()}
 
 
 def _assert_same_score(c, dec: IterativeDecoder, sig: int, got, want, i: int) -> None:
@@ -216,14 +213,16 @@ class TestIterativeLoop:
         its home graph first, then every graph whose detectors that
         correction flips, on those flips, in the walk's direction.  On a
         dead graph it decodes nothing, and that graph's correction of the
-        syndrome flips dead graphs only.  Graphs and slots are read off the
-        circuit's detectors."""
+        syndrome, by `oracle_graphs`, flips dead graphs only.  Graphs and
+        slots are read off the circuit's detectors."""
         c, dec = pipeline
         nd = len(c.detectors)
         slots = det_slots(c)
-        live = _live_keys(dec)
+        live = dec.graphs
+        mechs = enumerate_error_mechanisms(fault_table(c))
+        graphs = oracle_graphs(c, mechs)
         fed = dead = 0
-        for m in enumerate_error_mechanisms(fault_table(c)):
+        for m in mechs:
             home, foreign = _home_foreign(c, m)
             if not (home and foreign):
                 continue
@@ -238,7 +237,7 @@ class TestIterativeLoop:
                 syndrome = sum(slots[d][1] for d in home)
                 dead += 1
             toggles: dict[tuple[int, str], int] = {}
-            for d in _bits(dec.graphs[key].decode(syndrome) & (1 << nd) - 1):
+            for d in _bits(graphs[key].decode(syndrome) & (1 << nd) - 1):
                 fed_key, bit = slots[d]
                 toggles[fed_key] = toggles.get(fed_key, 0) ^ bit
             for fed_key, bit in toggles.items():
@@ -260,16 +259,17 @@ _WORKLOADS = {
 
 @pytest.fixture(scope="module", params=sorted(_WORKLOADS))
 def sampled(request):
-    """(circuit, decoder, per-shot detector bits, per-shot signatures) for
-    2000 sampled shots of a workload."""
+    """(circuit, decoder, per-shot detector bits, per-shot signatures,
+    `oracle_graphs`) for 2000 sampled shots of a workload."""
     protocol, noise, p_in = _WORKLOADS[request.param]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     table = fault_table(c)
-    dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(table))
+    mechs = enumerate_error_mechanisms(table)
+    dec = IterativeDecoder(c.detectors, mechs)
     batch = sample(table, 2000, seed=41, p_in=p_in)
     det_mask = (1 << len(c.detectors)) - 1
     sigs = batch.unpack()
-    return c, dec, [sig & det_mask for sig in sigs], sigs
+    return c, dec, [sig & det_mask for sig in sigs], sigs, oracle_graphs(c, mechs)
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -278,15 +278,16 @@ def test_edges_follow_mechanisms(workload):
     order: its ends are the local ids of its home detectors, and its flips
     the slot bits of its foreign detectors with its signature's columns
     above the detectors, derived from the circuit's detectors rather than
-    the decoder's tables."""
+    the decoder's tables.  Every graph of `oracle_graphs`, live or dead, is
+    checked; `TestLiveGraphs` holds the decoder's graphs equal to them."""
     protocol, noise, _ = _WORKLOADS[workload]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     mechs = enumerate_error_mechanisms(fault_table(c))
-    dec = IterativeDecoder(c.detectors, mechs)
+    graphs = oracle_graphs(c, mechs)
     nd = len(c.detectors)
     local = [(key, bit.bit_length() - 1) for key, bit in det_slots(c)]
     slot_bit = {d: 1 << s for s, d in enumerate(slot_order(c))}
-    want = {key: [] for key in dec.graphs}
+    want = {key: [] for key in graphs}
     for m in mechs:
         home, foreign = _home_foreign(c, m)
         if not home:
@@ -298,7 +299,7 @@ def test_edges_follow_mechanisms(workload):
             toggles ^= slot_bit[d]
         want[ends[0][0]].append((ends[0][1], ends[1][1] if len(ends) == 2 else BOUNDARY,
                                  toggles | m.sig >> nd << nd))
-    got = {key: [(e.u, e.v, e.flips) for e in g.edges] for key, g in dec.graphs.items()}
+    got = {key: [(e.u, e.v, e.flips) for e in g.edges] for key, g in graphs.items()}
     assert got == want
     det_mask = (1 << nd) - 1
     assert sum(e[2] & det_mask != 0 for edges in want.values() for e in edges) > 10
@@ -311,22 +312,23 @@ def test_edge_flips_are_in_signature_layout(workload):
     its observables and its checks, in that order.  Its home syndrome,
     decoded alone, gives back its own observable and check columns wherever
     the matcher picks its edge alone; other mechanisms of the same home
-    detectors may weigh less, but that is so for under 15% of them."""
+    detectors may weigh less, but that is so for under 15% of them.  Every
+    graph, live or dead, is checked."""
     protocol, noise, _ = _WORKLOADS[workload]
     c = build_distillation_circuit(build_protocol(protocol), 3, noise)
     mechs = enumerate_error_mechanisms(fault_table(c))
-    dec = IterativeDecoder(c.detectors, mechs)
+    graphs = oracle_graphs(c, mechs)
     nd, no = len(c.detectors), len(c.observables)
     cols = signature_columns(c)
     local = {d: bit for d, (_, bit) in enumerate(det_slots(c))}
-    next_edge = {key: 0 for key in dec.graphs}
+    next_edge = {key: 0 for key in graphs}
     own = 0
     for m in mechs:
         home, foreign = _home_foreign(c, m)
         if not home:
             continue
         key = (m.origin_patch, m.basis)
-        g, i = dec.graphs[key], next_edge[key]
+        g, i = graphs[key], next_edge[key]
         next_edge[key] += 1
         flips = g.edges[i].flips
         assert flips == m.sig ^ sum(1 << d for d in home)
@@ -341,7 +343,7 @@ def test_edge_flips_are_in_signature_layout(workload):
             assert got == flips, m
             assert got >> nd == m.sig >> nd, m
             own += 1
-    assert next_edge == {key: len(g.edges) for key, g in dec.graphs.items()}
+    assert next_edge == {key: len(g.edges) for key, g in graphs.items()}
     assert own > 0.85 * sum(next_edge.values())
 
 
@@ -351,13 +353,13 @@ def test_parallel_edge_ties_go_to_the_smallest_flips(protocol, d):
     """Per node pair, a graph keeps the lightest edge, and between equally
     light ones the edge with the smallest `flips` int.  That is the edge the
     mechanisms' order by (home detectors, foreign detectors, observable
-    mask, check mask) picked first, recomputed here from each signature."""
+    mask, check mask) picked first, recomputed here from each signature.
+    Every graph, live or dead, is checked."""
     c = build_distillation_circuit(build_protocol(protocol), d, NoiseModel(1e-3))
     mechs = enumerate_error_mechanisms(fault_table(c))
-    dec = IterativeDecoder(c.detectors, mechs)
     nd, no = len(c.detectors), len(c.observables)
     ties = 0
-    for key, g in dec.graphs.items():
+    for key, g in oracle_graphs(c, mechs).items():
         mine = [m for m in mechs
                 if (m.origin_patch, m.basis) == key and _home_foreign(c, m)[0]]
         assert len(mine) == len(g.edges)
@@ -381,7 +383,7 @@ def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
     """Over the seed-0 runs of both benchmark workloads, every shot asks
     each live graph to decode at most once, and never a zero syndrome: a
     graph without a defect gets the empty correction, 0, without a call.
-    No dead graph is asked at all."""
+    No dead graph is built, so none is asked."""
     calls = []
     orig = MatchingGraph.decode
 
@@ -394,7 +396,7 @@ def test_later_sweeps_never_decode_a_zero_syndrome(monkeypatch):
         res = decode_shot(self, masks)
         graphs = [g for g, _ in calls]
         assert len(set(graphs)) == len(graphs)
-        assert set(graphs) <= {id(self.graphs[key]) for key in _live_keys(self)}
+        assert set(graphs) <= {id(g) for g in self.graphs.values()}
         assert all(syndrome for _, syndrome in calls)
         per_shot_calls.append(len(calls))
         return res
@@ -429,6 +431,14 @@ def _recorded_decodes(dec: IterativeDecoder, shots) -> list[tuple]:
     return seen
 
 
+def _sampled_syndromes(c, dec: IterativeDecoder, shots) -> tuple[set, set]:
+    """Over `shots`, each a slot-order int: the (graph key, syndrome) pairs
+    the walk asks the live graphs for, and every graph's nonzero raw
+    syndromes, live or dead, split through `det_slots`."""
+    raw = {(key, s) for shot in shots for key, s in graph_syndromes(c, shot).items() if s}
+    return set(_recorded_decodes(dec, shots)), raw
+
+
 def _check_correction(g: MatchingGraph, syndrome: int, corr) -> None:
     """The correction's edges have `syndrome` as their boundary and weigh
     `corr.weight`, so it is an optimal correction when the weight is."""
@@ -446,14 +456,17 @@ def _check_correction(g: MatchingGraph, syndrome: int, corr) -> None:
 
 class TestClusterSplit:
     def test_sampled_decodes_match_whole_syndrome_oracle(self, sampled):
-        """Every per-graph decode of 2000 sampled shots has the oracle's
-        weight; a different correction is allowed only on an equal-weight
-        tie, and the ties are counted."""
-        _, dec, shots, _ = sampled
-        decodes = set(_recorded_decodes(dec, shots))
+        """Every per-graph decode of 2000 sampled shots, and every graph's
+        raw syndrome in them, live or dead, has the oracle's weight; a
+        different correction is allowed only on an equal-weight tie, and the
+        ties are counted."""
+        c, dec, shots, _, oracle = sampled
+        walk, raw = _sampled_syndromes(c, dec, shots)
+        decodes = walk | raw
+        graphs = _every_graph(dec, oracle)
         ties = flips = 0
         for key, s in sorted(decodes):
-            g = dec.graphs[key]
+            g = graphs[key]
             got, want = cluster_correction(g, s), whole_syndrome_decode(g, s)
             assert g.decode(s) == got.flips, (key, s)
             assert got.weight == pytest.approx(want.weight, abs=1e-9), (key, s)
@@ -462,9 +475,11 @@ class TestClusterSplit:
                 _check_correction(g, s, got)
                 _check_correction(g, s, want)
                 flips += got.flips != want.flips
-        print(f"{len(decodes)} distinct decodes; {ties} equal-weight ties "
-              f"chose other edges, {flips} of them other flips")
-        assert len(decodes) > 500
+        dead = sum(key not in dec.graphs for key, _ in decodes)
+        print(f"{len(decodes)} distinct decodes, {len(walk)} by the walk, {dead} on "
+              f"dead graphs; {ties} equal-weight ties chose other edges, {flips} "
+              f"of them other flips")
+        assert len(walk) > 500 and dead > 0
         assert ties <= len(decodes) // 100
 
     def test_far_apart_clusters_never_reach_blossom(self, monkeypatch):
@@ -517,11 +532,13 @@ def _fresh(g: MatchingGraph) -> MatchingGraph:
 
 class TestMemoisedMatch:
     def test_sampled_clusters_match_per_cluster_dp(self, sampled, monkeypatch):
-        """Every cluster of 2000 sampled shots, matched one after another on
+        """Every cluster of 2000 sampled shots' decodes and of every graph's
+        raw syndromes in them, live or dead, matched one after another on
         the same graphs, gets the per-cluster DP's pair list exactly."""
-        _, dec, shots, _ = sampled
-        decodes = sorted(set(_recorded_decodes(dec, shots)))
-        fresh = {key: _fresh(g) for key, g in dec.graphs.items()}
+        c, dec, shots, _, oracle = sampled
+        walk, raw = _sampled_syndromes(c, dec, shots)
+        decodes = sorted(walk | raw)
+        fresh = {key: _fresh(g) for key, g in _every_graph(dec, oracle).items()}
         seen = []
         orig = MatchingGraph._match
 
@@ -536,7 +553,9 @@ class TestMemoisedMatch:
         monkeypatch.setattr(MatchingGraph, "_match", orig)
         for g, defects, pairs in seen:
             assert pairs == cluster_match(g, defects), defects
-        assert len(seen) > 500
+        live = {fresh[key] for key in dec.graphs}
+        on_live = sum(g in live for g, _, _ in seen)
+        assert on_live > 500 and len(seen) > on_live
 
     def test_random_ties_match_per_cluster_dp(self):
         """Integer weights make equal-weight pairings common: `_match` keeps
@@ -580,9 +599,8 @@ class TestClosedForms:
         circuit at d=3."""
         protocol, noise, _ = _WORKLOADS[workload]
         c = build_distillation_circuit(build_protocol(protocol), 3, noise)
-        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         paired = 0
-        for g in dec.graphs.values():
+        for g in oracle_graphs(c, enumerate_error_mechanisms(fault_table(c))).values():
             for k in (1, 2, 3):
                 for defects in itertools.combinations(range(g.n), k):
                     pairs = _assert_closed_form_is_the_dp(g, list(defects))
@@ -595,10 +613,9 @@ class TestClosedForms:
         uniform, half a node and two of its useful partners, so that pairs
         form."""
         c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), d, NoiseModel(1e-3))
-        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         rng = np.random.default_rng(d)
         paired = 0
-        for g in dec.graphs.values():
+        for g in oracle_graphs(c, enumerate_error_mechanisms(fault_table(c))).values():
             for _ in range(200):
                 defects = sorted(rng.choice(g.n, size=3, replace=False).tolist())
                 _assert_closed_form_is_the_dp(g, defects)
@@ -768,10 +785,9 @@ class TestScheduledMatch:
         """Seeded clusters of every size from 4 to `_DP_LIMIT` on every
         7-to-1 graph: half uniform, half grown through useful pairs."""
         c = build_distillation_circuit(build_protocol(SEVEN_TO_ONE), d, NoiseModel(1e-3))
-        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         rng = np.random.default_rng(100 + d)
         paired = 0
-        for g in dec.graphs.values():
+        for g in oracle_graphs(c, enumerate_error_mechanisms(fault_table(c))).values():
             for k in range(4, _DP_LIMIT + 1):
                 for _ in range(3):
                     uniform = sorted(rng.choice(g.n, size=k, replace=False).tolist())
@@ -877,10 +893,9 @@ def test_distances_and_paths_match_dijkstra(name):
     of graph edges from a to b that weighs the Dijkstra distance and flips
     the XOR of its edges' masks."""
     c = _ORACLE_CIRCUITS[name]()
-    dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
     exact = name.endswith("-d3")
     pairs = 0
-    for key, g in dec.graphs.items():
+    for key, g in oracle_graphs(c, enumerate_error_mechanisms(fault_table(c))).items():
         n = g.n
         dist, pred, pair_edge = dijkstra_tables(g)
         if exact:
@@ -982,11 +997,10 @@ class TestWalkDirection:
         detector of every edge, read off the circuit's detectors, is of its
         graph's basis and ahead of it: below it for X, above it for Z."""
         c = _BUILDERS[name]()
-        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(fault_table(c)))
         nd = len(c.detectors)
         slots = det_slots(c)
         feeds = set()
-        for key, g in dec.graphs.items():
+        for key, g in oracle_graphs(c, enumerate_error_mechanisms(fault_table(c))).items():
             for e in g.edges:
                 for d in _bits(e.flips & (1 << nd) - 1):
                     fed = slots[d][0]
@@ -1029,21 +1043,48 @@ class TestLiveGraphs:
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_live_slots_match_the_fixpoint_oracle(self, name):
         """The decoder's live slots are the whole slot ranges of the graphs
-        the oracle finds live, and no edge of a dead graph flips an
-        observable, a check or a live detector.  Their counts are pinned."""
+        the oracle finds live, and no edge of a dead graph of
+        `oracle_graphs` flips an observable, a check or a live detector.
+        The live graphs' count is pinned next to every graph's."""
         c = _BUILDERS[name]()
         mechs = enumerate_error_mechanisms(fault_table(c))
         dec = IterativeDecoder(c.detectors, mechs)
+        oracle = oracle_graphs(c, mechs)
         nd = len(c.detectors)
         live = _oracle_live_keys(c, mechs)
         assert dec.live_slots == sum(1 << s for s, (key, _) in enumerate(det_slots(c))
                                      if key in live)
-        for key, g in dec.graphs.items():
+        for key, g in oracle.items():
             if key not in live:
                 assert all(e.flips >> nd == 0 and not e.flips & dec.live_slots
                            for e in g.edges), key
-        assert (len(live), len(dec.graphs), {basis for _, basis in live}) == \
+        assert (len(live), len(oracle), {basis for _, basis in live}) == \
             (*_LIVE_COUNTS[name][:2], {_LIVE_COUNTS[name][2]})
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_only_live_graphs_are_built(self, name, monkeypatch):
+        """Every `MatchingGraph` the decoder constructs is one of its
+        `graphs`, which hold the live graphs alone, in slot order, each equal
+        to `oracle_graphs`' graph edge for edge."""
+        c = _BUILDERS[name]()
+        mechs = enumerate_error_mechanisms(fault_table(c))
+        made = []
+        init = MatchingGraph.__init__
+
+        def recording(self, num_nodes, edges):
+            made.append(self)
+            init(self, num_nodes, edges)
+
+        monkeypatch.setattr(MatchingGraph, "__init__", recording)
+        dec = IterativeDecoder(c.detectors, mechs)
+        monkeypatch.setattr(MatchingGraph, "__init__", init)
+        oracle = oracle_graphs(c, mechs)
+        live = _oracle_live_keys(c, mechs)
+        assert made == list(dec.graphs.values())
+        assert list(dec.graphs) == [key for key in oracle if key in live]
+        assert len(made) == _LIVE_COUNTS[name][0] < len(oracle)
+        for key, g in dec.graphs.items():
+            assert (g.n, g.edges) == (oracle[key].n, oracle[key].edges), key
 
 
 # Both benchmark workloads, every shot of their seed-0 runs, and 2000 shots
@@ -1068,12 +1109,14 @@ class TestOrderedWalk:
         protocol, d, noise, p_in, shots = _WALK_RUNS[name]
         c = build_distillation_circuit(build_protocol(protocol), d, noise)
         table = fault_table(c)
-        dec = IterativeDecoder(c.detectors, enumerate_error_mechanisms(table))
+        mechs = enumerate_error_mechanisms(table)
+        dec = IterativeDecoder(c.detectors, mechs)
+        graphs = oracle_graphs(c, mechs)
         det_mask = (1 << len(c.detectors)) - 1
         toggled = 0
         for i, sig in enumerate(sample(table, shots, 0, 0, p_in).unpack()):
             shot = sig & det_mask
-            want = reference_decode_shot(c, dec, shot, max_iters=10)
+            want = reference_decode_shot(c, graphs, shot, max_iters=10)
             assert want.converged, i
             _assert_same_score(c, dec, sig, dec.decode_shot(dec.syndrome_masks(shot)), want, i)
             toggled += want.iterations_used > 1
@@ -1087,10 +1130,10 @@ class TestIncrementalLoop:
         on every sweep, settles within `max_iters` sweeps decodes to the
         same flips under the ordered walk, which decodes each live graph
         once, off the dead graphs' detectors, and to the same score."""
-        c, dec, shots, sigs = sampled
+        c, dec, shots, sigs, oracle = sampled
         settled = 0
         for i, raw in enumerate(shots[:1000]):
-            want = reference_decode_shot(c, dec, raw, max_iters)
+            want = reference_decode_shot(c, oracle, raw, max_iters)
             if want.converged:
                 settled += 1
                 _assert_same_score(c, dec, sigs[i],
@@ -1100,12 +1143,15 @@ class TestIncrementalLoop:
 
 class TestCaches:
     def test_caps_hold_and_tiny_caps_change_nothing(self, sampled, monkeypatch):
-        """Two passes over the recorded decodes, on one fresh graph per cap,
-        with `CACHE_CAP` set to that cap."""
-        _, dec, shots, _ = sampled
-        decodes = sorted(set(_recorded_decodes(dec, shots[:500])))
+        """Two passes over the recorded decodes and every graph's raw
+        syndromes, live or dead, on one fresh graph per cap, with
+        `CACHE_CAP` set to that cap."""
+        c, dec, shots, _, oracle = sampled
+        walk, raw = _sampled_syndromes(c, dec, shots[:500])
+        decodes = sorted(walk | raw)
+        assert any(key not in dec.graphs for key, _ in decodes)
         default_cap = decoder.CACHE_CAP
-        for key, g in dec.graphs.items():
+        for key, g in _every_graph(dec, oracle).items():
             assert len(g._cache) <= default_cap
             syndromes = [s for k, s in decodes if k == key]
             want = [cluster_correction(g, s).flips for s in syndromes]

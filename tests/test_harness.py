@@ -119,7 +119,8 @@ class TestSurfaceDrivers:
 
     def test_chunked_memory_equals_whole_batch(self):
         """The chunked loop decodes the shots of one whole `sample` call:
-        the oracle is the loop over a fully unpacked batch."""
+        the oracle is the loop over a fully unpacked batch, each shot split
+        bit by bit and kept on the live slots, as `decode_shot` reads it."""
         cfg = ExperimentConfig(p_circuit=5e-3, shots=CHUNK + 37, rounds=2, seed=9)
         pipeline = DecodingPipeline.build(
             build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
@@ -129,7 +130,7 @@ class TestSurfaceDrivers:
         nd = len(pipeline.table.detectors)
         errors = 0
         for s, masks in enumerate(basis_masks(pipeline.table, det)):
-            res = dec.decode_shot(masks)
+            res = dec.decode_shot({b: m & dec.live_slots for b, m in masks.items()})
             errors += (res.flips >> nd & 1) != obs[0, s]
         got = run_memory_baseline(cfg)
         assert errors > 0
