@@ -161,9 +161,16 @@ class MultiPatchBuilder:
 
     def finish(self) -> Circuit:
         """The built circuit, its detectors renumbered into slot order: a
-        stable sort by (home patch, basis), so each matching graph's
-        detectors are one contiguous id range, ascending by emission."""
-        self.circuit.detectors.sort(key=lambda d: (d.home_patch, d.basis))
+        stable sort by basis, X graphs ascending by home patch and Z graphs
+        descending, so each matching graph's detectors are one contiguous id
+        range, ascending by emission.  An X detector pulled back through a
+        CNOT spreads control→target and a Z detector target→control, and
+        every CNOT's control has the lower patch id: so a fault homed on an
+        X graph flips detectors of lower-patch X graphs only, one homed on a
+        Z graph those of higher-patch Z graphs only, and in this order every
+        such flip lands below its own graph's slots."""
+        self.circuit.detectors.sort(
+            key=lambda d: (d.basis, d.home_patch if d.basis == "X" else -d.home_patch))
         return self.circuit
 
 

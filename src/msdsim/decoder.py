@@ -5,10 +5,10 @@ the mechanisms originating on that patch; detector flips a mechanism causes on
 *other* patches ride along on its edge as foreign flips.  A graph is *live*
 when its edges flip an observable, a check, or a detector of a live graph;
 only a live graph's correction can reach a shot's score.  A shot is decoded
-in one walk per basis over the live graphs: each is decoded once, on its raw
-syndrome XOR the foreign flips of the graphs decoded before it, so no graph
-waits for a later one and the result is, off the dead graphs' detectors,
-the fixpoint of iterating the corrections of every graph.  A
+in one walk over the live graphs: each is decoded once, on its raw syndrome
+XOR the foreign flips of the graphs decoded before it, so no graph waits
+for a later one and the result is, off the dead graphs' detectors, the
+fixpoint of iterating the corrections of every graph.  A
 `MatchingGraph` is nodes and edges only; the `IterativeDecoder` alone maps
 detectors to graphs, nodes and slots.
 
@@ -41,21 +41,19 @@ flips.  Between equal-weight paths, the predecessor set by the lowest
 intermediate node k that strictly improves a distance wins.
 
 Each shot travels as bitsets in *slot order*, which is detector id order:
-the builders number detectors by (home patch, basis), so each graph's
-detectors are one contiguous range of ids, ascending, with the graphs in
-(patch, basis) order.  The low bits of a shot's sampled signature are therefore
-its slot-order int, and a correction's low bits are its foreign detectors in
-that same order.  The builders also keep a *walk direction*: an X graph's
-edges flip detectors of X graphs at lower slots only, and a Z graph's
-detectors of Z graphs at higher slots only (the decoder raises ValueError
-on any other foreign flip).  So the X walk, from the top set bit down, and
-the Z walk, from the lowest set bit up, each reach a graph only after every
-graph that feeds it.  At each step the bit names its graph, whose syndrome
-is one shift (and for Z one AND), and the walk goes on with the bits ahead
-of that graph XOR the live foreign flips of its correction.  The same
-direction lets one pass, X graphs upward and then Z graphs downward, decide
-every graph's liveness after the graphs it feeds.  A dead graph is never
-built, and a graph without a defect is never decoded.
+the builders number detectors so that each graph's detectors are one
+contiguous range of ids, ascending, and every edge flips detectors below its
+own graph's range only (`MultiPatchBuilder.finish`; the decoder raises
+ValueError on any other layout).  The low bits of a shot's sampled signature
+are therefore its slot-order int, and a correction's low bits are its
+foreign detectors in that same order.  So the walk, from the top set bit
+down, reaches a graph only after every graph that feeds it.  At each step
+the bit names its graph, whose syndrome is one shift, and the walk goes on
+with the bits below that graph XOR the live foreign flips of its
+correction.  The same order lets one ascending pass decide every graph's
+liveness after the graphs it feeds.  The decoder reads no basis but in its
+graphs' keys.  A dead graph is never built, and a graph without a defect is
+never decoded.
 """
 from __future__ import annotations
 
@@ -326,29 +324,27 @@ class IterativeDecoder:
     """The live per-patch graphs plus the ordered cross-patch walk.
 
     The decoder alone maps detectors to graphs: graph (patch, basis) holds
-    the detectors homed to that patch in that basis, one contiguous id
+    the detectors homed to that patch in that basis, one contiguous slot
     range, and its node i is the i-th of them.  A mechanism's home bits are
     its signature's bits in its graph's range, and its edge's `flips` the
     rest of its signature.  `live_slots` holds the slots of the live graphs
     (the module docstring): those whose edges flip an observable or check
     column, above the detectors, or a live graph's detector; `graphs` holds
-    the live graphs alone.  Raises ValueError when the detectors are not
-    sorted by (home patch, basis), when a mechanism has more than two home
-    detectors, or when any graph's edges, live or dead, flip a detector
-    against the walk direction."""
+    the live graphs alone, in slot order.  Raises ValueError when a graph's
+    detectors are not one contiguous range, when a mechanism has more than
+    two home detectors, or when any graph's edges, live or dead, flip a
+    detector at or above the graph's first slot."""
 
     def __init__(self, detectors: tuple[Detector, ...], mechanisms: list[ErrorMechanism]):
-        keys = [(det.home_patch, det.basis) for det in detectors]
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            raise ValueError("detectors are not in slot order")
         nd = len(detectors)
-        # Each graph's slots [lo, hi), in slot order, and each basis's slots.
+        # Each graph's slots [lo, hi), ascending.
         span: dict[tuple[int, str], list[int]] = {}
-        basis_slots = {"X": 0, "Z": 0}
-        for s, key in enumerate(keys):
-            span.setdefault(key, [s, s])[1] = s + 1
-            basis_slots[key[1]] |= 1 << s
-        x_slots, z_slots = basis_slots["X"], basis_slots["Z"]
+        for s, det in enumerate(detectors):
+            key = (det.home_patch, det.basis)
+            lo_hi = span.setdefault(key, [s, s])
+            if lo_hi[1] != s:
+                raise ValueError(f"graph {key}'s detectors are not one contiguous range")
+            lo_hi[1] = s + 1
         found = {key: [] for key in span}    # per graph, its edges' fields
         reach = dict.fromkeys(span, 0)       # per graph, the OR of its edges' flips
         for m in mechanisms:
@@ -364,61 +360,45 @@ class IterativeDecoder:
             flips = m.sig ^ home << lo
             found[key].append((ends[0], ends[1] if len(ends) == 2 else BOUNDARY, w, flips))
             reach[key] |= flips
-        # Per graph, the slots its walk visits after it.
-        ahead = {key: x_slots & (1 << lo) - 1 if key[1] == "X" else z_slots >> hi << hi
-                 for key, (lo, hi) in span.items()}
-        for key in span:
-            if reach[key] & (1 << nd) - 1 & ~ahead[key]:
-                raise ValueError(f"graph {key} flips a detector outside its walk's "
-                                 f"later {key[1]} graphs")
         # A graph is live when its edges flip an observable, a check or a
-        # live graph's detector.  A graph feeds only graphs that its walk
-        # visits after it, so X graphs ascending, then Z graphs descending,
-        # decide every fed graph before its feeders.
+        # live graph's detector.  A graph feeds only graphs below it, so one
+        # ascending pass decides every fed graph before its feeders.
         live = 0
-        for key in [k for k in span if k[1] == "X"] + [k for k in reversed(span) if k[1] == "Z"]:
+        for key, (lo, hi) in span.items():
+            if reach[key] & (1 << nd) - (1 << lo):
+                raise ValueError(f"graph {key} flips a detector at or above its first slot")
             if reach[key] >> nd or reach[key] & live:
-                lo, hi = span[key]
                 live |= (1 << hi) - (1 << lo)
         self.live_slots = live
-        self._x_slots, self._z_slots = x_slots & live, z_slots & live
         self.graphs: dict[tuple[int, str], MatchingGraph] = {}
-        # Per live slot, for the slot's graph: (graph, first slot, mask of
-        # its width, the slots its walk visits after it); None elsewhere.
+        # Per live slot, its graph and the graph's first slot; None elsewhere.
         self._slot_span: list[tuple | None] = [None] * nd
         for key, (lo, hi) in span.items():
             if live >> lo & 1:
                 g = self.graphs[key] = MatchingGraph(hi - lo, [Edge(*f) for f in found[key]])
-                self._slot_span[lo:hi] = [(g, lo, (1 << (hi - lo)) - 1, ahead[key])] * (hi - lo)
+                self._slot_span[lo:hi] = [(g, lo)] * (hi - lo)
 
     def syndrome_masks(self, shot: int) -> dict[str, int]:
-        """Split one shot's detector bits, a slot-order int, by basis and
-        keep the live graphs' slots: the inputs of the two walks of
-        `decode_shot`."""
-        return {"X": shot & self._x_slots, "Z": shot & self._z_slots}
+        """One shot's signature, a slot-order int, kept on the live graphs'
+        slots: the input of `decode_shot`.  The dict's one entry keeps the
+        shape the benchmark's tracer sums."""
+        return {"live": shot & self.live_slots}
 
     def decode_shot(self, masks: dict[str, int]) -> DecodeResult:
-        """Decode one shot's per-basis syndromes, each live graph once, on
-        its raw syndrome XOR the foreign flips of the graphs its walk
-        decoded before it: X from the top set bit down, Z from the lowest
-        up.  `masks` must be `syndrome_masks`' output, which holds live
-        slots only: a dead slot has no graph to decode it.  `flips` is the
-        XOR of the live graphs' corrections: every observable and check
+        """Decode one shot, each live graph once, from the top set bit down,
+        on its raw syndrome XOR the foreign flips of the graphs decoded
+        before it.  `masks` must be `syndrome_masks`' output, which holds
+        live slots only: a dead slot has no graph to decode it.  `flips` is
+        the XOR of the live graphs' corrections: every observable and check
         column, and every live detector, equals the fixpoint of all graphs'
         corrections; a dead graph's detectors may differ."""
         spans, live = self._slot_span, self.live_slots
         flips = 0
-        todo = masks["X"]
+        todo = masks["live"]
         while todo:
             # The top defect's graph holds every bit at and above its first slot.
-            g, lo, _, ahead = spans[todo.bit_length() - 1]
+            g, lo = spans[todo.bit_length() - 1]
             new = g.decode(todo >> lo)
             flips ^= new
-            todo = (todo & ahead) ^ (new & live)
-        todo = masks["Z"]
-        while todo:
-            g, lo, width, ahead = spans[(todo & -todo).bit_length() - 1]
-            new = g.decode(todo >> lo & width)
-            flips ^= new
-            todo = (todo & ahead) ^ (new & live)
+            todo = (todo & (1 << lo) - 1) ^ (new & live)
         return DecodeResult(flips)

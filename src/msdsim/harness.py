@@ -153,11 +153,10 @@ def tally(pipeline: DecodingPipeline, sigs: list[int]) -> list[ExperimentStats]:
     table, dec = pipeline.table, pipeline.decoder
     # A signature's bits run detectors (in slot order), observables, checks.
     nd, no = len(table.detectors), len(table.observables)
-    det_mask = (1 << nd) - 1
     accepted = 0
     wrong: dict[int, int] = {}   # accepted shots per nonzero wrong-observable int
     for sig in sigs:
-        res = dec.decode_shot(dec.syndrome_masks(sig & det_mask))
+        res = dec.decode_shot(dec.syndrome_masks(sig))
         ok, flips = predict_outcome(res, sig, nd, no)
         if ok:
             accepted += 1

@@ -24,9 +24,9 @@
   builds the live ones alone.
 - `graph_syndromes`: every graph's raw syndrome in one shot, through
   `det_slots`.
-- `basis_masks`: the per-basis split of each shot of a detector bool plane
-  into slot-order ints, bit by bit, that `syndrome_masks` makes with two
-  ANDs.
+- `live_masks`: each shot of a detector bool plane kept on the live
+  graphs' detectors as a slot-order int, bit by bit, which `syndrome_masks`
+  makes with one AND.
 - `reference_decode_shot`: the cross-patch loop that the ordered walk
   replaced: Jacobi sweeps that re-decode every graph of `oracle_graphs` on
   every iteration and resolve foreign flips through `det_slots`.
@@ -292,12 +292,13 @@ def cluster_match(graph: MatchingGraph, defects: list[int]) -> list[tuple[int, i
 
 def _groups(circuit) -> dict[tuple[int, str], list[int]]:
     """The detector ids of `circuit` (or of its fault table) grouped by
-    (home patch, basis), keys sorted and ids ascending: one group per graph,
-    in slot order."""
+    (home patch, basis), keys in the order of their first detector and ids
+    ascending: one group per graph.  Laid end to end, they are the identity
+    exactly when each graph's detectors are one contiguous range."""
     groups: dict[tuple[int, str], list[int]] = {}
     for d, det in enumerate(circuit.detectors):
         groups.setdefault((det.home_patch, det.basis), []).append(d)
-    return dict(sorted(groups.items()))
+    return groups
 
 
 def det_slots(circuit) -> list[tuple[tuple[int, str], int]]:
@@ -353,17 +354,20 @@ def graph_syndromes(circuit, shot: int) -> dict[tuple[int, str], int]:
     return raw
 
 
-def basis_masks(circuit, det: np.ndarray) -> list[dict[str, int]]:
-    """Per shot (column) of a detector bool plane, its detector bits split
-    by basis into slot-order ints, bit by bit through `slot_order`."""
-    where = [(s, d, circuit.detectors[d].basis) for s, d in enumerate(slot_order(circuit))]
+def live_masks(circuit, det: np.ndarray, live: set[tuple[int, str]]
+               ) -> list[dict[str, int]]:
+    """Per shot (column) of a detector bool plane, the slot-order int of its
+    detectors homed on a graph of `live`, bit by bit through `det_slots`
+    and `slot_order`, in the shape of `syndrome_masks`' output."""
+    slots = det_slots(circuit)
+    where = [(s, d) for s, d in enumerate(slot_order(circuit)) if slots[d][0] in live]
     out = []
     for col in det.T.tolist():
-        masks = {"X": 0, "Z": 0}
-        for s, d, basis in where:
+        mask = 0
+        for s, d in where:
             if col[d]:
-                masks[basis] |= 1 << s
-        out.append(masks)
+                mask |= 1 << s
+        out.append({"live": mask})
     return out
 
 

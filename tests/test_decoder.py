@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matching_oracle import (basis_masks, brute_force_decode, cluster_correction,
-                             cluster_dp, cluster_match, det_slots, dijkstra_path,
-                             dijkstra_tables, graph_syndromes, oracle_graphs,
+from matching_oracle import (brute_force_decode, cluster_correction, cluster_dp,
+                             cluster_match, det_slots, dijkstra_path, dijkstra_tables,
+                             graph_syndromes, live_masks, oracle_graphs,
                              reference_decode_shot, slot_order, useful_rows,
                              whole_syndrome_decode)
 from sampler_oracle import planes
@@ -169,6 +169,14 @@ def _home_foreign(c, m: ErrorMechanism) -> tuple[list[int], list[int]]:
     return home, [d for d in dets if d not in home]
 
 
+def _first_slots(slots: list) -> dict[tuple[int, str], int]:
+    """Per graph key of `det_slots`' output, the graph's first slot."""
+    first: dict[tuple[int, str], int] = {}
+    for d, (key, _) in enumerate(slots):
+        first.setdefault(key, d)
+    return first
+
+
 def _every_graph(dec: IterativeDecoder, oracle: dict) -> dict[tuple[int, str], MatchingGraph]:
     """Every graph of a circuit, live or dead, in slot order: the decoder's
     where it built one, `oracle_graphs`' elsewhere."""
@@ -211,13 +219,15 @@ class TestIterativeLoop:
     def test_foreign_toggle_changes_neighbour_syndrome(self, pipeline):
         """A fault's home syndrome alone: on a live graph, the walk decodes
         its home graph first, then every graph whose detectors that
-        correction flips, on those flips, in the walk's direction.  On a
-        dead graph it decodes nothing, and that graph's correction of the
-        syndrome, by `oracle_graphs`, flips dead graphs only.  Graphs and
-        slots are read off the circuit's detectors."""
+        correction flips, on those flips, each below the home graph's first
+        slot and of its basis.  On a dead graph it decodes nothing, and that
+        graph's correction of the syndrome, by `oracle_graphs`, flips dead
+        graphs only.  Graphs and slots are read off the circuit's
+        detectors."""
         c, dec = pipeline
         nd = len(c.detectors)
         slots = det_slots(c)
+        first = _first_slots(slots)
         live = dec.graphs
         mechs = enumerate_error_mechanisms(fault_table(c))
         graphs = oracle_graphs(c, mechs)
@@ -239,9 +249,9 @@ class TestIterativeLoop:
             toggles: dict[tuple[int, str], int] = {}
             for d in _bits(graphs[key].decode(syndrome) & (1 << nd) - 1):
                 fed_key, bit = slots[d]
+                assert d < first[key] and fed_key[1] == key[1], m
                 toggles[fed_key] = toggles.get(fed_key, 0) ^ bit
             for fed_key, bit in toggles.items():
-                assert fed_key[1] == key[1] and (fed_key < key) == (key[1] == "X")
                 if key in live:
                     assert (fed_key, bit) in seen[1:], m
                 else:
@@ -832,9 +842,9 @@ class TestScheduledMatch:
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     """Over the two chunks of a run whose length is no multiple of 8, every
-    shot's packed int splits into the per-basis masks that the bit-by-bit
-    split gives for the same shot of one whole `sample` call, on the live
-    graphs' slots."""
+    shot's packed int is kept on the live slots as the bit-by-bit split
+    keeps the same shot of one whole `sample` call on the live graphs'
+    detectors."""
     protocol, noise, p_in = _WORKLOADS[workload]
     pipeline = harness.DecodingPipeline.build(
         build_distillation_circuit(build_protocol(protocol), 3, noise))
@@ -857,9 +867,8 @@ def test_packed_shots_split_like_the_walk(workload, monkeypatch):
     batch = sample(pipeline.table, shots, cfg.seed, 0, p_in)
     det = planes(batch, pipeline.table)[0]
     assert len(got) == shots
-    for s, want in enumerate(basis_masks(pipeline.table, det)):
-        assert got[s] == {b: m & dec.live_slots for b, m in want.items()}, s
-    assert sum(any(m.values()) for m in got) > shots // 2
+    assert got == live_masks(pipeline.table, det, set(dec.graphs))
+    assert sum(m["live"] != 0 for m in got) > shots // 2
 
 
 _BUILDERS = {
@@ -930,23 +939,43 @@ class TestSlotOrder:
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_builders_emit_detectors_in_slot_order(self, name):
         """Detector s is in slot s: the slot order the oracle derives from
-        the circuit's detectors is the identity."""
+        the circuit's detectors is the identity, so each graph's detectors
+        are one contiguous range."""
         c = _BUILDERS[name]()
         assert slot_order(c) == list(range(len(c.detectors)))
 
     def test_unsorted_detectors_are_rejected(self):
+        """Swapping the first and last detectors splits both their graphs;
+        the first split found is (0, Z)'s, whose first detector lands in
+        slot 0."""
         c = _BUILDERS["SevenToOne-d3"]()
         mechs = enumerate_error_mechanisms(fault_table(c))
         c.detectors[0], c.detectors[-1] = c.detectors[-1], c.detectors[0]
-        with pytest.raises(ValueError, match="detectors are not in slot order"):
+        with pytest.raises(ValueError,
+                           match=r"^graph \(0, 'Z'\)'s detectors are not one contiguous range"):
             IterativeDecoder(c.detectors, mechs)
+
+    def test_contiguous_graphs_in_any_order_are_accepted(self):
+        """The decoder reads no basis and no patch order: graphs laid out
+        (1, Z), (0, X), (1, X), (0, Z), each contiguous, with no feed, build
+        one live graph each, node i on its graph's i-th slot."""
+        keys = [(1, "Z"), (0, "X"), (1, "X"), (0, "Z")]
+        det = tuple(Detector((s,), *keys[s // 2]) for s in range(8))
+        mechs = [ErrorMechanism(1e-3, d.home_patch, d.basis, 1 << s | 1 << 8)
+                 for s, d in enumerate(det)]
+        dec = IterativeDecoder(det, mechs)
+        assert list(dec.graphs) == keys and dec.live_slots == 0xFF
+        assert [[(e.u, e.v) for e in g.edges] for g in dec.graphs.values()] == \
+            [[(0, BOUNDARY), (1, BOUNDARY)]] * 4
+        assert _recorded_decodes(dec, [1 << 5]) == [((1, "X"), 0b10)]
 
 
 class TestWalkDirection:
     # Two patches, each with two X and two Z detectors: slots 0-1 (0, X),
-    # 2-3 (0, Z), 4-5 (1, X), 6-7 (1, Z).  Each detector has a boundary
-    # edge, `foreign`'s flipping the columns `logical`; `_mechanisms` adds
-    # a lighter one from `home` flipping `foreign`.
+    # 2-3 (0, Z), 4-5 (1, X), 6-7 (1, Z), not the builders' layout.  Each
+    # detector has a boundary edge, `foreign`'s flipping the columns
+    # `logical`; `_mechanisms` adds a lighter one from `home` flipping
+    # `foreign`.
     _DETECTORS = tuple(Detector((s,), s // 4, "XZ"[s // 2 % 2]) for s in range(8))
 
     def _mechanisms(self, home: int, foreign: int, logical: int = 1 << 8
@@ -960,16 +989,16 @@ class TestWalkDirection:
 
     @pytest.mark.parametrize("home,foreign,graph", [
         (0, 4, r"\(0, 'X'\)"),    # an X graph feeds a higher X graph
-        (6, 2, r"\(1, 'Z'\)"),    # a Z graph feeds a lower Z graph
-        (4, 2, r"\(1, 'X'\)"),    # an X graph feeds a Z graph
-        (2, 0, r"\(0, 'Z'\)")])   # a Z graph feeds an X graph
+        (2, 6, r"\(0, 'Z'\)"),    # a Z graph feeds a higher Z graph
+        (4, 6, r"\(1, 'X'\)"),    # an X graph feeds a higher Z graph
+        (2, 4, r"\(0, 'Z'\)")])   # a Z graph feeds a higher X graph
     def test_feeds_against_the_walk_are_rejected(self, home, foreign, graph):
-        with pytest.raises(ValueError, match=f"^graph {graph} flips a detector outside"):
+        with pytest.raises(ValueError, match=f"^graph {graph} flips a detector at or above"):
             IterativeDecoder(self._DETECTORS, self._mechanisms(home, foreign))
 
-    @pytest.mark.parametrize("home,foreign", [(4, 0), (2, 6)])
+    @pytest.mark.parametrize("home,foreign", [(4, 0), (6, 2)])
     def test_feeds_along_the_walk_decode_after_their_feeder(self, home, foreign):
-        """An X graph feeds a lower X graph, a Z graph a higher Z graph: a
+        """An X graph feeds a lower X graph, a Z graph a lower Z graph: a
         defect on the feeder alone takes the lighter, feeding edge, and the
         fed graph is decoded next, on the detector that edge flips, to the
         boundary edge that flips observable bit 8.  Both graphs are live."""
@@ -982,7 +1011,7 @@ class TestWalkDirection:
             1 << foreign | 1 << 8
         assert dec.live_slots == 3 << home // 2 * 2 | 3 << foreign // 2 * 2
 
-    @pytest.mark.parametrize("home,foreign", [(4, 0), (2, 6)])
+    @pytest.mark.parametrize("home,foreign", [(4, 0), (6, 2)])
     def test_graphs_without_a_logical_column_are_not_decoded(self, home, foreign):
         """The same decoder with no observable or check column has no live
         graph: it decodes nothing, and its flips are 0."""
@@ -995,16 +1024,19 @@ class TestWalkDirection:
     def test_builders_keep_the_walk_direction(self, name):
         """Every builder's circuit builds a decoder, and every foreign
         detector of every edge, read off the circuit's detectors, is of its
-        graph's basis and ahead of it: below it for X, above it for Z."""
+        graph's basis and in a slot below the graph's first slot."""
         c = _BUILDERS[name]()
         nd = len(c.detectors)
+        mechs = enumerate_error_mechanisms(fault_table(c))
+        IterativeDecoder(c.detectors, mechs)
         slots = det_slots(c)
+        first = _first_slots(slots)
         feeds = set()
-        for key, g in oracle_graphs(c, enumerate_error_mechanisms(fault_table(c))).items():
+        for key, g in oracle_graphs(c, mechs).items():
             for e in g.edges:
                 for d in _bits(e.flips & (1 << nd) - 1):
                     fed = slots[d][0]
-                    assert fed[1] == key[1] and (fed < key) == (key[1] == "X"), (key, d)
+                    assert fed[1] == key[1] and d < first[key], (key, d)
                     feeds.add((key, fed))
         assert bool(feeds) == (not name.startswith("memory")), feeds
 

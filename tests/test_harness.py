@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from matching_oracle import basis_masks
+from matching_oracle import live_masks
 from sampler_oracle import fault_signatures, planes
 from msdsim import harness, sampler
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
@@ -119,8 +119,8 @@ class TestSurfaceDrivers:
 
     def test_chunked_memory_equals_whole_batch(self):
         """The chunked loop decodes the shots of one whole `sample` call:
-        the oracle is the loop over a fully unpacked batch, each shot split
-        bit by bit and kept on the live slots, as `decode_shot` reads it."""
+        the oracle is the loop over a fully unpacked batch, each shot kept
+        bit by bit on the live graphs' detectors, as `decode_shot` reads it."""
         cfg = ExperimentConfig(p_circuit=5e-3, shots=CHUNK + 37, rounds=2, seed=9)
         pipeline = DecodingPipeline.build(
             build_memory_circuit(cfg.d, cfg.rounds, cfg.noise()))
@@ -129,8 +129,8 @@ class TestSurfaceDrivers:
         det, _, obs = planes(batch, pipeline.table)
         nd = len(pipeline.table.detectors)
         errors = 0
-        for s, masks in enumerate(basis_masks(pipeline.table, det)):
-            res = dec.decode_shot({b: m & dec.live_slots for b, m in masks.items()})
+        for s, masks in enumerate(live_masks(pipeline.table, det, set(dec.graphs))):
+            res = dec.decode_shot(masks)
             errors += (res.flips >> nd & 1) != obs[0, s]
         got = run_memory_baseline(cfg)
         assert errors > 0

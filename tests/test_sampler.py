@@ -19,6 +19,7 @@ from test_dem import _ORACLE_CIRCUITS, _random_circuits
 from msdsim.builders import (NoiseModel, build_distillation_circuit,
                              build_memory_circuit)
 from msdsim.circuit import Circuit, ParitySet
+from msdsim.dem import _bits
 from msdsim.layout import build_patch
 from msdsim.protocols import (FIFTEEN_TO_ONE, SEVEN_TO_ONE, build_protocol,
                               exhaustive_oracle)
@@ -26,10 +27,12 @@ from msdsim.sampler import CHUNK, KINDS, TERMS, fault_table, sample, signature_c
 
 
 # sha256 of repr(sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()) on
-# the benchmark's two circuits: the random stream and its shots are pinned.
-# Each equals the digest of the stream pinned since the bit-packed byte-plane
+# the benchmark's two circuits, each shot's detector bits moved into (home
+# patch, basis) order: the random stream and its shots are pinned.  Each
+# equals the digest of the stream pinned since the bit-packed byte-plane
 # sampler, taken while the circuits also carried the gauge frame parity as
-# observable 1, with that column (bit nd + 1) deleted from every shot.
+# observable 1, with that column (bit nd + 1) deleted from every shot, and
+# while the builders numbered detectors in that order.
 _STREAM_DIGESTS = {
     "7to1-d3": (SEVEN_TO_ONE, 1e-3, 0.01,
                 "b3a8a31f69ad041a4656a518bacb06e139ea7e6e3548f4101fd1530592902027"),
@@ -43,7 +46,12 @@ class TestReproducibility:
     def test_stream_is_pinned(self, name):
         protocol, p_circuit, p_in, digest = _STREAM_DIGESTS[name]
         c = build_distillation_circuit(build_protocol(protocol), 3, NoiseModel(p_circuit))
-        sigs = sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()
+        nd = len(c.detectors)
+        order = sorted(range(nd), key=lambda d: (c.detectors[d].home_patch,
+                                                 c.detectors[d].basis))
+        moved = {d: 1 << s for s, d in enumerate(order)}
+        sigs = [sig >> nd << nd | sum(moved[d] for d in _bits(sig & (1 << nd) - 1))
+                for sig in sample(fault_table(c), CHUNK + 37, 0, p_in=p_in).unpack()]
         assert hashlib.sha256(repr(sigs).encode()).hexdigest() == digest
 
     def test_int64_rows_sample_like_python_ints(self):
